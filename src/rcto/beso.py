@@ -242,7 +242,6 @@ def run(
     seed_fraction: float = 0.05,
     x_min: float = X_MIN_DEFAULT,
     keep_snapshots: bool = False,
-    debug_field_dir: str | None = None,
 ) -> OptimizationResult:
     """Full concurrent optimization loop (robust when params is nonempty).
 
@@ -303,10 +302,6 @@ def run(
         filtered = SensitivityField(filt_macro.apply(xi.macro), filt_micro.apply(xi.micro))
         smoothed = history_average(filtered, previous_field)
         previous_field = filtered
-        if debug_field_dir is not None:
-            from .sensitivity import dump_fields
-
-            dump_fields(debug_field_dir, state.iteration, raw=raw, normalized=xi, filtered=smoothed)
 
         mass_now = total_mass(problem, state, material)
         state.weight_fraction = mass_now / m0
@@ -336,6 +331,8 @@ def run(
             if converged:
                 logger.info("converged at iteration %d (windowed change %.3e)", state.iteration, err)
                 break
+        if len(history) == schedule.max_iterations:
+            break  # return the design the last objective was evaluated at
 
         target_fraction = update_weight_target(
             target_fraction, schedule.target_weight_fraction, schedule.evolution_ratio

@@ -98,6 +98,11 @@ class StructuredGrid:
         return dofs.reshape(self.n_elems, -1)
 
     @cached_property
+    def pattern(self) -> "SparsityPattern":
+        """Assembly pattern of the grid's global matrices, built on first use."""
+        return SparsityPattern.from_dofs(self.elem_dofs, self.n_dofs)
+
+    @cached_property
     def centroids(self) -> np.ndarray:
         axes = [(np.arange(n) + 0.5) * h for n, h in zip(self.shape, self.spacing)]
         grids = np.meshgrid(*axes, indexing="ij")
@@ -167,16 +172,36 @@ def strain_operators(spacing: tuple[float, ...]):
     return b, n, w
 
 
+@lru_cache(maxsize=32)
+def stiffness_basis(spacing: tuple[float, ...]) -> np.ndarray:
+    """Reference basis (ncomp**2, ndof_e**2) with k_e = D.ravel() @ basis for any D.
+
+    Row (c, d) is the element integral of (B_c^T B_d + B_d^T B_c) / 2, so a
+    whole stack of element stiffnesses is one GEMM and each is symmetric in
+    its DOF pair even for a nonsymmetric D.
+    """
+    b, _, w = strain_operators(tuple(spacing))
+    basis = np.einsum("q,qce,qdf->cdef", w, b, b)
+    basis = 0.5 * (basis + basis.transpose(1, 0, 2, 3)).reshape(b.shape[1] ** 2, b.shape[2] ** 2)
+    basis.setflags(write=False)
+    return basis
+
+
+def element_stiffness_batch(d_mats: np.ndarray, spacing) -> np.ndarray:
+    """Element stiffness stack (n, ndof_e, ndof_e) from an (n, ncomp, ncomp) D stack."""
+    n, ndof = d_mats.shape[0], strain_operators(tuple(spacing))[0].shape[2]
+    return (np.reshape(d_mats, (n, -1)) @ stiffness_basis(tuple(spacing))).reshape(n, ndof, ndof)
+
+
 def element_stiffness(d: np.ndarray, spacing: tuple[float, ...]) -> np.ndarray:
     """Elasticity-weighted stiffness integral of B^T D B over one element."""
     d = np.asarray(d, dtype=float)
-    b, _, w = strain_operators(tuple(spacing))
-    if d.shape != (b.shape[1], b.shape[1]):
+    ncomp = 3 if len(spacing) == 2 else 6
+    if d.shape != (ncomp, ncomp):
         raise ValueError(f"elasticity matrix shape {d.shape} does not match {len(spacing)}D element")
     if not np.allclose(d, d.T, rtol=1e-12, atol=1e-12 * max(1.0, float(np.abs(d).max()))):
         raise ValueError("elasticity matrix must be symmetric")
-    k = np.einsum("q,qce,cd,qdf->ef", w, b, d, b)
-    return 0.5 * (k + k.T)
+    return element_stiffness_batch(d[None], spacing)[0]
 
 
 def element_mass(rho: float, spacing: tuple[float, ...]) -> np.ndarray:
@@ -190,12 +215,8 @@ def element_mass(rho: float, spacing: tuple[float, ...]) -> np.ndarray:
 
 def element_matrices_batch(d_mats: np.ndarray, rhos: np.ndarray, spacing) -> tuple[np.ndarray, np.ndarray]:
     """Per-element (k_e, m_e) stacks for per-element elasticity matrices and densities."""
-    b, n, w = strain_operators(tuple(spacing))
-    k = np.einsum("q,qce,ncd,qdf->nef", w, b, d_mats, b)
-    k = 0.5 * (k + k.transpose(0, 2, 1))
-    m_unit = np.einsum("q,qde,qdf->ef", w, n, n)
-    m = rhos[:, None, None] * m_unit
-    return k, m
+    m = rhos[:, None, None] * element_mass(1.0, spacing)
+    return element_stiffness_batch(d_mats, spacing), m
 
 
 def assemble(grid: StructuredGrid, d_mats, rhos) -> tuple[sp.csc_matrix, sp.csc_matrix]:
@@ -214,7 +235,7 @@ def assemble(grid: StructuredGrid, d_mats, rhos) -> tuple[sp.csc_matrix, sp.csc_
     if np.any(rhos < 0):
         raise ValueError("densities must be nonnegative")
     k_all, m_all = element_matrices_batch(d_mats, rhos, grid.spacing)
-    return _symmetrized(scatter(grid, k_all)), _symmetrized(scatter(grid, m_all))
+    return _symmetrized(scatter(grid.pattern, k_all)), _symmetrized(scatter(grid.pattern, m_all))
 
 
 def _symmetrized(mat: sp.csc_matrix) -> sp.csc_matrix:
@@ -222,14 +243,37 @@ def _symmetrized(mat: sp.csc_matrix) -> sp.csc_matrix:
     return ((mat + mat.T) * 0.5).tocsc()
 
 
-def scatter(grid: StructuredGrid, elem_mats: np.ndarray) -> sp.csc_matrix:
-    """Scatter a (n_elems, ndof_e, ndof_e) stack into the global sparse matrix."""
-    dofs = grid.elem_dofs
-    ndof_e = dofs.shape[1]
-    rows = np.repeat(dofs, ndof_e, axis=1).ravel()
-    cols = np.tile(dofs, (1, ndof_e)).ravel()
-    mat = sp.coo_matrix((elem_mats.ravel(), (rows, cols)), shape=(grid.n_dofs, grid.n_dofs))
-    return mat.tocsc()
+@dataclass(frozen=True, eq=False)
+class SparsityPattern:
+    """CSC structure of an assembled matrix and the data slot of every element entry.
+
+    ``positions[e, i * ndof_e + j]`` indexes the CSC data of entry (dofs[e, i], dofs[e, j]).
+    """
+
+    n: int
+    dofs: np.ndarray
+    indptr: np.ndarray
+    indices: np.ndarray
+    positions: np.ndarray
+
+    @classmethod
+    def from_dofs(cls, dofs: np.ndarray, n: int) -> "SparsityPattern":
+        # CSC order sorts the entries by column, then row
+        keys = (dofs[:, None, :].astype(np.int64) * n + dofs[:, :, None]).ravel()
+        keys, positions = np.unique(keys, return_inverse=True)
+        itype = np.int32 if keys.size < np.iinfo(np.int32).max else np.int64
+        indptr = np.searchsorted(keys, np.arange(n + 1, dtype=np.int64) * n).astype(itype)
+        positions = positions.astype(itype).reshape(dofs.shape[0], -1)
+        pattern = cls(n, dofs, indptr, (keys % n).astype(itype), positions)
+        for arr in (dofs, pattern.indptr, pattern.indices, positions):
+            arr.setflags(write=False)  # shared by every matrix scattered with this pattern
+        return pattern
+
+
+def scatter(pattern: SparsityPattern, elem_mats: np.ndarray) -> sp.csc_matrix:
+    """Sum a (n_elems, ndof_e, ndof_e) stack into the global sparse matrix of a pattern."""
+    data = np.bincount(pattern.positions.ravel(), weights=elem_mats.ravel(), minlength=pattern.indices.size)
+    return sp.csc_matrix((data, pattern.indices, pattern.indptr), shape=(pattern.n, pattern.n))
 
 
 def dynamic_stiffness(k: sp.spmatrix, m: sp.spmatrix, omega: float) -> sp.csc_matrix:

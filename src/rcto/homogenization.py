@@ -16,35 +16,33 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import SingularSystemError
-from .fem import FactorizedSystem, StructuredGrid, strain_operators
+from .fem import FactorizedSystem, SparsityPattern, StructuredGrid, element_stiffness_batch, scatter, strain_operators
 from .materials import TwoPhaseMaterial, voigt_size
 
 
 @lru_cache(maxsize=8)
-def periodic_dof_map(shape: tuple[int, ...], dim: int) -> np.ndarray:
-    """Map every grid node to its periodic master node id (masters run x-fastest)."""
-    nodes_shape = tuple(n + 1 for n in shape)
-    axes = [np.arange(n) for n in nodes_shape]
-    grids = np.meshgrid(*axes, indexing="ij")
-    master = np.zeros(int(np.prod(nodes_shape)), dtype=np.intp)
-    flat = [g.ravel(order="F") % n for g, n in zip(grids, shape)]
+def cell_pattern(grid: StructuredGrid) -> SparsityPattern:
+    """Assembly pattern of the periodic cell; each node maps to its master node (x-fastest)."""
+    grids = np.meshgrid(*[np.arange(n + 1) for n in grid.shape], indexing="ij")
+    master = np.zeros(grid.n_nodes, dtype=np.intp)
     stride = 1
-    for ax in range(dim):
-        master += flat[ax] * stride
-        stride *= shape[ax]
-    return master
+    for g, n in zip(grids, grid.shape):
+        master += (g.ravel(order="F") % n) * stride
+        stride *= n
+    dofs = grid.dim * master[grid.elem_node_ids][:, :, None] + np.arange(grid.dim)
+    return SparsityPattern.from_dofs(dofs.reshape(grid.n_elems, -1), grid.dim * grid.n_elems)
 
 
-def _cell_elem_dofs(grid: StructuredGrid) -> tuple[np.ndarray, int]:
-    """Element DOF table in the reduced periodic numbering."""
-    master = periodic_dof_map(grid.shape, grid.dim)
-    nodes = master[grid.elem_node_ids]
-    dofs = grid.dim * nodes[:, :, None] + np.arange(grid.dim)[None, None, :]
-    n_red = grid.dim * int(np.prod(grid.shape))
-    return dofs.reshape(grid.n_elems, -1), n_red
+def cell_loads(grid: StructuredGrid, d_voxels: np.ndarray) -> np.ndarray:
+    """Reduced load vectors (n_red, ncomp): integral of B^T D eps0, one column per test strain."""
+    b, _, w = strain_operators(grid.spacing)
+    pattern = cell_pattern(grid)
+    loads = (np.einsum("q,qce->ec", w, b) @ d_voxels).reshape(pattern.dofs.size, -1)
+    return np.column_stack(
+        [np.bincount(pattern.dofs.ravel(), weights=col, minlength=pattern.n) for col in loads.T]
+    )
 
 
 def solve_cell_problems(grid: StructuredGrid, d_voxels: np.ndarray):
@@ -60,30 +58,19 @@ def solve_cell_problems(grid: StructuredGrid, d_voxels: np.ndarray):
     if d_voxels.shape != (grid.n_elems, ncomp, ncomp):
         raise ValueError(f"expected per-voxel D of shape {(grid.n_elems, ncomp, ncomp)}")
     b, _, w = strain_operators(grid.spacing)
-    dofs, n_red = _cell_elem_dofs(grid)
-
-    k_elems = np.einsum("q,qce,ncd,qdf->nef", w, b, d_voxels, b)
-    k_elems = 0.5 * (k_elems + k_elems.transpose(0, 2, 1))
-    ndof_e = dofs.shape[1]
-    rows = np.repeat(dofs, ndof_e, axis=1).ravel()
-    cols = np.tile(dofs, (1, ndof_e)).ravel()
-    k_red = sp.coo_matrix((k_elems.ravel(), (rows, cols)), shape=(n_red, n_red)).tocsc()
-
-    # load vectors: integral of B^T D eps0 per element, one column per test strain
-    s_op = np.einsum("q,qce->ec", w, b)
-    loads = np.einsum("ec,ncd->ned", s_op, d_voxels)
-    rhs = np.zeros((n_red, ncomp))
-    np.add.at(rhs, dofs.ravel(), loads.reshape(-1, ncomp))
+    pattern = cell_pattern(grid)
+    k_red = scatter(pattern, element_stiffness_batch(d_voxels, grid.spacing))
+    rhs = cell_loads(grid, d_voxels)
 
     # pin the corner master node to remove the translation nullspace
-    free = np.arange(grid.dim, n_red)
+    free = np.arange(grid.dim, pattern.n)
     try:
         system = FactorizedSystem(k_red, free)
     except SingularSystemError as exc:
         raise SingularSystemError(f"unit cell system is singular (void cell?): {exc}") from exc
     u = np.column_stack([system.solve(rhs[:, c]) for c in range(ncomp)])
 
-    u_elems = u[dofs]
+    u_elems = u[pattern.dofs]
     eps = np.einsum("qce,ner->nqcr", b, u_elems)
     g = np.eye(ncomp)[None, None, :, :] - eps
     return g, w, u
@@ -178,7 +165,8 @@ class EffectiveProperties:
 
 def effective_elasticity(grid: StructuredGrid, d_voxels: np.ndarray, g: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Effective elasticity from corrected strain fields: volume average of the mutual energy."""
-    d_h = np.einsum("q,nqcr,ncd,nqds->rs", w, g, d_voxels, g) / grid.volume
+    stress = d_voxels[:, None] @ g  # D (eps0 - eps) at every Gauss point
+    d_h = np.einsum("q,nqcr,nqcs->rs", w, g, stress, optimize=True) / grid.volume
     return 0.5 * (d_h + d_h.T)
 
 

@@ -97,6 +97,20 @@ def factorized_dynamic(problem: MacroProblem, state: DesignState, d_h: np.ndarra
     return fem.FactorizedSystem(k_d, problem.free)
 
 
+def derivative_matrix(
+    problem: MacroProblem, state: DesignState, dd: np.ndarray, drho: float
+) -> sp.csc_matrix:
+    """Sparse dK_d for a derivative (dD_h, drho_h) of the effective cell properties."""
+    s = stiffness_scale(state.x_macro, problem.penalty, state.x_min)
+    # derivative "densities" may have any sign, so bypass the physical validation
+    k_elems, m_elems = fem.element_matrices_batch(
+        s[:, None, None] * dd, state.x_macro * drho, problem.grid.spacing
+    )
+    if problem.omega != 0.0 and drho != 0.0:
+        k_elems -= problem.omega**2 * m_elems
+    return fem.scatter(problem.grid.pattern, k_elems)
+
+
 def parameter_to_matrices(
     problem: MacroProblem,
     state: DesignState,
@@ -111,15 +125,4 @@ def parameter_to_matrices(
     derivatives vanish.
     """
     wrt = (theta,) if theta2 is None else (theta, theta2)
-    dd = props.d_h_derivative(wrt)
-    drho = props.rho_h_derivative(wrt)
-    s = stiffness_scale(state.x_macro, problem.penalty, state.x_min)
-    # derivative "densities" may have any sign, so bypass the physical validation
-    k_elems, m_elems = fem.element_matrices_batch(
-        s[:, None, None] * dd, state.x_macro * drho, problem.grid.spacing
-    )
-    k = fem.scatter(problem.grid, k_elems)
-    if problem.omega == 0.0 or drho == 0.0:
-        return k
-    m = fem.scatter(problem.grid, m_elems)
-    return fem.dynamic_stiffness(k, m, problem.omega)
+    return derivative_matrix(problem, state, props.d_h_derivative(wrt), props.rho_h_derivative(wrt))

@@ -319,13 +319,3 @@ def history_average(current: SensitivityField, previous: SensitivityField | None
         0.5 * (current.macro + previous.macro), 0.5 * (current.micro + previous.micro)
     )
 
-
-def dump_fields(directory: str, iteration: int, **fields: SensitivityField) -> None:
-    """Debug dump of sensitivity stages (raw/normalized/filtered) as flat CSV."""
-    import os
-
-    os.makedirs(directory, exist_ok=True)
-    for stage, f in fields.items():
-        for scale, values in (("macro", f.macro), ("micro", f.micro)):
-            path = os.path.join(directory, f"iter_{iteration:04d}_{stage}_{scale}.csv")
-            np.savetxt(path, values, delimiter=",", header="value", comments="")

@@ -28,10 +28,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NumericalError, SingularSystemError
-from .fem import mean_compliance, strain_operators
-from .homogenization import EffectiveProperties, homogenize, stiffness_weights
-from .materials import PARAMETER_NAMES, TwoPhaseMaterial, voigt_size
-from .problem import DesignState, MacroProblem, factorized_dynamic, parameter_to_matrices, stiffness_scale
+from .fem import element_mass, element_stiffness_batch, mean_compliance, scatter
+from .homogenization import EffectiveProperties, cell_loads, cell_pattern, homogenize, stiffness_weights
+from .materials import _PARTS, PARAMETER_NAMES, TwoPhaseMaterial, voigt_size
+from .problem import DesignState, MacroProblem, derivative_matrix, factorized_dynamic, stiffness_scale
 
 logger = logging.getLogger(__name__)
 
@@ -219,14 +219,14 @@ def ihpa_evaluate(
     dd_list, d2d_list, drho_list = [], [], []
 
     for j, par in enumerate(params):
-        g_j = parameter_to_matrices(problem, state, props, par.name)
-        h_j = parameter_to_matrices(problem, state, props, par.name, par.name)
-        du_interval[j] = system.solve(-(g_j @ u0))
-        du_random[j] = system.solve(-(g_j @ u0))
-        d2u_cross[j] = system.solve(-(2.0 * (g_j @ du_random[j]) + h_j @ u0))
         dd_list.append(props.d_h_derivative((par.name,)))
         d2d_list.append(props.d_h_derivative((par.name, par.name)))
         drho_list.append(props.rho_h_derivative((par.name,)))
+        g_j = derivative_matrix(problem, state, dd_list[j], drho_list[j])
+        h_j = derivative_matrix(problem, state, d2d_list[j], props.rho_h_derivative((par.name, par.name)))
+        du_interval[j] = system.solve(-(g_j @ u0))
+        du_random[j] = system.solve(-(g_j @ u0))
+        d2u_cross[j] = system.solve(-(2.0 * (g_j @ du_random[j]) + h_j @ u0))
 
     mean_dev = np.array([p.mean.deviation for p in params])
     sigma_mid = np.array([p.std.midpoint for p in params])
@@ -332,35 +332,21 @@ class BatchComplianceEvaluator:
         self._setup_macro(problem, state)
 
     def _setup_cell(self, cell, state):
-        from .homogenization import _cell_elem_dofs
-
-        dim = cell.dim
-        b, _, w = strain_operators(cell.spacing)
-        dofs, n_red = _cell_elem_dofs(cell)
-        free = np.arange(dim, n_red)
+        pattern = cell_pattern(cell)
+        free = np.arange(cell.dim, pattern.n)
         self._cell_free = free
         eta = stiffness_weights(state.x_micro, self.problem.penalty)
-        from .materials import _PARTS
-
-        a0, a1 = _PARTS[dim]
-        self._a_parts = (a0, a1)
-        k0 = np.einsum("q,qce,cd,qdf->ef", w, b, a0, b)
-        k1 = np.einsum("q,qce,cd,qdf->ef", w, b, a1, b)
+        self._a_parts = _PARTS[cell.dim]
         # four stiffness/load basis blocks: {phase-1, phase-2} x {A0, A1}
-        kb = np.zeros((4, n_red, n_red))
-        fb = np.zeros((4, n_red, self.ncomp))
-        s0 = np.einsum("q,qce->ec", w, b) @ a0
-        s1 = np.einsum("q,qce->ec", w, b) @ a1
-        ndof_e = dofs.shape[1]
-        for (gi, ke, se, wts) in (
-            (0, k0, s0, eta), (1, k1, s1, eta),
-            (2, k0, s0, 1.0 - eta), (3, k1, s1, 1.0 - eta),
-        ):
-            data = wts[:, None, None] * ke
-            np.add.at(kb[gi], (np.repeat(dofs, ndof_e, axis=1).ravel(), np.tile(dofs, (1, ndof_e)).ravel()), data.ravel())
-            np.add.at(fb[gi], dofs.ravel(), (wts[:, None, None] * se[None]).reshape(-1, self.ncomp))
-        self._cell_kb = kb[:, free[:, None], free[None, :]].reshape(4, -1)
-        self._cell_fb = fb[:, free, :].reshape(4, -1)
+        kb, fb = [], []
+        for wts in (eta, 1.0 - eta):
+            for part in self._a_parts:
+                d_stack = wts[:, None, None] * part
+                k_red = scatter(pattern, element_stiffness_batch(d_stack, cell.spacing))
+                kb.append(k_red[free][:, free].toarray().ravel())
+                fb.append(cell_loads(cell, d_stack)[free].ravel())
+        self._cell_kb = np.array(kb)
+        self._cell_fb = np.array(fb)
         self._cell_volume = cell.volume
         # phase volumes for the average-stiffness part of the energy identity
         self._vol_eta = float(np.sum(eta) * cell.elem_volume)
@@ -368,32 +354,22 @@ class BatchComplianceEvaluator:
 
     def _setup_macro(self, problem, state):
         grid = problem.grid
-        b, nmat, w = strain_operators(grid.spacing)
         s = stiffness_scale(state.x_macro, problem.penalty, state.x_min)
-        m_unit = np.einsum("q,qde,qdf->ef", w, nmat, nmat)
         free = problem.free
-        nf = free.size
         pairs = [(c, d) for c in range(self.ncomp) for d in range(c, self.ncomp)]
         self._pairs = pairs
-        kbas = np.zeros((len(pairs), grid.n_dofs, grid.n_dofs))
-        dofs = grid.elem_dofs
-        ndof_e = dofs.shape[1]
-        rows = np.repeat(dofs, ndof_e, axis=1).ravel()
-        cols = np.tile(dofs, (1, ndof_e)).ravel()
-        for ip, (c, d) in enumerate(pairs):
+        kbas = []
+        for c, d in pairs:
             e_cd = np.zeros((self.ncomp, self.ncomp))
-            e_cd[c, d] = 1.0
-            e_cd[d, c] = 1.0
-            ke = np.einsum("q,qce,cd,qdf->ef", w, b, e_cd, b)
-            data = s[:, None, None] * ke
-            np.add.at(kbas[ip], (rows, cols), data.ravel())
-        mbas = np.zeros((grid.n_dofs, grid.n_dofs))
-        np.add.at(mbas, (rows, cols), (state.x_macro[:, None, None] * m_unit).ravel())
-        self._macro_kbas = kbas[:, free[:, None], free[None, :]].reshape(len(pairs), -1)
-        self._macro_mbas = mbas[free[:, None], free[None, :]].ravel()
+            e_cd[[c, d], [d, c]] = 1.0
+            k_e = element_stiffness_batch(s[:, None, None] * e_cd, grid.spacing)
+            kbas.append(scatter(grid.pattern, k_e)[free][:, free].toarray().ravel())
+        self._macro_kbas = np.array(kbas)
+        m_e = state.x_macro[:, None, None] * element_mass(1.0, grid.spacing)
+        self._macro_mbas = scatter(grid.pattern, m_e)[free][:, free].toarray().ravel()
         self._macro_free = free
         self._f_free = problem.force[free]
-        self._nf = nf
+        self._nf = free.size
         self._phase1_volume_fraction = float(
             np.sum(state.x_micro) * problem.cell.elem_volume / problem.cell.volume
         )

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse
 
 from rcto.fem import StructuredGrid
 from rcto.materials import Phase, TwoPhaseMaterial
@@ -77,6 +78,21 @@ def degenerate_params(material: TwoPhaseMaterial) -> UncertainSet:
 def full_state(problem: MacroProblem, x_min=1e-6, micro=None) -> DesignState:
     x_micro = np.ones(problem.cell.n_elems) if micro is None else np.asarray(micro, dtype=float)
     return DesignState(x_macro=np.ones(problem.grid.n_elems), x_micro=x_micro, x_min=x_min)
+
+
+def coo_reference(dofs, n, elem_mats):
+    """Global matrix by plain COO assembly: duplicates summed, indices sorted."""
+    ndof_e = dofs.shape[1]
+    rows = np.repeat(dofs, ndof_e, axis=1).ravel()
+    cols = np.tile(dofs, (1, ndof_e)).ravel()
+    return scipy.sparse.coo_matrix((elem_mats.ravel(), (rows, cols)), shape=(n, n)).tocsc()
+
+
+def assert_same_csc(mat, ref):
+    assert ref.has_sorted_indices and mat.has_sorted_indices
+    assert np.array_equal(mat.indptr, ref.indptr)
+    assert np.array_equal(mat.indices, ref.indices)
+    assert np.abs(mat.data - ref.data).max() <= 1e-14 * np.abs(ref.data).max()
 
 
 @pytest.fixture

@@ -267,8 +267,11 @@ class TestVerifyReport:
 
 
 class TestBundle:
-    def _run_small(self, tmp_path, mode="dcto"):
-        path = write_config(tmp_path, small_doc(mode=mode))
+    def _run_small(self, tmp_path, mode="dcto", max_iterations=None):
+        doc = small_doc(mode=mode)
+        if max_iterations is not None:
+            doc["optimizer"]["max_iterations"] = max_iterations
+        path = write_config(tmp_path, doc)
         cfg = parse_config(path)
         problem = build_problem(cfg)
         params = cfg.params if mode == "rcto" else UncertainSet()
@@ -279,11 +282,20 @@ class TestBundle:
         )
         outdir = str(tmp_path / "bundle")
         write_bundle(outdir, cfg, problem, result)
+        assert max_iterations is None or not result.converged
         return outdir
 
     @pytest.mark.parametrize("mode", ["dcto", "rcto"])
     def test_reevaluation_reproduces_logged_objective(self, tmp_path, mode):
         outdir = self._run_small(tmp_path, mode=mode)
+        logged, recomputed = reevaluate_bundle(outdir)
+        assert abs(logged - recomputed) <= 1e-9 * abs(logged)
+
+    @pytest.mark.parametrize("mode", ["dcto", "rcto"])
+    def test_reevaluation_after_iteration_cap(self, tmp_path, mode):
+        # a run stopped by max_iterations saves the design its last objective
+        # was evaluated at; on this config the update after iteration 10 flips elements
+        outdir = self._run_small(tmp_path, mode=mode, max_iterations=10)
         logged, recomputed = reevaluate_bundle(outdir)
         assert abs(logged - recomputed) <= 1e-9 * abs(logged)
 

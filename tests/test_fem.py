@@ -19,13 +19,16 @@ from rcto.fem import (
     dynamic_stiffness,
     element_mass,
     element_stiffness,
+    element_stiffness_batch,
     free_dofs,
     mean_compliance,
+    scatter,
     solve_system,
+    strain_operators,
 )
 from rcto.materials import elasticity_matrix
 
-from conftest import cantilever, full_state, steel_foam
+from conftest import assert_same_csc, cantilever, coo_reference, full_state, steel_foam
 from rcto.homogenization import homogenize
 from rcto.problem import assemble_state
 
@@ -180,6 +183,34 @@ class TestAssembly:
             assemble(grid, np.zeros((3, 3, 3)), 1.0)  # wrong element count
         with pytest.raises(ValueError):
             assemble(grid, np.zeros((6, 6)), 1.0)  # 3D matrix on a 2D grid
+
+
+def random_symmetric_stack(rng, n, ncomp):
+    a = rng.standard_normal((n, ncomp, ncomp))
+    return a + a.transpose(0, 2, 1)
+
+
+class TestElementKernel:
+    @pytest.mark.parametrize("spacing", [(1.0, 2.0), (0.5, 1.0, 2.0)])
+    def test_gemm_matches_per_element_einsum(self, rng, spacing):
+        ncomp = 3 if len(spacing) == 2 else 6
+        d_mats = random_symmetric_stack(rng, 17, ncomp)
+        b, _, w = strain_operators(spacing)
+        ref = np.einsum("q,qce,ncd,qdf->nef", w, b, d_mats, b)
+        k = element_stiffness_batch(d_mats, spacing)
+        assert np.abs(k - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+class TestSparsityPattern:
+    def test_scatter_matches_coo_assembly(self, rng):
+        grid = StructuredGrid((5, 3), (1.0, 0.5))
+        elem_mats = rng.standard_normal((grid.n_elems, 8, 8))
+        ref = coo_reference(grid.elem_dofs, grid.n_dofs, elem_mats)
+        assert_same_csc(scatter(grid.pattern, elem_mats), ref)
+
+    def test_pattern_built_once_per_grid(self):
+        grid = StructuredGrid((4, 2), (1.0, 1.0))
+        assert grid.pattern is grid.pattern
 
 
 class TestSolve:

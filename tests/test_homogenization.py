@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from rcto.errors import SingularSystemError
-from rcto.fem import StructuredGrid
+from rcto.fem import StructuredGrid, scatter
 from rcto.homogenization import (
+    cell_pattern,
     effective_density,
     effective_derivatives,
     format_effective_matrix,
@@ -16,7 +17,7 @@ from rcto.homogenization import (
 )
 from rcto.materials import Phase, TwoPhaseMaterial, elasticity_matrix
 
-from conftest import steel_foam
+from conftest import assert_same_csc, coo_reference, steel_foam
 
 X_MIN = 1e-6
 
@@ -74,6 +75,31 @@ class TestCellProblems:
         grid = StructuredGrid((3, 3), (1 / 3, 1 / 3))
         with pytest.raises(SingularSystemError, match="cell"):
             solve_cell_problems(grid, np.zeros((grid.n_elems, 3, 3)))
+
+
+class TestCellPattern:
+    @pytest.mark.parametrize("shape", [(3, 2), (3, 1), (2, 2, 1)])
+    def test_scatter_matches_coo_assembly(self, rng, shape):
+        # a one-element axis maps both faces of an element onto one master node
+        grid = StructuredGrid(shape, (1.0,) * len(shape))
+        pattern = cell_pattern(grid)
+        assert pattern.n == grid.dim * grid.n_elems
+        assert np.unique(pattern.dofs).size == pattern.n
+        ndof_e = pattern.dofs.shape[1]
+        elem_mats = rng.standard_normal((grid.n_elems, ndof_e, ndof_e))
+        ref = coo_reference(pattern.dofs, pattern.n, elem_mats)
+        assert_same_csc(scatter(pattern, elem_mats), ref)
+
+    def test_pattern_built_once_per_grid(self):
+        grid = StructuredGrid((4, 2), (0.25, 0.5))
+        assert cell_pattern(grid) is cell_pattern(grid)
+        assert cell_pattern(grid) is cell_pattern(StructuredGrid((4, 2), (0.25, 0.5)))
+
+    def test_grids_with_equal_element_counts_get_their_own_pattern(self):
+        wide = cell_pattern(StructuredGrid((4, 2), (0.25, 0.5)))
+        tall = cell_pattern(StructuredGrid((2, 4), (0.5, 0.25)))
+        assert wide is not tall
+        assert not np.array_equal(wide.dofs, tall.dofs)
 
 
 class TestEffectiveDensity:
