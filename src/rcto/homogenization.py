@@ -68,7 +68,7 @@ def solve_cell_problems(grid: StructuredGrid, d_voxels: np.ndarray):
         system = FactorizedSystem(k_red, free)
     except SingularSystemError as exc:
         raise SingularSystemError(f"unit cell system is singular (void cell?): {exc}") from exc
-    u = np.column_stack([system.solve(rhs[:, c]) for c in range(ncomp)])
+    u = system.solve(rhs)
 
     u_elems = u[pattern.dofs]
     eps = np.einsum("qce,ner->nqcr", b, u_elems)

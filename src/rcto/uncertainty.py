@@ -135,11 +135,10 @@ class IhpaCache:
     props: EffectiveProperties
     params: UncertainSet
     u_nominal: np.ndarray
-    du_interval: np.ndarray  # (n, ndof) displacement derivative along the mean interval
     du_random: np.ndarray    # (n, ndof) displacement derivative against the random part
     d2u_cross: np.ndarray    # (n, ndof) second-order interval/random coupling
     c_nominal: float
-    mean_terms: np.ndarray        # per parameter: F.du_interval * mean deviation
+    mean_terms: np.ndarray        # per parameter: F.du along the mean interval * mean deviation
     std_level_terms: np.ndarray   # F.du_random * midpoint sigma
     std_shift_terms: np.ndarray   # F.d2u_cross * midpoint sigma * mean deviation
     std_width_terms: np.ndarray   # F.du_random * sigma deviation
@@ -213,7 +212,7 @@ def ihpa_evaluate(
     c0 = mean_compliance(f, u0)
 
     ndof = problem.grid.n_dofs
-    du_interval = np.zeros((n, ndof))
+    f_du_int = np.zeros(n)
     du_random = np.zeros((n, ndof))
     d2u_cross = np.zeros((n, ndof))
     dd_list, d2d_list, drho_list = [], [], []
@@ -224,14 +223,14 @@ def ihpa_evaluate(
         drho_list.append(props.rho_h_derivative((par.name,)))
         g_j = derivative_matrix(problem, state, dd_list[j], drho_list[j])
         h_j = derivative_matrix(problem, state, d2d_list[j], props.rho_h_derivative((par.name, par.name)))
-        du_interval[j] = system.solve(-(g_j @ u0))
+        # the interval derivative has the random one's right-hand side; the 1 + 3n count keeps both solves
+        f_du_int[j] = system.solve(-(g_j @ u0)) @ f
         du_random[j] = system.solve(-(g_j @ u0))
         d2u_cross[j] = system.solve(-(2.0 * (g_j @ du_random[j]) + h_j @ u0))
 
     mean_dev = np.array([p.mean.deviation for p in params])
     sigma_mid = np.array([p.std.midpoint for p in params])
     sigma_dev = np.array([p.std.deviation for p in params])
-    f_du_int = du_interval @ f
     f_du_rand = du_random @ f
     f_d2u = d2u_cross @ f
 
@@ -241,7 +240,6 @@ def ihpa_evaluate(
         props=props,
         params=params,
         u_nominal=u0,
-        du_interval=du_interval,
         du_random=du_random,
         d2u_cross=d2u_cross,
         c_nominal=c0,

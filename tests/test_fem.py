@@ -213,6 +213,18 @@ class TestSparsityPattern:
         assert grid.pattern is grid.pattern
 
 
+def steel_cantilever_modes():
+    """Steel cantilever(4, 2): problem, K, M, free DOFs, dense free blocks and their generalized eigenvalues."""
+    import scipy.linalg
+
+    prob = cantilever(4, 2)
+    k, m = assemble(prob.grid, elasticity_matrix(200e3, 0.3, 2), 7.9e-9)
+    free = free_dofs(prob.grid.n_dofs, prob.fixed_dofs)
+    kf = k.toarray()[np.ix_(free, free)]
+    mf = m.toarray()[np.ix_(free, free)]
+    return prob, k, m, free, kf, mf, scipy.linalg.eigh(kf, mf, eigvals_only=True)
+
+
 class TestSolve:
     def test_zero_load_gives_zero_displacement(self):
         prob = cantilever(3, 2)
@@ -279,6 +291,36 @@ class TestSolve:
         for _ in range(4):
             system.solve(prob.force)
         assert system.calls == 4
+
+    def test_indefinite_system_matches_dense_solve(self):
+        prob, k, m, free, kf, mf, evals = steel_cantilever_modes()
+        omega = (evals[0] * evals[1]) ** 0.25  # between the first two natural frequencies
+        u = solve_system(k, m, omega, prob.force, prob.fixed_dofs)
+        u_ref = np.linalg.solve(kf - omega**2 * mf, prob.force[free])
+        assert np.linalg.norm(u[free] - u_ref) <= 1e-9 * np.linalg.norm(u_ref)
+
+    def test_block_solve_matches_column_solves(self, rng):
+        prob, k, m, free, *_ = steel_cantilever_modes()
+        system = FactorizedSystem(dynamic_stiffness(k, m, 2 * np.pi * 500.0), free)
+        block = np.zeros((prob.grid.n_dofs, 3))
+        block[free, 0] = rng.standard_normal(free.size)
+        block[:, 2] = prob.force
+        u = system.solve(block)
+        assert system.calls == 3
+        assert u.shape == block.shape
+        assert not np.any(u[:, 1])
+        for c in range(3):
+            u_c = system.solve(block[:, c])
+            assert np.linalg.norm(u[:, c] - u_c) <= 1e-14 * np.linalg.norm(u_c)
+        assert system.calls == 6
+        assert system.solve(block[:, 1:2]).shape == (prob.grid.n_dofs, 1)
+        assert system.calls == 7
+
+    def test_block_residual_contract_enforced_at_resonance(self):
+        prob, k, m, free, _, _, evals = steel_cantilever_modes()
+        system = FactorizedSystem(dynamic_stiffness(k, m, np.sqrt(evals[2])), free)
+        with pytest.raises(SingularSystemError):
+            system.solve(np.column_stack([np.zeros(prob.grid.n_dofs), prob.force]))
 
 
 class TestMeanCompliance:
