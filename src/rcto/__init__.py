@@ -19,7 +19,6 @@ from .fem import StructuredGrid, assemble, element_mass, element_stiffness, mean
 from .homogenization import (
     EffectiveProperties,
     effective_density,
-    effective_derivatives,
     effective_elasticity,
     homogenize,
     seed_cell,
@@ -58,7 +57,6 @@ __all__ = [
     "UncertainSet",
     "assemble",
     "effective_density",
-    "effective_derivatives",
     "effective_elasticity",
     "elasticity_matrix",
     "element_mass",

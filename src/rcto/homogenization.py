@@ -2,24 +2,28 @@
 
 Solves the cell problems for the unit test strains under periodic boundary
 conditions (master-slave coupling of opposite faces, one corner pinned) and
-returns the effective density and elasticity matrix together with everything
-needed for analytic derivatives: the per-voxel, per-Gauss-point corrected
-strain matrices.  First derivatives of the effective elasticity with respect
-to material parameters or micro design variables hold the strain fields
-fixed; for first order that is exact because the corrector is a stationary
-point of the energy form.
+returns the effective density and elasticity matrix together with the
+cell-energy basis that every derivative reads.  With g_iq the corrected
+strains (eps0 - eps) of the unit test strains at Gauss point q of voxel i,
+the basis is P[i, k] = sum_q w_q g_iq^T A_k g_iq for the two constant
+material parts A0, A1.  Each phase elasticity is c[p, 0] A0 + c[p, 1] A1
+(``materials.phase_coefficients``), so D_h, its derivatives with respect to
+the material parameters and its derivative with respect to one voxel are all
+scalar combinations of P.  These derivatives hold the strain fields fixed;
+for first order that is exact because the corrector is a stationary point of
+the energy form.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .errors import SingularSystemError
 from .fem import FactorizedSystem, SparsityPattern, StructuredGrid, element_stiffness_batch, scatter, strain_operators
-from .materials import TwoPhaseMaterial, voigt_size
+from .materials import _PARTS, TwoPhaseMaterial, voigt_size
 
 
 @lru_cache(maxsize=8)
@@ -97,9 +101,42 @@ def effective_density(x: np.ndarray, material: TwoPhaseMaterial, grid: Structure
     return float(total / grid.volume)
 
 
+def cell_energy_basis(g: np.ndarray, w: np.ndarray, dim: int) -> np.ndarray:
+    """P[i, k] = sum_q w_q g_iq^T A_k g_iq: (n_voxels, 2, ncomp, ncomp), symmetric in the last two axes."""
+    n, nq, ncomp, _ = g.shape
+    a_g = (np.array(_PARTS[dim])[None, :, None] @ g[:, None]).reshape(n, 2, nq * ncomp, ncomp)
+    g_w = (g * w[:, None, None]).reshape(n, 1, nq * ncomp, ncomp)
+    p = np.swapaxes(g_w, -1, -2) @ a_g
+    return 0.5 * (p + np.swapaxes(p, -1, -2))
+
+
+def phase_moments(basis: np.ndarray, eta: np.ndarray, volume: float) -> np.ndarray:
+    """M[p, k] = sum_i weight_p(i) P[i, k] / |Y| with the phase weights eta and 1 - eta."""
+    m = np.stack([eta, 1.0 - eta]) @ basis.reshape(basis.shape[0], -1)
+    return m.reshape((2,) + basis.shape[1:]) / volume
+
+
+def _combine(coefficients: np.ndarray, moments: np.ndarray) -> np.ndarray:
+    """sum_pk c[p, k] M[p, k], made exactly symmetric."""
+    d = np.tensordot(coefficients, moments, axes=2)
+    return 0.5 * (d + d.T)
+
+
+def effective_elasticity(
+    grid: StructuredGrid, g: np.ndarray, w: np.ndarray, eta: np.ndarray, coefficients: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Effective elasticity from corrected strain fields, and the cell-energy basis it is read from.
+
+    D_h = sum_pk c[p, k] M[p, k] for the phase coefficients c of
+    ``materials.phase_coefficients``.
+    """
+    basis = cell_energy_basis(g, w, grid.dim)
+    return _combine(coefficients, phase_moments(basis, eta, grid.volume)), basis
+
+
 @dataclass
 class EffectiveProperties:
-    """Homogenized unit cell state: effective properties plus strain data for derivatives."""
+    """Homogenized unit cell state: effective properties plus the cell-energy basis for derivatives."""
 
     grid: StructuredGrid
     x: np.ndarray
@@ -107,8 +144,7 @@ class EffectiveProperties:
     penalty: float
     d_h: np.ndarray
     rho_h: float
-    g: np.ndarray
-    gauss_w: np.ndarray
+    basis: np.ndarray  # P[i, k], see cell_energy_basis
 
     @property
     def dim(self) -> int:
@@ -122,25 +158,13 @@ class EffectiveProperties:
     def voxel_volume(self) -> float:
         return self.grid.elem_volume
 
-    def mutual_per_voxel(self, cmat: np.ndarray) -> np.ndarray:
-        """Per-voxel mutual energy integral of (eps0 - eps)^T cmat (eps0 - eps)."""
-        return np.einsum("q,nqcr,cd,nqds->nrs", self.gauss_w, self.g, cmat, self.g)
-
-    def mutual_weighted(self, cmat: np.ndarray, voxel_weights: np.ndarray) -> np.ndarray:
-        return np.einsum("q,n,nqcr,cd,nqds->rs", self.gauss_w, voxel_weights, self.g, cmat, self.g)
+    @cached_property
+    def moments(self) -> np.ndarray:
+        return phase_moments(self.basis, stiffness_weights(self.x, self.penalty), self.cell_volume)
 
     def d_h_derivative(self, wrt: tuple[str, ...]) -> np.ndarray:
         """d^k D_h / d(theta...) holding the cell strain fields fixed."""
-        eta = stiffness_weights(self.x, self.penalty)
-        d1 = self.material.d_derivative(1, self.dim, wrt)
-        d2 = self.material.d_derivative(2, self.dim, wrt)
-        out = np.zeros_like(self.d_h)
-        if np.any(d1):
-            out += self.mutual_weighted(d1, eta)
-        if np.any(d2):
-            out += self.mutual_weighted(d2, 1.0 - eta)
-        out /= self.cell_volume
-        return 0.5 * (out + out.T)
+        return _combine(self.material.coefficients(self.dim, wrt), self.moments)
 
     def rho_h_derivative(self, wrt: tuple[str, ...]) -> float:
         r1 = self.material.rho_derivative(1, wrt)
@@ -148,26 +172,8 @@ class EffectiveProperties:
         vi = self.voxel_volume
         return float(vi * np.sum(self.x * r1 + (1.0 - self.x) * r2) / self.cell_volume)
 
-    def delta_d_derivative(self, wrt: tuple[str, ...]) -> np.ndarray:
-        """d^k (D1 - D2) / d(theta...), the kernel of micro design derivatives."""
-        return self.material.d_derivative(1, self.dim, wrt) - self.material.d_derivative(2, self.dim, wrt)
-
     def delta_rho_derivative(self, wrt: tuple[str, ...]) -> float:
         return self.material.rho_derivative(1, wrt) - self.material.rho_derivative(2, wrt)
-
-    def micro_stiffness_integrand(self, wrt: tuple[str, ...] = ()) -> np.ndarray:
-        """Per-voxel mutual-energy matrices with the (D1 - D2) kernel (or its derivative).
-
-        Multiplying voxel i's matrix by p x_i^(p-1) / |Y| gives dD_h/dx_i.
-        """
-        return self.mutual_per_voxel(self.delta_d_derivative(wrt))
-
-
-def effective_elasticity(grid: StructuredGrid, d_voxels: np.ndarray, g: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Effective elasticity from corrected strain fields: volume average of the mutual energy."""
-    stress = d_voxels[:, None] @ g  # D (eps0 - eps) at every Gauss point
-    d_h = np.einsum("q,nqcr,nqcs->rs", w, g, stress, optimize=True) / grid.volume
-    return 0.5 * (d_h + d_h.T)
 
 
 def homogenize(
@@ -182,33 +188,12 @@ def homogenize(
         raise ValueError(f"expected {grid.n_elems} micro design variables, got {x.shape}")
     d_voxels = micro_elasticity(x, material, penalty, grid.dim)
     g, w, _ = solve_cell_problems(grid, d_voxels)
-    d_h = effective_elasticity(grid, d_voxels, g, w)
+    eta = stiffness_weights(x, penalty)
+    d_h, basis = effective_elasticity(grid, g, w, eta, material.coefficients(grid.dim))
     rho_h = effective_density(x, material, grid)
     return EffectiveProperties(
-        grid=grid, x=x.copy(), material=material, penalty=penalty,
-        d_h=d_h, rho_h=rho_h, g=g, gauss_w=w,
+        grid=grid, x=x.copy(), material=material, penalty=penalty, d_h=d_h, rho_h=rho_h, basis=basis,
     )
-
-
-def effective_derivatives(props: EffectiveProperties, which: str):
-    """Derivatives of the effective properties for one uncertain parameter or for "x".
-
-    For a parameter name returns (drho_h, dd_h).  For "x" returns the
-    per-voxel (drho_h/dx_i vector, dD_h/dx_i matrix stack).
-    """
-    if which == "x":
-        scale = props.penalty * stiffness_weights(props.x, props.penalty - 1.0)
-        dd = props.micro_stiffness_integrand(()) * (scale / props.cell_volume)[:, None, None]
-        drho = np.full(
-            props.grid.n_elems,
-            props.voxel_volume * props.delta_rho_derivative(()) / props.cell_volume,
-        )
-        return drho, dd
-    from .materials import PARAMETER_NAMES
-
-    if which not in PARAMETER_NAMES:
-        raise ValueError(f"unknown derivative target {which!r}")
-    return props.rho_h_derivative((which,)), props.d_h_derivative((which,))
 
 
 def seed_cell(grid: StructuredGrid, fraction: float, x_min: float) -> np.ndarray:

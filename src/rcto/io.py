@@ -142,6 +142,10 @@ class VerifyReport:
         lines.append(f"{'FEA calls':<20}{ihpa_calls:>16}{self.mcs.fea_calls:>16}")
         if self.mcs.resampled:
             lines.append(f"(Monte Carlo redrew {self.mcs.resampled} non-physical samples)")
+        lines.append(
+            f"(Monte Carlo standard errors: expectation {self.mcs.expectation_se:.6f}, "
+            f"standard variance {self.mcs.std_se:.6f})"
+        )
         return "\n".join(lines) + "\n"
 
 

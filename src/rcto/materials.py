@@ -3,9 +3,11 @@
 The elasticity matrix of an isotropic phase factors as D(E, nu) = E * C(nu)
 with C(nu) = u(nu)*A0 + nu*u(nu)*A1 for constant matrices A0, A1 (plane
 stress in 2D, full 3D isotropy in Voigt order xx, yy, zz, yz, xz, xy with
-engineering shear strains).  That factorization gives closed-form first and
-second derivatives with respect to E and nu, which the perturbation analysis
-consumes.
+engineering shear strains).  So D and each of its derivatives with respect
+to E and nu is a pair of scalar coefficients on A0 and A1.
+``phase_coefficients`` returns them for both phases, on scalars or on arrays
+of samples; the cell-energy basis, the perturbation analysis and the Monte
+Carlo oracle all read them there.
 """
 
 from __future__ import annotations
@@ -38,8 +40,14 @@ def _solid_parts():
 _PARTS = {2: _plane_stress_parts(), 3: _solid_parts()}
 
 
-def _prefactor_derivs(nu: float, dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """Return (u, u', u'') and (nu*u, (nu*u)', (nu*u)'') for the D = E*(u*A0 + nu*u*A1) split."""
+def _coefficients(e, nu, dim: int, de: int, dnu: int) -> np.ndarray:
+    """(c0, c1) with d^(de+dnu) D / dE^de dnu^dnu = c0*A0 + c1*A1; e and nu are scalars or arrays.
+
+    D = E*(u*A0 + v*A1) with v = nu*u; de in {0, 1} (D is linear in E), dnu in {0, 1, 2}.
+    """
+    if de not in (0, 1) or dnu not in (0, 1, 2):
+        raise ValueError(f"unsupported derivative order (de={de}, dnu={dnu})")
+    nu = np.asarray(nu, dtype=float)
     if dim == 2:
         u = 1.0 / (1.0 - nu * nu)
         du = 2.0 * nu * u * u
@@ -51,10 +59,31 @@ def _prefactor_derivs(nu: float, dim: int) -> tuple[np.ndarray, np.ndarray]:
         d2u = 4.0 * u * u + 2.0 * (1.0 + 4.0 * nu) ** 2 * u**3
     else:
         raise ValueError(f"dim must be 2 or 3, got {dim}")
-    v = nu * u
-    dv = u + nu * du
-    d2v = 2.0 * du + nu * d2u
-    return np.array([u, du, d2u]), np.array([v, dv, d2v])
+    uk = (u, du, d2u)[dnu]
+    vk = (nu * u, u + nu * du, 2.0 * du + nu * d2u)[dnu]
+    return np.array([uk, vk]) if de == 1 else np.array([e * uk, e * vk])
+
+
+def phase_coefficients(youngs, poisson, dim: int, wrt: tuple[str, ...] = ()) -> np.ndarray:
+    """Coefficients c[p, k] of d^|wrt| D_p = c[p, 0]*A0 + c[p, 1]*A1 for the phases p = 1, 2.
+
+    youngs = (E1, E2) and poisson = (nu1, nu2), each entry a scalar or an
+    array of samples; c has shape (2, 2) plus the sample shape.  wrt is a
+    multiset of names from PARAMETER_NAMES (an empty tuple gives D_p itself);
+    a name that does not act on a phase, a density or a second E-derivative
+    gives that phase zero coefficients.
+    """
+    for name in wrt:
+        if name not in PARAMETER_NAMES:
+            raise ValueError(f"unknown parameter {name!r}")
+    e1, e2, nu1, nu2 = np.broadcast_arrays(*youngs, *poisson)
+    c = np.zeros((2, 2) + e1.shape)
+    for p, (e, nu) in enumerate(((e1, nu1), (e2, nu2))):
+        de = wrt.count(f"e{p + 1}")
+        dnu = sum(name in ("nu", f"nu{p + 1}") for name in wrt)
+        if de + dnu == len(wrt) and de <= 1:
+            c[p] = _coefficients(e, nu, dim, de, dnu)
+    return c
 
 
 def elasticity_matrix(e: float, nu: float, dim: int, de: int = 0, dnu: int = 0) -> np.ndarray:
@@ -62,14 +91,9 @@ def elasticity_matrix(e: float, nu: float, dim: int, de: int = 0, dnu: int = 0) 
 
     de in {0, 1} (D is linear in E, higher orders vanish), dnu in {0, 1, 2}.
     """
-    if de not in (0, 1) or dnu not in (0, 1, 2):
-        raise ValueError(f"unsupported derivative order (de={de}, dnu={dnu})")
-    a0, a1 = _PARTS[dim] if dim in _PARTS else (None, None)
-    if a0 is None:
-        raise ValueError(f"dim must be 2 or 3, got {dim}")
-    uvals, vvals = _prefactor_derivs(nu, dim)
-    shape = uvals[dnu] * a0 + vvals[dnu] * a1
-    return shape if de == 1 else e * shape
+    c0, c1 = _coefficients(e, nu, dim, de, dnu)
+    a0, a1 = _PARTS[dim]
+    return c0 * a0 + c1 * a1
 
 
 def voigt_size(dim: int) -> int:
@@ -98,29 +122,14 @@ class TwoPhaseMaterial:
     def phase(self, index: int) -> Phase:
         return self.phase1 if index == 1 else self.phase2
 
-    def d_derivative(self, phase_index: int, dim: int, wrt: tuple[str, ...]) -> np.ndarray:
-        """Partial derivative of the phase elasticity matrix w.r.t. a multiset of parameter names.
+    def coefficients(self, dim: int, wrt: tuple[str, ...] = ()) -> np.ndarray:
+        """phase_coefficients of this material: d^|wrt| D_p = c[p-1, 0]*A0 + c[p-1, 1]*A1."""
+        youngs = (self.phase1.youngs, self.phase2.youngs)
+        return phase_coefficients(youngs, (self.phase1.poisson, self.phase2.poisson), dim, wrt)
 
-        wrt is a tuple of up to two names from PARAMETER_NAMES; an empty tuple
-        returns the matrix itself.  Parameters that do not touch this phase
-        yield zero.
-        """
-        ph = self.phase(phase_index)
-        de = 0
-        dnu = 0
-        for name in wrt:
-            if name not in PARAMETER_NAMES:
-                raise ValueError(f"unknown parameter {name!r}")
-            if name == f"e{phase_index}":
-                de += 1
-            elif name == "nu" or name == f"nu{phase_index}":
-                dnu += 1
-            elif name.startswith("rho") or name.startswith("e") or name.startswith("nu"):
-                # parameter of the other phase, or a density: no effect here
-                return np.zeros((voigt_size(dim), voigt_size(dim)))
-        if de > 1:
-            return np.zeros((voigt_size(dim), voigt_size(dim)))
-        return elasticity_matrix(ph.youngs, ph.poisson, dim, de=de, dnu=dnu)
+    def d_derivative(self, phase_index: int, dim: int, wrt: tuple[str, ...]) -> np.ndarray:
+        """Partial derivative of the phase elasticity matrix w.r.t. a multiset of parameter names."""
+        return np.tensordot(self.coefficients(dim, wrt)[phase_index - 1], _PARTS[dim], axes=1)
 
     def rho_derivative(self, phase_index: int, wrt: tuple[str, ...]) -> float:
         """Partial derivative of the phase density (density is linear in rho1/rho2)."""

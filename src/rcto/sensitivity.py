@@ -3,10 +3,14 @@
 Every term reduces to per-element bilinear forms v^T (dK_d/dx) w between
 cached solution vectors, evaluated without forming any explicit inverse:
 differentiating K_d^-1 produces -K_d^-1 (dK_d/dx) K_d^-1 and the outer
-factors collapse onto already-solved vectors.  Macro design derivatives are
-local to one element; micro (voxel) derivatives act through the homogenized
-properties and therefore reduce over all macro elements once, leaving an
-O(voxels) pass.
+factors collapse onto already-solved vectors.  Each pair (u, v) of cached
+vectors yields one per-element strain moment int eps_u eps_v^T dA.  Macro
+design derivatives are local to one element and contract that moment with a
+D matrix.  Micro (voxel) derivatives act through the homogenized properties:
+the stiffness-weighted sum of the moment over all macro elements meets the
+cell-energy basis once, giving two numbers per voxel, and every material
+kernel (D1 - D2 and its parameter derivatives) is a pair of phase
+coefficients dotted with them.
 
 The robust branch differentiates the worst-case objective with tanh-smoothed
 sign factors so the result is a true gradient of a differentiable surrogate;
@@ -59,6 +63,18 @@ def element_strains(grid: StructuredGrid, u: np.ndarray) -> np.ndarray:
     return np.einsum("qce,ae->aqc", b, u[grid.elem_dofs])
 
 
+class _Pair:
+    """Moments of one pair (u, v) of displacement fields, read by both the macro and the micro forms."""
+
+    def __init__(self, ctx: "_FormContext", u, eps_u, v, eps_v):
+        # per macro element: int eps_u eps_v^T dA, flattened to (n_elems, ncomp^2)
+        self.strain = (np.swapaxes(eps_u * ctx.w_macro[:, None], 1, 2) @ eps_v).reshape(len(eps_u), -1)
+        self.mass = ctx.mass_pair(u, v)
+        self.mass_x = float(np.dot(ctx.state.x_macro, self.mass))
+        # per voxel and material part: the stiffness-weighted macro moment against the cell-energy basis
+        self.voxel = (ctx.basis @ (ctx.s @ self.strain)).reshape(-1, 2)
+
+
 class _FormContext:
     """Shared per-evaluation machinery for the element bilinear forms."""
 
@@ -73,6 +89,7 @@ class _FormContext:
         self.s = stiffness_scale(state.x_macro, problem.penalty, state.x_min)
         self.sprime = stiffness_scale_derivative(state.x_macro, problem.penalty, state.x_min)
         self.omega2 = problem.omega**2
+        self.basis = props.basis.reshape(2 * props.grid.n_elems, -1)
         self.delta_rho = props.delta_rho_derivative(())
         self.voxel_scale = props.voxel_volume / props.cell_volume
         self.micro_stiff_scale = (
@@ -86,30 +103,23 @@ class _FormContext:
         dofs = self.problem.grid.elem_dofs
         return np.einsum("ae,ef,af->a", u[dofs], self.m_unit, v[dofs])
 
-    def energy_pair(self, eps_u: np.ndarray, eps_v: np.ndarray, cmat: np.ndarray) -> np.ndarray:
-        return np.einsum("q,aqc,cd,aqd->a", self.w_macro, eps_u, cmat, eps_v)
+    def delta_coefficients(self, wrt: tuple[str, ...]) -> np.ndarray:
+        """c[0] - c[1]: the (D1 - D2) kernel of micro design derivatives, or its parameter derivative."""
+        c = self.props.material.coefficients(self.props.dim, wrt)
+        return c[0] - c[1]
 
-    def macro_form(self, eps_u, eps_v, m_uv, cmat, drho) -> np.ndarray:
+    def macro_form(self, pair: _Pair, cmat, drho) -> np.ndarray:
         """Per macro element: v^T (d/dx_a of the theta-derivative block) u."""
-        out = self.sprime * self.energy_pair(eps_u, eps_v, cmat)
+        out = self.sprime * (pair.strain @ cmat.ravel())
         if self.omega2 != 0.0 and drho != 0.0:
-            out = out - self.omega2 * drho * m_uv
+            out = out - self.omega2 * drho * pair.mass
         return out
 
-    def micro_reduction(self, eps_u, eps_v) -> np.ndarray:
-        """Stiffness-weighted macro strain moment sum_a s_a int eps_u eps_v^T dA."""
-        return np.einsum("a,q,aqc,aqd->cd", self.s, self.w_macro, eps_u, eps_v)
-
-    def micro_voxel_energy(self, moment: np.ndarray) -> np.ndarray:
-        """Per-voxel contraction kernel: feed any (D1 - D2)-type matrix into it."""
-        g = self.props.g
-        return np.einsum("q,iqcr,rs,iqds->icd", self.props.gauss_w, g, moment, g, optimize=True)
-
-    def micro_form(self, voxel_energy, mass_x, cdelta, drho_delta) -> np.ndarray:
+    def micro_form(self, pair: _Pair, cdelta, drho_delta) -> np.ndarray:
         """Per voxel: v^T (d/dx_i of the theta-derivative block) u."""
-        out = self.micro_stiff_scale * np.einsum("icd,cd->i", voxel_energy, cdelta)
+        out = self.micro_stiff_scale * (pair.voxel @ cdelta)
         if self.omega2 != 0.0 and drho_delta != 0.0:
-            out = out - self.omega2 * self.voxel_scale * drho_delta * mass_x
+            out = out - self.omega2 * self.voxel_scale * drho_delta * pair.mass_x
         return out
 
 
@@ -127,16 +137,9 @@ def deterministic_sensitivity(
     ctx = _FormContext(problem, state, props)
     p = problem.penalty
     eps = ctx.strains(u)
-    m_uu = ctx.mass_pair(u, u)
-    macro = (ctx.sprime * ctx.energy_pair(eps, eps, props.d_h) - ctx.omega2 * props.rho_h * m_uu) / p
-
-    moment = ctx.micro_reduction(eps, eps)
-    voxel = ctx.micro_voxel_energy(moment)
-    mass_x = float(np.dot(state.x_macro, m_uu))
-    micro = (
-        ctx.micro_stiff_scale * np.einsum("icd,cd->i", voxel, props.delta_d_derivative(()))
-        - ctx.omega2 * ctx.voxel_scale * ctx.delta_rho * mass_x
-    ) / p
+    pair = _Pair(ctx, u, eps, u, eps)
+    macro = ctx.macro_form(pair, props.d_h, props.rho_h) / p
+    micro = ctx.micro_form(pair, ctx.delta_coefficients(()), ctx.delta_rho) / p
     return SensitivityField(macro, micro)
 
 
@@ -155,74 +158,51 @@ def robust_sensitivity(cache: IhpaCache, kappa: float, beta: float | None = None
     p = problem.penalty
     n = len(params)
 
-    eps0 = ctx.strains(cache.u_nominal)
-    m00 = ctx.mass_pair(cache.u_nominal, cache.u_nominal)
+    u0 = cache.u_nominal
+    eps0 = ctx.strains(u0)
+    p00 = _Pair(ctx, u0, eps0, u0, eps0)
     d_h, rho_h = props.d_h, props.rho_h
-    delta_d = props.delta_d_derivative(())
+    delta_c = ctx.delta_coefficients(())
 
-    # macro: F^T dU0/dx_a per element
-    ax_00 = ctx.macro_form(eps0, eps0, m00, d_h, rho_h)
-    d_c0_macro = -ax_00
-    # micro counterparts share the reduced strain moments
-    mom_00 = ctx.micro_reduction(eps0, eps0)
-    vox_00 = ctx.micro_voxel_energy(mom_00)
-    mass_x00 = float(np.dot(state.x_macro, m00))
-    ax_00_mic = ctx.micro_form(vox_00, mass_x00, delta_d, ctx.delta_rho)
-    d_c0_micro = -ax_00_mic
-
-    d_obj_macro = d_c0_macro.copy()
-    d_obj_micro = d_c0_micro.copy()
-    dsd_macro = np.zeros_like(d_c0_macro)
-    dsd_micro = np.zeros_like(d_c0_micro)
+    # F^T dU0/dx per macro element and per voxel
+    d_obj_macro = -ctx.macro_form(p00, d_h, rho_h)
+    d_obj_micro = -ctx.micro_form(p00, delta_c, ctx.delta_rho)
+    dsd_macro = np.zeros_like(d_obj_macro)
+    dsd_micro = np.zeros_like(d_obj_micro)
 
     for j in range(n):
         name = params[j].name
         dd_j = cache.dd_list[j]
         d2d_j = cache.d2d_list[j]
         drho_j = cache.drho_list[j]
-        ddelta_j = props.delta_d_derivative((name,))
-        d2delta_j = props.delta_d_derivative((name, name))
+        ddelta_j = ctx.delta_coefficients((name,))
+        d2delta_j = ctx.delta_coefficients((name, name))
         ddelta_rho_j = props.delta_rho_derivative((name,))
 
         v = cache.du_random[j]
         wvec = cache.d2u_cross[j]
         eps_v = ctx.strains(v)
-        eps_w = ctx.strains(wvec)
-        m_v0 = ctx.mass_pair(v, cache.u_nominal)
-        m_w0 = ctx.mass_pair(wvec, cache.u_nominal)
-        m_vv = ctx.mass_pair(v, v)
+        pv0 = _Pair(ctx, v, eps_v, u0, eps0)
+        pw0 = _Pair(ctx, wvec, ctx.strains(wvec), u0, eps0)
+        pvv = _Pair(ctx, v, eps_v, v, eps_v)
 
-        # macro element forms
-        ax_v0 = ctx.macro_form(eps_v, eps0, m_v0, d_h, rho_h)
-        ax_w0 = ctx.macro_form(eps_w, eps0, m_w0, d_h, rho_h)
-        ax_vv = ctx.macro_form(eps_v, eps_v, m_vv, d_h, rho_h)
-        gx_00 = ctx.macro_form(eps0, eps0, m00, dd_j, drho_j)
-        gx_v0 = ctx.macro_form(eps_v, eps0, m_v0, dd_j, drho_j)
-        hx_00 = ctx.sprime * ctx.energy_pair(eps0, eps0, d2d_j)
-
-        d_du_macro = -2.0 * ax_v0 - gx_00
-        d_d2u_macro = -2.0 * ax_w0 - 2.0 * ax_vv - 4.0 * gx_v0 - hx_00
-
-        # micro voxel forms (same reductions, voxel-level kernels)
-        mom_v0 = ctx.micro_reduction(eps_v, eps0)
-        mom_w0 = ctx.micro_reduction(eps_w, eps0)
-        mom_vv = ctx.micro_reduction(eps_v, eps_v)
-        vox_v0 = ctx.micro_voxel_energy(mom_v0)
-        vox_w0 = ctx.micro_voxel_energy(mom_w0)
-        vox_vv = ctx.micro_voxel_energy(mom_vv)
-        mass_xv0 = float(np.dot(state.x_macro, m_v0))
-        mass_xw0 = float(np.dot(state.x_macro, m_w0))
-        mass_xvv = float(np.dot(state.x_macro, m_vv))
-
-        ax_v0_mic = ctx.micro_form(vox_v0, mass_xv0, delta_d, ctx.delta_rho)
-        ax_w0_mic = ctx.micro_form(vox_w0, mass_xw0, delta_d, ctx.delta_rho)
-        ax_vv_mic = ctx.micro_form(vox_vv, mass_xvv, delta_d, ctx.delta_rho)
-        gx_00_mic = ctx.micro_form(vox_00, mass_x00, ddelta_j, ddelta_rho_j)
-        gx_v0_mic = ctx.micro_form(vox_v0, mass_xv0, ddelta_j, ddelta_rho_j)
-        hx_00_mic = ctx.micro_stiff_scale * np.einsum("icd,cd->i", vox_00, d2delta_j)
-
-        d_du_micro = -2.0 * ax_v0_mic - gx_00_mic
-        d_d2u_micro = -2.0 * ax_w0_mic - 2.0 * ax_vv_mic - 4.0 * gx_v0_mic - hx_00_mic
+        # the density is linear in every parameter, so the second-derivative forms carry no mass term
+        d_du_macro = -2.0 * ctx.macro_form(pv0, d_h, rho_h) - ctx.macro_form(p00, dd_j, drho_j)
+        d_d2u_macro = (
+            -2.0 * ctx.macro_form(pw0, d_h, rho_h)
+            - 2.0 * ctx.macro_form(pvv, d_h, rho_h)
+            - 4.0 * ctx.macro_form(pv0, dd_j, drho_j)
+            - ctx.macro_form(p00, d2d_j, 0.0)
+        )
+        d_du_micro = (
+            -2.0 * ctx.micro_form(pv0, delta_c, ctx.delta_rho) - ctx.micro_form(p00, ddelta_j, ddelta_rho_j)
+        )
+        d_d2u_micro = (
+            -2.0 * ctx.micro_form(pw0, delta_c, ctx.delta_rho)
+            - 2.0 * ctx.micro_form(pvv, delta_c, ctx.delta_rho)
+            - 4.0 * ctx.micro_form(pv0, ddelta_j, ddelta_rho_j)
+            - ctx.micro_form(p00, d2delta_j, 0.0)
+        )
 
         dmu = cache.mean_dev[j]
         smid = cache.sigma_mid[j]

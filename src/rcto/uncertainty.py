@@ -30,7 +30,7 @@ import numpy as np
 from .errors import NumericalError, SingularSystemError
 from .fem import element_mass, element_stiffness_batch, mean_compliance, scatter
 from .homogenization import EffectiveProperties, cell_loads, cell_pattern, homogenize, stiffness_weights
-from .materials import _PARTS, PARAMETER_NAMES, TwoPhaseMaterial, voigt_size
+from .materials import _PARTS, PARAMETER_NAMES, TwoPhaseMaterial, phase_coefficients, voigt_size
 from .problem import DesignState, MacroProblem, derivative_matrix, factorized_dynamic, stiffness_scale
 
 logger = logging.getLogger(__name__)
@@ -287,7 +287,12 @@ _CORNER_LIMIT = 4096
 
 @dataclass(frozen=True)
 class McsResult:
-    """Worst-case sample statistics over the interval grid."""
+    """Worst-case sample statistics over the interval grid.
+
+    expectation_se = s / sqrt(N) and std_se = s / sqrt(2(N - 1)) are the
+    standard errors of the sample mean and the sample std, each taken from
+    the N samples (sample std s) of the outer point that set that worst case.
+    """
 
     expectation: float
     std: float
@@ -295,6 +300,8 @@ class McsResult:
     n_random: int
     fea_calls: int
     resampled: int
+    expectation_se: float
+    std_se: float
 
     def objective(self, kappa: float) -> float:
         return self.expectation + kappa * self.std
@@ -399,14 +406,8 @@ class BatchComplianceEvaluator:
         nb = values.shape[0]
         dim = self.problem.grid.dim
 
-        from .materials import _prefactor_derivs
-
-        pre1 = np.array([_prefactor_derivs(nu, dim) for nu in cols["nu1"]])
-        pre2 = np.array([_prefactor_derivs(nu, dim) for nu in cols["nu2"]])
-        coefs = np.column_stack([
-            cols["e1"] * pre1[:, 0, 0], cols["e1"] * pre1[:, 1, 0],
-            cols["e2"] * pre2[:, 0, 0], cols["e2"] * pre2[:, 1, 0],
-        ])
+        c = phase_coefficients((cols["e1"], cols["e2"]), (cols["nu1"], cols["nu2"]), dim)
+        coefs = c.reshape(4, nb).T.copy()  # columns: phase 1 A0, A1, phase 2 A0, A1
 
         nfree_c = self._cell_free.size
         k_cell = (coefs @ self._cell_kb).reshape(nb, nfree_c, nfree_c)
@@ -415,7 +416,7 @@ class BatchComplianceEvaluator:
             u_cell = np.linalg.solve(k_cell, f_cell)
         except np.linalg.LinAlgError as exc:
             raise SingularSystemError(f"singular cell system in a Monte Carlo sample: {exc}") from exc
-        resid = np.abs(np.einsum("bij,bjr->bir", k_cell, u_cell) - f_cell).max()
+        resid = np.abs(k_cell @ u_cell - f_cell).max()
         fscale = np.abs(f_cell).max()
         if not np.isfinite(resid) or resid > 1e-7 * max(fscale, 1e-30):
             raise SingularSystemError("cell solve failed the residual contract in a Monte Carlo sample")
@@ -439,14 +440,12 @@ class BatchComplianceEvaluator:
             u = np.linalg.solve(k_macro, rhs)[..., 0]
         except np.linalg.LinAlgError as exc:
             raise SingularSystemError(f"singular macro system in a Monte Carlo sample: {exc}") from exc
-        resid = np.abs(np.einsum("bij,bj->bi", k_macro, u) - self._f_free).max()
+        resid = np.abs((k_macro @ u[..., None])[..., 0] - self._f_free).max()
         if not np.isfinite(resid) or resid > 1e-7 * max(np.abs(self._f_free).max(), 1e-30):
             raise SingularSystemError("macro solve failed the residual contract in a Monte Carlo sample")
         return u @ self._f_free
 
     def _compliance_plain(self, names, values) -> np.ndarray:
-        from .problem import factorized_dynamic
-
         out = np.empty(values.shape[0])
         for b, row in enumerate(values):
             material = self.base.with_values(names, row)
@@ -548,8 +547,11 @@ def mcs_evaluate(
             )
         c = evaluator.compliance(names, thetas)
         calls += n_random
-        best_mean = max(best_mean, float(np.mean(c)))
-        best_std = max(best_std, float(np.std(c, ddof=1)))
+        mean, std = float(np.mean(c)), float(np.std(c, ddof=1))
+        if mean > best_mean:
+            best_mean, expectation_se = mean, std / np.sqrt(n_random)
+        if std > best_std:
+            best_std, std_se = std, std / np.sqrt(2.0 * (n_random - 1))
     if resampled:
         logger.info("Monte Carlo resampled %d non-physical draws", resampled)
     return McsResult(
@@ -559,4 +561,6 @@ def mcs_evaluate(
         n_random=n_random,
         fea_calls=calls,
         resampled=resampled,
+        expectation_se=expectation_se,
+        std_se=std_se,
     )

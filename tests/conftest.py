@@ -95,6 +95,26 @@ def assert_same_csc(mat, ref):
     assert np.abs(mat.data - ref.data).max() <= 1e-14 * np.abs(ref.data).max()
 
 
+def reference_d_h(g, w, d_voxels, volume):
+    """D_h by one direct contraction over every voxel and Gauss point: <(eps0 - eps)^T D (eps0 - eps)>."""
+    d = np.einsum("q,nqcr,ncd,nqds->rs", w, g, d_voxels, g) / volume
+    return 0.5 * (d + d.T)
+
+
+def reference_d_h_derivative(g, w, eta, d1, d2, volume):
+    """Phase-weighted mutual energies of two phase derivative matrices, strain fields held fixed."""
+    d = (
+        np.einsum("q,n,nqcr,cd,nqds->rs", w, eta, g, d1, g)
+        + np.einsum("q,n,nqcr,cd,nqds->rs", w, 1.0 - eta, g, d2, g)
+    ) / volume
+    return 0.5 * (d + d.T)
+
+
+def reference_voxel_form(g, w, moment, cmat):
+    """Per voxel: the mutual energy of cmat under the corrected strains, contracted with a macro moment."""
+    return np.einsum("q,iqcr,rs,iqds,cd->i", w, g, moment, g, cmat)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240611)

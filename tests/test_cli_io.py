@@ -242,6 +242,9 @@ class TestVerifyReport:
         assert calls == 16
         table = report.format_table(calls)
         assert "FEA calls" in table and "16" in table
+        assert table.splitlines()[-1] == (
+            "(Monte Carlo standard errors: expectation 0.000000, standard variance 0.000000)"
+        )
 
     def test_relative_errors_recomputable_from_raw_numbers(self):
         mat = steel_foam()

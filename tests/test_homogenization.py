@@ -8,16 +8,22 @@ from rcto.fem import StructuredGrid, scatter
 from rcto.homogenization import (
     cell_pattern,
     effective_density,
-    effective_derivatives,
     format_effective_matrix,
     homogenize,
     micro_elasticity,
     seed_cell,
     solve_cell_problems,
+    stiffness_weights,
 )
 from rcto.materials import Phase, TwoPhaseMaterial, elasticity_matrix
 
-from conftest import assert_same_csc, coo_reference, steel_foam
+from conftest import (
+    assert_same_csc,
+    coo_reference,
+    reference_d_h,
+    reference_d_h_derivative,
+    steel_foam,
+)
 
 X_MIN = 1e-6
 
@@ -196,13 +202,13 @@ class TestEffectiveDerivatives:
 
     def test_density_derivative_is_weighted_volume_fraction(self, rng):
         props = self._props(rng)
-        drho, _ = effective_derivatives(props, "rho1")
+        drho = props.rho_h_derivative(("rho1",))
         expect = np.sum(props.x) * props.voxel_volume / props.cell_volume
         assert np.isclose(drho, expect, rtol=1e-12)
 
     def test_elasticity_derivative_matches_finite_differences(self, rng):
         props = self._props(rng)
-        _, dd = effective_derivatives(props, "e1")
+        dd = props.d_h_derivative(("e1",))
         e0 = self.mat.phase1.youngs
         h = 1e-4 * e0
         def d_h_at(e1):
@@ -213,7 +219,7 @@ class TestEffectiveDerivatives:
 
     def test_poisson_derivative_matches_finite_differences(self, rng):
         props = self._props(rng)
-        _, dd = effective_derivatives(props, "nu")
+        dd = props.d_h_derivative(("nu",))
         h = 1e-5
         def d_h_at(nu):
             m = TwoPhaseMaterial(Phase(200e3, nu, 7.9e-9), Phase(150e3, nu, 0.79e-9))
@@ -223,13 +229,15 @@ class TestEffectiveDerivatives:
 
     def test_density_parameters_leave_elasticity_untouched(self, rng):
         props = self._props(rng)
-        _, dd = effective_derivatives(props, "rho1")
-        assert not np.any(dd)
+        assert not np.any(props.d_h_derivative(("rho1",)))
         assert not np.any(props.d_h_derivative(("rho2",)))
 
     def test_micro_design_derivative_matches_finite_differences(self, rng):
+        # dD_h/dx_i = p x_i^(p-1) / |Y| * sum_k (c[0, k] - c[1, k]) P[i, k]
         props = self._props(rng)
-        _, dd_stack = effective_derivatives(props, "x")
+        c = self.mat.coefficients(props.dim)
+        scale = props.penalty * stiffness_weights(props.x, props.penalty - 1.0) / props.cell_volume
+        dd_stack = scale[:, None, None] * np.tensordot(c[0] - c[1], props.basis, axes=([0], [1]))
         x = props.x.copy()
         h = 1e-6
         for voxel in (0, 7, props.grid.n_elems - 1):
@@ -242,7 +250,45 @@ class TestEffectiveDerivatives:
     def test_unknown_parameter_tag_rejected(self, rng):
         props = self._props(rng)
         with pytest.raises(ValueError, match="unknown"):
-            effective_derivatives(props, "bogus")
+            props.d_h_derivative(("bogus",))
+        with pytest.raises(ValueError, match="unknown"):
+            props.rho_h_derivative(("bogus",))
+
+
+class TestCellEnergyBasis:
+    """D_h and its parameter derivatives from the basis, against direct contractions over the cell."""
+
+    mat = TwoPhaseMaterial(Phase(200e3, 0.3, 7.9e-9), Phase(150e3, 0.25, 0.79e-9))
+
+    @staticmethod
+    def _cell(rng, shape):
+        grid = StructuredGrid(shape, tuple(1.0 / n for n in shape))
+        return grid, np.where(rng.random(grid.n_elems) < 0.6, 1.0, X_MIN)
+
+    @pytest.mark.parametrize("shape", [(6, 5), (3, 4, 3)])
+    def test_effective_elasticity_matches_direct_contraction(self, rng, shape):
+        grid, x = self._cell(rng, shape)
+        props = homogenize(grid, x, self.mat, 3.0)
+        d_voxels = micro_elasticity(x, self.mat, 3.0, grid.dim)
+        g, w, _ = solve_cell_problems(grid, d_voxels)
+        ref = reference_d_h(g, w, d_voxels, grid.volume)
+        assert np.abs(props.d_h - ref).max() <= 1e-13 * np.abs(ref).max()
+        assert np.array_equal(props.d_h, props.d_h.T)
+
+    @pytest.mark.parametrize("shape", [(6, 5), (3, 4, 3)])
+    @pytest.mark.parametrize(
+        "wrt", [("e1",), ("e2",), ("nu",), ("nu1",), ("nu2",), ("rho1",), ("nu", "nu"), ("e1", "nu")]
+    )
+    def test_parameter_derivatives_match_direct_contraction(self, rng, shape, wrt):
+        grid, x = self._cell(rng, shape)
+        props = homogenize(grid, x, self.mat, 3.0)
+        g, w, _ = solve_cell_problems(grid, micro_elasticity(x, self.mat, 3.0, grid.dim))
+        d1 = self.mat.d_derivative(1, grid.dim, wrt)
+        d2 = self.mat.d_derivative(2, grid.dim, wrt)
+        ref = reference_d_h_derivative(g, w, stiffness_weights(x, 3.0), d1, d2, grid.volume)
+        got = props.d_h_derivative(wrt)
+        assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+        assert np.array_equal(got, got.T)
 
 
 class TestSeedAndFormatting:

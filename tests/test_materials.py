@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from rcto.materials import Phase, TwoPhaseMaterial, elasticity_matrix
+from rcto.materials import _PARTS, Phase, TwoPhaseMaterial, elasticity_matrix, phase_coefficients
 
 from conftest import steel_foam
 
@@ -61,6 +61,28 @@ def test_mixed_e_nu_derivative():
     assert np.allclose(got, elasticity_matrix(1.0, 0.3, 2, dnu=1))
 
 
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("de", [0, 1])
+@pytest.mark.parametrize("dnu", [0, 1, 2])
+def test_sample_coefficients_match_scalar_matrices(rng, dim, de, dnu):
+    # one vectorized call over samples of (E1, nu1) against the scalar matrix of every sample
+    e1 = rng.uniform(50.0, 300.0, 7)
+    nu1 = rng.uniform(0.0, 0.45, 7)
+    wrt = ("e1",) * de + ("nu1",) * dnu
+    c = phase_coefficients((e1, 150.0), (nu1, 0.3), dim, wrt)
+    assert c.shape == (2, 2, 7)
+    if wrt:  # no name acts on phase 2
+        assert not np.any(c[1])
+    a0, a1 = _PARTS[dim]
+    for b in range(e1.size):
+        got = c[0, 0, b] * a0 + c[0, 1, b] * a1
+        ref = elasticity_matrix(e1[b], nu1[b], dim, de=de, dnu=dnu)
+        if de + dnu <= 1:
+            assert np.array_equal(got, ref)
+        else:
+            assert np.abs(got - ref).max() <= 1e-15 * np.abs(ref).max()
+
+
 def test_unsupported_orders_rejected():
     with pytest.raises(ValueError):
         elasticity_matrix(1.0, 0.3, 2, de=2)
@@ -101,6 +123,8 @@ class TestTwoPhaseDerivatives:
     def test_unknown_parameter_rejected(self):
         with pytest.raises(ValueError):
             self.mat.d_derivative(1, 2, ("shear",))
+        with pytest.raises(ValueError):
+            self.mat.coefficients(2, ("shear",))
 
     def test_with_values_replaces_fields(self):
         out = self.mat.with_values(("e1", "nu"), (123.0, 0.2))

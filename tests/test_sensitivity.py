@@ -4,14 +4,17 @@ import numpy as np
 import pytest
 
 from rcto.errors import NormalizationError
-from rcto.fem import StructuredGrid, mean_compliance
-from rcto.homogenization import homogenize
+from rcto.fem import StructuredGrid, mean_compliance, strain_operators
+from rcto.homogenization import homogenize, micro_elasticity, solve_cell_problems
 from rcto.materials import Phase, TwoPhaseMaterial
-from rcto.problem import DesignState, factorized_dynamic
+from rcto.problem import DesignState, MacroProblem, factorized_dynamic
 from rcto.sensitivity import (
     SensitivityField,
     SensitivityFilter,
+    _FormContext,
+    _Pair,
     deterministic_sensitivity,
+    element_strains,
     history_average,
     normalize,
     robust_sensitivity,
@@ -19,7 +22,7 @@ from rcto.sensitivity import (
 )
 from rcto.uncertainty import HybridParameter, Interval, UncertainSet, ihpa_evaluate
 
-from conftest import cantilever, degenerate_params, hybrid_params, steel_foam
+from conftest import cantilever, degenerate_params, hybrid_params, reference_voxel_form, steel_foam
 
 
 def relaxed_state(prob, rng, lo=0.4):
@@ -65,6 +68,33 @@ class TestSmoothSign:
     def test_beta_must_be_positive(self):
         with pytest.raises(ValueError):
             smooth_sign(1.0, beta=0.0)
+
+
+@pytest.mark.parametrize("macro_shape, cell_shape", [((4, 2), (5, 4)), ((3, 2, 2), (3, 3, 2))])
+def test_pair_forms_match_direct_contraction(rng, macro_shape, cell_shape):
+    # the macro and micro forms of one (u, v) pair read the same strain moment; check both against
+    # direct contractions over every macro element, voxel and Gauss point
+    dim = len(macro_shape)
+    grid = StructuredGrid(macro_shape, (1.0,) * dim)
+    cell = StructuredGrid(cell_shape, tuple(1.0 / n for n in cell_shape))
+    prob = MacroProblem(grid=grid, cell=cell, fixed_dofs=np.arange(dim), force=np.zeros(grid.n_dofs))
+    state = relaxed_state(prob, rng)
+    mat = TwoPhaseMaterial(Phase(200e3, 0.3, 7.9e-9), Phase(150e3, 0.25, 0.79e-9))
+    props = homogenize(cell, state.x_micro, mat, prob.penalty)
+    g, w, _ = solve_cell_problems(cell, micro_elasticity(state.x_micro, mat, prob.penalty, dim))
+    ctx = _FormContext(prob, state, props)
+    u, v = rng.standard_normal((2, grid.n_dofs))
+    eps_u, eps_v = element_strains(grid, u), element_strains(grid, v)
+    pair = _Pair(ctx, u, eps_u, v, eps_v)
+    w_macro = strain_operators(grid.spacing)[2]
+    macro_ref = ctx.sprime * np.einsum("q,aqc,cd,aqd->a", w_macro, eps_u, props.d_h, eps_v)
+    assert np.abs(ctx.macro_form(pair, props.d_h, 0.0) - macro_ref).max() <= 1e-13 * np.abs(macro_ref).max()
+    moment = np.einsum("a,q,aqc,aqd->cd", ctx.s, w_macro, eps_u, eps_v)
+    for wrt in [(), ("e1",), ("e2",), ("nu",), ("nu", "nu"), ("e1", "nu")]:
+        cdelta = mat.d_derivative(1, dim, wrt) - mat.d_derivative(2, dim, wrt)
+        ref = ctx.micro_stiff_scale * reference_voxel_form(g, w, moment, cdelta)
+        got = ctx.micro_form(pair, ctx.delta_coefficients(wrt), 0.0)
+        assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
 class TestDeterministicSensitivity:

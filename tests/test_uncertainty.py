@@ -231,6 +231,31 @@ class TestMcsEvaluate:
         with pytest.raises(ValueError):
             mcs_evaluate(prob, state, self.mat, hybrid_params(self.mat), 1, 100, seed=0)
 
+    def test_standard_errors_come_from_the_worst_case_points(self, monkeypatch):
+        # record every outer point's samples, then recompute s/sqrt(N) and s/sqrt(2(N-1))
+        # at the points that set the worst-case mean and the worst-case std
+        prob = cantilever(3, 2, cell_n=3)
+        state = full_state(prob, micro=seed_cell(prob.cell, 0.2, 1e-6))
+        params = hybrid_params(self.mat, mean_frac=0.04, cov=0.04, sigma_frac=0.3)
+        samples = []
+        original = BatchComplianceEvaluator.compliance
+
+        def recording(ev, names, values):
+            samples.append(original(ev, names, values))
+            return samples[-1]
+
+        monkeypatch.setattr(BatchComplianceEvaluator, "compliance", recording)
+        n_random = 40
+        res = mcs_evaluate(prob, state, self.mat, params, 6, n_random, seed=11)
+        assert len(samples) == res.n_outer
+        means = np.array([np.mean(c) for c in samples])
+        stds = np.array([np.std(c, ddof=1) for c in samples])
+        i_mean, i_std = int(np.argmax(means)), int(np.argmax(stds))
+        assert res.expectation == means[i_mean] and res.std == stds[i_std]
+        assert np.isclose(res.expectation_se, stds[i_mean] / np.sqrt(n_random), rtol=1e-14)
+        assert np.isclose(res.std_se, stds[i_std] / np.sqrt(2 * (n_random - 1)), rtol=1e-14)
+        assert i_mean != i_std  # the two errors come from different points here
+
     def test_batch_and_plain_paths_agree(self, rng):
         prob = cantilever(4, 2, cell_n=4, omega=2 * np.pi * 300.0)
         state = full_state(prob, micro=seed_cell(prob.cell, 0.25, 1e-6))
