@@ -6,6 +6,11 @@ the dynamic stiffness K - omega^2 M backed by a symmetric-mode sparse LU.
 Boundary conditions are enforced by row/column elimination.  All element
 matrices are exact for constant coefficients under the 2-point rule.
 
+Each grid's sparsity pattern carries a geometric nested-dissection order of
+its DOFs (George, SIAM J. Numer. Anal. 1973).  A ``FactorizedSystem``
+eliminates the free DOFs in the order its ``free`` argument lists them, so
+callers that pass the free DOFs in that order get a nested-dissection LU.
+
 Unit system: N, mm, tonne, s (so moduli in MPa, densities in tonne/mm^3,
 frequencies converted to rad/s by the caller).
 """
@@ -24,12 +29,13 @@ from .errors import SingularSystemError
 
 RESIDUAL_TOL = 1e-9
 
-# SuperLU's symmetric mode: minimum-degree ordering of A^T + A, applied to
-# rows and columns alike, keeping a diagonal pivot unless it is below 0.01 of
-# the largest entry in its column.  Every system factored here is symmetric
-# (the pinned periodic cell is SPD; K - omega^2 M may be indefinite, hence
-# the threshold against tiny pivots).
-SYMMETRIC_LU = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.01, options={"SymmetricMode": True})
+# SuperLU's symmetric mode on a block that is already in elimination order
+# (the order of ``free``, see ``dissection_order``): no column permutation of
+# its own, and a diagonal pivot is kept unless it is below 0.01 of the
+# largest entry in its column.  Every system factored here is symmetric (the
+# pinned periodic cell is SPD; K - omega^2 M may be indefinite, hence the
+# threshold against tiny pivots).
+SYMMETRIC_LU = dict(permc_spec="NATURAL", diag_pivot_thresh=0.01, options={"SymmetricMode": True})
 
 
 @dataclass(frozen=True)
@@ -106,8 +112,9 @@ class StructuredGrid:
 
     @cached_property
     def pattern(self) -> "SparsityPattern":
-        """Assembly pattern of the grid's global matrices, built on first use."""
-        return SparsityPattern.from_dofs(self.elem_dofs, self.n_dofs)
+        """Assembly pattern of the grid's global matrices and their elimination order, built on first use."""
+        order = dissection_order(self.nodes_shape, periodic=False)
+        return SparsityPattern.from_dofs(self.elem_dofs, self.n_dofs, order)
 
     @cached_property
     def centroids(self) -> np.ndarray:
@@ -245,6 +252,48 @@ def assemble(grid: StructuredGrid, d_mats, rhos) -> tuple[sp.csc_matrix, sp.csc_
     return _symmetrized(scatter(grid.pattern, k_all)), _symmetrized(scatter(grid.pattern, m_all))
 
 
+def dissection_order(shape: tuple[int, ...], periodic: bool) -> np.ndarray:
+    """Nested-dissection order of the DOFs of a node box (x-fastest node ids, dim DOFs per node).
+
+    The box is bisected along its longest axis by the node plane in its
+    middle; a periodic axis is cut by two planes (its first and its middle
+    one) and is non-periodic in both parts.  Each part is ordered
+    recursively, then the separator; recursion stops when no axis has 3 or
+    more nodes.  Each node's DOFs stay together.
+    """
+    dim = len(shape)
+    strides = np.cumprod((1,) + tuple(shape[:-1]))
+    blocks = []
+
+    def add_box(lo, hi):
+        ids = np.zeros(1, dtype=np.intp)
+        for a, b, st in zip(lo, hi, strides):  # x fastest
+            ids = (np.arange(a * st, b * st, st)[:, None] + ids).ravel()
+        blocks.append(ids)
+
+    def dissect(lo, hi, wrap):
+        sizes = [b - a for a, b in zip(lo, hi)]
+        if min(sizes) == 0:
+            return
+        ax = int(np.argmax(sizes))
+        if sizes[ax] < 3:
+            add_box(lo, hi)
+            return
+        at = lambda box, v: box[:ax] + (v,) + box[ax + 1:]
+        mid = (lo[ax] + hi[ax]) // 2
+        cuts = (lo[ax], mid) if wrap[ax] else (mid,)
+        first = lo[ax] + len(cuts) - 1  # a periodic axis loses its first plane to the separator
+        wrap = at(wrap, False)
+        dissect(at(lo, first), at(hi, mid), wrap)
+        dissect(at(lo, mid + 1), hi, wrap)
+        for c in cuts:
+            add_box(at(lo, c), at(hi, c + 1))
+
+    dissect((0,) * dim, tuple(shape), (periodic,) * dim)
+    nodes = np.concatenate(blocks)
+    return (dim * nodes[:, None] + np.arange(dim)).ravel()
+
+
 def _symmetrized(mat: sp.csc_matrix) -> sp.csc_matrix:
     """Exact symmetry: duplicate-entry summation order is not associative-safe."""
     return ((mat + mat.T) * 0.5).tocsc()
@@ -252,9 +301,10 @@ def _symmetrized(mat: sp.csc_matrix) -> sp.csc_matrix:
 
 @dataclass(frozen=True, eq=False)
 class SparsityPattern:
-    """CSC structure of an assembled matrix and the data slot of every element entry.
+    """CSC structure of an assembled matrix, the data slot of every element entry and the elimination order.
 
-    ``positions[e, i * ndof_e + j]`` indexes the CSC data of entry (dofs[e, i], dofs[e, j]).
+    ``positions[e, i * ndof_e + j]`` indexes the CSC data of entry (dofs[e, i], dofs[e, j]);
+    ``order`` lists all n DOFs in the grid's nested-dissection order.
     """
 
     n: int
@@ -262,17 +312,18 @@ class SparsityPattern:
     indptr: np.ndarray
     indices: np.ndarray
     positions: np.ndarray
+    order: np.ndarray
 
     @classmethod
-    def from_dofs(cls, dofs: np.ndarray, n: int) -> "SparsityPattern":
+    def from_dofs(cls, dofs: np.ndarray, n: int, order: np.ndarray) -> "SparsityPattern":
         # CSC order sorts the entries by column, then row
         keys = (dofs[:, None, :].astype(np.int64) * n + dofs[:, :, None]).ravel()
         keys, positions = np.unique(keys, return_inverse=True)
         itype = np.int32 if keys.size < np.iinfo(np.int32).max else np.int64
         indptr = np.searchsorted(keys, np.arange(n + 1, dtype=np.int64) * n).astype(itype)
         positions = positions.astype(itype).reshape(dofs.shape[0], -1)
-        pattern = cls(n, dofs, indptr, (keys % n).astype(itype), positions)
-        for arr in (dofs, pattern.indptr, pattern.indices, positions):
+        pattern = cls(n, dofs, indptr, (keys % n).astype(itype), positions, order)
+        for arr in (dofs, pattern.indptr, pattern.indices, positions, order):
             arr.setflags(write=False)  # shared by every matrix scattered with this pattern
         return pattern
 
@@ -293,15 +344,17 @@ def dynamic_stiffness(k: sp.spmatrix, m: sp.spmatrix, omega: float) -> sp.csc_ma
 class FactorizedSystem:
     """Symmetric-mode sparse LU of a constrained dynamic stiffness, counting backsolves.
 
-    One factorization is shared by every right-hand side; the ``calls``
-    counter is the number of linear-system applications (the quantity the
-    uncertainty analysis reports as FEA calls), one per right-hand side
-    column.
+    The free DOFs are eliminated in the order ``free`` lists them (the
+    grid's nested-dissection order for production systems, see
+    ``SparsityPattern.order``).  One factorization is shared by every
+    right-hand side; the ``calls`` counter is the number of linear-system
+    applications (the quantity the uncertainty analysis reports as FEA
+    calls), one per right-hand side column.
     """
 
-    def __init__(self, k_d: sp.spmatrix, free: np.ndarray, n_dofs: int | None = None):
+    def __init__(self, k_d: sp.spmatrix, free: np.ndarray):
         k_d = k_d.tocsc()
-        self.n_dofs = k_d.shape[0] if n_dofs is None else n_dofs
+        self.n_dofs = k_d.shape[0]
         self.free = np.asarray(free, dtype=np.intp)
         if self.free.size == 0 or self.free.size >= k_d.shape[0]:
             raise ValueError("need at least one constrained DOF and at least one free DOF")
@@ -353,7 +406,7 @@ def free_dofs(n_dofs: int, fixed: np.ndarray) -> np.ndarray:
 
 
 def solve_system(k, m, omega: float, f: np.ndarray, fixed: np.ndarray) -> np.ndarray:
-    """One-shot constrained solve of (K - omega^2 M) u = f."""
+    """One-shot constrained solve of (K - omega^2 M) u = f, eliminating the free DOFs in index order."""
     op = FactorizedSystem(dynamic_stiffness(k, m, omega), free_dofs(k.shape[0], fixed))
     return op.solve(f)
 

@@ -22,13 +22,24 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .errors import SingularSystemError
-from .fem import FactorizedSystem, SparsityPattern, StructuredGrid, element_stiffness_batch, scatter, strain_operators
+from .fem import (
+    FactorizedSystem,
+    SparsityPattern,
+    StructuredGrid,
+    dissection_order,
+    element_stiffness_batch,
+    scatter,
+    strain_operators,
+)
 from .materials import _PARTS, TwoPhaseMaterial, voigt_size
 
 
 @lru_cache(maxsize=8)
 def cell_pattern(grid: StructuredGrid) -> SparsityPattern:
-    """Assembly pattern of the periodic cell; each node maps to its master node (x-fastest)."""
+    """Assembly pattern of the periodic cell; each node maps to its master node (x-fastest).
+
+    The elimination order dissects the master-node box ``grid.shape`` with every axis periodic.
+    """
     grids = np.meshgrid(*[np.arange(n + 1) for n in grid.shape], indexing="ij")
     master = np.zeros(grid.n_nodes, dtype=np.intp)
     stride = 1
@@ -36,7 +47,9 @@ def cell_pattern(grid: StructuredGrid) -> SparsityPattern:
         master += (g.ravel(order="F") % n) * stride
         stride *= n
     dofs = grid.dim * master[grid.elem_node_ids][:, :, None] + np.arange(grid.dim)
-    return SparsityPattern.from_dofs(dofs.reshape(grid.n_elems, -1), grid.dim * grid.n_elems)
+    return SparsityPattern.from_dofs(
+        dofs.reshape(grid.n_elems, -1), grid.dim * grid.n_elems, dissection_order(grid.shape, periodic=True)
+    )
 
 
 def cell_loads(grid: StructuredGrid, d_voxels: np.ndarray) -> np.ndarray:
@@ -67,7 +80,7 @@ def solve_cell_problems(grid: StructuredGrid, d_voxels: np.ndarray):
     rhs = cell_loads(grid, d_voxels)
 
     # pin the corner master node to remove the translation nullspace
-    free = np.arange(grid.dim, pattern.n)
+    free = pattern.order[pattern.order >= grid.dim]
     try:
         system = FactorizedSystem(k_red, free)
     except SingularSystemError as exc:

@@ -80,7 +80,14 @@ class MacroProblem:
 
     @property
     def free(self) -> np.ndarray:
+        """Free DOFs in index order."""
         return fem.free_dofs(self.grid.n_dofs, self.fixed_dofs)
+
+    @property
+    def elimination_order(self) -> np.ndarray:
+        """Free DOFs in the grid's nested-dissection order."""
+        order = self.grid.pattern.order
+        return order[~np.isin(order, self.fixed_dofs)]
 
 
 def assemble_state(problem: MacroProblem, state: DesignState, d_h: np.ndarray, rho_h: float):
@@ -94,7 +101,7 @@ def assemble_state(problem: MacroProblem, state: DesignState, d_h: np.ndarray, r
 def factorized_dynamic(problem: MacroProblem, state: DesignState, d_h: np.ndarray, rho_h: float):
     k, m = assemble_state(problem, state, d_h, rho_h)
     k_d = fem.dynamic_stiffness(k, m, problem.omega)
-    return fem.FactorizedSystem(k_d, problem.free)
+    return fem.FactorizedSystem(k_d, problem.elimination_order)
 
 
 def derivative_matrix(

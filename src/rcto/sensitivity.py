@@ -101,7 +101,7 @@ class _FormContext:
 
     def mass_pair(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         dofs = self.problem.grid.elem_dofs
-        return np.einsum("ae,ef,af->a", u[dofs], self.m_unit, v[dofs])
+        return np.sum((u[dofs] @ self.m_unit) * v[dofs], axis=1)
 
     def delta_coefficients(self, wrt: tuple[str, ...]) -> np.ndarray:
         """c[0] - c[1]: the (D1 - D2) kernel of micro design derivatives, or its parameter derivative."""

@@ -95,6 +95,61 @@ def assert_same_csc(mat, ref):
     assert np.abs(mat.data - ref.data).max() <= 1e-14 * np.abs(ref.data).max()
 
 
+def assert_dissection_order(pattern, node_box, periodic):
+    """Check a pattern's elimination order against the nested dissection of its node box.
+
+    The order is a permutation of all DOFs with each node's DOFs contiguous;
+    its first bisection cuts the longest axis by the middle node plane (and,
+    on a periodic axis, also the first plane), orders the two parts before
+    that separator, and no element couples the two parts.
+    """
+    order, dim = pattern.order, len(node_box)
+    assert np.array_equal(np.sort(order), np.arange(pattern.n))
+    nodes = order.reshape(-1, dim) // dim
+    assert np.array_equal(order.reshape(-1, dim), dim * nodes + np.arange(dim))
+    n_axis = max(node_box)
+    if n_axis < 3:
+        return
+    axis = node_box.index(n_axis)
+    plane = dim * int(np.prod(node_box)) // n_axis
+    mid = n_axis // 2
+    cuts = [0, mid] if periodic else [mid]
+    first = plane * (mid - len(cuts) + 1)
+    second = plane * (n_axis - mid - 1)
+    part_a, part_b, separator = order[:first], order[first:first + second], order[first + second:]
+    stride = int(np.prod(node_box[:axis]))
+    assert sorted(set((separator // dim // stride) % n_axis)) == cuts
+    in_a = np.isin(pattern.dofs, part_a).any(axis=1)
+    in_b = np.isin(pattern.dofs, part_b).any(axis=1)
+    assert not np.any(in_a & in_b)
+
+
+def capture_factors(monkeypatch):
+    """Record every LU factor object made through ``rcto.fem.splu``."""
+    import rcto.fem
+
+    factors = []
+    splu = rcto.fem.splu
+
+    def recording_splu(*args, **kwargs):
+        factors.append(splu(*args, **kwargs))
+        return factors[-1]
+
+    monkeypatch.setattr(rcto.fem, "splu", recording_splu)
+    return factors
+
+
+def assert_fills_less_than_minimum_degree(lu, kff_sorted):
+    """An LU kept in the caller's order has less fill than SuperLU's minimum degree on the sorted block."""
+    import scipy.sparse.linalg
+
+    assert np.array_equal(lu.perm_c, np.arange(kff_sorted.shape[0]))
+    mmd = scipy.sparse.linalg.splu(
+        kff_sorted, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.01, options={"SymmetricMode": True}
+    )
+    assert lu.L.nnz + lu.U.nnz < mmd.L.nnz + mmd.U.nnz
+
+
 def reference_d_h(g, w, d_voxels, volume):
     """D_h by one direct contraction over every voxel and Gauss point: <(eps0 - eps)^T D (eps0 - eps)>."""
     d = np.einsum("q,nqcr,ncd,nqds->rs", w, g, d_voxels, g) / volume

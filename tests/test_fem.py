@@ -28,9 +28,18 @@ from rcto.fem import (
 )
 from rcto.materials import elasticity_matrix
 
-from conftest import assert_same_csc, cantilever, coo_reference, full_state, steel_foam
+from conftest import (
+    assert_dissection_order,
+    assert_fills_less_than_minimum_degree,
+    assert_same_csc,
+    cantilever,
+    capture_factors,
+    coo_reference,
+    full_state,
+    steel_foam,
+)
 from rcto.homogenization import homogenize
-from rcto.problem import assemble_state
+from rcto.problem import MacroProblem, assemble_state, factorized_dynamic
 
 
 def symbolic_q4_stiffness(d, a, b):
@@ -211,6 +220,46 @@ class TestSparsityPattern:
     def test_pattern_built_once_per_grid(self):
         grid = StructuredGrid((4, 2), (1.0, 1.0))
         assert grid.pattern is grid.pattern
+
+
+class TestDissectionOrder:
+    @pytest.mark.parametrize("shape", [(6, 3), (2, 5), (4, 3, 3)])
+    def test_order_dissects_the_node_box(self, shape):
+        grid = StructuredGrid(shape, (1.0,) * len(shape))
+        assert_dissection_order(grid.pattern, grid.nodes_shape, periodic=False)
+
+    def test_order_built_once_per_grid(self):
+        grid = StructuredGrid((4, 2), (1.0, 1.0))
+        assert grid.pattern.order is grid.pattern.order
+        assert not grid.pattern.order.flags.writeable
+
+    def test_elimination_order_lists_the_free_dofs_in_grid_order(self):
+        prob = cantilever(6, 3)
+        free = prob.elimination_order
+        assert np.array_equal(np.sort(free), prob.free)
+        position = np.argsort(prob.grid.pattern.order)
+        assert np.all(np.diff(position[free]) > 0)
+
+    def test_fills_less_than_minimum_degree_on_a_3d_macro_grid(self, monkeypatch):
+        grid = StructuredGrid((8, 4, 4), (1.0, 1.0, 1.0))
+        left = np.flatnonzero(np.arange(grid.n_nodes) % grid.nodes_shape[0] == 0)
+        fixed = (3 * left[:, None] + np.arange(3)).ravel()
+        prob = MacroProblem(grid, StructuredGrid((2, 2, 2), (0.5,) * 3), fixed, np.ones(grid.n_dofs))
+        factors = capture_factors(monkeypatch)
+        factorized_dynamic(prob, full_state(prob), elasticity_matrix(200e3, 0.3, 3), 7.9e-9)
+        k, _ = assemble(grid, elasticity_matrix(200e3, 0.3, 3), 7.9e-9)
+        assert len(factors) == 1
+        assert_fills_less_than_minimum_degree(factors[0], k[prob.free][:, prob.free].tocsc())
+
+    def test_indefinite_system_in_dissection_order_matches_dense_solve(self):
+        prob, k, m, free, kf, mf, evals = steel_cantilever_modes()
+        assert not np.array_equal(prob.elimination_order, free)
+        omega = (evals[0] * evals[1]) ** 0.25  # between the first two natural frequencies
+        system = FactorizedSystem(dynamic_stiffness(k, m, omega), prob.elimination_order)
+        u = system.solve(prob.force)
+        u_ref = np.linalg.solve(kf - omega**2 * mf, prob.force[free])
+        assert np.linalg.norm(u[free] - u_ref) <= 1e-10 * np.linalg.norm(u_ref)
+        assert not np.any(u[prob.fixed_dofs])
 
 
 def steel_cantilever_modes():

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from rcto.errors import SingularSystemError
-from rcto.fem import StructuredGrid, scatter
+from rcto.fem import StructuredGrid, element_stiffness_batch, scatter
 from rcto.homogenization import (
+    cell_loads,
     cell_pattern,
     effective_density,
     format_effective_matrix,
@@ -18,7 +19,10 @@ from rcto.homogenization import (
 from rcto.materials import Phase, TwoPhaseMaterial, elasticity_matrix
 
 from conftest import (
+    assert_dissection_order,
+    assert_fills_less_than_minimum_degree,
     assert_same_csc,
+    capture_factors,
     coo_reference,
     reference_d_h,
     reference_d_h_derivative,
@@ -96,9 +100,16 @@ class TestCellPattern:
         ref = coo_reference(pattern.dofs, pattern.n, elem_mats)
         assert_same_csc(scatter(pattern, elem_mats), ref)
 
+    @pytest.mark.parametrize("shape", [(6, 4), (5, 3), (3, 1), (2, 2, 1), (4, 4, 4)])
+    def test_order_dissects_the_periodic_master_box(self, shape):
+        grid = StructuredGrid(shape, (1.0,) * len(shape))
+        assert_dissection_order(cell_pattern(grid), grid.shape, periodic=True)
+
     def test_pattern_built_once_per_grid(self):
         grid = StructuredGrid((4, 2), (0.25, 0.5))
         assert cell_pattern(grid) is cell_pattern(grid)
+        assert cell_pattern(grid).order is cell_pattern(grid).order
+        assert not cell_pattern(grid).order.flags.writeable
         assert cell_pattern(grid) is cell_pattern(StructuredGrid((4, 2), (0.25, 0.5)))
 
     def test_grids_with_equal_element_counts_get_their_own_pattern(self):
@@ -106,6 +117,32 @@ class TestCellPattern:
         tall = cell_pattern(StructuredGrid((2, 4), (0.5, 0.25)))
         assert wide is not tall
         assert not np.array_equal(wide.dofs, tall.dofs)
+
+
+def random_cell_3d(rng, n):
+    grid = StructuredGrid((n, n, n), (1.0 / n,) * 3)
+    x = np.where(rng.random(grid.n_elems) < 0.6, 1.0, X_MIN)
+    return grid, micro_elasticity(x, steel_foam(), 3.0, 3)
+
+
+class TestCellFactorization:
+    def test_fills_less_than_minimum_degree_on_a_3d_cell(self, rng, monkeypatch):
+        grid, d = random_cell_3d(rng, 6)
+        factors = capture_factors(monkeypatch)
+        solve_cell_problems(grid, d)
+        k = scatter(cell_pattern(grid), element_stiffness_batch(d, grid.spacing))
+        assert len(factors) == 1
+        assert_fills_less_than_minimum_degree(factors[0], k[3:, 3:].tocsc())
+
+    def test_3d_cell_solution_matches_dense_solve(self, rng):
+        grid, d = random_cell_3d(rng, 4)
+        _, _, u = solve_cell_problems(grid, d)
+        k = scatter(cell_pattern(grid), element_stiffness_batch(d, grid.spacing)).toarray()
+        rhs = cell_loads(grid, d)
+        u_ref = np.linalg.solve(k[3:, 3:], rhs[3:])
+        assert not np.any(u[:3])
+        err = np.linalg.norm(u[3:] - u_ref, axis=0)
+        assert np.all(err <= 1e-10 * np.linalg.norm(u_ref, axis=0))
 
 
 class TestEffectiveDensity:
