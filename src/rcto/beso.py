@@ -1,7 +1,9 @@
 """Concurrent discrete evolutionary optimization of both scales.
 
-One iteration: homogenize the cell, evaluate the (deterministic or robust)
-objective, build mass-normalized filtered sensitivity numbers, rank the
+One iteration: homogenize the cell, evaluate the robust objective and its
+sensitivity by the hybrid perturbation analysis (deterministic CTO is its
+n = 0 case: no uncertain parameters, one factorization and one backsolve),
+build mass-normalized filtered sensitivity numbers, rank the
 merged macro/micro candidates, and flip design variables against a single
 total-weight budget that walks toward the target fraction by a fixed
 evolutionary ratio.  Convergence compares the objective sum over the last
@@ -16,13 +18,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InfeasibleTargetError
-from .fem import mean_compliance
-from .homogenization import EffectiveProperties, effective_density, homogenize, seed_cell
+from .homogenization import EffectiveProperties, effective_density, seed_cell
 from .materials import TwoPhaseMaterial
-from .problem import DesignState, MacroProblem, X_MIN_DEFAULT, factorized_dynamic
+from .problem import DesignState, MacroProblem, X_MIN_DEFAULT
 from .sensitivity import (
     SensitivityField,
-    deterministic_sensitivity,
     history_average,
     normalize,
     robust_sensitivity,
@@ -243,14 +243,13 @@ def run(
     x_min: float = X_MIN_DEFAULT,
     keep_snapshots: bool = False,
 ) -> OptimizationResult:
-    """Full concurrent optimization loop (robust when params is nonempty).
+    """Full concurrent optimization loop; deterministic when params is empty.
 
     Per iteration: homogenize, evaluate, build sensitivities, normalize,
     filter, average with history, update both scales against the scheduled
     weight budget, and test convergence once the target fraction is reached.
     """
-    robust = len(params) > 0
-    material = params.mean_material(base_material) if robust else base_material
+    material = params.mean_material(base_material)
     if state is None:
         state = initial_state(problem, x_min=x_min, seed_fraction=seed_fraction)
 
@@ -285,18 +284,9 @@ def run(
     target_fraction = total_mass(problem, state, material) / m0
 
     for _ in range(schedule.max_iterations):
-        props = homogenize(problem.cell, state.x_micro, material, problem.penalty)
-        if robust:
-            objective, cache = ihpa_evaluate(
-                problem, state, base_material, params, kappa=schedule.kappa, props=props
-            )
-            raw = robust_sensitivity(cache, schedule.kappa, beta=schedule.beta)
-        else:
-            system = factorized_dynamic(problem, state, props.d_h, props.rho_h)
-            u = system.solve(problem.force)
-            c = mean_compliance(problem.force, u)
-            objective = RobustObjective(c, 0.0, schedule.kappa)
-            raw = deterministic_sensitivity(problem, state, props, u)
+        objective, cache = ihpa_evaluate(problem, state, base_material, params, kappa=schedule.kappa)
+        raw = robust_sensitivity(cache, schedule.kappa, beta=schedule.beta)
+        props = cache.props
 
         xi = normalize(raw, problem, state, props)
         filtered = SensitivityField(filt_macro.apply(xi.macro), filt_micro.apply(xi.micro))

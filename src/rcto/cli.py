@@ -10,7 +10,6 @@ import sys
 from . import beso, io
 from .config import build_problem, parse_config
 from .errors import RctoError
-from .uncertainty import UncertainSet
 
 logger = logging.getLogger("rcto")
 
@@ -50,11 +49,10 @@ def _cmd_run(args) -> int:
     if cfg.mode == "verify":
         return _cmd_verify(args)
     problem = build_problem(cfg)
-    params = cfg.params if cfg.mode == "rcto" else UncertainSet()
     result = beso.run(
         problem,
         cfg.base_material,
-        params,
+        cfg.active_params,
         cfg.schedule,
         r_min_macro=cfg.r_min_macro,
         r_min_micro=cfg.r_min_micro,

@@ -70,6 +70,11 @@ class RunConfig:
     raw_text: str = ""
 
     @property
+    def active_params(self) -> UncertainSet:
+        """The parameters the mode optimizes against: none for dcto, the n = 0 case of rcto."""
+        return self.params if self.mode == "rcto" else UncertainSet()
+
+    @property
     def omega(self) -> float:
         return 2.0 * math.pi * self.loads[0].frequency
 

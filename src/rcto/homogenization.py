@@ -87,8 +87,7 @@ def solve_cell_problems(grid: StructuredGrid, d_voxels: np.ndarray):
         raise SingularSystemError(f"unit cell system is singular (void cell?): {exc}") from exc
     u = system.solve(rhs)
 
-    u_elems = u[pattern.dofs]
-    eps = np.einsum("qce,ner->nqcr", b, u_elems)
+    eps = b[None] @ u[pattern.dofs][:, None]
     g = np.eye(ncomp)[None, None, :, :] - eps
     return g, w, u
 

@@ -17,12 +17,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .beso import HistoryRow, OptimizationResult, reference_mass, total_mass
+from .beso import HistoryRow, OptimizationResult
 from .config import RunConfig, _parse_document, build_problem
 from .errors import OutputError
-from .fem import StructuredGrid, mean_compliance
-from .homogenization import format_effective_matrix, homogenize
-from .problem import DesignState, MacroProblem, factorized_dynamic
+from .fem import StructuredGrid
+from .homogenization import format_effective_matrix
+from .problem import DesignState, MacroProblem
 from .uncertainty import McsResult, RobustObjective, UncertainSet, ihpa_evaluate, mcs_evaluate
 
 logger = logging.getLogger(__name__)
@@ -237,21 +237,9 @@ def load_bundle(outdir: str):
 def reevaluate_bundle(outdir: str) -> tuple[float, float]:
     """Recompute the objective of a saved design; returns (logged, recomputed)."""
     cfg, problem, state, summary = load_bundle(outdir)
-    # the summary records the effective mode/seed (CLI flags may have
-    # overridden the echoed config)
+    # the summary records the effective mode (a CLI flag may have overridden the echoed config)
     cfg.mode = summary.get("mode", cfg.mode)
-    cfg.seed = summary.get("seed", cfg.seed)
-    if cfg.mode == "rcto":
-        objective, _ = ihpa_evaluate(
-            problem, state, cfg.base_material, cfg.params, kappa=cfg.schedule.kappa
-        )
-        value = objective.objective
-    else:
-        material = cfg.base_material
-        props = homogenize(problem.cell, state.x_micro, material, problem.penalty)
-        system = factorized_dynamic(problem, state, props.d_h, props.rho_h)
-        value = mean_compliance(problem.force, system.solve(problem.force))
-    state.weight_fraction = total_mass(problem, state, cfg.base_material) / reference_mass(
-        problem, cfg.base_material
+    objective, _ = ihpa_evaluate(
+        problem, state, cfg.base_material, cfg.active_params, kappa=cfg.schedule.kappa
     )
-    return float(summary["objective"]), float(value)
+    return float(summary["objective"]), objective.objective

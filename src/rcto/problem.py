@@ -2,8 +2,9 @@
 
 Holds the stiffness/mass interpolation of the discrete macro design
 variables (the ratio-preserving power law that keeps void elements from
-developing artificial local modes) and assembles the dynamic stiffness and
-its derivatives with respect to uncertain material parameters.
+developing artificial local modes) and assembles the dynamic stiffness.
+Its derivatives with respect to uncertain material parameters are applied
+from element strains (``apply_parameter_operator``), not assembled.
 """
 
 from __future__ import annotations
@@ -104,18 +105,40 @@ def factorized_dynamic(problem: MacroProblem, state: DesignState, d_h: np.ndarra
     return fem.FactorizedSystem(k_d, problem.elimination_order)
 
 
-def derivative_matrix(
-    problem: MacroProblem, state: DesignState, dd: np.ndarray, drho: float
-) -> sp.csc_matrix:
-    """Sparse dK_d for a derivative (dD_h, drho_h) of the effective cell properties."""
+def element_strains(grid: StructuredGrid, u: np.ndarray) -> np.ndarray:
+    """Gauss-point strains per element of displacement fields u (..., n_dofs): (..., n_elems, nq, ncomp)."""
+    b = fem.strain_operators(grid.spacing)[0]
+    nq, ncomp, ndof_e = b.shape
+    # one GEMM over all elements; a batched per-element matmul is several times slower
+    eps = u[..., grid.elem_dofs] @ b.reshape(nq * ncomp, ndof_e).T
+    return eps.reshape(eps.shape[:-1] + (nq, ncomp))
+
+
+def apply_parameter_operator(
+    problem: MacroProblem, state: DesignState, dd: np.ndarray, drho, u: np.ndarray
+) -> np.ndarray:
+    """dK_d u for derivatives (dD_h, drho_h) of the effective cell properties, without forming dK_d.
+
+    dd (..., ncomp, ncomp) symmetric, drho (...) and u (..., n_dofs)
+    broadcast against each other.  Element e adds s_e sum_q w_q B_q^T dD
+    eps_q(u) - omega^2 drho x_e m_e u_e to its DOFs.
+    """
+    grid = problem.grid
+    b, _, w = fem.strain_operators(grid.spacing)
     s = stiffness_scale(state.x_macro, problem.penalty, state.x_min)
-    # derivative "densities" may have any sign, so bypass the physical validation
-    k_elems, m_elems = fem.element_matrices_batch(
-        s[:, None, None] * dd, state.x_macro * drho, problem.grid.spacing
-    )
-    if problem.omega != 0.0 and drho != 0.0:
-        k_elems -= problem.omega**2 * m_elems
-    return fem.scatter(problem.grid.pattern, k_elems)
+    nq, ncomp, ndof_e = b.shape
+    eps = element_strains(grid, u)
+    stress = eps.reshape(eps.shape[:-3] + (grid.n_elems * nq, ncomp)) @ dd
+    stress = stress.reshape(stress.shape[:-2] + (grid.n_elems, nq * ncomp))
+    forces = s[:, None] * ((stress * np.repeat(w, ncomp)) @ b.reshape(nq * ncomp, ndof_e))
+    if problem.omega != 0.0:
+        m_u = state.x_macro[:, None] * (u[..., grid.elem_dofs] @ fem.element_mass(1.0, grid.spacing))
+        forces = forces - problem.omega**2 * np.asarray(drho)[..., None, None] * m_u
+    lead = forces.shape[:-2]
+    offsets = grid.n_dofs * np.arange(int(np.prod(lead)))
+    index = (offsets[:, None] + grid.elem_dofs.ravel()).ravel()
+    out = np.bincount(index, weights=forces.ravel(), minlength=offsets.size * grid.n_dofs)
+    return out.reshape(lead + (grid.n_dofs,))
 
 
 def parameter_to_matrices(
@@ -129,7 +152,15 @@ def parameter_to_matrices(
 
     Chain rule through the effective properties holding the cell strain
     fields fixed; density contributions are linear so all their second
-    derivatives vanish.
+    derivatives vanish.  The reference for ``apply_parameter_operator``.
     """
     wrt = (theta,) if theta2 is None else (theta, theta2)
-    return derivative_matrix(problem, state, props.d_h_derivative(wrt), props.rho_h_derivative(wrt))
+    dd, drho = props.d_h_derivative(wrt), props.rho_h_derivative(wrt)
+    s = stiffness_scale(state.x_macro, problem.penalty, state.x_min)
+    # derivative "densities" may have any sign, so bypass the physical validation
+    k_elems, m_elems = fem.element_matrices_batch(
+        s[:, None, None] * dd, state.x_macro * drho, problem.grid.spacing
+    )
+    if problem.omega != 0.0 and drho != 0.0:
+        k_elems -= problem.omega**2 * m_elems
+    return fem.scatter(problem.grid.pattern, k_elems)

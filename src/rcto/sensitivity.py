@@ -1,4 +1,4 @@
-"""Sensitivity numbers on both scales, for the deterministic and robust objectives.
+"""Sensitivity numbers on both scales, from the cached perturbation vectors.
 
 Every term reduces to per-element bilinear forms v^T (dK_d/dx) w between
 cached solution vectors, evaluated without forming any explicit inverse:
@@ -12,10 +12,11 @@ cell-energy basis once, giving two numbers per voxel, and every material
 kernel (D1 - D2 and its parameter derivatives) is a pair of phase
 coefficients dotted with them.
 
-The robust branch differentiates the worst-case objective with tanh-smoothed
-sign factors so the result is a true gradient of a differentiable surrogate;
-with all interval widths and sigmas zero it collapses to the deterministic
-sensitivity exactly.
+``robust_sensitivity`` differentiates the worst-case objective with
+tanh-smoothed sign factors, a true gradient of a differentiable surrogate.
+It is the optimizer's only sensitivity: with n = 0 (deterministic CTO), or
+all widths and sigmas zero, it is the compliance sensitivity, which
+``deterministic_sensitivity`` computes directly as its reference.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from scipy.spatial import cKDTree
 from .errors import NormalizationError
 from .fem import StructuredGrid, strain_operators
 from .homogenization import EffectiveProperties, stiffness_weights
-from .problem import DesignState, MacroProblem, stiffness_scale, stiffness_scale_derivative
+from .problem import DesignState, MacroProblem, element_strains, stiffness_scale, stiffness_scale_derivative
 from .uncertainty import IhpaCache, select_beta
 
 
@@ -55,12 +56,6 @@ def _term_derivative(f: float, fprime, beta: float):
     """d/dx of f(x) * S(f(x)) with the smoothed sign S."""
     t = np.tanh(beta * f)
     return fprime * (t + beta * f * (1.0 - t * t))
-
-
-def element_strains(grid: StructuredGrid, u: np.ndarray) -> np.ndarray:
-    """Gauss-point strains of a displacement vector, per element: (n_elems, nq, ncomp)."""
-    b, _, _ = strain_operators(grid.spacing)
-    return np.einsum("qce,ae->aqc", b, u[grid.elem_dofs])
 
 
 class _Pair:
@@ -95,9 +90,6 @@ class _FormContext:
         self.micro_stiff_scale = (
             problem.penalty * stiffness_weights(state.x_micro, problem.penalty - 1.0) / props.cell_volume
         )
-
-    def strains(self, u: np.ndarray) -> np.ndarray:
-        return element_strains(self.problem.grid, u)
 
     def mass_pair(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         dofs = self.problem.grid.elem_dofs
@@ -136,7 +128,7 @@ def deterministic_sensitivity(
     """
     ctx = _FormContext(problem, state, props)
     p = problem.penalty
-    eps = ctx.strains(u)
+    eps = element_strains(problem.grid, u)
     pair = _Pair(ctx, u, eps, u, eps)
     macro = ctx.macro_form(pair, props.d_h, props.rho_h) / p
     micro = ctx.micro_form(pair, ctx.delta_coefficients(()), ctx.delta_rho) / p
@@ -159,7 +151,7 @@ def robust_sensitivity(cache: IhpaCache, kappa: float, beta: float | None = None
     n = len(params)
 
     u0 = cache.u_nominal
-    eps0 = ctx.strains(u0)
+    eps0 = element_strains(problem.grid, u0)
     p00 = _Pair(ctx, u0, eps0, u0, eps0)
     d_h, rho_h = props.d_h, props.rho_h
     delta_c = ctx.delta_coefficients(())
@@ -172,18 +164,18 @@ def robust_sensitivity(cache: IhpaCache, kappa: float, beta: float | None = None
 
     for j in range(n):
         name = params[j].name
-        dd_j = cache.dd_list[j]
-        d2d_j = cache.d2d_list[j]
-        drho_j = cache.drho_list[j]
+        dd_j = cache.dd[j]
+        d2d_j = cache.d2d[j]
+        drho_j = cache.drho[j]
         ddelta_j = ctx.delta_coefficients((name,))
         d2delta_j = ctx.delta_coefficients((name, name))
         ddelta_rho_j = props.delta_rho_derivative((name,))
 
         v = cache.du_random[j]
         wvec = cache.d2u_cross[j]
-        eps_v = ctx.strains(v)
+        eps_v = element_strains(problem.grid, v)
         pv0 = _Pair(ctx, v, eps_v, u0, eps0)
-        pw0 = _Pair(ctx, wvec, ctx.strains(wvec), u0, eps0)
+        pw0 = _Pair(ctx, wvec, element_strains(problem.grid, wvec), u0, eps0)
         pvv = _Pair(ctx, v, eps_v, v, eps_v)
 
         # the density is linear in every parameter, so the second-derivative forms carry no mass term

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import itertools
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,7 +31,7 @@ from .errors import NumericalError, SingularSystemError
 from .fem import element_mass, element_stiffness_batch, mean_compliance, scatter
 from .homogenization import EffectiveProperties, cell_loads, cell_pattern, homogenize, stiffness_weights
 from .materials import _PARTS, PARAMETER_NAMES, TwoPhaseMaterial, phase_coefficients, voigt_size
-from .problem import DesignState, MacroProblem, derivative_matrix, factorized_dynamic, stiffness_scale
+from .problem import DesignState, MacroProblem, apply_parameter_operator, factorized_dynamic, stiffness_scale
 
 logger = logging.getLogger(__name__)
 
@@ -145,10 +145,10 @@ class IhpaCache:
     mean_dev: np.ndarray
     sigma_mid: np.ndarray
     sigma_dev: np.ndarray
-    dd_list: list = field(default_factory=list)       # dD_h/dtheta per parameter
-    d2d_list: list = field(default_factory=list)      # d2D_h/dtheta2 per parameter
-    drho_list: list = field(default_factory=list)
-    fea_calls: int = 0
+    dd: np.ndarray           # (n, ncomp, ncomp) dD_h/dtheta per parameter
+    d2d: np.ndarray          # (n, ncomp, ncomp) d2D_h/dtheta2 per parameter
+    drho: np.ndarray         # (n,) drho_h/dtheta per parameter
+    fea_calls: int
 
     def all_terms(self) -> np.ndarray:
         return np.concatenate(
@@ -188,45 +188,35 @@ def ihpa_evaluate(
     base_material: TwoPhaseMaterial,
     params: UncertainSet,
     kappa: float = 1.0,
-    props: EffectiveProperties | None = None,
 ) -> tuple[RobustObjective, IhpaCache]:
     """Hybrid perturbation estimate of the worst-case mean-compliance statistics.
 
     Performs exactly 1 + 3n linear-system applications against one shared
-    factorization of the dynamic stiffness at the midpoint-mean material.
-    With every interval degenerate and every sigma zero this reduces to the
-    deterministic compliance (and a zero standard deviation).
+    factorization at the midpoint-mean material, in three block solves: u0,
+    the 2n first-order columns and the n cross terms, with the parameter
+    operators applied matrix-free.  With n = 0, or every interval degenerate
+    and every sigma zero, it gives the deterministic compliance (std 0).
     """
     n = len(params)
-    material = params.mean_material(base_material)
-    if props is None:
-        props = homogenize(problem.cell, state.x_micro, material, problem.penalty)
-    elif props.material is not material:
-        # caller-provided properties must already be at the midpoint means
-        if not _same_material(props.material, material):
-            raise ValueError("supplied effective properties were not computed at the midpoint means")
+    props = homogenize(problem.cell, state.x_micro, params.mean_material(base_material), problem.penalty)
+    names = params.names
+    dd = np.reshape([props.d_h_derivative((name,)) for name in names], (n,) + props.d_h.shape)
+    d2d = np.reshape([props.d_h_derivative((name, name)) for name in names], (n,) + props.d_h.shape)
+    drho = np.array([props.rho_h_derivative((name,)) for name in names])
+    d2rho = np.array([props.rho_h_derivative((name, name)) for name in names])
 
     system = factorized_dynamic(problem, state, props.d_h, props.rho_h)
     f = problem.force
     u0 = system.solve(f)
     c0 = mean_compliance(f, u0)
-
-    ndof = problem.grid.n_dofs
-    f_du_int = np.zeros(n)
-    du_random = np.zeros((n, ndof))
-    d2u_cross = np.zeros((n, ndof))
-    dd_list, d2d_list, drho_list = [], [], []
-
-    for j, par in enumerate(params):
-        dd_list.append(props.d_h_derivative((par.name,)))
-        d2d_list.append(props.d_h_derivative((par.name, par.name)))
-        drho_list.append(props.rho_h_derivative((par.name,)))
-        g_j = derivative_matrix(problem, state, dd_list[j], drho_list[j])
-        h_j = derivative_matrix(problem, state, d2d_list[j], props.rho_h_derivative((par.name, par.name)))
-        # the interval derivative has the random one's right-hand side; the 1 + 3n count keeps both solves
-        f_du_int[j] = system.solve(-(g_j @ u0)) @ f
-        du_random[j] = system.solve(-(g_j @ u0))
-        d2u_cross[j] = system.solve(-(2.0 * (g_j @ du_random[j]) + h_j @ u0))
+    # the interval derivative has the random one's right-hand side; the 1 + 3n count keeps both columns
+    g_u0 = apply_parameter_operator(problem, state, dd, drho, u0)
+    du = system.solve(-np.concatenate([g_u0, g_u0]).T).T
+    f_du_int = du[:n] @ f
+    du_random = du[n:]
+    cross = 2.0 * apply_parameter_operator(problem, state, dd, drho, du_random)
+    cross += apply_parameter_operator(problem, state, d2d, d2rho, u0)
+    d2u_cross = system.solve(-cross.T).T
 
     mean_dev = np.array([p.mean.deviation for p in params])
     sigma_mid = np.array([p.std.midpoint for p in params])
@@ -250,20 +240,12 @@ def ihpa_evaluate(
         mean_dev=mean_dev,
         sigma_mid=sigma_mid,
         sigma_dev=sigma_dev,
-        dd_list=dd_list,
-        d2d_list=d2d_list,
-        drho_list=drho_list,
+        dd=dd,
+        d2d=d2d,
+        drho=drho,
         fea_calls=system.calls,
     )
     return cache.hard_objective(kappa), cache
-
-
-def _same_material(a: TwoPhaseMaterial, b: TwoPhaseMaterial) -> bool:
-    return all(
-        getattr(pa, f) == getattr(pb, f)
-        for pa, pb in ((a.phase1, b.phase1), (a.phase2, b.phase2))
-        for f in ("youngs", "poisson", "density")
-    )
 
 
 def select_beta(cache: IhpaCache, scale: float = 10.0, lo: float = 1.0, hi: float = 1e4) -> float:

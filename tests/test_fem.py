@@ -365,6 +365,15 @@ class TestSolve:
         assert system.solve(block[:, 1:2]).shape == (prob.grid.n_dofs, 1)
         assert system.calls == 7
 
+    def test_empty_block_returns_empty_and_counts_nothing(self):
+        # a problem without uncertain parameters solves empty first- and second-order blocks
+        prob, k, m, free, *_ = steel_cantilever_modes()
+        system = FactorizedSystem(dynamic_stiffness(k, m, 0.0), free)
+        system.solve(prob.force)
+        u = system.solve(np.zeros((prob.grid.n_dofs, 0)))
+        assert u.shape == (prob.grid.n_dofs, 0)
+        assert system.calls == 1
+
     def test_block_residual_contract_enforced_at_resonance(self):
         prob, k, m, free, _, _, evals = steel_cantilever_modes()
         system = FactorizedSystem(dynamic_stiffness(k, m, np.sqrt(evals[2])), free)

@@ -7,14 +7,13 @@ from rcto.errors import NormalizationError
 from rcto.fem import StructuredGrid, mean_compliance, strain_operators
 from rcto.homogenization import homogenize, micro_elasticity, solve_cell_problems
 from rcto.materials import Phase, TwoPhaseMaterial
-from rcto.problem import DesignState, MacroProblem, factorized_dynamic
+from rcto.problem import DesignState, MacroProblem, element_strains, factorized_dynamic
 from rcto.sensitivity import (
     SensitivityField,
     SensitivityFilter,
     _FormContext,
     _Pair,
     deterministic_sensitivity,
-    element_strains,
     history_average,
     normalize,
     robust_sensitivity,
@@ -146,10 +145,14 @@ class TestDeterministicSensitivity:
 class TestRobustSensitivity:
     mat = steel_foam()
 
-    def test_zero_widths_reduce_to_deterministic(self, rng):
+    @pytest.mark.parametrize(
+        "make_params", [degenerate_params, lambda mat: UncertainSet()], ids=["degenerate", "empty"]
+    )
+    def test_zero_widths_reduce_to_deterministic(self, rng, make_params):
+        # the empty set is deterministic CTO itself: the optimizer's only sensitivity path must give it
         prob = cantilever(4, 2, cell_n=4, omega=2 * np.pi * 80.0)
         state = relaxed_state(prob, rng)
-        _, cache = ihpa_evaluate(prob, state, self.mat, degenerate_params(self.mat), kappa=1.0)
+        _, cache = ihpa_evaluate(prob, state, self.mat, make_params(self.mat), kappa=1.0)
         robust = robust_sensitivity(cache, kappa=1.0)
         props = homogenize(prob.cell, state.x_micro, self.mat, prob.penalty)
         system = factorized_dynamic(prob, state, props.d_h, props.rho_h)

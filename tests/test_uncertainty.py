@@ -3,10 +3,16 @@
 import numpy as np
 import pytest
 
-from rcto.fem import mean_compliance
+from rcto.fem import StructuredGrid, mean_compliance
 from rcto.homogenization import homogenize, seed_cell
-from rcto.materials import Phase, TwoPhaseMaterial
-from rcto.problem import DesignState, factorized_dynamic, parameter_to_matrices
+from rcto.materials import PARAMETER_NAMES, Phase, TwoPhaseMaterial
+from rcto.problem import (
+    DesignState,
+    MacroProblem,
+    apply_parameter_operator,
+    factorized_dynamic,
+    parameter_to_matrices,
+)
 from rcto.uncertainty import (
     BatchComplianceEvaluator,
     HybridParameter,
@@ -168,6 +174,39 @@ class TestParameterMatrices:
             return assemble_state(prob, state, p.d_h, p.rho_h)[0].toarray()
         fd = (k_at(e0 + h) - k_at(e0 - h)) / (2 * h)
         assert np.abs(g.toarray() - fd).max() <= 0.02 * np.abs(fd).max()
+
+
+@pytest.mark.parametrize("macro_shape, cell_shape", [((4, 2), (4, 4)), ((3, 2, 2), (3, 3, 2))])
+@pytest.mark.parametrize("freq", [0.0, 150.0])
+def test_matrix_free_operator_matches_sparse_matrices(rng, macro_shape, cell_shape, freq):
+    # every first and (theta, theta) second derivative, applied to a stack of two fields
+    dim = len(macro_shape)
+    grid = StructuredGrid(macro_shape, (1.0,) * dim)
+    cell = StructuredGrid(cell_shape, tuple(1.0 / n for n in cell_shape))
+    prob = MacroProblem(
+        grid=grid, cell=cell, fixed_dofs=np.arange(dim), force=np.zeros(grid.n_dofs), omega=2 * np.pi * freq
+    )
+    state = DesignState(
+        x_macro=np.where(rng.random(grid.n_elems) < 0.7, 1.0, 1e-6),
+        x_micro=np.where(rng.random(cell.n_elems) < 0.6, 1.0, 1e-6),
+    )
+    mat = TwoPhaseMaterial(Phase(200e3, 0.3, 7.9e-9), Phase(150e3, 0.25, 0.79e-9))
+    props = homogenize(cell, state.x_micro, mat, prob.penalty)
+    u = rng.standard_normal((2, grid.n_dofs))
+    for name in PARAMETER_NAMES:
+        for wrt in ((name,), (name, name)):
+            ref = (parameter_to_matrices(prob, state, props, *wrt) @ u.T).T
+            dd, drho = props.d_h_derivative(wrt), props.rho_h_derivative(wrt)
+            got = apply_parameter_operator(prob, state, dd, drho, u)
+            assert got.shape == u.shape
+            assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+    # a stack of operators against one field, as the perturbation analysis applies them
+    dd = np.array([props.d_h_derivative((name,)) for name in PARAMETER_NAMES])
+    drho = np.array([props.rho_h_derivative((name,)) for name in PARAMETER_NAMES])
+    stacked = apply_parameter_operator(prob, state, dd, drho, u[0])
+    for j in range(len(PARAMETER_NAMES)):
+        single = apply_parameter_operator(prob, state, dd[j], drho[j], u[0])
+        assert np.abs(stacked[j] - single).max() <= 1e-14 * np.abs(stacked).max()
 
 
 class TestMcsEvaluate:
