@@ -16,6 +16,13 @@ logger = logging.getLogger("rcto")
 EXIT_CODES = {"config": 2, "numerical": 3, "io": 4, "error": 1}
 
 
+def _seed(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a nonnegative integer, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="rcto", description=__doc__)
     parser.add_argument("-v", "--verbose", action="store_true", help="debug logging")
@@ -25,13 +32,13 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--config", required=True, help="YAML run configuration")
     run_p.add_argument("--out", required=True, help="output bundle directory")
     run_p.add_argument("--mode", choices=("dcto", "rcto"), help="override the config mode")
-    run_p.add_argument("--seed", type=int, help="override the config seed")
+    run_p.add_argument("--seed", type=_seed, help="override the config seed")
     run_p.add_argument("--dump-iterations", action="store_true", help="save per-iteration fields")
 
     ver_p = sub.add_parser("verify", help="compare perturbation and Monte Carlo statistics")
     ver_p.add_argument("--config", required=True)
     ver_p.add_argument("--out", help="directory for the report (defaults to stdout only)")
-    ver_p.add_argument("--seed", type=int, help="override the config seed")
+    ver_p.add_argument("--seed", type=_seed, help="override the config seed")
 
     exp_p = sub.add_parser("export", help="re-export the fields of a finished run")
     exp_p.add_argument("--bundle", required=True, help="bundle directory from a previous run")
@@ -47,7 +54,7 @@ def _cmd_run(args) -> int:
     if args.seed is not None:
         cfg.seed = args.seed
     if cfg.mode == "verify":
-        return _cmd_verify(args)
+        return _cmd_verify(args, cfg)
     problem = build_problem(cfg)
     result = beso.run(
         problem,
@@ -71,10 +78,11 @@ def _cmd_run(args) -> int:
     return 0
 
 
-def _cmd_verify(args) -> int:
-    cfg = parse_config(args.config)
-    if getattr(args, "seed", None) is not None:
-        cfg.seed = args.seed
+def _cmd_verify(args, cfg=None) -> int:
+    if cfg is None:
+        cfg = parse_config(args.config)
+        if args.seed is not None:
+            cfg.seed = args.seed
     problem = build_problem(cfg)
     state = beso.initial_state(problem, x_min=cfg.x_min, seed_fraction=cfg.seed_fraction)
     report, ihpa_calls = io.verify(
@@ -89,10 +97,9 @@ def _cmd_verify(args) -> int:
     )
     table = report.format_table(ihpa_calls)
     print(table, end="")
-    out = getattr(args, "out", None)
-    if out:
-        os.makedirs(out, exist_ok=True)
-        path = os.path.join(out, "verification.txt")
+    if args.out:
+        os.makedirs(args.out, exist_ok=True)
+        path = os.path.join(args.out, "verification.txt")
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(table)
         print(f"report written to {path}")

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .beso import HistoryRow, OptimizationResult
-from .config import RunConfig, _parse_document, build_problem
+from .config import RunConfig, build_problem, parse_config_text
 from .errors import OutputError
 from .fem import StructuredGrid
 from .homogenization import format_effective_matrix
@@ -215,18 +215,14 @@ def write_bundle(
 
 def load_bundle(outdir: str):
     """Reload (config, problem, state, summary) from a bundle directory."""
-    import yaml as _yaml
-
-    cfg_path = os.path.join(outdir, "config.yaml")
     try:
-        with open(cfg_path, "r", encoding="utf-8") as fh:
+        with open(os.path.join(outdir, "config.yaml"), "r", encoding="utf-8") as fh:
             text = fh.read()
-        doc = _yaml.safe_load(text)
-        cfg = _parse_document(doc, text)
         with open(os.path.join(outdir, "summary.json"), "r", encoding="utf-8") as fh:
             summary = json.load(fh)
     except OSError as exc:
         raise OutputError(f"cannot load bundle {outdir}: {exc}") from exc
+    cfg = parse_config_text(text)
     problem = build_problem(cfg)
     x_macro = import_field_csv(os.path.join(outdir, "macro_density.csv"), problem.grid)
     x_micro = import_field_csv(os.path.join(outdir, "micro_density.csv"), problem.cell)

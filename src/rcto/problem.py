@@ -127,12 +127,13 @@ def apply_parameter_operator(
     b, _, w = fem.strain_operators(grid.spacing)
     s = stiffness_scale(state.x_macro, problem.penalty, state.x_min)
     nq, ncomp, ndof_e = b.shape
-    eps = element_strains(grid, u)
-    stress = eps.reshape(eps.shape[:-3] + (grid.n_elems * nq, ncomp)) @ dd
+    ue = u[..., grid.elem_dofs]  # gathered once for the stiffness and the mass term
+    # the strains (the GEMM of element_strains) stay a temporary, so holding ue adds no memory
+    stress = (ue @ b.reshape(nq * ncomp, ndof_e).T).reshape(ue.shape[:-2] + (grid.n_elems * nq, ncomp)) @ dd
     stress = stress.reshape(stress.shape[:-2] + (grid.n_elems, nq * ncomp))
     forces = s[:, None] * ((stress * np.repeat(w, ncomp)) @ b.reshape(nq * ncomp, ndof_e))
     if problem.omega != 0.0:
-        m_u = state.x_macro[:, None] * (u[..., grid.elem_dofs] @ fem.element_mass(1.0, grid.spacing))
+        m_u = state.x_macro[:, None] * (ue @ fem.element_mass(1.0, grid.spacing))
         forces = forces - problem.omega**2 * np.asarray(drho)[..., None, None] * m_u
     lead = forces.shape[:-2]
     offsets = grid.n_dofs * np.arange(int(np.prod(lead)))

@@ -24,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.spatial import cKDTree
 
 from .errors import NormalizationError
@@ -266,8 +267,6 @@ class SensitivityFilter:
         rows = np.concatenate([pairs[:, 0], pairs[:, 1], np.arange(len(pts))])
         cols = np.concatenate([pairs[:, 1], pairs[:, 0], np.arange(len(pts))])
         wts = np.concatenate([self.r_min - dists, self.r_min - dists, np.full(len(pts), self.r_min)])
-        import scipy.sparse as sp
-
         self._w = sp.coo_matrix((wts, (rows, cols)), shape=(len(pts), len(pts))).tocsr()
         self._wsum = np.asarray(self._w.sum(axis=1)).ravel()
 

@@ -1,5 +1,6 @@
 """Configuration ingestion, field export, result bundles and the CLI."""
 
+import dataclasses
 import json
 import logging
 import math
@@ -164,6 +165,119 @@ class TestParseConfig:
         path = write_config(tmp_path, doc)
         with pytest.raises(ConfigError, match="frequency"):
             parse_config(path)
+
+
+def set_key(doc, dotted, value):
+    """doc with the key at a reported path such as ``loads[0].amplitude`` set to value."""
+    *parents, last = dotted.replace("[0]", ".0").split(".")
+    for part in parents:
+        doc = doc[int(part)] if part.isdigit() else doc[part]
+    doc[last] = value
+
+
+def config_fields(cfg):
+    fields = {f.name: getattr(cfg, f.name) for f in dataclasses.fields(cfg) if f.name != "raw_text"}
+    fields["params"] = cfg.params.parameters
+    return fields
+
+
+# every numeric key as the validator reports it, with one value outside its range
+NUMERIC_KEYS = [
+    ("seed", -1),
+    ("geometry.dim", 4),
+    ("geometry.element_size", 0.0),
+    ("loads[0].amplitude", "1 kN"),
+    ("loads[0].frequency", -1.0),
+    ("cell.element_size", -0.25),
+    ("cell.seed_fraction", 1.0),
+    ("materials.phase1.youngs_modulus.mean", [210.0, 190.0]),
+    ("materials.phase2.density.std", -1.0),
+    ("optimizer.weight_fraction", 1.5),
+    ("optimizer.evolution_ratio", 0.0),
+    ("optimizer.penalty", -3.0),
+    ("optimizer.kappa", -1.0),
+    ("optimizer.filter_radius_macro", 0.0),
+    ("optimizer.filter_radius_micro", -0.5),
+    ("optimizer.convergence_tol", 0.0),
+    ("optimizer.flip_cap", 1.5),
+    ("optimizer.max_iterations", 0),
+    ("optimizer.beta", 0.0),
+    ("optimizer.x_min", 1.0),
+    ("mcs.n_interval", 1),
+    ("mcs.n_random", 1),
+]
+
+SHIPPED_DEFAULTS = {
+    "cantilever_2d.yaml": (
+        "optimizer.x_min = 1e-06", "optimizer.max_iterations = 500", "optimizer.flip_cap = 0.05",
+        "optimizer.beta = auto", "mcs.n_interval = 64", "mcs.n_random = 2000",
+    ),
+    "cantilever_small.yaml": (
+        "optimizer.x_min = 1e-06", "optimizer.max_iterations = 500", "optimizer.flip_cap = 0.05",
+        "optimizer.beta = auto",
+    ),
+    "mbb_2d.yaml": (
+        "cell.seed_fraction = 0.05", "optimizer.evolution_ratio = 0.02", "optimizer.penalty = 3.0",
+        "optimizer.convergence_tol = 0.001", "optimizer.x_min = 1e-06", "optimizer.max_iterations = 500",
+        "optimizer.flip_cap = 0.05", "optimizer.beta = auto",
+        "optimizer.filter_radius_macro = 3 mm (3 element sides)",
+        "optimizer.filter_radius_micro = 0.06 mm (3 element sides)",
+        "mcs.n_interval = 64", "mcs.n_random = 2000",
+    ),
+    "prism_3d.yaml": (
+        "cell.seed_fraction = 0.05", "optimizer.evolution_ratio = 0.02", "optimizer.penalty = 3.0",
+        "optimizer.convergence_tol = 0.001", "optimizer.x_min = 1e-06", "optimizer.max_iterations = 500",
+        "optimizer.flip_cap = 0.05", "optimizer.beta = auto", "mcs.n_interval = 64", "mcs.n_random = 2000",
+    ),
+}
+
+
+class TestConfigFields:
+    @pytest.mark.parametrize(
+        "key, value",
+        [(key, bad) for key, out_of_range in NUMERIC_KEYS for bad in (True, math.nan, math.inf, out_of_range)]
+        + [("geometry.dim", 2.0)],
+    )
+    def test_bad_number_rejected_by_name(self, tmp_path, key, value):
+        doc = small_doc()
+        set_key(doc, key, value)
+        with pytest.raises(ConfigError) as err:
+            parse_config(write_config(tmp_path, doc))
+        assert any(p.startswith(f"{key}: expected") for p in err.value.problems), err.value.problems
+
+    @pytest.mark.parametrize(
+        "key",
+        [key for key, _ in NUMERIC_KEYS]
+        + ["mode", "geometry.elements", "boundary.fixed", "loads[0].location", "loads[0].direction",
+           "cell.elements", "materials.share_poisson"],
+    )
+    def test_null_accepted_only_for_flip_cap(self, tmp_path, key):
+        doc = small_doc()
+        set_key(doc, key, None)
+        path = write_config(tmp_path, doc)
+        if key == "optimizer.flip_cap":
+            assert parse_config(path).schedule.flip_cap is None
+            return
+        with pytest.raises(ConfigError) as err:
+            parse_config(path)
+        assert any(p.startswith(f"{key}: expected") for p in err.value.problems), err.value.problems
+
+    @pytest.mark.parametrize("section", ["cell", "mcs", "optimizer"])
+    def test_null_section_reads_as_absent(self, tmp_path, section):
+        absent, null = small_doc(), small_doc()
+        del absent[section]
+        null[section] = None
+        results = []
+        for name, doc in (("absent.yaml", absent), ("null.yaml", null)):
+            try:
+                results.append(config_fields(parse_config(write_config(tmp_path, doc, name))))
+            except ConfigError as exc:
+                results.append(exc.problems)
+        assert results[0] == results[1]
+
+    @pytest.mark.parametrize("name", sorted(SHIPPED_DEFAULTS))
+    def test_shipped_config_defaults_pinned(self, name):
+        assert parse_config(os.path.join(CONFIGS, name)).defaults_applied == SHIPPED_DEFAULTS[name]
 
 
 class TestAnchors:
@@ -364,6 +478,12 @@ class TestCli:
         code = main(["run", "--config", str(tmp_path / "nope.yaml"), "--out", str(tmp_path / "o")])
         assert code == 2
 
+    def test_config_file_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "latin1.yaml"
+        path.write_bytes(b"mode: rcto\nseed: \xff\n")
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert "error[config]" in capsys.readouterr().err
+
     def test_numerical_error_exit_code(self, tmp_path, capsys):
         # weight target below the empty-design floor: structured numerical error
         doc = small_doc(mode="dcto")
@@ -378,6 +498,36 @@ class TestCli:
                      "--out", str(tmp_path / "o")])
         assert code == 4
         assert "error[io]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["run", "verify"])
+    def test_negative_seed_rejected_when_parsed(self, tmp_path, capsys, command):
+        cfg_path = write_config(tmp_path, small_doc(mode="verify"))
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", cfg_path, "--out", str(tmp_path / "o"), "--seed", "-1"])
+        assert exc.value.code == 2
+        assert "--seed" in capsys.readouterr().err
+
+    def test_run_in_verify_mode_parses_config_once(self, tmp_path, caplog):
+        cfg_path = write_config(tmp_path, small_doc(mode="verify"))
+        with caplog.at_level(logging.INFO, logger="rcto.config"):
+            assert main(["run", "--config", cfg_path, "--out", str(tmp_path / "ver")]) == 0
+        logged = [rec.message for rec in caplog.records if rec.message.startswith("config default applied")]
+        assert logged and len(logged) == len(set(logged))
+
+    @pytest.mark.parametrize(
+        "text, code, category",
+        [("mode: [rcto\n", 2, "config"), ("- mode\n- rcto\n", 2, "config"), (None, 4, "io")],
+        ids=["invalid-yaml", "list-root", "missing"],
+    )
+    def test_export_of_corrupt_bundle_config(self, tmp_path, capsys, text, code, category):
+        bundle = tmp_path / "bundle"
+        bundle.mkdir()
+        (bundle / "summary.json").write_text("{}", encoding="utf-8")
+        if text is not None:
+            (bundle / "config.yaml").write_text(text, encoding="utf-8")
+        argv = ["export", "--bundle", str(bundle), "--format", "csv", "--out", str(tmp_path / "o")]
+        assert main(argv) == code
+        assert f"error[{category}]" in capsys.readouterr().err
 
     def test_determinism_byte_identical_history(self, tmp_path):
         cfg_path = write_config(tmp_path, small_doc(mode="rcto"))
