@@ -131,9 +131,9 @@ def _lengths(dim: int):
     return lambda x: _positive(x) or _list_of(_positive, dim)(x)
 
 
-def _interval(lo: float = -math.inf):
-    """A number, or an ordered [lo, hi] pair; every bound at least lo."""
-    return lambda x: (_real(x) and x >= lo) or (_list_of(_real, 2)(x) and lo <= x[0] <= x[1])
+def _interval(bound=_real):
+    """A number, or an ordered [lo, hi] pair; every bound passes bound."""
+    return lambda x: bound(x) or (_list_of(bound, 2)(x) and x[0] <= x[1])
 
 
 def _per_axis(x, dim: int) -> tuple[float, ...]:
@@ -410,14 +410,21 @@ def _parse_materials(v: _Validator, doc: dict) -> tuple[TwoPhaseMaterial | None,
         section = v.section(mats, phase, "materials", set(_PROPERTIES), required=True)
         for key in _PROPERTIES:
             where = f"materials.{phase}.{key}"
+            # a modulus or a density must be positive; the Poisson range is checked after conversion
+            sign, lo, bound = ("", "", _real) if key == "poisson" else ("positive ", "0 < ", _positive)
             raw = v.take(
-                section, key, f"materials.{phase}", _REQUIRED, "a number or a {mean, std} mapping",
-                lambda x: _real(x) or isinstance(x, dict),
+                section, key, f"materials.{phase}", _REQUIRED, f"a {sign}number or a {{mean, std}} mapping",
+                lambda x: bound(x) or isinstance(x, dict),
             )
             if isinstance(raw, dict):
                 v.mapping(raw, where, {"mean", "std"})
-                mean = v.take(raw, "mean", where, _REQUIRED, "a number or [lo, hi] with lo <= hi", _interval())
-                std = v.take(raw, "std", where, 0.0, "a nonnegative number or [lo, hi] with 0 <= lo <= hi", _interval(0.0))
+                mean = v.take(
+                    raw, "mean", where, _REQUIRED, f"a {sign}number or [lo, hi] with {lo}lo <= hi", _interval(bound)
+                )
+                std = v.take(
+                    raw, "std", where, 0.0, "a nonnegative number or [lo, hi] with 0 <= lo <= hi",
+                    _interval(lambda x: _real(x) and x >= 0),
+                )
                 props[phase, key] = mean, std
             else:
                 props[phase, key] = raw, 0.0

@@ -191,12 +191,15 @@ def stiffness_basis(spacing: tuple[float, ...]) -> np.ndarray:
     """Reference basis (ncomp**2, ndof_e**2) with k_e = D.ravel() @ basis for any D.
 
     Row (c, d) is the element integral of (B_c^T B_d + B_d^T B_c) / 2, so a
-    whole stack of element stiffnesses is one GEMM and each is symmetric in
-    its DOF pair even for a nonsymmetric D.
+    whole stack of element stiffnesses is one GEMM.  The basis is made
+    bitwise symmetric in (c, d) and in the DOF pair (e, f), so every k_e,
+    and every matrix scattered from k_e stacks, is exactly symmetric even
+    for a nonsymmetric D.
     """
     b, _, w = strain_operators(tuple(spacing))
     basis = np.einsum("q,qce,qdf->cdef", w, b, b)
-    basis = 0.5 * (basis + basis.transpose(1, 0, 2, 3)).reshape(b.shape[1] ** 2, b.shape[2] ** 2)
+    basis = 0.5 * (basis + basis.transpose(1, 0, 2, 3))
+    basis = 0.5 * (basis + basis.transpose(0, 1, 3, 2)).reshape(b.shape[1] ** 2, b.shape[2] ** 2)
     basis.setflags(write=False)
     return basis
 
@@ -249,7 +252,7 @@ def assemble(grid: StructuredGrid, d_mats, rhos) -> tuple[sp.csc_matrix, sp.csc_
     if np.any(rhos < 0):
         raise ValueError("densities must be nonnegative")
     k_all, m_all = element_matrices_batch(d_mats, rhos, grid.spacing)
-    return _symmetrized(scatter(grid.pattern, k_all)), _symmetrized(scatter(grid.pattern, m_all))
+    return scatter(grid.pattern, k_all), scatter(grid.pattern, m_all)
 
 
 def dissection_order(shape: tuple[int, ...], periodic: bool) -> np.ndarray:
@@ -292,11 +295,6 @@ def dissection_order(shape: tuple[int, ...], periodic: bool) -> np.ndarray:
     dissect((0,) * dim, tuple(shape), (periodic,) * dim)
     nodes = np.concatenate(blocks)
     return (dim * nodes[:, None] + np.arange(dim)).ravel()
-
-
-def _symmetrized(mat: sp.csc_matrix) -> sp.csc_matrix:
-    """Exact symmetry: duplicate-entry summation order is not associative-safe."""
-    return ((mat + mat.T) * 0.5).tocsc()
 
 
 @dataclass(frozen=True, eq=False)

@@ -174,15 +174,20 @@ class EffectiveProperties:
     def moments(self) -> np.ndarray:
         return phase_moments(self.basis, stiffness_weights(self.x, self.penalty), self.cell_volume)
 
+    def elasticity(self, coefficients: np.ndarray) -> np.ndarray:
+        """D_h with phase coefficients c[p, k] in place of the phases' own (linear in c)."""
+        return _combine(coefficients, self.moments)
+
+    def density(self, rho1: float, rho2: float) -> float:
+        """rho_h with phase densities rho1, rho2 in place of the phases' own (linear in them)."""
+        return float(self.voxel_volume * np.sum(self.x * rho1 + (1.0 - self.x) * rho2) / self.cell_volume)
+
     def d_h_derivative(self, wrt: tuple[str, ...]) -> np.ndarray:
         """d^k D_h / d(theta...) holding the cell strain fields fixed."""
-        return _combine(self.material.coefficients(self.dim, wrt), self.moments)
+        return self.elasticity(self.material.coefficients(self.dim, wrt))
 
     def rho_h_derivative(self, wrt: tuple[str, ...]) -> float:
-        r1 = self.material.rho_derivative(1, wrt)
-        r2 = self.material.rho_derivative(2, wrt)
-        vi = self.voxel_volume
-        return float(vi * np.sum(self.x * r1 + (1.0 - self.x) * r2) / self.cell_volume)
+        return self.density(self.material.rho_derivative(1, wrt), self.material.rho_derivative(2, wrt))
 
     def delta_rho_derivative(self, wrt: tuple[str, ...]) -> float:
         return self.material.rho_derivative(1, wrt) - self.material.rho_derivative(2, wrt)

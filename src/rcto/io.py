@@ -50,18 +50,23 @@ def export_field_csv(path: str, grid: StructuredGrid, values: np.ndarray) -> Non
 
 
 def import_field_csv(path: str, grid: StructuredGrid) -> np.ndarray:
+    """Read a field written by ``export_field_csv``; a malformed file raises OutputError."""
     values = np.zeros(grid.n_elems)
     try:
         with open(path, "r", encoding="utf-8") as fh:
             header = fh.readline().strip().split(",")
             if header[-1] != "value" or len(header) != grid.dim + 1:
                 raise OutputError(f"{path}: unexpected CSV header {header}")
-            for line in fh:
+            for row, line in enumerate(fh, start=2):
                 parts = line.strip().split(",")
-                idx = tuple(int(p) for p in parts[: grid.dim])
-                flat = int(np.ravel_multi_index(idx, grid.shape, order="F"))
-                values[flat] = float(parts[-1])
-    except OSError as exc:
+                try:
+                    if len(parts) != grid.dim + 1:
+                        raise ValueError(f"expected {grid.dim + 1} columns")
+                    flat = int(np.ravel_multi_index(tuple(int(p) for p in parts[:-1]), grid.shape, order="F"))
+                    values[flat] = float(parts[-1])
+                except ValueError as exc:
+                    raise OutputError(f"{path}: bad row {row} {line.strip()!r}: {exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
         raise OutputError(f"cannot read {path}: {exc}") from exc
     return values
 
@@ -220,7 +225,7 @@ def load_bundle(outdir: str):
             text = fh.read()
         with open(os.path.join(outdir, "summary.json"), "r", encoding="utf-8") as fh:
             summary = json.load(fh)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or summary.json not JSON
         raise OutputError(f"cannot load bundle {outdir}: {exc}") from exc
     cfg = parse_config_text(text)
     problem = build_problem(cfg)

@@ -4,19 +4,24 @@ Every term reduces to per-element bilinear forms v^T (dK_d/dx) w between
 cached solution vectors, evaluated without forming any explicit inverse:
 differentiating K_d^-1 produces -K_d^-1 (dK_d/dx) K_d^-1 and the outer
 factors collapse onto already-solved vectors.  Each pair (u, v) of cached
-vectors yields one per-element strain moment int eps_u eps_v^T dA.  Macro
-design derivatives are local to one element and contract that moment with a
-D matrix.  Micro (voxel) derivatives act through the homogenized properties:
-the stiffness-weighted sum of the moment over all macro elements meets the
-cell-energy basis once, giving two numbers per voxel, and every material
-kernel (D1 - D2 and its parameter derivatives) is a pair of phase
-coefficients dotted with them.
+vectors yields one per-element strain moment int eps_u eps_v^T dA and one
+mass moment.  One form reads a pair on both scales for a material kernel:
+the phase coefficients on A0, A1 and the phase densities, or any of their
+parameter derivatives.  Macro design derivatives are local to one element
+and contract the moment with the kernel's D_h.  Micro (voxel) derivatives
+act through the homogenized properties: the stiffness-weighted sum of the
+moment over all macro elements meets the cell-energy basis once, giving two
+numbers per voxel that the kernel's phase difference weighs.  The form is
+linear in the pair and in the kernel, so a weighted sum of kernels on one
+pair costs one form.
 
 ``robust_sensitivity`` differentiates the worst-case objective with
-tanh-smoothed sign factors, a true gradient of a differentiable surrogate.
-It is the optimizer's only sensitivity: with n = 0 (deterministic CTO), or
-all widths and sigmas zero, it is the compliance sensitivity, which
-``deterministic_sensitivity`` computes directly as its reference.
+tanh-smoothed sign factors, a true gradient of a differentiable surrogate:
+the smoothed objective's weights on F.du_j and F.d2u_j applied to 2n + 2
+pair moments.  It is the optimizer's only sensitivity: with n = 0
+(deterministic CTO), or all widths and sigmas zero, it is the compliance
+sensitivity, which ``deterministic_sensitivity`` computes from one
+displacement field as the n = 0 form, the reference of the tests.
 """
 
 from __future__ import annotations
@@ -43,20 +48,6 @@ class SensitivityField:
 
     def copy(self) -> "SensitivityField":
         return SensitivityField(self.macro.copy(), self.micro.copy())
-
-
-def smooth_sign(f, beta: float):
-    """tanh-smoothed sign of f: returns (value, d(value)/df)."""
-    if beta <= 0:
-        raise ValueError("beta must be positive")
-    t = np.tanh(beta * np.asarray(f, dtype=float))
-    return t, beta * (1.0 - t * t)
-
-
-def _term_derivative(f: float, fprime, beta: float):
-    """d/dx of f(x) * S(f(x)) with the smoothed sign S."""
-    t = np.tanh(beta * f)
-    return fprime * (t + beta * f * (1.0 - t * t))
 
 
 class _Pair:
@@ -86,7 +77,6 @@ class _FormContext:
         self.sprime = stiffness_scale_derivative(state.x_macro, problem.penalty, state.x_min)
         self.omega2 = problem.omega**2
         self.basis = props.basis.reshape(2 * props.grid.n_elems, -1)
-        self.delta_rho = props.delta_rho_derivative(())
         self.voxel_scale = props.voxel_volume / props.cell_volume
         self.micro_stiff_scale = (
             problem.penalty * stiffness_weights(state.x_micro, problem.penalty - 1.0) / props.cell_volume
@@ -96,24 +86,20 @@ class _FormContext:
         dofs = self.problem.grid.elem_dofs
         return np.sum((u[dofs] @ self.m_unit) * v[dofs], axis=1)
 
-    def delta_coefficients(self, wrt: tuple[str, ...]) -> np.ndarray:
-        """c[0] - c[1]: the (D1 - D2) kernel of micro design derivatives, or its parameter derivative."""
-        c = self.props.material.coefficients(self.props.dim, wrt)
-        return c[0] - c[1]
+    def kernel(self, wrt: tuple[str, ...]) -> np.ndarray:
+        """(2, 3) kernel of d^|wrt| of the phase properties: row p holds phase p's A0, A1 coefficients and density."""
+        material = self.props.material
+        rho = [material.rho_derivative(p, wrt) for p in (1, 2)]
+        return np.column_stack([material.coefficients(self.props.dim, wrt), rho])
 
-    def macro_form(self, pair: _Pair, cmat, drho) -> np.ndarray:
-        """Per macro element: v^T (d/dx_a of the theta-derivative block) u."""
-        out = self.sprime * (pair.strain @ cmat.ravel())
-        if self.omega2 != 0.0 and drho != 0.0:
-            out = out - self.omega2 * drho * pair.mass
-        return out
-
-    def micro_form(self, pair: _Pair, cdelta, drho_delta) -> np.ndarray:
-        """Per voxel: v^T (d/dx_i of the theta-derivative block) u."""
-        out = self.micro_stiff_scale * (pair.voxel @ cdelta)
-        if self.omega2 != 0.0 and drho_delta != 0.0:
-            out = out - self.omega2 * self.voxel_scale * drho_delta * pair.mass_x
-        return out
+    def form(self, pair: _Pair, kernel: np.ndarray) -> SensitivityField:
+        """v^T (dK_d/dx) u per macro element and per voxel, with the phase properties replaced by kernel."""
+        c, rho = kernel[:, :2], kernel[:, 2]
+        macro = self.sprime * (pair.strain @ self.props.elasticity(c).ravel())
+        macro = macro - self.omega2 * self.props.density(*rho) * pair.mass
+        micro = self.micro_stiff_scale * (pair.voxel @ (c[0] - c[1]))
+        micro = micro - self.omega2 * self.voxel_scale * (rho[0] - rho[1]) * pair.mass_x
+        return SensitivityField(macro, micro)
 
 
 def deterministic_sensitivity(
@@ -128,17 +114,19 @@ def deterministic_sensitivity(
     phases coincide has a vanishing micro stiffness term.
     """
     ctx = _FormContext(problem, state, props)
-    p = problem.penalty
     eps = element_strains(problem.grid, u)
-    pair = _Pair(ctx, u, eps, u, eps)
-    macro = ctx.macro_form(pair, props.d_h, props.rho_h) / p
-    micro = ctx.micro_form(pair, ctx.delta_coefficients(()), ctx.delta_rho) / p
-    return SensitivityField(macro, micro)
+    field = ctx.form(_Pair(ctx, u, eps, u, eps), ctx.kernel(()))
+    return SensitivityField(field.macro / problem.penalty, field.micro / problem.penalty)
 
 
 def robust_sensitivity(cache: IhpaCache, kappa: float, beta: float | None = None) -> SensitivityField:
-    """Sensitivity of the worst-case objective, from the cached perturbation vectors.
+    """Sensitivity of the smoothed worst-case objective, from the cached perturbation vectors.
 
+    With the weights (a, b) of ``IhpaCache.smooth_weights``, the kernels k0
+    of D_h, k_j of dD_h/dtheta_j and k_jj of d2D_h/dtheta_j2, v_j =
+    du_random[j] and w_j = d2u_cross[j], it is (1/p) times
+    form(u0, u0; k0 + sum_j a_j k_j + b_j k_jj) + form(2 sum_j (a_j v_j + b_j w_j), u0; k0)
+    + sum_j b_j (2 form(v_j, v_j; k0) + 4 form(v_j, u0; k_j)): 2n + 2 pair moments, 1 for n = 0.
     Raises if the cache lacks the solution vectors (they are produced by
     ihpa_evaluate and must match the current design).
     """
@@ -146,72 +134,25 @@ def robust_sensitivity(cache: IhpaCache, kappa: float, beta: float | None = None
         raise ValueError("missing hybrid perturbation cache")
     if beta is None:
         beta = select_beta(cache)
-    problem, state, props, params = cache.problem, cache.state, cache.props, cache.params
-    ctx = _FormContext(problem, state, props)
-    p = problem.penalty
-    n = len(params)
+    problem, grid = cache.problem, cache.problem.grid
+    ctx = _FormContext(problem, cache.state, cache.props)
+    a, b = cache.smooth_weights(kappa, beta)
+    k0 = ctx.kernel(())
+    k1 = np.reshape([ctx.kernel((name,)) for name in cache.params.names], (-1,) + k0.shape)
+    k2 = np.reshape([ctx.kernel((name, name)) for name in cache.params.names], (-1,) + k0.shape)
 
     u0 = cache.u_nominal
-    eps0 = element_strains(problem.grid, u0)
-    p00 = _Pair(ctx, u0, eps0, u0, eps0)
-    d_h, rho_h = props.d_h, props.rho_h
-    delta_c = ctx.delta_coefficients(())
-
-    # F^T dU0/dx per macro element and per voxel
-    d_obj_macro = -ctx.macro_form(p00, d_h, rho_h)
-    d_obj_micro = -ctx.micro_form(p00, delta_c, ctx.delta_rho)
-    dsd_macro = np.zeros_like(d_obj_macro)
-    dsd_micro = np.zeros_like(d_obj_micro)
-
-    for j in range(n):
-        name = params[j].name
-        dd_j = cache.dd[j]
-        d2d_j = cache.d2d[j]
-        drho_j = cache.drho[j]
-        ddelta_j = ctx.delta_coefficients((name,))
-        d2delta_j = ctx.delta_coefficients((name, name))
-        ddelta_rho_j = props.delta_rho_derivative((name,))
-
-        v = cache.du_random[j]
-        wvec = cache.d2u_cross[j]
-        eps_v = element_strains(problem.grid, v)
-        pv0 = _Pair(ctx, v, eps_v, u0, eps0)
-        pw0 = _Pair(ctx, wvec, element_strains(problem.grid, wvec), u0, eps0)
-        pvv = _Pair(ctx, v, eps_v, v, eps_v)
-
-        # the density is linear in every parameter, so the second-derivative forms carry no mass term
-        d_du_macro = -2.0 * ctx.macro_form(pv0, d_h, rho_h) - ctx.macro_form(p00, dd_j, drho_j)
-        d_d2u_macro = (
-            -2.0 * ctx.macro_form(pw0, d_h, rho_h)
-            - 2.0 * ctx.macro_form(pvv, d_h, rho_h)
-            - 4.0 * ctx.macro_form(pv0, dd_j, drho_j)
-            - ctx.macro_form(p00, d2d_j, 0.0)
-        )
-        d_du_micro = (
-            -2.0 * ctx.micro_form(pv0, delta_c, ctx.delta_rho) - ctx.micro_form(p00, ddelta_j, ddelta_rho_j)
-        )
-        d_d2u_micro = (
-            -2.0 * ctx.micro_form(pw0, delta_c, ctx.delta_rho)
-            - 2.0 * ctx.micro_form(pvv, delta_c, ctx.delta_rho)
-            - 4.0 * ctx.micro_form(pv0, ddelta_j, ddelta_rho_j)
-            - ctx.micro_form(p00, d2delta_j, 0.0)
-        )
-
-        dmu = cache.mean_dev[j]
-        smid = cache.sigma_mid[j]
-        sdev = cache.sigma_dev[j]
-        for d_obj, dsd, d_du, d_d2u in (
-            (d_obj_macro, dsd_macro, d_du_macro, d_d2u_macro),
-            (d_obj_micro, dsd_micro, d_du_micro, d_d2u_micro),
-        ):
-            d_obj += _term_derivative(cache.mean_terms[j], d_du * dmu, beta)
-            dsd += _term_derivative(cache.std_level_terms[j], d_du * smid, beta)
-            dsd += _term_derivative(cache.std_shift_terms[j], d_d2u * smid * dmu, beta)
-            dsd += _term_derivative(cache.std_width_terms[j], d_du * sdev, beta)
-
-    alpha_macro = -(d_obj_macro + kappa * dsd_macro) / p
-    alpha_micro = -(d_obj_micro + kappa * dsd_micro) / p
-    return SensitivityField(alpha_macro, alpha_micro)
+    eps0 = element_strains(grid, u0)
+    fields = [ctx.form(_Pair(ctx, u0, eps0, u0, eps0), k0 + np.tensordot(a, k1, 1) + np.tensordot(b, k2, 1))]
+    if len(cache.params):
+        z = 2.0 * (a @ cache.du_random + b @ cache.d2u_cross)
+        fields.append(ctx.form(_Pair(ctx, z, element_strains(grid, z), u0, eps0), k0))
+    for j, v in enumerate(cache.du_random):
+        eps_v = element_strains(grid, v)
+        fields.append(ctx.form(_Pair(ctx, v, eps_v, v, eps_v), 2.0 * b[j] * k0))
+        fields.append(ctx.form(_Pair(ctx, v, eps_v, u0, eps0), 4.0 * b[j] * k1[j]))
+    p = problem.penalty
+    return SensitivityField(sum(f.macro for f in fields) / p, sum(f.micro for f in fields) / p)
 
 
 def normalize(

@@ -30,7 +30,7 @@ import numpy as np
 from .errors import NumericalError, SingularSystemError
 from .fem import element_mass, element_stiffness_batch, mean_compliance, scatter
 from .homogenization import EffectiveProperties, cell_loads, cell_pattern, homogenize, stiffness_weights
-from .materials import _PARTS, PARAMETER_NAMES, TwoPhaseMaterial, phase_coefficients, voigt_size
+from .materials import _PARTS, PARAMETER_NAMES, TwoPhaseMaterial, voigt_size
 from .problem import DesignState, MacroProblem, apply_parameter_operator, factorized_dynamic, stiffness_scale
 
 logger = logging.getLogger(__name__)
@@ -108,6 +108,10 @@ class UncertainSet:
     def mean_midpoints(self) -> np.ndarray:
         return np.array([p.mean.midpoint for p in self.parameters])
 
+    def spreads(self) -> np.ndarray:
+        """(3, n): per parameter the deviation of the mean interval, the midpoint and the deviation of the std one."""
+        return np.reshape([(p.mean.deviation, p.std.midpoint, p.std.deviation) for p in self.parameters], (-1, 3)).T
+
     def mean_material(self, base: TwoPhaseMaterial) -> TwoPhaseMaterial:
         """Base material with every declared parameter at its midpoint mean."""
         return base.with_values(self.names, self.mean_midpoints())
@@ -142,12 +146,6 @@ class IhpaCache:
     std_level_terms: np.ndarray   # F.du_random * midpoint sigma
     std_shift_terms: np.ndarray   # F.d2u_cross * midpoint sigma * mean deviation
     std_width_terms: np.ndarray   # F.du_random * sigma deviation
-    mean_dev: np.ndarray
-    sigma_mid: np.ndarray
-    sigma_dev: np.ndarray
-    dd: np.ndarray           # (n, ncomp, ncomp) dD_h/dtheta per parameter
-    d2d: np.ndarray          # (n, ncomp, ncomp) d2D_h/dtheta2 per parameter
-    drho: np.ndarray         # (n,) drho_h/dtheta per parameter
     fea_calls: int
 
     def all_terms(self) -> np.ndarray:
@@ -176,10 +174,35 @@ class IhpaCache:
 
     def smooth_objective(self, kappa: float, beta: float) -> RobustObjective:
         """Same combination with tanh(beta f) replacing sign(f); differentiable in the design."""
-        smooth = lambda f: float(np.sum(f * np.tanh(beta * f)))
+        smooth = lambda f: float(np.sum(f * smooth_sign(f, beta)[0]))
         expectation = self.c_nominal + smooth(self.mean_terms)
         std = smooth(self.std_level_terms) + smooth(self.std_shift_terms) + smooth(self.std_width_terms)
         return RobustObjective(expectation, std, kappa)
+
+    def smooth_weights(self, kappa: float, beta: float) -> tuple[np.ndarray, np.ndarray]:
+        """Weights (a, b) of the smoothed objective: its design derivative is dC0 + sum_j a_j dF.du_j + b_j dF.d2u_j.
+
+        Every term f is F.du_j or F.d2u_j (du_j = du_random[j], d2u_j =
+        d2u_cross[j]) times constants of the intervals, and d(f tanh(beta f))
+        = g(f) df with g = t + f dt/df for (t, dt/df) from ``smooth_sign``.
+        """
+        def g(f):
+            t, dt = smooth_sign(f, beta)
+            return t + f * dt
+
+        mean_dev, sigma_mid, sigma_dev = self.params.spreads()
+        a = g(self.mean_terms) * mean_dev + kappa * (
+            g(self.std_level_terms) * sigma_mid + g(self.std_width_terms) * sigma_dev
+        )
+        return a, kappa * g(self.std_shift_terms) * sigma_mid * mean_dev
+
+
+def smooth_sign(f, beta: float):
+    """tanh-smoothed sign of f: returns (value, d(value)/df)."""
+    if beta <= 0:
+        raise ValueError("beta must be positive")
+    t = np.tanh(beta * np.asarray(f, dtype=float))
+    return t, beta * (1.0 - t * t)
 
 
 def ihpa_evaluate(
@@ -218,9 +241,7 @@ def ihpa_evaluate(
     cross += apply_parameter_operator(problem, state, d2d, d2rho, u0)
     d2u_cross = system.solve(-cross.T).T
 
-    mean_dev = np.array([p.mean.deviation for p in params])
-    sigma_mid = np.array([p.std.midpoint for p in params])
-    sigma_dev = np.array([p.std.deviation for p in params])
+    mean_dev, sigma_mid, sigma_dev = params.spreads()
     f_du_rand = du_random @ f
     f_d2u = d2u_cross @ f
 
@@ -237,27 +258,24 @@ def ihpa_evaluate(
         std_level_terms=f_du_rand * sigma_mid,
         std_shift_terms=f_d2u * sigma_mid * mean_dev,
         std_width_terms=f_du_rand * sigma_dev,
-        mean_dev=mean_dev,
-        sigma_mid=sigma_mid,
-        sigma_dev=sigma_dev,
-        dd=dd,
-        d2d=d2d,
-        drho=drho,
         fea_calls=system.calls,
     )
     return cache.hard_objective(kappa), cache
 
 
-def select_beta(cache: IhpaCache, scale: float = 10.0, lo: float = 1.0, hi: float = 1e4) -> float:
+_BETA_SCALE, _BETA_LO, _BETA_HI = 10.0, 1.0, 1e4
+
+
+def select_beta(cache: IhpaCache) -> float:
     """Sign-smoothing sharpness: steep enough that typical terms saturate.
 
-    beta = scale / median(|term|) over the nonzero sign arguments, clamped.
+    beta = _BETA_SCALE / median(|term|) over the nonzero sign arguments, clamped to [_BETA_LO, _BETA_HI].
     """
     terms = np.abs(cache.all_terms())
     terms = terms[terms > 0]
     if terms.size == 0:
-        return lo
-    return float(np.clip(scale / np.median(terms), lo, hi))
+        return _BETA_LO
+    return float(np.clip(_BETA_SCALE / np.median(terms), _BETA_LO, _BETA_HI))
 
 
 # ---------------------------------------------------------------------------
@@ -361,34 +379,14 @@ class BatchComplianceEvaluator:
             np.sum(state.x_micro) * problem.cell.elem_volume / problem.cell.volume
         )
 
-    def base_values(self) -> dict[str, float]:
-        return {
-            "e1": self.base.phase1.youngs, "nu1": self.base.phase1.poisson,
-            "rho1": self.base.phase1.density, "e2": self.base.phase2.youngs,
-            "nu2": self.base.phase2.poisson, "rho2": self.base.phase2.density,
-        }
-
-    def _expand(self, names, values):
-        base = self.base_values()
-        cols = {k: np.full(values.shape[0], v) for k, v in base.items()}
-        for j, name in enumerate(names):
-            if name == "nu":
-                cols["nu1"] = values[:, j]
-                cols["nu2"] = values[:, j]
-            else:
-                cols[name] = values[:, j]
-        return cols
-
     def compliance(self, names: tuple[str, ...], values: np.ndarray) -> np.ndarray:
         """Mean compliance for each parameter sample row (honest FE re-solves)."""
         values = np.atleast_2d(np.asarray(values, dtype=float))
         if not self.batched:
             return self._compliance_plain(names, values)
-        cols = self._expand(names, values)
+        material = self.base.with_values(names, values.T)
         nb = values.shape[0]
-        dim = self.problem.grid.dim
-
-        c = phase_coefficients((cols["e1"], cols["e2"]), (cols["nu1"], cols["nu2"]), dim)
+        c = np.broadcast_to(material.coefficients(self.problem.grid.dim).reshape(2, 2, -1), (2, 2, nb))
         coefs = c.reshape(4, nb).T.copy()  # columns: phase 1 A0, A1, phase 2 A0, A1
 
         nfree_c = self._cell_free.size
@@ -411,7 +409,8 @@ class BatchComplianceEvaluator:
         uf = np.einsum("bir,bic->brc", u_cell, f_cell)
         d_h = (d_avg - uf) / self._cell_volume
         d_h = 0.5 * (d_h + d_h.transpose(0, 2, 1))
-        rho_h = cols["rho2"] + (cols["rho1"] - cols["rho2"]) * self._phase1_volume_fraction
+        rho1, rho2 = material.phase1.density, material.phase2.density
+        rho_h = np.broadcast_to(rho2 + (rho1 - rho2) * self._phase1_volume_fraction, nb)
 
         d_cols = np.stack([d_h[:, c, d] for (c, d) in self._pairs], axis=1)
         k_macro = (d_cols @ self._macro_kbas).reshape(nb, self._nf, self._nf)

@@ -262,6 +262,24 @@ class TestConfigFields:
             parse_config(path)
         assert any(p.startswith(f"{key}: expected") for p in err.value.problems), err.value.problems
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("materials.phase2.youngs_modulus.mean", [-160.0, -140.0]),
+            ("materials.phase2.youngs_modulus.mean", [0.0, 160.0]),
+            ("materials.phase1.youngs_modulus", -200.0),
+            ("materials.phase1.density.mean", [-10.0, 8100.0]),
+            ("materials.phase2.density.mean", 0.0),
+            ("materials.phase2.density", -800.0),
+        ],
+    )
+    def test_nonpositive_modulus_or_density_rejected_by_name(self, tmp_path, key, value):
+        doc = small_doc()
+        set_key(doc, key, value)
+        with pytest.raises(ConfigError) as err:
+            parse_config(write_config(tmp_path, doc))
+        assert any(p.startswith(f"{key}: expected a positive number") for p in err.value.problems), err.value.problems
+
     @pytest.mark.parametrize("section", ["cell", "mcs", "optimizer"])
     def test_null_section_reads_as_absent(self, tmp_path, section):
         absent, null = small_doc(), small_doc()
@@ -528,6 +546,26 @@ class TestCli:
         argv = ["export", "--bundle", str(bundle), "--format", "csv", "--out", str(tmp_path / "o")]
         assert main(argv) == code
         assert f"error[{category}]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "name, text",
+        [
+            ("summary.json", "{not json"),
+            ("macro_density.csv", "i,j,value\n0,x,1.0\n"),
+            ("macro_density.csv", "i,j,value\n6,0,1.0\n"),
+            ("micro_density.csv", "i,j,value\n0,0\n"),
+        ],
+        ids=["summary-not-json", "csv-bad-index", "csv-index-out-of-range", "csv-short-row"],
+    )
+    def test_export_of_corrupt_bundle_data(self, tmp_path, capsys, name, text):
+        doc = small_doc(mode="dcto")
+        doc["optimizer"]["max_iterations"] = 2
+        bundle = tmp_path / "bundle"
+        assert main(["run", "--config", write_config(tmp_path, doc), "--out", str(bundle)]) == 0
+        (bundle / name).write_text(text, encoding="utf-8")
+        argv = ["export", "--bundle", str(bundle), "--format", "csv", "--out", str(tmp_path / "o")]
+        assert main(argv) == 4
+        assert "error[io]" in capsys.readouterr().err
 
     def test_determinism_byte_identical_history(self, tmp_path):
         cfg_path = write_config(tmp_path, small_doc(mode="rcto"))

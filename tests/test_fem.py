@@ -209,6 +209,13 @@ class TestElementKernel:
         k = element_stiffness_batch(d_mats, spacing)
         assert np.abs(k - ref).max() <= 1e-13 * np.abs(ref).max()
 
+    @pytest.mark.parametrize("spacing", [(1.0 / 3.0,) * 3, (0.1, 0.37, 1.3)])
+    def test_batch_bitwise_symmetric(self, rng, spacing):
+        # spacings on which the Gauss sums of B_c^T B_d and B_d^T B_c round differently
+        d_mats = random_symmetric_stack(rng, 17, 6)
+        k = element_stiffness_batch(d_mats, spacing)
+        assert np.array_equal(k, k.transpose(0, 2, 1))
+
 
 class TestSparsityPattern:
     def test_scatter_matches_coo_assembly(self, rng):

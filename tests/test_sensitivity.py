@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import rcto.sensitivity
 from rcto.errors import NormalizationError
 from rcto.fem import StructuredGrid, mean_compliance, strain_operators
 from rcto.homogenization import homogenize, micro_elasticity, solve_cell_problems
@@ -17,11 +18,17 @@ from rcto.sensitivity import (
     history_average,
     normalize,
     robust_sensitivity,
-    smooth_sign,
 )
-from rcto.uncertainty import HybridParameter, Interval, UncertainSet, ihpa_evaluate
+from rcto.uncertainty import HybridParameter, Interval, UncertainSet, ihpa_evaluate, select_beta, smooth_sign
 
-from conftest import cantilever, degenerate_params, hybrid_params, reference_voxel_form, steel_foam
+from conftest import (
+    cantilever,
+    degenerate_params,
+    fractional_interval,
+    hybrid_params,
+    reference_voxel_form,
+    steel_foam,
+)
 
 
 def relaxed_state(prob, rng, lo=0.4):
@@ -71,12 +78,14 @@ class TestSmoothSign:
 
 @pytest.mark.parametrize("macro_shape, cell_shape", [((4, 2), (5, 4)), ((3, 2, 2), (3, 3, 2))])
 def test_pair_forms_match_direct_contraction(rng, macro_shape, cell_shape):
-    # the macro and micro forms of one (u, v) pair read the same strain moment; check both against
-    # direct contractions over every macro element, voxel and Gauss point
+    # the macro and micro forms of one (u, v) pair read the same strain and mass moments; check both
+    # scales of every kernel against direct contractions over every macro element, voxel and Gauss point
     dim = len(macro_shape)
     grid = StructuredGrid(macro_shape, (1.0,) * dim)
     cell = StructuredGrid(cell_shape, tuple(1.0 / n for n in cell_shape))
-    prob = MacroProblem(grid=grid, cell=cell, fixed_dofs=np.arange(dim), force=np.zeros(grid.n_dofs))
+    prob = MacroProblem(
+        grid=grid, cell=cell, fixed_dofs=np.arange(dim), force=np.zeros(grid.n_dofs), omega=2 * np.pi * 500.0
+    )
     state = relaxed_state(prob, rng)
     mat = TwoPhaseMaterial(Phase(200e3, 0.3, 7.9e-9), Phase(150e3, 0.25, 0.79e-9))
     props = homogenize(cell, state.x_micro, mat, prob.penalty)
@@ -85,15 +94,21 @@ def test_pair_forms_match_direct_contraction(rng, macro_shape, cell_shape):
     u, v = rng.standard_normal((2, grid.n_dofs))
     eps_u, eps_v = element_strains(grid, u), element_strains(grid, v)
     pair = _Pair(ctx, u, eps_u, v, eps_v)
-    w_macro = strain_operators(grid.spacing)[2]
-    macro_ref = ctx.sprime * np.einsum("q,aqc,cd,aqd->a", w_macro, eps_u, props.d_h, eps_v)
-    assert np.abs(ctx.macro_form(pair, props.d_h, 0.0) - macro_ref).max() <= 1e-13 * np.abs(macro_ref).max()
+    _, nmat, w_macro = strain_operators(grid.spacing)
+    dofs = grid.elem_dofs
+    mass = np.einsum("q,qde,ae,qdf,af->a", w_macro, nmat, u[dofs], nmat, v[dofs])
     moment = np.einsum("a,q,aqc,aqd->cd", ctx.s, w_macro, eps_u, eps_v)
-    for wrt in [(), ("e1",), ("e2",), ("nu",), ("nu", "nu"), ("e1", "nu")]:
+    omega2 = prob.omega**2
+    for wrt in [(), ("e1",), ("e2",), ("nu",), ("nu", "nu"), ("e1", "nu"), ("rho1",), ("rho2",)]:
+        got = ctx.form(pair, ctx.kernel(wrt))
+        dd, drho = props.d_h_derivative(wrt), props.rho_h_derivative(wrt)
+        macro_ref = ctx.sprime * np.einsum("q,aqc,cd,aqd->a", w_macro, eps_u, dd, eps_v) - omega2 * drho * mass
+        assert np.abs(got.macro - macro_ref).max() <= 1e-13 * np.abs(macro_ref).max()
         cdelta = mat.d_derivative(1, dim, wrt) - mat.d_derivative(2, dim, wrt)
+        rdelta = mat.rho_derivative(1, wrt) - mat.rho_derivative(2, wrt)
         ref = ctx.micro_stiff_scale * reference_voxel_form(g, w, moment, cdelta)
-        got = ctx.micro_form(pair, ctx.delta_coefficients(wrt), 0.0)
-        assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+        ref = ref - omega2 * ctx.voxel_scale * rdelta * np.dot(state.x_macro, mass)
+        assert np.abs(got.micro - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
 class TestDeterministicSensitivity:
@@ -180,6 +195,51 @@ class TestRobustSensitivity:
         fd_mic = -fd_field(objective, state, "x_micro") / prob.penalty
         assert np.abs(field.macro - fd_mac).max() <= 0.05 * np.abs(fd_mac).max()
         assert np.abs(field.micro - fd_mic).max() <= 0.05 * np.abs(fd_mic).max()
+
+    def test_split_parameters_match_directional_finite_differences(self, rng):
+        # all six split parameters at 30 kHz, below the first resonance (about 47 kHz), where the inertia of
+        # the density kernels moves the gradient by about 0.6 % (macro) and 20 % (micro)
+        prob = cantilever(4, 2, cell_n=4, omega=2 * np.pi * 30e3)
+        state = relaxed_state(prob, rng)
+        p1, p2 = self.mat.phase1, self.mat.phase2
+        params = UncertainSet([
+            HybridParameter(name, fractional_interval(mid, 0.05), fractional_interval(0.05 * mid, 0.1))
+            for name, mid in [("e1", p1.youngs), ("e2", p2.youngs), ("nu1", p1.poisson), ("nu2", p2.poisson),
+                              ("rho1", p1.density), ("rho2", p2.density)]
+        ])
+        kappa, h = 1.0, 1e-5
+        _, cache = ihpa_evaluate(prob, state, self.mat, params, kappa=kappa)
+        beta = select_beta(cache)
+        field = robust_sensitivity(cache, kappa, beta=beta)
+
+        def objective(st):
+            return ihpa_evaluate(prob, st, self.mat, params, kappa=kappa)[1].smooth_objective(kappa, beta).objective
+
+        # the micro forms hold the cell strain fields fixed, which is exact for D_h but not for its
+        # parameter derivatives: a model error of about 0.26 % here, against 1e-9 on the macro scale
+        for attr, grad, tol in (("x_macro", field.macro, 1e-6), ("x_micro", field.micro, 1e-2)):
+            d = rng.uniform(-1.0, 1.0, grad.size)
+            plus, minus = state.copy(), state.copy()
+            getattr(plus, attr)[:] += h * d
+            getattr(minus, attr)[:] -= h * d
+            fd = (objective(plus) - objective(minus)) / (2 * h)
+            assert abs(-prob.penalty * float(grad @ d) - fd) <= tol * abs(fd)
+
+    @pytest.mark.parametrize("n", [0, 1, 5])
+    def test_one_evaluation_forms_2n_plus_2_pair_moments(self, rng, monkeypatch, n):
+        formed = []
+
+        class CountedPair(_Pair):
+            def __init__(self, *args):
+                formed.append(args)
+                super().__init__(*args)
+
+        monkeypatch.setattr(rcto.sensitivity, "_Pair", CountedPair)
+        prob = cantilever(4, 2, cell_n=4, omega=2 * np.pi * 80.0)
+        params = UncertainSet(hybrid_params(self.mat).parameters[:n])
+        _, cache = ihpa_evaluate(prob, relaxed_state(prob, rng), self.mat, params, kappa=1.0)
+        robust_sensitivity(cache, kappa=1.0)
+        assert len(formed) == (2 * n + 2 if n else 1)
 
     def test_kappa_zero_keeps_only_expectation_path(self, rng):
         prob = cantilever(4, 2, cell_n=4)
