@@ -22,7 +22,7 @@ import yaml
 from .beso import Schedule
 from .errors import ConfigError
 from .fem import StructuredGrid
-from .materials import Phase, TwoPhaseMaterial
+from .materials import PARAMETERS, PHYSICAL_RANGES, Phase, TwoPhaseMaterial
 from .problem import MacroProblem, X_MIN_DEFAULT
 from .uncertainty import HybridParameter, Interval, UncertainSet
 
@@ -40,19 +40,12 @@ _AXIS_TOKENS = {
     "front": (2, 0.0), "back": (2, 1.0),
 }
 
-# material property -> factor from its input unit to the internal one
-_PROPERTIES = {"youngs_modulus": GPA_TO_MPA, "poisson": 1.0, "density": KGM3_TO_TONMM3}
-
-# uncertain parameters as (name, phase, property); "nu" is the Poisson ratio the phases share
-_PARAMETERS = (
-    ("e1", "phase1", "youngs_modulus"),
-    ("e2", "phase2", "youngs_modulus"),
-    ("nu", "phase1", "poisson"),
-    ("nu1", "phase1", "poisson"),
-    ("nu2", "phase2", "poisson"),
-    ("rho1", "phase1", "density"),
-    ("rho2", "phase2", "density"),
-)
+# material property -> the Phase field it sets and the factor from its input unit to the internal one
+_PROPERTIES = {
+    "youngs_modulus": ("youngs", GPA_TO_MPA),
+    "poisson": ("poisson", 1.0),
+    "density": ("density", KGM3_TO_TONMM3),
+}
 
 
 @dataclass(frozen=True)
@@ -406,59 +399,56 @@ def _parse_materials(v: _Validator, doc: dict) -> tuple[TwoPhaseMaterial | None,
     mats = v.section(doc, "materials", "", {"phase1", "phase2", "share_poisson"}, required=True)
     share = v.take(mats, "share_poisson", "materials", True, "true/false", lambda x: isinstance(x, bool))
     props = {}
-    for phase in ("phase1", "phase2"):
+    for p in (1, 2):
+        phase = f"phase{p}"
         section = v.section(mats, phase, "materials", set(_PROPERTIES), required=True)
-        for key in _PROPERTIES:
+        for key, (field, factor) in _PROPERTIES.items():
             where = f"materials.{phase}.{key}"
-            # a modulus or a density must be positive; the Poisson range is checked after conversion
-            sign, lo, bound = ("", "", _real) if key == "poisson" else ("positive ", "0 < ", _positive)
+            # the value after unit conversion must lie in the field's open physical range
+            lo, hi = PHYSICAL_RANGES[field]
+            bound = lambda x: _real(x) and lo < x * factor < hi
+            shown = lo / factor, hi / factor  # the range in input units
+            one = "a positive number" if shown == (0.0, math.inf) else "a number in ({:g}, {:g})".format(*shown)
+            pair = f"[lo, hi] with {shown[0]:g} < lo <= hi" + (f" < {shown[1]:g}" if shown[1] < math.inf else "")
             raw = v.take(
-                section, key, f"materials.{phase}", _REQUIRED, f"a {sign}number or a {{mean, std}} mapping",
+                section, key, f"materials.{phase}", _REQUIRED, f"{one} or a {{mean, std}} mapping",
                 lambda x: bound(x) or isinstance(x, dict),
             )
             if isinstance(raw, dict):
                 v.mapping(raw, where, {"mean", "std"})
-                mean = v.take(
-                    raw, "mean", where, _REQUIRED, f"a {sign}number or [lo, hi] with {lo}lo <= hi", _interval(bound)
-                )
+                mean = v.take(raw, "mean", where, _REQUIRED, f"{one} or {pair}", _interval(bound))
                 std = v.take(
                     raw, "std", where, 0.0, "a nonnegative number or [lo, hi] with 0 <= lo <= hi",
                     _interval(lambda x: _real(x) and x >= 0),
                 )
-                props[phase, key] = mean, std
             else:
-                props[phase, key] = raw, 0.0
+                mean, std = raw, 0.0
+            # unit conversion: GPa -> MPa, kg/m^3 -> tonne/mm^3
+            props[p, field] = mean, std, factor
     if len(v.problems) > n_problems:
         return None, None
 
     try:
-        # unit conversion: GPa -> MPa, kg/m^3 -> tonne/mm^3
-        iv = {
-            (phase, key): (_scaled_interval(mean, _PROPERTIES[key]), _scaled_interval(std, _PROPERTIES[key]))
-            for (phase, key), (mean, std) in props.items()
-        }
+        iv = {k: (_scaled_interval(mean, factor), _scaled_interval(std, factor)) for k, (mean, std, factor) in props.items()}
         params = UncertainSet([
-            HybridParameter(name, *iv[phase, key])
-            for name, phase, key in _PARAMETERS
-            if key != "poisson" or (name == "nu") == share
+            HybridParameter(name, *iv[row.phases[0], row.field])
+            for name, row in PARAMETERS.items()
+            if row.field != "poisson" or (len(row.phases) == 2) == share
         ])
     except ValueError as exc:
         v.error(f"materials: {exc}")
         return None, None
-    if share and iv["phase1", "poisson"] != iv["phase2", "poisson"]:
+    if share and iv[1, "poisson"] != iv[2, "poisson"]:
         v.error(
             "materials: share_poisson is true but the phases declare different Poisson data; "
             "set share_poisson: false to split them"
         )
-    mid = {(phase, key): mean.midpoint for (phase, key), (mean, _) in iv.items()}
-    if not mid["phase1", "youngs_modulus"] > mid["phase2", "youngs_modulus"]:
+    mid = {k: mean.midpoint for k, (mean, _) in iv.items()}
+    if not mid[1, "youngs"] > mid[2, "youngs"]:
         v.error("materials: phase 1 must be the stiff phase (E1 > E2 at the midpoint means)")
-    if not mid["phase1", "density"] > mid["phase2", "density"]:
+    if not mid[1, "density"] > mid[2, "density"]:
         v.error("materials: phase 1 must be the heavy phase (rho1 > rho2 at the midpoint means)")
-    for phase in ("phase1", "phase2"):
-        if iv[phase, "poisson"][0].lo <= -1.0 or iv[phase, "poisson"][0].hi >= 0.5:
-            v.error(f"materials.{phase}.poisson: Poisson ratio must stay in (-1, 0.5)")
-    base = TwoPhaseMaterial(*(Phase(*(mid[phase, key] for key in _PROPERTIES)) for phase in ("phase1", "phase2")))
+    base = TwoPhaseMaterial(*(Phase(**{f: mid[p, f] for f, _ in _PROPERTIES.values()}) for p in (1, 2)))
     return base, params
 
 

@@ -207,7 +207,8 @@ def stiffness_basis(spacing: tuple[float, ...]) -> np.ndarray:
 def element_stiffness_batch(d_mats: np.ndarray, spacing) -> np.ndarray:
     """Element stiffness stack (n, ndof_e, ndof_e) from an (n, ncomp, ncomp) D stack."""
     n, ndof = d_mats.shape[0], strain_operators(tuple(spacing))[0].shape[2]
-    return (np.reshape(d_mats, (n, -1)) @ stiffness_basis(tuple(spacing))).reshape(n, ndof, ndof)
+    basis = stiffness_basis(tuple(spacing))
+    return (np.reshape(d_mats, (n, basis.shape[0])) @ basis).reshape(n, ndof, ndof)
 
 
 def element_stiffness(d: np.ndarray, spacing: tuple[float, ...]) -> np.ndarray:

@@ -9,9 +9,12 @@ the basis is P[i, k] = sum_q w_q g_iq^T A_k g_iq for the two constant
 material parts A0, A1.  Each phase elasticity is c[p, 0] A0 + c[p, 1] A1
 (``materials.phase_coefficients``), so D_h, its derivatives with respect to
 the material parameters and its derivative with respect to one voxel are all
-scalar combinations of P.  These derivatives hold the strain fields fixed;
-for first order that is exact because the corrector is a stationary point of
-the energy form.
+scalar combinations of P.  These derivatives hold the strain fields fixed,
+which is exact for a first derivative of D_h because the corrector is a
+stationary point of the energy form.  The robust micro sensitivity reads the
+voxel derivative of the parameter derivatives, a second derivative: on
+cantilever(4, 2) it is 0.26 % off at 30 kHz and 0.15 % off at 120 Hz, and
+the exact form needs an adjoint cell solve.
 """
 
 from __future__ import annotations

@@ -8,17 +8,61 @@ to E and nu is a pair of scalar coefficients on A0 and A1.
 ``phase_coefficients`` returns them for both phases, on scalars or on arrays
 of samples; the cell-energy basis, the perturbation analysis and the Monte
 Carlo oracle all read them there.
+
+``PARAMETERS`` is the one table of the uncertain parameters: the phases each
+name acts on and the ``Phase`` field it sets, whose open physical range is
+in ``PHYSICAL_RANGES``.  The derivatives, ``TwoPhaseMaterial.with_values``,
+the overlap check of an uncertain set, the run configuration and the
+oracle's sample check all read it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
-# Canonical uncertain-parameter names.  "nu" is the Poisson ratio shared by
-# both phases; "nu1"/"nu2" are the split per-phase alternatives.
-PARAMETER_NAMES = ("e1", "e2", "nu", "nu1", "nu2", "rho1", "rho2")
+# open physical range of each Phase field
+PHYSICAL_RANGES = {"youngs": (0.0, np.inf), "poisson": (-1.0, 0.5), "density": (0.0, np.inf)}
+
+
+class Parameter(NamedTuple):
+    """One row of the parameter table: the phases a name acts on and the Phase field it sets."""
+
+    phases: tuple[int, ...]
+    field: str
+
+    def admits(self, value):
+        """Whether value (elementwise on arrays) lies in the field's open physical range."""
+        lo, hi = PHYSICAL_RANGES[self.field]
+        return (lo < value) & (value < hi)
+
+
+# "nu" is the Poisson ratio shared by both phases; "nu1"/"nu2" are the split per-phase alternatives
+PARAMETERS = {
+    "e1": Parameter((1,), "youngs"),
+    "e2": Parameter((2,), "youngs"),
+    "nu": Parameter((1, 2), "poisson"),
+    "nu1": Parameter((1,), "poisson"),
+    "nu2": Parameter((2,), "poisson"),
+    "rho1": Parameter((1,), "density"),
+    "rho2": Parameter((2,), "density"),
+}
+PARAMETER_NAMES = tuple(PARAMETERS)
+
+
+def parameter(name: str) -> Parameter:
+    """The table row of a parameter name; raises ValueError for an unknown name."""
+    if name not in PARAMETERS:
+        raise ValueError(f"unknown parameter {name!r}")
+    return PARAMETERS[name]
+
+
+def _fields(phase: int, wrt: tuple[str, ...]) -> list[str | None]:
+    """The Phase field each name of wrt sets on the phase (None where it does not act on it)."""
+    rows = [parameter(name) for name in wrt]
+    return [row.field if phase in row.phases else None for row in rows]
 
 
 def _plane_stress_parts():
@@ -73,14 +117,11 @@ def phase_coefficients(youngs, poisson, dim: int, wrt: tuple[str, ...] = ()) -> 
     a name that does not act on a phase, a density or a second E-derivative
     gives that phase zero coefficients.
     """
-    for name in wrt:
-        if name not in PARAMETER_NAMES:
-            raise ValueError(f"unknown parameter {name!r}")
     e1, e2, nu1, nu2 = np.broadcast_arrays(*youngs, *poisson)
     c = np.zeros((2, 2) + e1.shape)
     for p, (e, nu) in enumerate(((e1, nu1), (e2, nu2))):
-        de = wrt.count(f"e{p + 1}")
-        dnu = sum(name in ("nu", f"nu{p + 1}") for name in wrt)
+        fields = _fields(p + 1, wrt)
+        de, dnu = fields.count("youngs"), fields.count("poisson")
         if de + dnu == len(wrt) and de <= 1:
             c[p] = _coefficients(e, nu, dim, de, dnu)
     return c
@@ -133,34 +174,16 @@ class TwoPhaseMaterial:
 
     def rho_derivative(self, phase_index: int, wrt: tuple[str, ...]) -> float:
         """Partial derivative of the phase density (density is linear in rho1/rho2)."""
-        for name in wrt:
-            if name not in PARAMETER_NAMES:
-                raise ValueError(f"unknown parameter {name!r}")
-        if len(wrt) == 0:
+        fields = _fields(phase_index, wrt)
+        if not fields:
             return self.phase(phase_index).density
-        if len(wrt) == 1 and wrt[0] == f"rho{phase_index}":
-            return 1.0
-        return 0.0
+        return 1.0 if fields == ["density"] else 0.0
 
     def with_values(self, names: tuple[str, ...], values) -> "TwoPhaseMaterial":
         """New material with the named base parameters replaced by the given values."""
-        fields = {
-            "e1": self.phase1.youngs,
-            "nu1": self.phase1.poisson,
-            "rho1": self.phase1.density,
-            "e2": self.phase2.youngs,
-            "nu2": self.phase2.poisson,
-            "rho2": self.phase2.density,
-        }
+        phases = [self.phase1, self.phase2]
         for name, value in zip(names, values):
-            if name == "nu":
-                fields["nu1"] = value
-                fields["nu2"] = value
-            elif name in fields:
-                fields[name] = value
-            else:
-                raise ValueError(f"unknown parameter {name!r}")
-        return TwoPhaseMaterial(
-            Phase(fields["e1"], fields["nu1"], fields["rho1"]),
-            Phase(fields["e2"], fields["nu2"], fields["rho2"]),
-        )
+            row = parameter(name)
+            for p in row.phases:
+                phases[p - 1] = replace(phases[p - 1], **{row.field: value})
+        return TwoPhaseMaterial(*phases)

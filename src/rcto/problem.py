@@ -4,7 +4,8 @@ Holds the stiffness/mass interpolation of the discrete macro design
 variables (the ratio-preserving power law that keeps void elements from
 developing artificial local modes) and assembles the dynamic stiffness.
 Its derivatives with respect to uncertain material parameters are applied
-from element strains (``apply_parameter_operator``), not assembled.
+element by element from the reference element matrices
+(``apply_parameter_operator``), not assembled.
 """
 
 from __future__ import annotations
@@ -120,18 +121,15 @@ def apply_parameter_operator(
     """dK_d u for derivatives (dD_h, drho_h) of the effective cell properties, without forming dK_d.
 
     dd (..., ncomp, ncomp) symmetric, drho (...) and u (..., n_dofs)
-    broadcast against each other.  Element e adds s_e sum_q w_q B_q^T dD
-    eps_q(u) - omega^2 drho x_e m_e u_e to its DOFs.
+    broadcast against each other.  Element e adds s_e u_e k(dD) - omega^2
+    drho x_e u_e m to its DOFs, with k(dD) from the reference stiffness
+    basis and m the unit consistent mass.
     """
     grid = problem.grid
-    b, _, w = fem.strain_operators(grid.spacing)
+    k = fem.element_stiffness_batch(dd.reshape((-1,) + dd.shape[-2:]), grid.spacing)
     s = stiffness_scale(state.x_macro, problem.penalty, state.x_min)
-    nq, ncomp, ndof_e = b.shape
     ue = u[..., grid.elem_dofs]  # gathered once for the stiffness and the mass term
-    # the strains (the GEMM of element_strains) stay a temporary, so holding ue adds no memory
-    stress = (ue @ b.reshape(nq * ncomp, ndof_e).T).reshape(ue.shape[:-2] + (grid.n_elems * nq, ncomp)) @ dd
-    stress = stress.reshape(stress.shape[:-2] + (grid.n_elems, nq * ncomp))
-    forces = s[:, None] * ((stress * np.repeat(w, ncomp)) @ b.reshape(nq * ncomp, ndof_e))
+    forces = s[:, None] * (ue @ k.reshape(dd.shape[:-2] + k.shape[-2:]))
     if problem.omega != 0.0:
         m_u = state.x_macro[:, None] * (ue @ fem.element_mass(1.0, grid.spacing))
         forces = forces - problem.omega**2 * np.asarray(drho)[..., None, None] * m_u

@@ -30,7 +30,7 @@ import numpy as np
 from .errors import NumericalError, SingularSystemError
 from .fem import element_mass, element_stiffness_batch, mean_compliance, scatter
 from .homogenization import EffectiveProperties, cell_loads, cell_pattern, homogenize, stiffness_weights
-from .materials import _PARTS, PARAMETER_NAMES, TwoPhaseMaterial, voigt_size
+from .materials import _PARTS, PARAMETER_NAMES, PARAMETERS, TwoPhaseMaterial, voigt_size
 from .problem import DesignState, MacroProblem, apply_parameter_operator, factorized_dynamic, stiffness_scale
 
 logger = logging.getLogger(__name__)
@@ -86,11 +86,15 @@ class UncertainSet:
 
     def __init__(self, parameters=()):
         self.parameters = tuple(parameters)
-        names = [p.name for p in self.parameters]
-        if len(set(names)) != len(names):
+        if len(set(self.names)) != len(self.names):
             raise ValueError("duplicate parameter names in uncertain set")
-        if "nu" in names and ("nu1" in names or "nu2" in names):
-            raise ValueError("shared 'nu' cannot be combined with split 'nu1'/'nu2'")
+        setter = {}  # (phase, field) -> the parameter that sets it
+        for name in self.names:
+            row = PARAMETERS[name]
+            for key in ((p, row.field) for p in row.phases):
+                if key in setter:
+                    raise ValueError(f"{setter[key]!r} and {name!r} both set the {key[1]} of phase {key[0]}")
+                setter[key] = name
 
     def __len__(self) -> int:
         return len(self.parameters)
@@ -108,9 +112,15 @@ class UncertainSet:
     def mean_midpoints(self) -> np.ndarray:
         return np.array([p.mean.midpoint for p in self.parameters])
 
-    def spreads(self) -> np.ndarray:
-        """(3, n): per parameter the deviation of the mean interval, the midpoint and the deviation of the std one."""
-        return np.reshape([(p.mean.deviation, p.std.midpoint, p.std.deviation) for p in self.parameters], (-1, 3)).T
+    def scales(self) -> np.ndarray:
+        """(4, n) interval scales of the worst-case terms, in the row order of ``IhpaCache.terms``.
+
+        Per parameter: the deviation of the mean interval (mean and std shift
+        rows), the midpoint of the std interval (std level) and its deviation
+        (std width).
+        """
+        spreads = [(p.mean.deviation, p.std.midpoint, p.mean.deviation, p.std.deviation) for p in self.parameters]
+        return np.reshape(spreads, (-1, 4)).T
 
     def mean_material(self, base: TwoPhaseMaterial) -> TwoPhaseMaterial:
         """Base material with every declared parameter at its midpoint mean."""
@@ -132,7 +142,12 @@ class RobustObjective:
 
 @dataclass
 class IhpaCache:
-    """Solution vectors and scalar terms reused by the robust sensitivity analysis."""
+    """Solution vectors and worst-case terms reused by the robust sensitivity analysis.
+
+    Each term is a product times its scale in ``scales``: mean F.du along the
+    mean interval, std level and std width F.du_random, std shift sigma_mid
+    F.d2u_cross (the level term's derivative along the mean interval).
+    """
 
     problem: MacroProblem
     state: DesignState
@@ -142,59 +157,34 @@ class IhpaCache:
     du_random: np.ndarray    # (n, ndof) displacement derivative against the random part
     d2u_cross: np.ndarray    # (n, ndof) second-order interval/random coupling
     c_nominal: float
-    mean_terms: np.ndarray        # per parameter: F.du along the mean interval * mean deviation
-    std_level_terms: np.ndarray   # F.du_random * midpoint sigma
-    std_shift_terms: np.ndarray   # F.d2u_cross * midpoint sigma * mean deviation
-    std_width_terms: np.ndarray   # F.du_random * sigma deviation
+    terms: np.ndarray        # (4, n) rows: mean, std level, std shift, std width
+    scales: np.ndarray       # (4, n) interval scales of the terms, see UncertainSet.scales
     fea_calls: int
 
-    def all_terms(self) -> np.ndarray:
-        return np.concatenate(
-            [self.mean_terms, self.std_level_terms, self.std_shift_terms, self.std_width_terms]
-        )
-
-    def hard_signs(self) -> dict[str, np.ndarray]:
-        """Worst-case sign factor of every perturbation term, per parameter."""
-        return {
-            "mean": np.sign(self.mean_terms),
-            "std_level": np.sign(self.std_level_terms),
-            "std_shift": np.sign(self.std_shift_terms),
-            "std_width": np.sign(self.std_width_terms),
-        }
+    def _objective(self, magnitudes: np.ndarray, kappa: float) -> RobustObjective:
+        """Expectation c0 + the mean row's sum; std the sum of the three std rows' sums."""
+        sums = np.sum(magnitudes, axis=1)
+        return RobustObjective(self.c_nominal + float(sums[0]), float(sums[1] + sums[2] + sums[3]), kappa)
 
     def hard_objective(self, kappa: float) -> RobustObjective:
         """Worst-case combination with hard signs (each term at its full magnitude)."""
-        expectation = self.c_nominal + float(np.sum(np.abs(self.mean_terms)))
-        std = float(
-            np.sum(np.abs(self.std_level_terms))
-            + np.sum(np.abs(self.std_shift_terms))
-            + np.sum(np.abs(self.std_width_terms))
-        )
-        return RobustObjective(expectation, std, kappa)
+        return self._objective(np.abs(self.terms), kappa)
 
     def smooth_objective(self, kappa: float, beta: float) -> RobustObjective:
         """Same combination with tanh(beta f) replacing sign(f); differentiable in the design."""
-        smooth = lambda f: float(np.sum(f * smooth_sign(f, beta)[0]))
-        expectation = self.c_nominal + smooth(self.mean_terms)
-        std = smooth(self.std_level_terms) + smooth(self.std_shift_terms) + smooth(self.std_width_terms)
-        return RobustObjective(expectation, std, kappa)
+        return self._objective(self.terms * smooth_sign(self.terms, beta)[0], kappa)
 
     def smooth_weights(self, kappa: float, beta: float) -> tuple[np.ndarray, np.ndarray]:
         """Weights (a, b) of the smoothed objective: its design derivative is dC0 + sum_j a_j dF.du_j + b_j dF.d2u_j.
 
-        Every term f is F.du_j or F.d2u_j (du_j = du_random[j], d2u_j =
-        d2u_cross[j]) times constants of the intervals, and d(f tanh(beta f))
-        = g(f) df with g = t + f dt/df for (t, dt/df) from ``smooth_sign``.
+        Every term f is F.du_j (du_j = du_random[j]) or sigma_mid F.d2u_j
+        (d2u_j = d2u_cross[j]) times its scale, and d(f tanh(beta f)) = g(f)
+        df with g = t + f dt/df for (t, dt/df) from ``smooth_sign``.
         """
-        def g(f):
-            t, dt = smooth_sign(f, beta)
-            return t + f * dt
-
-        mean_dev, sigma_mid, sigma_dev = self.params.spreads()
-        a = g(self.mean_terms) * mean_dev + kappa * (
-            g(self.std_level_terms) * sigma_mid + g(self.std_width_terms) * sigma_dev
-        )
-        return a, kappa * g(self.std_shift_terms) * sigma_mid * mean_dev
+        t, dt = smooth_sign(self.terms, beta)
+        g = t + self.terms * dt
+        w = g * self.scales
+        return w[0] + kappa * (w[1] + w[3]), kappa * g[2] * self.scales[1] * self.scales[2]
 
 
 def smooth_sign(f, beta: float):
@@ -235,16 +225,14 @@ def ihpa_evaluate(
     # the interval derivative has the random one's right-hand side; the 1 + 3n count keeps both columns
     g_u0 = apply_parameter_operator(problem, state, dd, drho, u0)
     du = system.solve(-np.concatenate([g_u0, g_u0]).T).T
-    f_du_int = du[:n] @ f
     du_random = du[n:]
     cross = 2.0 * apply_parameter_operator(problem, state, dd, drho, du_random)
     cross += apply_parameter_operator(problem, state, d2d, d2rho, u0)
     d2u_cross = system.solve(-cross.T).T
 
-    mean_dev, sigma_mid, sigma_dev = params.spreads()
+    scales = params.scales()
     f_du_rand = du_random @ f
-    f_d2u = d2u_cross @ f
-
+    products = np.array([du[:n] @ f, f_du_rand, (d2u_cross @ f) * scales[1], f_du_rand])
     cache = IhpaCache(
         problem=problem,
         state=state,
@@ -254,10 +242,8 @@ def ihpa_evaluate(
         du_random=du_random,
         d2u_cross=d2u_cross,
         c_nominal=c0,
-        mean_terms=f_du_int * mean_dev,
-        std_level_terms=f_du_rand * sigma_mid,
-        std_shift_terms=f_d2u * sigma_mid * mean_dev,
-        std_width_terms=f_du_rand * sigma_dev,
+        terms=products * scales,
+        scales=scales,
         fea_calls=system.calls,
     )
     return cache.hard_objective(kappa), cache
@@ -271,7 +257,7 @@ def select_beta(cache: IhpaCache) -> float:
 
     beta = _BETA_SCALE / median(|term|) over the nonzero sign arguments, clamped to [_BETA_LO, _BETA_HI].
     """
-    terms = np.abs(cache.all_terms())
+    terms = np.abs(cache.terms).ravel()
     terms = terms[terms > 0]
     if terms.size == 0:
         return _BETA_LO
@@ -308,6 +294,18 @@ class McsResult:
 
 
 _DENSE_DOF_LIMIT = 1600  # beyond this the dense batched path would not fit in memory
+
+
+def _solve_samples(k: np.ndarray, rhs: np.ndarray, system: str) -> np.ndarray:
+    """Dense solve of a batch of sample systems, held to a residual of 1e-7 of the largest load entry."""
+    try:
+        u = np.linalg.solve(k, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise SingularSystemError(f"singular {system} system in a Monte Carlo sample: {exc}") from exc
+    resid = np.abs(k @ u - rhs).max()
+    if not np.isfinite(resid) or resid > 1e-7 * max(np.abs(rhs).max(), 1e-30):
+        raise SingularSystemError(f"{system} solve failed the residual contract in a Monte Carlo sample")
+    return u
 
 
 class BatchComplianceEvaluator:
@@ -392,14 +390,7 @@ class BatchComplianceEvaluator:
         nfree_c = self._cell_free.size
         k_cell = (coefs @ self._cell_kb).reshape(nb, nfree_c, nfree_c)
         f_cell = (coefs @ self._cell_fb).reshape(nb, nfree_c, self.ncomp)
-        try:
-            u_cell = np.linalg.solve(k_cell, f_cell)
-        except np.linalg.LinAlgError as exc:
-            raise SingularSystemError(f"singular cell system in a Monte Carlo sample: {exc}") from exc
-        resid = np.abs(k_cell @ u_cell - f_cell).max()
-        fscale = np.abs(f_cell).max()
-        if not np.isfinite(resid) or resid > 1e-7 * max(fscale, 1e-30):
-            raise SingularSystemError("cell solve failed the residual contract in a Monte Carlo sample")
+        u_cell = _solve_samples(k_cell, f_cell, "cell")
 
         # energy identity: D_h = <D> - u.f / |Y| (u solves the cell problem)
         a0, a1 = self._a_parts
@@ -417,14 +408,7 @@ class BatchComplianceEvaluator:
         if self.problem.omega != 0.0:
             k_macro -= (self.problem.omega**2 * rho_h)[:, None, None] * self._macro_mbas.reshape(self._nf, self._nf)
         rhs = np.repeat(self._f_free[None, :, None], nb, axis=0)
-        try:
-            u = np.linalg.solve(k_macro, rhs)[..., 0]
-        except np.linalg.LinAlgError as exc:
-            raise SingularSystemError(f"singular macro system in a Monte Carlo sample: {exc}") from exc
-        resid = np.abs((k_macro @ u[..., None])[..., 0] - self._f_free).max()
-        if not np.isfinite(resid) or resid > 1e-7 * max(np.abs(self._f_free).max(), 1e-30):
-            raise SingularSystemError("macro solve failed the residual contract in a Monte Carlo sample")
-        return u @ self._f_free
+        return _solve_samples(k_macro, rhs, "macro")[..., 0] @ self._f_free
 
     def _compliance_plain(self, names, values) -> np.ndarray:
         out = np.empty(values.shape[0])
@@ -462,17 +446,6 @@ def _latin_hypercube(rng: np.random.Generator, n_points: int, lows, highs) -> np
     return lows + u * (highs - lows)
 
 
-def _valid_rows(names, values) -> np.ndarray:
-    ok = np.ones(values.shape[0], dtype=bool)
-    for j, name in enumerate(names):
-        col = values[:, j]
-        if name.startswith("e") or name.startswith("rho"):
-            ok &= col > 0
-        else:  # Poisson ratio
-            ok &= (col > -0.99) & (col < 0.499)
-    return ok
-
-
 def mcs_evaluate(
     problem: MacroProblem,
     state: DesignState,
@@ -487,8 +460,8 @@ def mcs_evaluate(
     The outer loop visits every deduplicated (mu, sigma) box corner (when the
     corner count is tractable) plus n_interval Latin hypercube points; the
     inner loop draws n_random normal samples per point.  Non-physical draws
-    (negative modulus or density) are redrawn and counted.  Deterministic for
-    a fixed seed; reductions run in a fixed order.
+    (outside the open ranges of ``materials.PARAMETERS``) are redrawn and
+    counted.  Deterministic for a fixed seed; reductions run in a fixed order.
     """
     if n_interval < 2 or n_random < 2:
         raise ValueError("n_interval and n_random must both be at least 2")
@@ -515,7 +488,7 @@ def mcs_evaluate(
         z = rng.standard_normal((n_random, n))
         thetas = mu + sigma * z
         for _ in range(100):
-            bad = ~_valid_rows(names, thetas)
+            bad = ~np.all([PARAMETERS[name].admits(col) for name, col in zip(names, thetas.T)], axis=0)
             nbad = int(bad.sum())
             if nbad == 0:
                 break

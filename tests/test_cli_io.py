@@ -280,6 +280,29 @@ class TestConfigFields:
             parse_config(write_config(tmp_path, doc))
         assert any(p.startswith(f"{key}: expected a positive number") for p in err.value.problems), err.value.problems
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("materials.phase1.poisson.mean", [0.3, 0.5]),
+            ("materials.phase1.poisson.mean", [-1.0, 0.3]),
+            ("materials.phase2.poisson", 0.6),
+        ],
+    )
+    def test_poisson_outside_physical_range_rejected_by_name(self, tmp_path, key, value):
+        doc = small_doc()
+        doc["materials"]["share_poisson"] = False
+        set_key(doc, key, value)
+        with pytest.raises(ConfigError) as err:
+            parse_config(write_config(tmp_path, doc))
+        assert any(p.startswith(f"{key}: expected a number in (-1, 0.5)") for p in err.value.problems), err.value.problems
+
+    def test_poisson_near_its_upper_bound_accepted(self, tmp_path):
+        doc = small_doc()
+        for phase in ("phase1", "phase2"):
+            doc["materials"][phase]["poisson"] = {"mean": [0.4985, 0.4995], "std": 0.0001}
+        cfg = parse_config(write_config(tmp_path, doc))
+        assert cfg.base_material.phase1.poisson == cfg.base_material.phase2.poisson == 0.499
+
     @pytest.mark.parametrize("section", ["cell", "mcs", "optimizer"])
     def test_null_section_reads_as_absent(self, tmp_path, section):
         absent, null = small_doc(), small_doc()

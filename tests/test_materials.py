@@ -3,7 +3,16 @@
 import numpy as np
 import pytest
 
-from rcto.materials import _PARTS, Phase, TwoPhaseMaterial, elasticity_matrix, phase_coefficients
+from rcto.materials import (
+    _PARTS,
+    PARAMETER_NAMES,
+    PARAMETERS,
+    PHYSICAL_RANGES,
+    Phase,
+    TwoPhaseMaterial,
+    elasticity_matrix,
+    phase_coefficients,
+)
 
 from conftest import steel_foam
 
@@ -131,3 +140,30 @@ class TestTwoPhaseDerivatives:
         assert out.phase1.youngs == 123.0
         assert out.phase1.poisson == 0.2 and out.phase2.poisson == 0.2
         assert out.phase2.youngs == self.mat.phase2.youngs
+
+
+@pytest.mark.parametrize("name", PARAMETER_NAMES)
+def test_parameter_table_round_trip(name):
+    # with_values sets exactly the row's field on the row's phases, and only those phases have derivatives
+    mat, row = steel_foam(), PARAMETERS[name]
+    out = mat.with_values((name,), (0.25,))
+    for p in (1, 2):
+        acts = p in row.phases
+        for field in PHYSICAL_RANGES:
+            changed = getattr(out.phase(p), field) != getattr(mat.phase(p), field)
+            assert changed == (acts and field == row.field), (p, field)
+        for wrt in ((name,), (name, name)):
+            stiff = acts and row.field != "density" and not (row.field == "youngs" and len(wrt) == 2)
+            assert np.any(mat.coefficients(2, wrt)[p - 1]) == stiff, (p, wrt)
+            assert np.any(mat.coefficients(3, wrt)[p - 1]) == stiff, (p, wrt)
+        assert (mat.rho_derivative(p, (name,)) != 0.0) == (acts and row.field == "density")
+        assert mat.rho_derivative(p, (name, name)) == 0.0
+
+
+def test_parameter_ranges_are_open():
+    for name, row in PARAMETERS.items():
+        lo, hi = PHYSICAL_RANGES[row.field]
+        inside = np.array([lo + 0.5 * min(hi - lo, 1.0)])
+        assert row.admits(inside).all(), name
+        assert not row.admits(np.array([lo, hi])).any(), name
+    assert PARAMETERS["nu"].admits(0.4999) and not PARAMETERS["nu"].admits(0.5)
