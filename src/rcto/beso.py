@@ -32,6 +32,8 @@ from .uncertainty import RobustObjective, UncertainSet, ihpa_evaluate
 
 logger = logging.getLogger(__name__)
 
+HISTORY_WINDOW = 5  # iterations per window of the convergence test
+
 
 @dataclass(frozen=True)
 class Schedule:
@@ -41,7 +43,6 @@ class Schedule:
     evolution_ratio: float = 0.02
     kappa: float = 1.0
     convergence_tol: float = 1e-3
-    history_window: int = 5
     flip_cap: float | None = 0.05
     max_iterations: int = 500
     beta: float | None = None  # sign-smoothing sharpness; None picks it per evaluation
@@ -51,6 +52,8 @@ class Schedule:
             raise ValueError("target weight fraction must be in (0, 1]")
         if self.evolution_ratio <= 0.0:
             raise ValueError("evolutionary ratio must be positive")
+        if self.max_iterations < 1:
+            raise ValueError("max_iterations must be at least 1")
 
 
 def update_weight_target(current: float, target: float, evolution_ratio: float) -> float:
@@ -83,7 +86,6 @@ def mass_quantum(problem: MacroProblem, state: DesignState, material: TwoPhaseMa
 
 @dataclass
 class UpdateInfo:
-    achieved_mass: float
     cap_bound: bool
     flips_macro: int
     flips_micro: int
@@ -102,8 +104,9 @@ def concurrent_update(
     The merged ranking is cut at the prefix whose total weight (with the
     effective density recomputed from the candidate micro field) is closest
     to the target; ties in the ranking break deterministically by (scale,
-    element index).  A per-scale flip cap limits oscillation; when it binds,
-    the weight target is approached over the following iterations instead.
+    element index), the order of the merged array, which a stable sort
+    keeps.  A per-scale flip cap limits oscillation; when it binds, the
+    weight target is approached over the following iterations instead.
     """
     ne_mac = problem.grid.n_elems
     ne_mic = problem.cell.n_elems
@@ -113,11 +116,9 @@ def concurrent_update(
     v_a = problem.grid.elem_volume
 
     values = np.concatenate([xi.macro, xi.micro])
-    scale = np.concatenate([np.zeros(ne_mac, dtype=int), np.ones(ne_mic, dtype=int)])
-    index = np.concatenate([np.arange(ne_mac), np.arange(ne_mic)])
-    order = np.lexsort((index, scale, -values))
+    order = np.argsort(-values, kind="stable")
 
-    is_micro = scale[order] == 1
+    is_micro = order >= ne_mac
     n1 = np.concatenate([[0], np.cumsum(~is_micro)])  # macro solids in prefix
     m1 = np.concatenate([[0], np.cumsum(is_micro)])   # micro phase-1 voxels in prefix
     rho_hat = rho2 + (rho1 - rho2) * (m1 + x_min * (ne_mic - m1)) / ne_mic
@@ -143,23 +144,21 @@ def concurrent_update(
     desired = np.full(ne_mac + ne_mic, x_min)
     desired[order[:k]] = 1.0
     current = np.concatenate([state.x_macro, state.x_micro])
-    rank = np.empty_like(order)
-    rank[order] = np.arange(order.size)
 
     cap_bound = False
     new = desired.copy()
     if flip_cap is not None:
-        for sc, count in ((0, ne_mac), (1, ne_mic)):
-            cap = max(1, int(np.ceil(flip_cap * count)))
-            mask = (scale == sc) & (desired != current)
-            n_flips = int(mask.sum())
-            if n_flips > cap:
+        # how strongly the threshold demands each flip: its rank distance from the cut
+        rank = np.empty_like(order)
+        rank[order] = np.arange(order.size)
+        strength = np.where(rank < k, k - rank, rank - k + 1)
+        for lo, hi in ((0, ne_mac), (ne_mac, ne_mac + ne_mic)):
+            cap = max(1, int(np.ceil(flip_cap * (hi - lo))))
+            flip_ids = lo + np.flatnonzero(desired[lo:hi] != current[lo:hi])
+            if flip_ids.size > cap:
                 cap_bound = True
-                # keep the flips the threshold demands most strongly
-                strength = np.where(rank < k, k - rank, rank - k + 1)
-                flip_ids = np.flatnonzero(mask)
-                keep = flip_ids[np.lexsort((flip_ids, -strength[flip_ids]))[:cap]]
-                revert = np.setdiff1d(flip_ids, keep, assume_unique=True)
+                # keep the strongest flips, ties by element index
+                revert = flip_ids[np.argsort(-strength[flip_ids], kind="stable")[cap:]]
                 new[revert] = current[revert]
 
     x_macro = new[:ne_mac]
@@ -171,9 +170,7 @@ def concurrent_update(
         iteration=state.iteration + 1,
         weight_fraction=state.weight_fraction,
     )
-    achieved = total_mass(problem, new_state, material)
     info = UpdateInfo(
-        achieved_mass=achieved,
         cap_bound=cap_bound,
         flips_macro=int(np.sum(x_macro != state.x_macro)),
         flips_micro=int(np.sum(x_micro != state.x_micro)),
@@ -181,7 +178,7 @@ def concurrent_update(
     return new_state, info
 
 
-def check_convergence(objectives, window: int = 5, tol: float = 1e-3) -> tuple[bool, float]:
+def check_convergence(objectives, window: int = HISTORY_WINDOW, tol: float = 1e-3) -> tuple[bool, float]:
     """Relative change between the last window-sum and the preceding one."""
     objectives = list(objectives)
     if len(objectives) < 2 * window:
@@ -202,21 +199,19 @@ class HistoryRow:
     macro_solid_fraction: float
     micro_phase1_fraction: float
 
-    FIELDS = (
-        "iteration", "objective", "expectation", "std",
-        "weight_fraction", "macro_solid_fraction", "micro_phase1_fraction",
-    )
-
 
 @dataclass
 class OptimizationResult:
     state: DesignState
     history: list[HistoryRow]
     converged: bool
-    iterations: int
     objective: RobustObjective
     props: EffectiveProperties
     field_snapshots: list = field(default_factory=list)
+
+    @property
+    def iterations(self) -> int:
+        return len(self.history)
 
 
 def initial_state(
@@ -238,7 +233,6 @@ def run(
     schedule: Schedule,
     r_min_macro: float,
     r_min_micro: float,
-    state: DesignState | None = None,
     seed_fraction: float = 0.05,
     x_min: float = X_MIN_DEFAULT,
     keep_snapshots: bool = False,
@@ -250,8 +244,7 @@ def run(
     weight budget, and test convergence once the target fraction is reached.
     """
     material = params.mean_material(base_material)
-    if state is None:
-        state = initial_state(problem, x_min=x_min, seed_fraction=seed_fraction)
+    state = initial_state(problem, x_min=x_min, seed_fraction=seed_fraction)
 
     half_box = 0.49 * min(n * h for n, h in zip(problem.cell.shape, problem.cell.spacing))
     if r_min_micro > half_box:
@@ -274,11 +267,8 @@ def run(
         )
     history: list[HistoryRow] = []
     snapshots = []
-    objectives: list[float] = []
     previous_field: SensitivityField | None = None
     converged = False
-    final_props = None
-    final_objective = None
     # the scheduled fraction compounds on itself; the achieved weight follows
     # within one element-mass quantum
     target_fraction = total_mass(problem, state, material) / m0
@@ -286,9 +276,8 @@ def run(
     for _ in range(schedule.max_iterations):
         objective, cache = ihpa_evaluate(problem, state, base_material, params, kappa=schedule.kappa)
         raw = robust_sensitivity(cache, schedule.kappa, beta=schedule.beta)
-        props = cache.props
 
-        xi = normalize(raw, problem, state, props)
+        xi = normalize(raw, problem, state, cache.props)
         filtered = SensitivityField(filt_macro.apply(xi.macro), filt_micro.apply(xi.micro))
         smoothed = history_average(filtered, previous_field)
         previous_field = filtered
@@ -308,15 +297,12 @@ def run(
         )
         if keep_snapshots:
             snapshots.append((state.iteration, state.x_macro.copy(), state.x_micro.copy()))
-        objectives.append(objective.objective)
-        final_props = props
-        final_objective = objective
 
         quantum = mass_quantum(problem, state, material)
         at_target = abs(mass_now - schedule.target_weight_fraction * m0) <= quantum
         if at_target:
             converged, err = check_convergence(
-                objectives, window=schedule.history_window, tol=schedule.convergence_tol
+                [row.objective for row in history], tol=schedule.convergence_tol
             )
             if converged:
                 logger.info("converged at iteration %d (windowed change %.3e)", state.iteration, err)
@@ -342,8 +328,7 @@ def run(
         state=state,
         history=history,
         converged=converged,
-        iterations=len(history),
-        objective=final_objective,
-        props=final_props,
+        objective=objective,
+        props=cache.props,
         field_snapshots=snapshots,
     )

@@ -55,6 +55,7 @@ def _cmd_run(args) -> int:
         cfg.seed = args.seed
     if cfg.mode == "verify":
         return _cmd_verify(args, cfg)
+    io.make_output_dir(args.out)  # an unwritable --out fails before the first iteration
     problem = build_problem(cfg)
     result = beso.run(
         problem,
@@ -83,6 +84,8 @@ def _cmd_verify(args, cfg=None) -> int:
         cfg = parse_config(args.config)
         if args.seed is not None:
             cfg.seed = args.seed
+    if args.out:
+        io.make_output_dir(args.out)  # before the Monte Carlo run
     problem = build_problem(cfg)
     state = beso.initial_state(problem, x_min=cfg.x_min, seed_fraction=cfg.seed_fraction)
     report, ihpa_calls = io.verify(
@@ -98,17 +101,15 @@ def _cmd_verify(args, cfg=None) -> int:
     table = report.format_table(ihpa_calls)
     print(table, end="")
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
         path = os.path.join(args.out, "verification.txt")
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(table)
+        io.write_text(path, table)
         print(f"report written to {path}")
     return 0
 
 
 def _cmd_export(args) -> int:
     cfg, problem, state, _summary = io.load_bundle(args.bundle)
-    os.makedirs(args.out, exist_ok=True)
+    io.make_output_dir(args.out)
     writer = io.export_field_csv if args.format == "csv" else io.export_field_vtk
     ext = args.format
     writer(os.path.join(args.out, f"macro_density.{ext}"), problem.grid, state.x_macro)

@@ -132,6 +132,13 @@ def _corner_offsets(dim: int) -> np.ndarray:
     )
 
 
+# strain components as axis pairs (i, j), in the Voigt order of ``materials``
+_VOIGT_PAIRS = {
+    2: ((0, 0), (1, 1), (0, 1)),  # xx, yy, xy
+    3: ((0, 0), (1, 1), (2, 2), (1, 2), (0, 2), (0, 1)),  # xx, yy, zz, yz, xz, xy
+}
+
+
 @lru_cache(maxsize=32)
 def strain_operators(spacing: tuple[float, ...]):
     """Gauss-point operators for one rectangular element.
@@ -147,10 +154,10 @@ def strain_operators(spacing: tuple[float, ...]):
     nq = len(points)
     n_nodes = corners.shape[0]
     ndof = dim * n_nodes
-    ncomp = 3 if dim == 2 else 6
+    pairs = _VOIGT_PAIRS[dim]
     detj = np.prod(spacing) / 2.0**dim
 
-    b = np.zeros((nq, ncomp, ndof))
+    b = np.zeros((nq, len(pairs), ndof))
     n = np.zeros((nq, dim, ndof))
     for q, xi in enumerate(points):
         shape = np.prod(1.0 + corners * xi, axis=1) / 2.0**dim
@@ -164,21 +171,9 @@ def strain_operators(spacing: tuple[float, ...]):
             grad[a] = term * (2.0 / spacing[a])
         for a in range(dim):
             n[q, a, a::dim] = shape
-        if dim == 2:
-            b[q, 0, 0::2] = grad[0]
-            b[q, 1, 1::2] = grad[1]
-            b[q, 2, 0::2] = grad[1]
-            b[q, 2, 1::2] = grad[0]
-        else:
-            b[q, 0, 0::3] = grad[0]
-            b[q, 1, 1::3] = grad[1]
-            b[q, 2, 2::3] = grad[2]
-            b[q, 3, 1::3] = grad[2]  # yz
-            b[q, 3, 2::3] = grad[1]
-            b[q, 4, 0::3] = grad[2]  # xz
-            b[q, 4, 2::3] = grad[0]
-            b[q, 5, 0::3] = grad[1]  # xy
-            b[q, 5, 1::3] = grad[0]
+        for c, (i, j) in enumerate(pairs):  # du_i/dx_j + du_j/dx_i, engineering shear off the diagonal
+            b[q, c, i::dim] = grad[j]
+            b[q, c, j::dim] = grad[i]
     w = np.full(nq, detj)
     b.setflags(write=False)
     n.setflags(write=False)

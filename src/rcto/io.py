@@ -10,10 +10,10 @@ a bundle and re-evaluating its objective reproduces the logged value.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import logging
 import os
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,21 +32,30 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
+def make_output_dir(path: str) -> None:
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise OutputError(f"cannot create output directory {path}: {exc}") from exc
+
+
+def write_text(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise OutputError(f"cannot write {path}: {exc}") from exc
+
+
 def export_field_csv(path: str, grid: StructuredGrid, values: np.ndarray) -> None:
     """Flat CSV of a per-element scalar field: grid indices then value, x fastest."""
     values = np.asarray(values)
     if values.size != grid.n_elems:
         raise OutputError(f"field has {values.size} entries, grid has {grid.n_elems} elements")
-    cols = ["i", "j", "k"][: grid.dim]
-    try:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(",".join(cols + ["value"]) + "\n")
-            idx = np.unravel_index(np.arange(grid.n_elems), grid.shape, order="F")
-            for n in range(grid.n_elems):
-                fh.write(",".join(str(idx[a][n]) for a in range(grid.dim)))
-                fh.write("," + _fmt(values[n]) + "\n")
-    except OSError as exc:
-        raise OutputError(f"cannot write {path}: {exc}") from exc
+    idx = np.unravel_index(np.arange(grid.n_elems), grid.shape, order="F")
+    lines = [",".join(["i", "j", "k"][: grid.dim] + ["value"])]
+    lines += [",".join([str(i[n]) for i in idx] + [_fmt(values[n])]) for n in range(grid.n_elems)]
+    write_text(path, "\n".join(lines) + "\n")
 
 
 def import_field_csv(path: str, grid: StructuredGrid) -> np.ndarray:
@@ -78,38 +87,30 @@ def export_field_vtk(path: str, grid: StructuredGrid, values: np.ndarray, name: 
         raise OutputError(f"field has {values.size} entries, grid has {grid.n_elems} elements")
     dims = list(grid.nodes_shape) + [1] * (3 - grid.dim)
     spacing = list(grid.spacing) + [1.0] * (3 - grid.dim)
-    try:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("# vtk DataFile Version 2.0\n")
-            fh.write("rcto density field\n")
-            fh.write("ASCII\n")
-            fh.write("DATASET STRUCTURED_POINTS\n")
-            fh.write(f"DIMENSIONS {dims[0]} {dims[1]} {dims[2]}\n")
-            fh.write("ORIGIN 0.0 0.0 0.0\n")
-            fh.write(f"SPACING {_fmt(spacing[0])} {_fmt(spacing[1])} {_fmt(spacing[2])}\n")
-            fh.write(f"CELL_DATA {grid.n_elems}\n")
-            fh.write(f"SCALARS {name} double 1\n")
-            fh.write("LOOKUP_TABLE default\n")
-            for v in values:  # storage is already x fastest
-                fh.write(_fmt(v) + "\n")
-    except OSError as exc:
-        raise OutputError(f"cannot write {path}: {exc}") from exc
+    lines = [
+        "# vtk DataFile Version 2.0",
+        "rcto density field",
+        "ASCII",
+        "DATASET STRUCTURED_POINTS",
+        f"DIMENSIONS {dims[0]} {dims[1]} {dims[2]}",
+        "ORIGIN 0.0 0.0 0.0",
+        f"SPACING {_fmt(spacing[0])} {_fmt(spacing[1])} {_fmt(spacing[2])}",
+        f"CELL_DATA {grid.n_elems}",
+        f"SCALARS {name} double 1",
+        "LOOKUP_TABLE default",
+    ]
+    lines += [_fmt(v) for v in values]  # storage is already x fastest
+    write_text(path, "\n".join(lines) + "\n")
 
 
 def write_history_csv(path: str, history: list[HistoryRow]) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(HistoryRow.FIELDS) + "\n")
-        for row in history:
-            fh.write(
-                ",".join(
-                    [str(row.iteration)]
-                    + [_fmt(getattr(row, f)) for f in HistoryRow.FIELDS[1:]]
-                )
-                + "\n"
-            )
+    names = [f.name for f in dataclasses.fields(HistoryRow)]  # iteration first, then floats
+    lines = [",".join(names)]
+    lines += [",".join([str(row.iteration)] + [_fmt(getattr(row, f)) for f in names[1:]]) for row in history]
+    write_text(path, "\n".join(lines) + "\n")
 
 
-@dataclass
+@dataclasses.dataclass
 class VerifyReport:
     """Side-by-side perturbation vs Monte Carlo worst-case statistics."""
 
@@ -182,16 +183,15 @@ def write_bundle(
     result: OptimizationResult,
     dump_iterations: bool = False,
 ) -> None:
-    os.makedirs(outdir, exist_ok=True)
-    with open(os.path.join(outdir, "config.yaml"), "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(cfg.raw_text)
+    make_output_dir(outdir)
+    write_text(os.path.join(outdir, "config.yaml"), cfg.raw_text)
     write_history_csv(os.path.join(outdir, "history.csv"), result.history)
     export_field_csv(os.path.join(outdir, "macro_density.csv"), problem.grid, result.state.x_macro)
     export_field_csv(os.path.join(outdir, "micro_density.csv"), problem.cell, result.state.x_micro)
     export_field_vtk(os.path.join(outdir, "macro_density.vtk"), problem.grid, result.state.x_macro)
     export_field_vtk(os.path.join(outdir, "micro_density.vtk"), problem.cell, result.state.x_micro)
-    with open(os.path.join(outdir, "effective_elasticity.txt"), "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(format_effective_matrix(result.props.d_h, result.props.rho_h))
+    matrix = format_effective_matrix(result.props.d_h, result.props.rho_h)
+    write_text(os.path.join(outdir, "effective_elasticity.txt"), matrix)
     summary = {
         "mode": cfg.mode,
         "seed": cfg.seed,
@@ -206,12 +206,10 @@ def write_bundle(
         "micro_phase1_fraction": result.state.micro_phase1_fraction,
         "defaults_applied": list(cfg.defaults_applied),
     }
-    with open(os.path.join(outdir, "summary.json"), "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_text(os.path.join(outdir, "summary.json"), json.dumps(summary, indent=2, sort_keys=True) + "\n")
     if dump_iterations and result.field_snapshots:
         folder = os.path.join(outdir, "iterations")
-        os.makedirs(folder, exist_ok=True)
+        make_output_dir(folder)
         for iteration, x_macro, x_micro in result.field_snapshots:
             export_field_csv(os.path.join(folder, f"iter_{iteration:04d}_macro.csv"), problem.grid, x_macro)
             export_field_csv(os.path.join(folder, f"iter_{iteration:04d}_micro.csv"), problem.cell, x_micro)

@@ -31,8 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.spatial import cKDTree
+from scipy import ndimage
 
 from .errors import NormalizationError
 from .fem import StructuredGrid, element_mass, strain_operators
@@ -185,43 +184,35 @@ def normalize(
 
 
 class SensitivityFilter:
-    """Mesh-independence filter: distance-weighted average over an r_min disk.
+    """Mesh-independence filter: distance-weighted average over an r_min ball.
 
-    Weights are w = r_min - r (nonnegative, self weight r_min).  The micro
-    filter wraps periodically across the cell faces, consistent with the
-    periodic homogenization.
+    The weights w = max(r_min - r, 0) (self weight r_min) over the integer
+    element offsets form one stencil, built once from the per-axis spacing
+    and correlated over the element grid; each element divides by the
+    stencil weight that lands inside the grid.  The micro filter wraps
+    periodically across the cell faces, consistent with the periodic
+    homogenization; the macro filter stops at the mesh boundary.
     """
 
     def __init__(self, grid: StructuredGrid, r_min: float, periodic: bool = False):
         if r_min <= 0:
             raise ValueError("filter radius must be positive")
         self.r_min = float(r_min)
-        pts = grid.centroids
         if periodic:
             box = np.array([n * h for n, h in zip(grid.shape, grid.spacing)])
             if np.any(self.r_min >= box / 2.0):
                 raise ValueError("periodic filter radius must be below half the cell size")
-            tree = cKDTree(np.mod(pts, box), boxsize=box)
-        else:
-            tree = cKDTree(pts)
-        pairs = tree.query_pairs(self.r_min, output_type="ndarray")
-        dists = np.linalg.norm(_pair_delta(pts, pairs, grid, periodic), axis=1)
-        rows = np.concatenate([pairs[:, 0], pairs[:, 1], np.arange(len(pts))])
-        cols = np.concatenate([pairs[:, 1], pairs[:, 0], np.arange(len(pts))])
-        wts = np.concatenate([self.r_min - dists, self.r_min - dists, np.full(len(pts), self.r_min)])
-        self._w = sp.coo_matrix((wts, (rows, cols)), shape=(len(pts), len(pts))).tocsr()
-        self._wsum = np.asarray(self._w.sum(axis=1)).ravel()
+        offsets = [h * np.arange(-(self.r_min // h), self.r_min // h + 1) for h in grid.spacing]
+        dist = np.sqrt(sum(d**2 for d in np.meshgrid(*offsets, indexing="ij")))
+        self._stencil = np.maximum(self.r_min - dist, 0.0)
+        self._shape = grid.shape
+        self._mode = "wrap" if periodic else "constant"
+        self._wsum = ndimage.correlate(np.ones(self._shape), self._stencil, mode=self._mode)
 
     def apply(self, field: np.ndarray) -> np.ndarray:
-        return (self._w @ field) / self._wsum
-
-
-def _pair_delta(pts, pairs, grid, periodic):
-    delta = pts[pairs[:, 0]] - pts[pairs[:, 1]]
-    if periodic:
-        box = np.array([n * h for n, h in zip(grid.shape, grid.spacing)])
-        delta = delta - box * np.round(delta / box)
-    return delta
+        values = np.reshape(field, self._shape, order="F")  # element ids run x-fastest
+        out = ndimage.correlate(values, self._stencil, mode=self._mode) / self._wsum
+        return out.ravel(order="F")
 
 
 def history_average(current: SensitivityField, previous: SensitivityField | None) -> SensitivityField:

@@ -202,6 +202,11 @@ class TestRun:
         assert res.history[-1].std > 0.0
         assert res.history[-1].objective > res.history[-1].expectation
 
+    def test_schedule_needs_one_iteration(self):
+        # the result reports the last evaluated objective, so an empty loop is rejected up front
+        with pytest.raises(ValueError, match="max_iterations"):
+            Schedule(target_weight_fraction=0.5, max_iterations=0)
+
     def test_history_snapshots_on_request(self):
         prob = cantilever(4, 2, cell_n=3)
         sched = Schedule(target_weight_fraction=0.8, max_iterations=40)

@@ -541,6 +541,33 @@ class TestCli:
         assert "error[io]" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["run", "verify"])
+    def test_unwritable_out_fails_before_the_computation(self, tmp_path, capsys, monkeypatch, command):
+        blocker = tmp_path / "file"
+        blocker.write_text("not a directory", encoding="utf-8")
+
+        def computation(*args, **kwargs):  # would end in error[internal], exit 1
+            raise RuntimeError("computation started before the output directory was checked")
+
+        monkeypatch.setattr("rcto.beso.run", computation)
+        monkeypatch.setattr("rcto.io.verify", computation)
+        cfg_path = write_config(tmp_path, small_doc(mode="dcto" if command == "run" else "verify"))
+        code = main([command, "--config", cfg_path, "--out", str(blocker / "out")])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert "error[io]" in err and str(blocker / "out") in err
+
+    def test_export_to_unwritable_out(self, tmp_path, capsys):
+        doc = small_doc(mode="dcto")
+        doc["optimizer"]["max_iterations"] = 2
+        bundle = tmp_path / "bundle"
+        assert main(["run", "--config", write_config(tmp_path, doc), "--out", str(bundle)]) == 0
+        blocker = tmp_path / "file"
+        blocker.write_text("not a directory", encoding="utf-8")
+        argv = ["export", "--bundle", str(bundle), "--format", "csv", "--out", str(blocker / "out")]
+        assert main(argv) == 4
+        assert "error[io]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["run", "verify"])
     def test_negative_seed_rejected_when_parsed(self, tmp_path, capsys, command):
         cfg_path = write_config(tmp_path, small_doc(mode="verify"))
         with pytest.raises(SystemExit) as exc:

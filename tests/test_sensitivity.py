@@ -351,25 +351,40 @@ class TestFilter:
         )
         assert np.allclose(averaged.macro, field)
 
-    def test_single_spike_spreads_exactly_within_radius(self):
-        # direct evaluation of the weighted average on a 5x5 grid
-        grid = StructuredGrid((5, 5), (1.0, 1.0))
-        r_min = 1.5
-        filt = SensitivityFilter(grid, r_min=r_min)
+    @pytest.mark.parametrize(
+        "shape, spacing, r_min, periodic, spike",
+        [
+            ((5, 5), (1.0, 1.0), 1.5, False, (2, 2)),
+            ((7, 5), (1.0, 0.6), 1.7, False, (1, 4)),
+            ((8, 8), (0.125, 0.125), 0.3, True, (0, 0)),
+            ((6, 5, 4), (0.1, 0.13, 0.2), 0.28, True, (0, 4, 3)),
+            ((5, 4, 3), (1.0, 1.0, 1.0), 1.8, False, (0, 1, 2)),
+        ],
+        ids=["2d-square", "2d-unequal-spacing", "2d-periodic", "3d-periodic-unequal-spacing", "3d-mesh"],
+    )
+    def test_single_spike_spreads_exactly_within_radius(self, shape, spacing, r_min, periodic, spike):
+        # direct evaluation of the weighted average, minimum-image distances on the periodic cell
+        grid = StructuredGrid(shape, spacing)
+        filt = SensitivityFilter(grid, r_min=r_min, periodic=periodic)
         field = np.zeros(grid.n_elems)
-        center = 12  # (2, 2)
+        center = int(np.ravel_multi_index(spike, shape, order="F"))
         field[center] = 10.0
         out = filt.apply(field)
         centroids = grid.centroids
+        box = np.array(shape) * np.array(spacing)
+
+        def dists_from(e):
+            delta = centroids - centroids[e]
+            if periodic:
+                delta = delta - box * np.round(delta / box)
+            return np.linalg.norm(delta, axis=1)
+
         for e in range(grid.n_elems):
-            dists = np.linalg.norm(centroids - centroids[e], axis=1)
-            weights = np.maximum(r_min - dists, 0.0)
+            weights = np.maximum(r_min - dists_from(e), 0.0)
             expect = weights[center] * 10.0 / weights.sum()
             assert np.isclose(out[e], expect, atol=1e-12)
         touched = np.abs(out) > 0
-        assert np.array_equal(
-            touched, np.linalg.norm(centroids - centroids[center], axis=1) < r_min
-        )
+        assert np.array_equal(touched, dists_from(center) < r_min)
 
     def test_filtered_range_bracketed_by_raw_range(self, rng):
         grid = StructuredGrid((7, 5), (1.0, 1.0))
