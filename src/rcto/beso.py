@@ -34,6 +34,13 @@ logger = logging.getLogger(__name__)
 
 HISTORY_WINDOW = 5  # iterations per window of the convergence test
 
+# Ranking resolution: the key rounds every value to 2^-32 of the largest
+# |value|.  Rounding noise of the sensitivity numbers sits near 2^-52 of it,
+# about 1e-6 of that quantum, so it cannot reorder values that are equal in
+# exact arithmetic; a real gap below 2.3e-10 relative is below what the
+# solves resolve (their residual contract is 1e-9) and ties as well.
+RANK_LEVELS = 2.0**32
+
 
 @dataclass(frozen=True)
 class Schedule:
@@ -105,7 +112,10 @@ def concurrent_update(
     effective density recomputed from the candidate micro field) is closest
     to the target; ties in the ranking break deterministically by (scale,
     element index), the order of the merged array, which a stable sort
-    keeps.  A per-scale flip cap limits oscillation; when it binds, the
+    keeps.  The ranking reads each value rounded to 1 / RANK_LEVELS of the
+    largest magnitude, so values that differ only by rounding (mirror or
+    periodic images of one element) tie instead of being ordered by their
+    last bits.  A per-scale flip cap limits oscillation; when it binds, the
     weight target is approached over the following iterations instead.
     """
     ne_mac = problem.grid.n_elems
@@ -116,7 +126,9 @@ def concurrent_update(
     v_a = problem.grid.elem_volume
 
     values = np.concatenate([xi.macro, xi.micro])
-    order = np.argsort(-values, kind="stable")
+    scale = np.max(np.abs(values))
+    key = np.rint(values * RANK_LEVELS / scale) if scale > 0.0 else np.zeros_like(values)
+    order = np.argsort(-key, kind="stable")
 
     is_micro = order >= ne_mac
     n1 = np.concatenate([[0], np.cumsum(~is_micro)])  # macro solids in prefix

@@ -76,6 +76,33 @@ class TestConcurrentUpdate:
         assert np.all(new.x_macro == 1.0)
         assert np.array_equal(new.x_micro, [1.0, 1.0, X_MIN, X_MIN])
 
+    @pytest.mark.parametrize("flip_cap", [None, 0.05])
+    def test_values_moved_by_a_few_ulps_give_the_same_update(self, rng, flip_cap):
+        # mirror images of one element carry equal sensitivities up to their
+        # last bits; the ranking must not read those bits
+        prob = cantilever(6, 3, cell_n=4)
+        state = full_state(prob, micro=seed_cell(prob.cell, 0.2, X_MIN))
+        levels = rng.standard_normal(2)
+        xi = SensitivityField(rng.choice(levels, prob.grid.n_elems), rng.choice(levels, prob.cell.n_elems))
+        nudge = lambda v: v + rng.integers(-4, 5, v.size) * np.spacing(v)
+        moved = SensitivityField(nudge(xi.macro), nudge(xi.micro))
+        assert not np.array_equal(moved.micro, xi.micro)
+        target = 0.9 * total_mass(prob, state, self.mat)
+        new, info = concurrent_update(prob, state, self.mat, xi, target, flip_cap)
+        new_moved, info_moved = concurrent_update(prob, state, self.mat, moved, target, flip_cap)
+        assert np.array_equal(new.x_macro, new_moved.x_macro)
+        assert np.array_equal(new.x_micro, new_moved.x_micro)
+        assert info == info_moved
+
+    def test_all_zero_field_ties_everywhere(self):
+        prob = cantilever(3, 1, cell_n=2)
+        state = full_state(prob)
+        target = total_mass(prob, state, self.mat) - 0.9 * prob.grid.elem_volume * self.mat.phase1.density
+        with np.errstate(divide="raise", invalid="raise"):  # no 0 / 0 in the ranking key
+            zero, _ = concurrent_update(prob, state, self.mat, SensitivityField(np.zeros(3), np.zeros(4)), target, None)
+        ones, _ = concurrent_update(prob, state, self.mat, SensitivityField(np.ones(3), np.ones(4)), target, None)
+        assert np.array_equal(zero.x_micro, ones.x_micro) and np.array_equal(zero.x_macro, ones.x_macro)
+
     def test_target_equal_to_current_weight_changes_nothing(self):
         prob = cantilever(3, 1, cell_n=2)
         state = full_state(prob)
