@@ -6,10 +6,13 @@ the dynamic stiffness K - omega^2 M backed by a symmetric-mode sparse LU.
 Boundary conditions are enforced by row/column elimination.  All element
 matrices are exact for constant coefficients under the 2-point rule.
 
-Each grid's sparsity pattern carries a geometric nested-dissection order of
-its DOFs (George, SIAM J. Numer. Anal. 1973).  A ``FactorizedSystem``
+Each mesh's sparsity pattern (``StructuredGrid.pattern``) carries a
+geometric nested-dissection order of its DOFs (George, SIAM J. Numer. Anal.
+1973).  A ``FactorizedSystem``
 eliminates the free DOFs in the order its ``free`` argument lists them, so
 callers that pass the free DOFs in that order get a nested-dissection LU.
+The macro dynamic stiffness is the one system factored in a run; the
+periodic cell is solved by preconditioned CG in ``homogenization``.
 
 Unit system: N, mm, tonne, s (so moduli in MPa, densities in tonne/mm^3,
 frequencies converted to rad/s by the caller).
@@ -32,9 +35,8 @@ RESIDUAL_TOL = 1e-9
 # SuperLU's symmetric mode on a block that is already in elimination order
 # (the order of ``free``, see ``dissection_order``): no column permutation of
 # its own, and a diagonal pivot is kept unless it is below 0.01 of the
-# largest entry in its column.  Every system factored here is symmetric (the
-# pinned periodic cell is SPD; K - omega^2 M may be indefinite, hence the
-# threshold against tiny pivots).
+# largest entry in its column.  Every system factored here is symmetric;
+# K - omega^2 M may be indefinite, hence the threshold against tiny pivots.
 SYMMETRIC_LU = dict(permc_spec="NATURAL", diag_pivot_thresh=0.01, options={"SymmetricMode": True})
 
 
@@ -113,8 +115,7 @@ class StructuredGrid:
     @cached_property
     def pattern(self) -> "SparsityPattern":
         """Assembly pattern of the grid's global matrices and their elimination order, built on first use."""
-        order = dissection_order(self.nodes_shape, periodic=False)
-        return SparsityPattern.from_dofs(self.elem_dofs, self.n_dofs, order)
+        return SparsityPattern.from_dofs(self.elem_dofs, self.n_dofs, dissection_order(self.nodes_shape))
 
     @cached_property
     def centroids(self) -> np.ndarray:
@@ -251,14 +252,12 @@ def assemble(grid: StructuredGrid, d_mats, rhos) -> tuple[sp.csc_matrix, sp.csc_
     return scatter(grid.pattern, k_all), scatter(grid.pattern, m_all)
 
 
-def dissection_order(shape: tuple[int, ...], periodic: bool) -> np.ndarray:
+def dissection_order(shape: tuple[int, ...]) -> np.ndarray:
     """Nested-dissection order of the DOFs of a node box (x-fastest node ids, dim DOFs per node).
 
     The box is bisected along its longest axis by the node plane in its
-    middle; a periodic axis is cut by two planes (its first and its middle
-    one) and is non-periodic in both parts.  Each part is ordered
-    recursively, then the separator; recursion stops when no axis has 3 or
-    more nodes.  Each node's DOFs stay together.
+    middle.  Each part is ordered recursively, then the separator; recursion
+    stops when no axis has 3 or more nodes.  Each node's DOFs stay together.
     """
     dim = len(shape)
     strides = np.cumprod((1,) + tuple(shape[:-1]))
@@ -270,7 +269,7 @@ def dissection_order(shape: tuple[int, ...], periodic: bool) -> np.ndarray:
             ids = (np.arange(a * st, b * st, st)[:, None] + ids).ravel()
         blocks.append(ids)
 
-    def dissect(lo, hi, wrap):
+    def dissect(lo, hi):
         sizes = [b - a for a, b in zip(lo, hi)]
         if min(sizes) == 0:
             return
@@ -280,15 +279,11 @@ def dissection_order(shape: tuple[int, ...], periodic: bool) -> np.ndarray:
             return
         at = lambda box, v: box[:ax] + (v,) + box[ax + 1:]
         mid = (lo[ax] + hi[ax]) // 2
-        cuts = (lo[ax], mid) if wrap[ax] else (mid,)
-        first = lo[ax] + len(cuts) - 1  # a periodic axis loses its first plane to the separator
-        wrap = at(wrap, False)
-        dissect(at(lo, first), at(hi, mid), wrap)
-        dissect(at(lo, mid + 1), hi, wrap)
-        for c in cuts:
-            add_box(at(lo, c), at(hi, c + 1))
+        dissect(lo, at(hi, mid))
+        dissect(at(lo, mid + 1), hi)
+        add_box(at(lo, mid), at(hi, mid + 1))
 
-    dissect((0,) * dim, tuple(shape), (periodic,) * dim)
+    dissect((0,) * dim, tuple(shape))
     nodes = np.concatenate(blocks)
     return (dim * nodes[:, None] + np.arange(dim)).ravel()
 
@@ -298,7 +293,8 @@ class SparsityPattern:
     """CSC structure of an assembled matrix, the data slot of every element entry and the elimination order.
 
     ``positions[e, i * ndof_e + j]`` indexes the CSC data of entry (dofs[e, i], dofs[e, j]);
-    ``order`` lists all n DOFs in the grid's nested-dissection order.
+    ``order`` lists all n DOFs in the grid's nested-dissection order, or is
+    None for a matrix that is never factored (the periodic cell).
     """
 
     n: int
@@ -306,10 +302,10 @@ class SparsityPattern:
     indptr: np.ndarray
     indices: np.ndarray
     positions: np.ndarray
-    order: np.ndarray
+    order: np.ndarray | None = None
 
     @classmethod
-    def from_dofs(cls, dofs: np.ndarray, n: int, order: np.ndarray) -> "SparsityPattern":
+    def from_dofs(cls, dofs: np.ndarray, n: int, order: np.ndarray | None = None) -> "SparsityPattern":
         # CSC order sorts the entries by column, then row
         keys = (dofs[:, None, :].astype(np.int64) * n + dofs[:, :, None]).ravel()
         keys, positions = np.unique(keys, return_inverse=True)
@@ -318,7 +314,8 @@ class SparsityPattern:
         positions = positions.astype(itype).reshape(dofs.shape[0], -1)
         pattern = cls(n, dofs, indptr, (keys % n).astype(itype), positions, order)
         for arr in (dofs, pattern.indptr, pattern.indices, positions, order):
-            arr.setflags(write=False)  # shared by every matrix scattered with this pattern
+            if arr is not None:
+                arr.setflags(write=False)  # shared by every matrix scattered with this pattern
         return pattern
 
 

@@ -1,8 +1,9 @@
 """Numerical homogenization of the periodic composite unit cell.
 
 Solves the cell problems for the unit test strains under periodic boundary
-conditions (master-slave coupling of opposite faces, one corner pinned) and
-returns the effective density and elasticity matrix together with the
+conditions (master-slave coupling of opposite faces, zero-mean correctors;
+conjugate gradients preconditioned by the FFT-diagonalized stiffness of the
+voxel-mean material, no factorization) and returns the effective density and elasticity matrix together with the
 cell-energy basis that every derivative reads.  With g_iq the corrected
 strains (eps0 - eps) of the unit test strains at Gauss point q of voxel i,
 the basis is P[i, k] = sum_q w_q g_iq^T A_k g_iq for the two constant
@@ -19,30 +20,32 @@ the exact form needs an adjoint cell solve.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import SingularSystemError
+from .errors import NumericalError, SingularSystemError
 from .fem import (
-    FactorizedSystem,
+    RESIDUAL_TOL,
     SparsityPattern,
     StructuredGrid,
-    dissection_order,
+    _corner_offsets,
     element_stiffness_batch,
     scatter,
     strain_operators,
 )
 from .materials import _PARTS, TwoPhaseMaterial, voigt_size
 
+logger = logging.getLogger(__name__)
+
+CG_RTOL = 1e-10  # relative residual at which the cell CG stops
+
 
 @lru_cache(maxsize=8)
 def cell_pattern(grid: StructuredGrid) -> SparsityPattern:
-    """Assembly pattern of the periodic cell; each node maps to its master node (x-fastest).
-
-    The elimination order dissects the master-node box ``grid.shape`` with every axis periodic.
-    """
+    """Assembly pattern of the periodic cell; each node maps to its master node (x-fastest)."""
     grids = np.meshgrid(*[np.arange(n + 1) for n in grid.shape], indexing="ij")
     master = np.zeros(grid.n_nodes, dtype=np.intp)
     stride = 1
@@ -50,19 +53,76 @@ def cell_pattern(grid: StructuredGrid) -> SparsityPattern:
         master += (g.ravel(order="F") % n) * stride
         stride *= n
     dofs = grid.dim * master[grid.elem_node_ids][:, :, None] + np.arange(grid.dim)
-    return SparsityPattern.from_dofs(
-        dofs.reshape(grid.n_elems, -1), grid.dim * grid.n_elems, dissection_order(grid.shape, periodic=True)
+    return SparsityPattern.from_dofs(dofs.reshape(grid.n_elems, -1), grid.dim * grid.n_elems)
+
+
+def _sum_to_masters(pattern: SparsityPattern, elem_loads: np.ndarray) -> np.ndarray:
+    """Sum (n_voxels, ndof_e, ncomp) element load columns into (n_red, ncomp) master-DOF loads."""
+    flat = elem_loads.reshape(pattern.dofs.size, -1)
+    return np.column_stack(
+        [np.bincount(pattern.dofs.ravel(), weights=col, minlength=pattern.n) for col in flat.T]
     )
 
 
 def cell_loads(grid: StructuredGrid, d_voxels: np.ndarray) -> np.ndarray:
     """Reduced load vectors (n_red, ncomp): integral of B^T D eps0, one column per test strain."""
     b, _, w = strain_operators(grid.spacing)
-    pattern = cell_pattern(grid)
-    loads = (np.einsum("q,qce->ec", w, b) @ d_voxels).reshape(pattern.dofs.size, -1)
-    return np.column_stack(
-        [np.bincount(pattern.dofs.ravel(), weights=col, minlength=pattern.n) for col in loads.T]
-    )
+    return _sum_to_masters(cell_pattern(grid), np.einsum("q,qce->ec", w, b) @ d_voxels)
+
+
+def _phase_contrast(d_voxels: np.ndarray, d_ref: np.ndarray) -> float:
+    """Ratio of the extreme generalized eigenvalues of (D_i, D_ref) over all voxels.
+
+    It bounds the spectrum of the reference-preconditioned cell operator:
+    u^T K u / u^T K_ref u is a voxel-weighted average of eps^T D_i eps / eps^T D_ref eps.
+    """
+    try:
+        inv_l = np.linalg.inv(np.linalg.cholesky(d_ref))
+    except np.linalg.LinAlgError:
+        raise SingularSystemError(
+            "unit cell system is singular: the mean voxel elasticity is not positive definite (void cell?)"
+        ) from None
+    lam = np.linalg.eigvalsh(inv_l @ d_voxels @ inv_l.T)
+    if lam.min() <= 0.0:
+        raise SingularSystemError("unit cell system is singular: a voxel elasticity is not positive definite")
+    return float(lam.max() / lam.min())
+
+
+class _ReferencePreconditioner:
+    """Exact inverse, on zero-mean periodic fields, of the cell stiffness of one homogeneous material.
+
+    That stiffness is block-circulant on the master-node grid, so the FFT
+    diagonalizes it into one dim x dim Hermitian block per frequency, the
+    symbol sum_ab conj(e^{i xi.o_a}) k_ab e^{i xi.o_b} of one element matrix
+    k over the element's corner offsets o (Zeman et al., J. Comput. Phys.
+    2010).  The zero frequency (rigid translation) is mapped to zero.
+    ``condition`` is the ratio of the extreme eigenvalues of the other blocks,
+    the condition number of K_ref on zero-mean fields.
+    """
+
+    def __init__(self, grid: StructuredGrid, d_ref: np.ndarray):
+        dim, corners = grid.dim, 2**grid.dim
+        self.shape = grid.shape[::-1]  # master DOF dim * node + a is entry (..., y, x, a) in C order
+        k = element_stiffness_batch(d_ref[None], grid.spacing)[0].reshape(corners, dim, corners, dim)
+        axes = [2.0 * np.pi * np.fft.fftfreq(n) for n in grid.shape]
+        axes[0] = 2.0 * np.pi * np.fft.rfftfreq(grid.shape[0])  # rfftn halves the last array axis, x
+        xi = np.meshgrid(*axes[::-1], indexing="ij")[::-1]
+        angle = sum(x[..., None] * o for x, o in zip(xi, _corner_offsets(dim).T))
+        phase = np.exp(1j * angle).reshape(-1, corners)
+        half = (phase.conj() @ k.reshape(corners, -1)).reshape(-1, dim, corners, dim)
+        symbol = np.einsum("fibj,fb->fij", half, phase)
+        lam, vec = np.linalg.eigh(symbol)
+        lam[0] = np.inf  # the zero frequency: translations carry no load and get no displacement
+        self.condition = float(lam[1:].max() / lam[1:].min()) if lam.shape[0] > 1 else 1.0
+        inverse = (vec / lam[:, None, :]) @ np.swapaxes(vec.conj(), -1, -2)
+        self.inverse = inverse.reshape(xi[0].shape + (dim, dim))
+
+    def __call__(self, r: np.ndarray) -> np.ndarray:
+        """K_ref^+ r for a block r (n_red, k)."""
+        axes = tuple(range(len(self.shape)))
+        r_hat = np.fft.rfftn(r.reshape(self.shape + (-1, r.shape[1])), axes=axes)
+        z_hat = sum(self.inverse[..., j, None] * r_hat[..., None, j, :] for j in range(r_hat.shape[-2]))
+        return np.fft.irfftn(z_hat, s=self.shape, axes=axes).reshape(r.shape)
 
 
 def solve_cell_problems(grid: StructuredGrid, d_voxels: np.ndarray):
@@ -71,28 +131,98 @@ def solve_cell_problems(grid: StructuredGrid, d_voxels: np.ndarray):
     d_voxels: (n_voxels, ncomp, ncomp) elasticity matrix per voxel.
     Returns (g, w, u): corrected strain matrices g (n_voxels, nq, ncomp,
     ncomp) whose column c is (eps0_c - eps_c) at each Gauss point, the Gauss
-    weights w, and the reduced periodic solution u (n_red_dofs, ncomp).
+    weights w, and the zero-mean reduced periodic solution u (n_red_dofs, ncomp).
+
+    One block conjugate-gradient run over the ncomp load columns on the
+    assembled periodic stiffness K, preconditioned by the FFT inverse of the
+    stiffness of the voxel-mean material D_ref.  Each answer must meet
+    ``fem.RESIDUAL_TOL`` in its true residual on the zero-mean load.
     """
     ncomp = voigt_size(grid.dim)
     d_voxels = np.asarray(d_voxels, dtype=float)
     if d_voxels.shape != (grid.n_elems, ncomp, ncomp):
         raise ValueError(f"expected per-voxel D of shape {(grid.n_elems, ncomp, ncomp)}")
+    d_ref = d_voxels.mean(axis=0)
+    kappa = _phase_contrast(d_voxels, d_ref)
     b, _, w = strain_operators(grid.spacing)
     pattern = cell_pattern(grid)
-    k_red = scatter(pattern, element_stiffness_batch(d_voxels, grid.spacing))
-    rhs = cell_loads(grid, d_voxels)
-
-    # pin the corner master node to remove the translation nullspace
-    free = pattern.order[pattern.order >= grid.dim]
-    try:
-        system = FactorizedSystem(k_red, free)
-    except SingularSystemError as exc:
-        raise SingularSystemError(f"unit cell system is singular (void cell?): {exc}") from exc
-    u = system.solve(rhs)
-
+    load_op = np.einsum("q,qce->ec", w, b)
+    f = _zero_mean(_sum_to_masters(pattern, load_op @ d_voxels), grid.dim)
+    # A computed load entry sums 2^dim element entries, each a dot product of
+    # length ncomp, so it lies within (2^dim + ncomp) eps of the exact load
+    # relative to the same sums in absolute values (Higham, Accuracy and
+    # Stability of Numerical Algorithms, sec. 3.1).  A column below that floor
+    # cannot be told from the exact zero load of a homogeneous cell: its
+    # correctors are zero, and the D_h error this makes is f^T K^-1 f, second
+    # order in the floor.
+    magnitude = _sum_to_masters(pattern, np.abs(load_op) @ np.abs(d_voxels))
+    floor = (2**grid.dim + ncomp) * np.finfo(float).eps * np.linalg.norm(magnitude, axis=0)
+    norm_f = np.linalg.norm(f, axis=0)
+    loaded = norm_f > floor
+    u = np.zeros_like(f)
+    if loaded.any():
+        k = scatter(pattern, element_stiffness_batch(d_voxels, grid.spacing)).T  # bitwise symmetric: K as CSR
+        u[:, loaded] = _block_cg(k, f[:, loaded], _ReferencePreconditioner(grid, d_ref), kappa)
     eps = b[None] @ u[pattern.dofs][:, None]
     g = np.eye(ncomp)[None, None, :, :] - eps
     return g, w, u
+
+
+def _zero_mean(v: np.ndarray, dim: int) -> np.ndarray:
+    """Remove the mean of each displacement direction from a block of master-DOF vectors."""
+    nodal = v.reshape(-1, dim, v.shape[1])
+    return (nodal - nodal.mean(axis=0)).reshape(v.shape)
+
+
+def _block_cg(k, f: np.ndarray, precondition: _ReferencePreconditioner, kappa: float) -> np.ndarray:
+    """Preconditioned CG on every column of the zero-mean block f at once, checked by its true residual.
+
+    The preconditioned operator's spectrum lies within the phase contrast
+    kappa, so after n iterations the energy norm of the error has fallen by
+    at least 2 ((sqrt(kappa) - 1) / (sqrt(kappa) + 1))^n <= 2 exp(-2n / sqrt(kappa)),
+    which reaches CG_RTOL at n = ceil(sqrt(kappa) / 2 * ln(2 / CG_RTOL)).
+    The stop test reads the 2-norm of the residual, which can fall slower by
+    up to sqrt(cond K) <= sqrt(kappa * cond K_ref); the margin of
+    sqrt(kappa) / 4 * ln(kappa * cond K_ref) iterations covers that factor.
+    Past the cap, in exact arithmetic, CG has failed.
+    """
+    cap = int(np.ceil(0.5 * np.sqrt(kappa) * (np.log(2.0 / CG_RTOL) + 0.5 * np.log(kappa * precondition.condition))))
+    norm_f = np.linalg.norm(f, axis=0)
+    x = np.zeros_like(f)
+    cols = np.arange(f.shape[1])  # the columns still iterating, and their iterates below
+    x_c, r = np.zeros_like(f), f.copy()
+    p = precondition(r)
+    rz = np.einsum("ij,ij->j", r, p)
+    iterations = 0
+    while True:
+        done = np.linalg.norm(r, axis=0) <= CG_RTOL * norm_f[cols]
+        if done.any():
+            x[:, cols[done]] = x_c[:, done]
+            cols, x_c, r, p, rz = cols[~done], x_c[:, ~done], r[:, ~done], p[:, ~done], rz[~done]
+        if cols.size == 0:
+            break
+        if iterations == cap:
+            raise NumericalError(
+                f"cell CG did not reach a relative residual of {CG_RTOL:g} within its bound of {cap} "
+                f"iterations for phase contrast kappa = {kappa:.4g}"
+            )
+        iterations += 1
+        q = k @ p
+        alpha = rz / np.einsum("ij,ij->j", p, q)
+        x_c += alpha * p
+        r -= alpha * q
+        z = precondition(r)
+        rz_new = np.einsum("ij,ij->j", r, z)
+        p = z + (rz_new / rz) * p
+        rz = rz_new
+    logger.debug("cell CG: %d iterations (bound %d, phase contrast %.4g)", iterations, cap, kappa)
+    x = _zero_mean(x, len(precondition.shape))
+    residual = np.linalg.norm(f - k @ x, axis=0)
+    if not np.all(residual <= RESIDUAL_TOL * norm_f):
+        raise NumericalError(
+            f"cell solve failed the residual contract (|r|/|f| = {np.max(residual / norm_f):.3e} > {RESIDUAL_TOL})"
+        )
+    return x
 
 
 def stiffness_weights(x: np.ndarray, penalty: float) -> np.ndarray:

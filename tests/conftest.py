@@ -95,13 +95,13 @@ def assert_same_csc(mat, ref):
     assert np.abs(mat.data - ref.data).max() <= 1e-14 * np.abs(ref.data).max()
 
 
-def assert_dissection_order(pattern, node_box, periodic):
+def assert_dissection_order(pattern, node_box):
     """Check a pattern's elimination order against the nested dissection of its node box.
 
     The order is a permutation of all DOFs with each node's DOFs contiguous;
-    its first bisection cuts the longest axis by the middle node plane (and,
-    on a periodic axis, also the first plane), orders the two parts before
-    that separator, and no element couples the two parts.
+    its first bisection cuts the longest axis by the middle node plane,
+    orders the two parts before that separator, and no element couples the
+    two parts.
     """
     order, dim = pattern.order, len(node_box)
     assert np.array_equal(np.sort(order), np.arange(pattern.n))
@@ -113,12 +113,11 @@ def assert_dissection_order(pattern, node_box, periodic):
     axis = node_box.index(n_axis)
     plane = dim * int(np.prod(node_box)) // n_axis
     mid = n_axis // 2
-    cuts = [0, mid] if periodic else [mid]
-    first = plane * (mid - len(cuts) + 1)
+    first = plane * mid
     second = plane * (n_axis - mid - 1)
     part_a, part_b, separator = order[:first], order[first:first + second], order[first + second:]
     stride = int(np.prod(node_box[:axis]))
-    assert sorted(set((separator // dim // stride) % n_axis)) == cuts
+    assert sorted(set((separator // dim // stride) % n_axis)) == [mid]
     in_a = np.isin(pattern.dofs, part_a).any(axis=1)
     in_b = np.isin(pattern.dofs, part_b).any(axis=1)
     assert not np.any(in_a & in_b)

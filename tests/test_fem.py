@@ -233,7 +233,7 @@ class TestDissectionOrder:
     @pytest.mark.parametrize("shape", [(6, 3), (2, 5), (4, 3, 3)])
     def test_order_dissects_the_node_box(self, shape):
         grid = StructuredGrid(shape, (1.0,) * len(shape))
-        assert_dissection_order(grid.pattern, grid.nodes_shape, periodic=False)
+        assert_dissection_order(grid.pattern, grid.nodes_shape)
 
     def test_order_built_once_per_grid(self):
         grid = StructuredGrid((4, 2), (1.0, 1.0))
