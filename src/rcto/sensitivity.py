@@ -31,7 +31,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import NormalizationError
 from .fem import StructuredGrid, element_mass, strain_operators
@@ -188,10 +187,11 @@ class SensitivityFilter:
 
     The weights w = max(r_min - r, 0) (self weight r_min) over the integer
     element offsets form one stencil, built once from the per-axis spacing
-    and correlated over the element grid; each element divides by the
-    stencil weight that lands inside the grid.  The micro filter wraps
-    periodically across the cell faces, consistent with the periodic
-    homogenization; the macro filter stops at the mesh boundary.
+    and correlated over the element grid as a sum of shifted copies of the
+    padded field; each element divides by the stencil weight that lands
+    inside the grid.  The micro filter wraps periodically across the cell
+    faces (wrap padding), consistent with the periodic homogenization; the
+    macro filter stops at the mesh boundary (zero padding).
     """
 
     def __init__(self, grid: StructuredGrid, r_min: float, periodic: bool = False):
@@ -204,15 +204,24 @@ class SensitivityFilter:
                 raise ValueError("periodic filter radius must be below half the cell size")
         offsets = [h * np.arange(-(self.r_min // h), self.r_min // h + 1) for h in grid.spacing]
         dist = np.sqrt(sum(d**2 for d in np.meshgrid(*offsets, indexing="ij")))
-        self._stencil = np.maximum(self.r_min - dist, 0.0)
+        stencil = np.maximum(self.r_min - dist, 0.0)
+        self._taps = [(stencil[j], j) for j in zip(*np.nonzero(stencil))]
+        self._radius = [(n // 2, n // 2) for n in stencil.shape]
         self._shape = grid.shape
         self._mode = "wrap" if periodic else "constant"
-        self._wsum = ndimage.correlate(np.ones(self._shape), self._stencil, mode=self._mode)
+        self._wsum = self._correlate(np.ones(self._shape))
+
+    def _correlate(self, values: np.ndarray) -> np.ndarray:
+        """sum_j w_j values[i + j - radius] over the stencil taps j, padded by wrap or zeros."""
+        padded = np.pad(values, self._radius, mode=self._mode)
+        out = np.zeros(self._shape)
+        for weight, j in self._taps:
+            out += weight * padded[tuple(slice(a, a + n) for a, n in zip(j, self._shape))]
+        return out
 
     def apply(self, field: np.ndarray) -> np.ndarray:
         values = np.reshape(field, self._shape, order="F")  # element ids run x-fastest
-        out = ndimage.correlate(values, self._stencil, mode=self._mode) / self._wsum
-        return out.ravel(order="F")
+        return (self._correlate(values) / self._wsum).ravel(order="F")
 
 
 def history_average(current: SensitivityField, previous: SensitivityField | None) -> SensitivityField:

@@ -5,6 +5,8 @@ import json
 import logging
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -625,3 +627,11 @@ class TestCli:
         h1 = open(os.path.join(out1, "history.csv"), "rb").read()
         h2 = open(os.path.join(out2, "history.csv"), "rb").read()
         assert h1 == h2
+
+    def test_import_leaves_out_scipy_ndimage(self):
+        # the sensitivity filter once imported scipy.ndimage, about 0.1 s of every start-up, for one call
+        src = os.path.join(HERE, "..", "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        code = "import sys, rcto.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.ndimage')))"
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "[]"

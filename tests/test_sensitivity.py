@@ -340,6 +340,16 @@ class TestNormalize:
             normalize(field, prob, state, props)
 
 
+FILTER_CASES = [
+    ((5, 5), (1.0, 1.0), 1.5, False, (2, 2)),
+    ((7, 5), (1.0, 0.6), 1.7, False, (1, 4)),
+    ((8, 8), (0.125, 0.125), 0.3, True, (0, 0)),
+    ((6, 5, 4), (0.1, 0.13, 0.2), 0.28, True, (0, 4, 3)),
+    ((5, 4, 3), (1.0, 1.0, 1.0), 1.8, False, (0, 1, 2)),
+]
+FILTER_IDS = ["2d-square", "2d-unequal-spacing", "2d-periodic", "3d-periodic-unequal-spacing", "3d-mesh"]
+
+
 class TestFilter:
     def test_constant_field_unchanged(self):
         grid = StructuredGrid((6, 4), (1.0, 1.0))
@@ -351,17 +361,7 @@ class TestFilter:
         )
         assert np.allclose(averaged.macro, field)
 
-    @pytest.mark.parametrize(
-        "shape, spacing, r_min, periodic, spike",
-        [
-            ((5, 5), (1.0, 1.0), 1.5, False, (2, 2)),
-            ((7, 5), (1.0, 0.6), 1.7, False, (1, 4)),
-            ((8, 8), (0.125, 0.125), 0.3, True, (0, 0)),
-            ((6, 5, 4), (0.1, 0.13, 0.2), 0.28, True, (0, 4, 3)),
-            ((5, 4, 3), (1.0, 1.0, 1.0), 1.8, False, (0, 1, 2)),
-        ],
-        ids=["2d-square", "2d-unequal-spacing", "2d-periodic", "3d-periodic-unequal-spacing", "3d-mesh"],
-    )
+    @pytest.mark.parametrize("shape, spacing, r_min, periodic, spike", FILTER_CASES, ids=FILTER_IDS)
     def test_single_spike_spreads_exactly_within_radius(self, shape, spacing, r_min, periodic, spike):
         # direct evaluation of the weighted average, minimum-image distances on the periodic cell
         grid = StructuredGrid(shape, spacing)
@@ -385,6 +385,20 @@ class TestFilter:
             assert np.isclose(out[e], expect, atol=1e-12)
         touched = np.abs(out) > 0
         assert np.array_equal(touched, dists_from(center) < r_min)
+
+    @pytest.mark.parametrize("shape, spacing, r_min, periodic, spike", FILTER_CASES, ids=FILTER_IDS)
+    def test_matches_ndimage_correlate(self, rng, shape, spacing, r_min, periodic, spike):
+        from scipy import ndimage
+
+        grid = StructuredGrid(shape, spacing)
+        offsets = [h * np.arange(-(r_min // h), r_min // h + 1) for h in spacing]
+        stencil = np.maximum(r_min - np.sqrt(sum(d**2 for d in np.meshgrid(*offsets, indexing="ij"))), 0.0)
+        mode = "wrap" if periodic else "constant"
+        field = rng.standard_normal(grid.n_elems)
+        ref = ndimage.correlate(field.reshape(shape, order="F"), stencil, mode=mode)
+        ref = (ref / ndimage.correlate(np.ones(shape), stencil, mode=mode)).ravel(order="F")
+        out = SensitivityFilter(grid, r_min=r_min, periodic=periodic).apply(field)
+        assert np.abs(out - ref).max() <= 1e-12 * np.abs(ref).max()
 
     def test_filtered_range_bracketed_by_raw_range(self, rng):
         grid = StructuredGrid((7, 5), (1.0, 1.0))
