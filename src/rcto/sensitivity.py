@@ -205,18 +205,23 @@ class SensitivityFilter:
         offsets = [h * np.arange(-(self.r_min // h), self.r_min // h + 1) for h in grid.spacing]
         dist = np.sqrt(sum(d**2 for d in np.meshgrid(*offsets, indexing="ij")))
         stencil = np.maximum(self.r_min - dist, 0.0)
-        self._taps = [(stencil[j], j) for j in zip(*np.nonzero(stencil))]
-        self._radius = [(n // 2, n // 2) for n in stencil.shape]
         self._shape = grid.shape
+        self._windows: dict[float, list] = {}  # the grid-sized window of the padded field per tap, by weight
+        for j in zip(*np.nonzero(stencil)):
+            self._windows.setdefault(stencil[j], []).append(tuple(slice(a, a + n) for a, n in zip(j, self._shape)))
+        self._radius = [(n // 2, n // 2) for n in stencil.shape]
         self._mode = "wrap" if periodic else "constant"
         self._wsum = self._correlate(np.ones(self._shape))
 
     def _correlate(self, values: np.ndarray) -> np.ndarray:
-        """sum_j w_j values[i + j - radius] over the stencil taps j, padded by wrap or zeros."""
+        """sum_j w_j values[i + j - radius] over the stencil taps j, on the field padded by wrap or zeros."""
         padded = np.pad(values, self._radius, mode=self._mode)
         out = np.zeros(self._shape)
-        for weight, j in self._taps:
-            out += weight * padded[tuple(slice(a, a + n) for a, n in zip(j, self._shape))]
+        for weight, windows in self._windows.items():
+            ring = padded[windows[0]].copy()
+            for window in windows[1:]:
+                ring += padded[window]
+            out += weight * ring
         return out
 
     def apply(self, field: np.ndarray) -> np.ndarray:
