@@ -143,6 +143,15 @@ class TestCellSolver:
         assert np.abs(nodal_mean).max() <= 1e-14 * np.abs(u).max()
         assert np.abs(g - g_ref).max() <= 1e-10 * np.abs(g_ref).max()
 
+    @pytest.mark.parametrize("shape", [(5, 5), (3, 3, 3)])
+    def test_rounding_level_loads_give_zero_correctors(self, shape):
+        # a homogeneous cell's loads cancel to rounding: no solve, exactly zero correctors
+        grid = StructuredGrid(shape, tuple(1.0 / n for n in shape))
+        d = micro_elasticity(np.ones(grid.n_elems), steel_foam(), 3.0, grid.dim)
+        assert np.any(cell_loads(grid, d))
+        _, _, u = solve_cell_problems(grid, d)
+        assert not np.any(u)
+
     @pytest.mark.parametrize("shape", [(4, 4, 4), (8, 8)])
     def test_high_contrast_cell_matches_dense_d_h(self, rng, shape):
         # E1 / E2 = 1e3 puts the phase contrast, and the CG iteration bound, far above the shipped 1.33
