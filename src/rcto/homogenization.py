@@ -1,13 +1,14 @@
 """Numerical homogenization of the periodic composite unit cell.
 
 Solves the cell problems for the unit test strains under periodic boundary
-conditions (master-slave coupling of opposite faces, zero-mean correctors;
-conjugate gradients preconditioned by the FFT-diagonalized stiffness of the
-voxel-mean material, no factorization) and returns the effective density and elasticity matrix together with the
-cell-energy basis that every derivative reads.  With g_iq the corrected
-strains (eps0 - eps) of the unit test strains at Gauss point q of voxel i,
-the basis is P[i, k] = sum_q w_q g_iq^T A_k g_iq for the two constant
-material parts A0, A1.  Each phase elasticity is c[p, 0] A0 + c[p, 1] A1
+conditions (master-slave coupling of opposite faces, zero-mean correctors)
+by conjugate gradients preconditioned with the FFT-diagonalized stiffness of
+the voxel-mean material, without a factorization, and returns the effective
+density and elasticity matrix together with the cell-energy basis that every
+derivative reads.  With g_iq the corrected strains (eps0 - eps) of the
+unit test strains at Gauss point q of voxel i, the basis is
+P[i, k] = sum_q w_q g_iq^T A_k g_iq for the two constant material parts
+A0, A1.  Each phase elasticity is c[p, 0] A0 + c[p, 1] A1
 (``materials.phase_coefficients``), so D_h, its derivatives with respect to
 the material parameters and its derivative with respect to one voxel are all
 scalar combinations of P.  These derivatives hold the strain fields fixed,
@@ -184,9 +185,10 @@ def _block_cg(k, f: np.ndarray, precondition: _ReferencePreconditioner, kappa: f
     The stop test reads the 2-norm of the residual, which can fall slower by
     up to sqrt(cond K) <= sqrt(kappa * cond K_ref); the margin of
     sqrt(kappa) / 4 * ln(kappa * cond K_ref) iterations covers that factor.
-    Past the cap, in exact arithmetic, CG has failed.
+    Exact-arithmetic CG needs no more than this cap, so passing it raises.
     """
-    cap = int(np.ceil(0.5 * np.sqrt(kappa) * (np.log(2.0 / CG_RTOL) + 0.5 * np.log(kappa * precondition.condition))))
+    margin = 0.5 * np.log(kappa * precondition.condition)
+    cap = int(np.ceil(0.5 * np.sqrt(kappa) * (np.log(2.0 / CG_RTOL) + margin)))
     norm_f = np.linalg.norm(f, axis=0)
     x = np.zeros_like(f)
     cols = np.arange(f.shape[1])  # the columns still iterating, and their iterates below
