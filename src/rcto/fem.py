@@ -6,13 +6,12 @@ the dynamic stiffness K - omega^2 M backed by a symmetric-mode sparse LU.
 Boundary conditions are enforced by row/column elimination.  All element
 matrices are exact for constant coefficients under the 2-point rule.
 
-Each mesh's sparsity pattern (``StructuredGrid.pattern``) carries a
-geometric nested-dissection order of its DOFs (George, SIAM J. Numer. Anal.
-1973).  A ``FactorizedSystem``
-eliminates the free DOFs in the order its ``free`` argument lists them, so
-callers that pass the free DOFs in that order get a nested-dissection LU.
-The macro dynamic stiffness is the one system factored in a run; the
-periodic cell is solved by preconditioned CG in ``homogenization``.
+A ``SparsityPattern`` drops the element entries on constrained DOFs when it
+is built, so one scatter gives the free block of a system.  The macro
+dynamic stiffness is the one system factored in a run, its free DOFs in a
+geometric nested-dissection order (``dissection_order``; George, SIAM J.
+Numer. Anal. 1973); the periodic cell is solved by preconditioned CG in
+``homogenization``.
 
 Unit system: N, mm, tonne, s (so moduli in MPa, densities in tonne/mm^3,
 frequencies converted to rad/s by the caller).
@@ -33,9 +32,8 @@ from .errors import SingularSystemError
 RESIDUAL_TOL = 1e-9
 
 # SuperLU's symmetric mode on a block that is already in elimination order
-# (the order of ``free``, see ``dissection_order``): no column permutation of
-# its own, and a diagonal pivot is kept unless it is below 0.01 of the
-# largest entry in its column.  Every system factored here is symmetric;
+# (the order of ``free``): no column permutation of its own, and a diagonal
+# pivot is kept unless it is below 0.01 of the largest entry in its column.  Every system factored here is symmetric;
 # K - omega^2 M may be indefinite, hence the threshold against tiny pivots.
 SYMMETRIC_LU = dict(permc_spec="NATURAL", diag_pivot_thresh=0.01, options={"SymmetricMode": True})
 
@@ -114,8 +112,8 @@ class StructuredGrid:
 
     @cached_property
     def pattern(self) -> "SparsityPattern":
-        """Assembly pattern of the grid's global matrices and their elimination order, built on first use."""
-        return SparsityPattern.from_dofs(self.elem_dofs, self.n_dofs, dissection_order(self.nodes_shape))
+        """Assembly pattern of the grid's unconstrained global matrices, built on first use."""
+        return SparsityPattern.from_dofs(self.elem_dofs, self.n_dofs)
 
     @cached_property
     def centroids(self) -> np.ndarray:
@@ -290,11 +288,11 @@ def dissection_order(shape: tuple[int, ...]) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class SparsityPattern:
-    """CSC structure of an assembled matrix, the data slot of every element entry and the elimination order.
+    """CSC structure of an assembled matrix and the data slot of every element entry.
 
-    ``positions[e, i * ndof_e + j]`` indexes the CSC data of entry (dofs[e, i], dofs[e, j]);
-    ``order`` lists all n DOFs in the grid's nested-dissection order, or is
-    None for a matrix that is never factored (the periodic cell).
+    ``positions[e, i * ndof_e + j]`` indexes the CSC data of entry (dofs[e, i], dofs[e, j]).  An
+    entry on a negative DOF id (a constrained DOF) is dropped: its position
+    is ``indices.size``, one slot past the data, which ``scatter`` discards.
     """
 
     n: int
@@ -302,26 +300,27 @@ class SparsityPattern:
     indptr: np.ndarray
     indices: np.ndarray
     positions: np.ndarray
-    order: np.ndarray | None = None
 
     @classmethod
-    def from_dofs(cls, dofs: np.ndarray, n: int, order: np.ndarray | None = None) -> "SparsityPattern":
-        # CSC order sorts the entries by column, then row
-        keys = (dofs[:, None, :].astype(np.int64) * n + dofs[:, :, None]).ravel()
-        keys, positions = np.unique(keys, return_inverse=True)
+    def from_dofs(cls, dofs: np.ndarray, n: int) -> "SparsityPattern":
+        # CSC order sorts the entries by column, then row; a dropped entry's key is n * n or more
+        keys = (
+            np.where(dofs < 0, n, dofs)[:, None, :].astype(np.int64) * n + np.where(dofs < 0, n * n, dofs)[:, :, None]
+        )
+        keys, positions = np.unique(keys.ravel(), return_inverse=True)
         itype = np.int32 if keys.size < np.iinfo(np.int32).max else np.int64
         indptr = np.searchsorted(keys, np.arange(n + 1, dtype=np.int64) * n).astype(itype)
+        np.minimum(positions, indptr[-1], out=positions)  # every dropped entry to the one slot past the data
         positions = positions.astype(itype).reshape(dofs.shape[0], -1)
-        pattern = cls(n, dofs, indptr, (keys % n).astype(itype), positions, order)
-        for arr in (dofs, pattern.indptr, pattern.indices, positions, order):
-            if arr is not None:
-                arr.setflags(write=False)  # shared by every matrix scattered with this pattern
+        pattern = cls(n, dofs, indptr, (keys[: indptr[-1]] % n).astype(itype), positions)
+        for arr in (dofs, pattern.indptr, pattern.indices, positions):
+            arr.setflags(write=False)  # shared by every matrix scattered with this pattern
         return pattern
 
 
 def scatter(pattern: SparsityPattern, elem_mats: np.ndarray) -> sp.csc_matrix:
     """Sum a (n_elems, ndof_e, ndof_e) stack into the global sparse matrix of a pattern."""
-    data = np.bincount(pattern.positions.ravel(), weights=elem_mats.ravel(), minlength=pattern.indices.size)
+    data = np.bincount(pattern.positions.ravel(), weights=elem_mats.ravel())[: pattern.indices.size]
     return sp.csc_matrix((data, pattern.indices, pattern.indptr), shape=(pattern.n, pattern.n))
 
 
@@ -333,23 +332,20 @@ def dynamic_stiffness(k: sp.spmatrix, m: sp.spmatrix, omega: float) -> sp.csc_ma
 
 
 class FactorizedSystem:
-    """Symmetric-mode sparse LU of a constrained dynamic stiffness, counting backsolves.
+    """Symmetric-mode sparse LU of the free block of a dynamic stiffness, counting backsolves.
 
-    The free DOFs are eliminated in the order ``free`` lists them (the
-    grid's nested-dissection order for production systems, see
-    ``SparsityPattern.order``).  One factorization is shared by every
-    right-hand side; the ``calls`` counter is the number of linear-system
-    applications (the quantity the uncertainty analysis reports as FEA
-    calls), one per right-hand side column.
+    ``kff`` holds the rows and columns of the free DOFs in the order ``free``
+    lists them, the order the LU eliminates them.  One factorization serves
+    every right-hand side; ``calls`` counts linear-system applications (the
+    uncertainty analysis's FEA calls), one per right-hand side column.
     """
 
-    def __init__(self, k_d: sp.spmatrix, free: np.ndarray):
-        k_d = k_d.tocsc()
-        self.n_dofs = k_d.shape[0]
+    def __init__(self, kff: sp.spmatrix, free: np.ndarray, n_dofs: int):
+        self.n_dofs = int(n_dofs)
         self.free = np.asarray(free, dtype=np.intp)
-        if self.free.size == 0 or self.free.size >= k_d.shape[0]:
+        if self.free.size == 0 or self.free.size >= self.n_dofs:
             raise ValueError("need at least one constrained DOF and at least one free DOF")
-        self._kff = k_d[self.free][:, self.free].tocsc()
+        self._kff = kff.tocsc()
         try:
             self._lu = splu(self._kff, **SYMMETRIC_LU)
         except RuntimeError as exc:  # SuperLU signals exact singularity this way
@@ -389,17 +385,10 @@ class FactorizedSystem:
         return u.reshape((self.n_dofs,) + rhs.shape[1:])
 
 
-def free_dofs(n_dofs: int, fixed: np.ndarray) -> np.ndarray:
-    fixed = np.unique(np.asarray(fixed, dtype=np.intp))
-    if fixed.size == 0:
-        raise ValueError("fixed DOF set must be nonempty (rigid-body modes)")
-    return np.setdiff1d(np.arange(n_dofs), fixed, assume_unique=True)
-
-
 def solve_system(k, m, omega: float, f: np.ndarray, fixed: np.ndarray) -> np.ndarray:
     """One-shot constrained solve of (K - omega^2 M) u = f, eliminating the free DOFs in index order."""
-    op = FactorizedSystem(dynamic_stiffness(k, m, omega), free_dofs(k.shape[0], fixed))
-    return op.solve(f)
+    free = np.setdiff1d(np.arange(k.shape[0]), fixed)
+    return FactorizedSystem(dynamic_stiffness(k, m, omega)[free][:, free], free, k.shape[0]).solve(f)
 
 
 def mean_compliance(f: np.ndarray, u: np.ndarray) -> float:

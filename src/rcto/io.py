@@ -59,8 +59,8 @@ def export_field_csv(path: str, grid: StructuredGrid, values: np.ndarray) -> Non
 
 
 def import_field_csv(path: str, grid: StructuredGrid) -> np.ndarray:
-    """Read a field written by ``export_field_csv``; a malformed file raises OutputError."""
-    values = np.zeros(grid.n_elems)
+    """Read a field written by ``export_field_csv``: each element once, a density in (0, 1]; else OutputError."""
+    values = np.full(grid.n_elems, np.nan)
     try:
         with open(path, "r", encoding="utf-8") as fh:
             header = fh.readline().strip().split(",")
@@ -72,11 +72,19 @@ def import_field_csv(path: str, grid: StructuredGrid) -> np.ndarray:
                     if len(parts) != grid.dim + 1:
                         raise ValueError(f"expected {grid.dim + 1} columns")
                     flat = int(np.ravel_multi_index(tuple(int(p) for p in parts[:-1]), grid.shape, order="F"))
+                    if not np.isnan(values[flat]):
+                        raise ValueError("element listed twice")
                     values[flat] = float(parts[-1])
+                    if not 0.0 < values[flat] <= 1.0:
+                        raise ValueError("density must be a finite value in (0, 1]")
                 except ValueError as exc:
                     raise OutputError(f"{path}: bad row {row} {line.strip()!r}: {exc}") from exc
     except (OSError, UnicodeDecodeError) as exc:
         raise OutputError(f"cannot read {path}: {exc}") from exc
+    missing = np.flatnonzero(np.isnan(values))
+    if missing.size:
+        first = tuple(int(i) for i in np.unravel_index(missing[0], grid.shape, order="F"))
+        raise OutputError(f"{path}: {missing.size} elements missing, the first at {first}")
     return values
 
 

@@ -2,7 +2,7 @@
 
 Holds the stiffness/mass interpolation of the discrete macro design
 variables (the ratio-preserving power law that keeps void elements from
-developing artificial local modes) and assembles the dynamic stiffness.
+developing artificial local modes) and factors the dynamic stiffness.
 Its derivatives with respect to uncertain material parameters are applied
 element by element from the reference element matrices
 (``apply_parameter_operator``), not assembled.
@@ -11,6 +11,7 @@ element by element from the reference element matrices
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -77,33 +78,32 @@ class MacroProblem:
         object.__setattr__(self, "force", np.asarray(self.force, dtype=float))
         if self.force.shape != (self.grid.n_dofs,):
             raise ValueError("force vector length must equal the number of macro DOFs")
-        if self.fixed_dofs.size == 0:
-            raise ValueError("fixed DOF set must be nonempty")
+        if self.fixed_dofs.size == 0 or self.fixed_dofs[0] < 0 or self.fixed_dofs[-1] >= self.grid.n_dofs:
+            raise ValueError(f"fixed DOF set must be nonempty, with fixed DOF ids in [0, {self.grid.n_dofs})")
 
-    @property
+    @cached_property
     def free(self) -> np.ndarray:
-        """Free DOFs in index order."""
-        return fem.free_dofs(self.grid.n_dofs, self.fixed_dofs)
+        """Free DOFs in the grid's nested-dissection order, the order the LU eliminates them."""
+        order = fem.dissection_order(self.grid.nodes_shape)
+        free = order[~np.isin(order, self.fixed_dofs)]
+        free.setflags(write=False)
+        return free
 
-    @property
-    def elimination_order(self) -> np.ndarray:
-        """Free DOFs in the grid's nested-dissection order."""
-        order = self.grid.pattern.order
-        return order[~np.isin(order, self.fixed_dofs)]
-
-
-def assemble_state(problem: MacroProblem, state: DesignState, d_h: np.ndarray, rho_h: float):
-    """Global (K, M) for the current two-scale design with effective cell properties."""
-    s = stiffness_scale(state.x_macro, problem.penalty, state.x_min)
-    d_mats = s[:, None, None] * d_h
-    rhos = state.x_macro * rho_h
-    return fem.assemble(problem.grid, d_mats, rhos)
+    @cached_property
+    def pattern(self) -> fem.SparsityPattern:
+        """Pattern of the free block, rows and columns in the order of ``free``; constrained entries dropped."""
+        rank = np.full(self.grid.n_dofs, -1, dtype=np.intp)
+        rank[self.free] = np.arange(self.free.size)
+        return fem.SparsityPattern.from_dofs(rank[self.grid.elem_dofs], self.free.size)
 
 
 def factorized_dynamic(problem: MacroProblem, state: DesignState, d_h: np.ndarray, rho_h: float):
-    k, m = assemble_state(problem, state, d_h, rho_h)
-    k_d = fem.dynamic_stiffness(k, m, problem.omega)
-    return fem.FactorizedSystem(k_d, problem.elimination_order)
+    """LU of the free block of K - omega^2 M, one scatter of s_e k(D_h) - omega^2 rho_h x_e m over the elements."""
+    grid = problem.grid
+    s = stiffness_scale(state.x_macro, problem.penalty, state.x_min)
+    elem = s[:, None, None] * fem.element_stiffness_batch(np.asarray(d_h)[None], grid.spacing)
+    elem -= (problem.omega**2 * rho_h * state.x_macro)[:, None, None] * fem.element_mass(1.0, grid.spacing)
+    return fem.FactorizedSystem(fem.scatter(problem.pattern, elem), problem.free, grid.n_dofs)
 
 
 def element_strains(grid: StructuredGrid, u: np.ndarray) -> np.ndarray:

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, SingularSystemError
-from .fem import element_mass, element_stiffness_batch, mean_compliance, scatter
+from .fem import SparsityPattern, element_mass, element_stiffness_batch, mean_compliance, scatter
 from .homogenization import EffectiveProperties, cell_loads, cell_pattern, homogenize, stiffness_weights
 from .materials import _PARTS, PARAMETER_NAMES, PARAMETERS, TwoPhaseMaterial, voigt_size
 from .problem import DesignState, MacroProblem, apply_parameter_operator, factorized_dynamic, stiffness_scale
@@ -335,9 +335,9 @@ class BatchComplianceEvaluator:
         self._setup_macro(problem, state)
 
     def _setup_cell(self, cell, state):
-        pattern = cell_pattern(cell)
-        free = np.arange(cell.dim, pattern.n)
-        self._cell_free = free
+        periodic = cell_pattern(cell)  # the first dim DOFs, the corner node's, are pinned and dropped
+        pattern = SparsityPattern.from_dofs(periodic.dofs - cell.dim, periodic.n - cell.dim)
+        self._nf_cell = pattern.n
         eta = stiffness_weights(state.x_micro, self.problem.penalty)
         self._a_parts = _PARTS[cell.dim]
         # four stiffness/load basis blocks: {phase-1, phase-2} x {A0, A1}
@@ -345,9 +345,8 @@ class BatchComplianceEvaluator:
         for wts in (eta, 1.0 - eta):
             for part in self._a_parts:
                 d_stack = wts[:, None, None] * part
-                k_red = scatter(pattern, element_stiffness_batch(d_stack, cell.spacing))
-                kb.append(k_red[free][:, free].toarray().ravel())
-                fb.append(cell_loads(cell, d_stack)[free].ravel())
+                kb.append(scatter(pattern, element_stiffness_batch(d_stack, cell.spacing)).toarray().ravel())
+                fb.append(cell_loads(cell, d_stack)[cell.dim:].ravel())
         self._cell_kb = np.array(kb)
         self._cell_fb = np.array(fb)
         self._cell_volume = cell.volume
@@ -358,7 +357,6 @@ class BatchComplianceEvaluator:
     def _setup_macro(self, problem, state):
         grid = problem.grid
         s = stiffness_scale(state.x_macro, problem.penalty, state.x_min)
-        free = problem.free
         pairs = [(c, d) for c in range(self.ncomp) for d in range(c, self.ncomp)]
         self._pairs = pairs
         kbas = []
@@ -366,13 +364,12 @@ class BatchComplianceEvaluator:
             e_cd = np.zeros((self.ncomp, self.ncomp))
             e_cd[[c, d], [d, c]] = 1.0
             k_e = element_stiffness_batch(s[:, None, None] * e_cd, grid.spacing)
-            kbas.append(scatter(grid.pattern, k_e)[free][:, free].toarray().ravel())
+            kbas.append(scatter(problem.pattern, k_e).toarray().ravel())
         self._macro_kbas = np.array(kbas)
         m_e = state.x_macro[:, None, None] * element_mass(1.0, grid.spacing)
-        self._macro_mbas = scatter(grid.pattern, m_e)[free][:, free].toarray().ravel()
-        self._macro_free = free
-        self._f_free = problem.force[free]
-        self._nf = free.size
+        self._macro_mbas = scatter(problem.pattern, m_e).toarray().ravel()
+        self._f_free = problem.force[problem.free]
+        self._nf = problem.free.size
         self._phase1_volume_fraction = float(
             np.sum(state.x_micro) * problem.cell.elem_volume / problem.cell.volume
         )
@@ -387,7 +384,7 @@ class BatchComplianceEvaluator:
         c = np.broadcast_to(material.coefficients(self.problem.grid.dim).reshape(2, 2, -1), (2, 2, nb))
         coefs = c.reshape(4, nb).T.copy()  # columns: phase 1 A0, A1, phase 2 A0, A1
 
-        nfree_c = self._cell_free.size
+        nfree_c = self._nf_cell
         k_cell = (coefs @ self._cell_kb).reshape(nb, nfree_c, nfree_c)
         f_cell = (coefs @ self._cell_fb).reshape(nb, nfree_c, self.ncomp)
         u_cell = _solve_samples(k_cell, f_cell, "cell")
@@ -501,7 +498,8 @@ def mcs_evaluate(
             )
         c = evaluator.compliance(names, thetas)
         calls += n_random
-        mean, std = float(np.mean(c)), float(np.std(c, ddof=1))
+        offsets = c - c[0]  # moments of the offsets: identical samples give mean c[0] and std 0 exactly
+        mean, std = float(c[0] + np.mean(offsets)), float(np.std(offsets, ddof=1))
         if mean > best_mean:
             best_mean, expectation_se = mean, std / np.sqrt(n_random)
         if std > best_std:

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 import scipy.sparse
 
-from rcto.fem import StructuredGrid
+from rcto.fem import StructuredGrid, assemble, dissection_order
 from rcto.materials import Phase, TwoPhaseMaterial
-from rcto.problem import DesignState, MacroProblem
+from rcto.problem import DesignState, MacroProblem, stiffness_scale
 from rcto.uncertainty import HybridParameter, Interval, UncertainSet
 
 
@@ -80,6 +80,12 @@ def full_state(problem: MacroProblem, x_min=1e-6, micro=None) -> DesignState:
     return DesignState(x_macro=np.ones(problem.grid.n_elems), x_micro=x_micro, x_min=x_min)
 
 
+def reference_matrices(problem: MacroProblem, state: DesignState, d_h, rho_h):
+    """Full (K, M) of a two-scale design by the reference assembler ``fem.assemble``, no DOF dropped."""
+    s = stiffness_scale(state.x_macro, problem.penalty, state.x_min)
+    return assemble(problem.grid, s[:, None, None] * d_h, state.x_macro * rho_h)
+
+
 def coo_reference(dofs, n, elem_mats):
     """Global matrix by plain COO assembly: duplicates summed, indices sorted."""
     ndof_e = dofs.shape[1]
@@ -95,16 +101,17 @@ def assert_same_csc(mat, ref):
     assert np.abs(mat.data - ref.data).max() <= 1e-14 * np.abs(ref.data).max()
 
 
-def assert_dissection_order(pattern, node_box):
-    """Check a pattern's elimination order against the nested dissection of its node box.
+def assert_dissection_order(grid):
+    """Check the nested-dissection order of a grid's DOFs against its node box.
 
     The order is a permutation of all DOFs with each node's DOFs contiguous;
     its first bisection cuts the longest axis by the middle node plane,
     orders the two parts before that separator, and no element couples the
     two parts.
     """
-    order, dim = pattern.order, len(node_box)
-    assert np.array_equal(np.sort(order), np.arange(pattern.n))
+    node_box, dim = grid.nodes_shape, grid.dim
+    order = dissection_order(node_box)
+    assert np.array_equal(np.sort(order), np.arange(grid.n_dofs))
     nodes = order.reshape(-1, dim) // dim
     assert np.array_equal(order.reshape(-1, dim), dim * nodes + np.arange(dim))
     n_axis = max(node_box)
@@ -118,8 +125,8 @@ def assert_dissection_order(pattern, node_box):
     part_a, part_b, separator = order[:first], order[first:first + second], order[first + second:]
     stride = int(np.prod(node_box[:axis]))
     assert sorted(set((separator // dim // stride) % n_axis)) == [mid]
-    in_a = np.isin(pattern.dofs, part_a).any(axis=1)
-    in_b = np.isin(pattern.dofs, part_b).any(axis=1)
+    in_a = np.isin(grid.elem_dofs, part_a).any(axis=1)
+    in_b = np.isin(grid.elem_dofs, part_b).any(axis=1)
     assert not np.any(in_a & in_b)
 
 

@@ -600,16 +600,22 @@ class TestCli:
         assert f"error[{category}]" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "name, text",
+        "name, text, message",
         [
-            ("summary.json", "{not json"),
-            ("macro_density.csv", "i,j,value\n0,x,1.0\n"),
-            ("macro_density.csv", "i,j,value\n6,0,1.0\n"),
-            ("micro_density.csv", "i,j,value\n0,0\n"),
+            ("summary.json", "{not json", "cannot load bundle"),
+            ("macro_density.csv", "i,j,value\n0,x,1.0\n", "bad row 2"),
+            ("macro_density.csv", "i,j,value\n6,0,1.0\n", "bad row 2"),
+            ("micro_density.csv", "i,j,value\n0,0\n", "bad row 2"),
+            ("macro_density.csv", "i,j,value\n0,0,1.0\n", "11 elements missing, the first at (1, 0)"),
+            ("micro_density.csv", "i,j,value\n0,0,7.5\n", "bad row 2 '0,0,7.5': density must"),
+            ("micro_density.csv", "i,j,value\n0,0,1.0\n0,0,1.0\n", "bad row 3 '0,0,1.0': element listed twice"),
         ],
-        ids=["summary-not-json", "csv-bad-index", "csv-index-out-of-range", "csv-short-row"],
+        ids=[
+            "summary-not-json", "csv-bad-index", "csv-index-out-of-range", "csv-short-row",
+            "csv-missing-rows", "csv-density-out-of-range", "csv-duplicate-row",
+        ],
     )
-    def test_export_of_corrupt_bundle_data(self, tmp_path, capsys, name, text):
+    def test_export_of_corrupt_bundle_data(self, tmp_path, capsys, name, text, message):
         doc = small_doc(mode="dcto")
         doc["optimizer"]["max_iterations"] = 2
         bundle = tmp_path / "bundle"
@@ -617,7 +623,10 @@ class TestCli:
         (bundle / name).write_text(text, encoding="utf-8")
         argv = ["export", "--bundle", str(bundle), "--format", "csv", "--out", str(tmp_path / "o")]
         assert main(argv) == 4
-        assert "error[io]" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "error[io]" in err and message in err
+        if name.endswith(".csv"):
+            assert name in err
 
     def test_determinism_byte_identical_history(self, tmp_path):
         cfg_path = write_config(tmp_path, small_doc(mode="rcto"))

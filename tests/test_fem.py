@@ -11,16 +11,19 @@ import numpy as np
 import pytest
 import sympy as sp
 
+import rcto.fem
+
 from rcto.errors import SingularSystemError
 from rcto.fem import (
     FactorizedSystem,
+    SparsityPattern,
     StructuredGrid,
     assemble,
+    dissection_order,
     dynamic_stiffness,
     element_mass,
     element_stiffness,
     element_stiffness_batch,
-    free_dofs,
     mean_compliance,
     scatter,
     solve_system,
@@ -36,10 +39,11 @@ from conftest import (
     capture_factors,
     coo_reference,
     full_state,
+    reference_matrices,
     steel_foam,
 )
 from rcto.homogenization import homogenize
-from rcto.problem import MacroProblem, assemble_state, factorized_dynamic
+from rcto.problem import MacroProblem, factorized_dynamic
 
 
 def symbolic_q4_stiffness(d, a, b):
@@ -228,24 +232,36 @@ class TestSparsityPattern:
         grid = StructuredGrid((4, 2), (1.0, 1.0))
         assert grid.pattern is grid.pattern
 
+    def test_negative_dofs_are_dropped_at_pattern_build(self, rng):
+        # keep a shuffled subset of the DOFs; the pattern's rows and columns follow the shuffle
+        grid = StructuredGrid((5, 3), (1.0, 0.5))
+        kept = rng.permutation(grid.n_dofs)[: grid.n_dofs - 7]
+        rank = np.full(grid.n_dofs, -1)
+        rank[kept] = np.arange(kept.size)
+        pattern = SparsityPattern.from_dofs(rank[grid.elem_dofs], kept.size)
+        elem_mats = rng.standard_normal((grid.n_elems, 8, 8))
+        ref = coo_reference(grid.elem_dofs, grid.n_dofs, elem_mats)[kept][:, kept]
+        ref.sort_indices()
+        assert_same_csc(scatter(pattern, elem_mats), ref)
+
 
 class TestDissectionOrder:
     @pytest.mark.parametrize("shape", [(6, 3), (2, 5), (4, 3, 3)])
     def test_order_dissects_the_node_box(self, shape):
-        grid = StructuredGrid(shape, (1.0,) * len(shape))
-        assert_dissection_order(grid.pattern, grid.nodes_shape)
+        assert_dissection_order(StructuredGrid(shape, (1.0,) * len(shape)))
 
-    def test_order_built_once_per_grid(self):
-        grid = StructuredGrid((4, 2), (1.0, 1.0))
-        assert grid.pattern.order is grid.pattern.order
-        assert not grid.pattern.order.flags.writeable
+    def test_free_dofs_and_pattern_built_once_per_problem(self):
+        prob = cantilever(4, 2)
+        assert prob.free is prob.free
+        assert not prob.free.flags.writeable
+        assert prob.pattern is prob.pattern
+        assert prob.pattern.n == prob.free.size
 
     def test_elimination_order_lists_the_free_dofs_in_grid_order(self):
         prob = cantilever(6, 3)
-        free = prob.elimination_order
-        assert np.array_equal(np.sort(free), prob.free)
-        position = np.argsort(prob.grid.pattern.order)
-        assert np.all(np.diff(position[free]) > 0)
+        assert np.array_equal(np.sort(prob.free), np.setdiff1d(np.arange(prob.grid.n_dofs), prob.fixed_dofs))
+        position = np.argsort(dissection_order(prob.grid.nodes_shape))
+        assert np.all(np.diff(position[prob.free]) > 0)
 
     def test_fills_less_than_minimum_degree_on_a_3d_macro_grid(self, monkeypatch):
         grid = StructuredGrid((8, 4, 4), (1.0, 1.0, 1.0))
@@ -255,18 +271,56 @@ class TestDissectionOrder:
         factors = capture_factors(monkeypatch)
         factorized_dynamic(prob, full_state(prob), elasticity_matrix(200e3, 0.3, 3), 7.9e-9)
         k, _ = assemble(grid, elasticity_matrix(200e3, 0.3, 3), 7.9e-9)
+        free = np.sort(prob.free)
         assert len(factors) == 1
-        assert_fills_less_than_minimum_degree(factors[0], k[prob.free][:, prob.free].tocsc())
+        assert_fills_less_than_minimum_degree(factors[0], k[free][:, free].tocsc())
 
     def test_indefinite_system_in_dissection_order_matches_dense_solve(self):
         prob, k, m, free, kf, mf, evals = steel_cantilever_modes()
-        assert not np.array_equal(prob.elimination_order, free)
+        assert not np.array_equal(prob.free, free)
         omega = (evals[0] * evals[1]) ** 0.25  # between the first two natural frequencies
-        system = FactorizedSystem(dynamic_stiffness(k, m, omega), prob.elimination_order)
+        system = factorized(k, m, omega, prob.free)
         u = system.solve(prob.force)
         u_ref = np.linalg.solve(kf - omega**2 * mf, prob.force[free])
         assert np.linalg.norm(u[free] - u_ref) <= 1e-10 * np.linalg.norm(u_ref)
         assert not np.any(u[prob.fixed_dofs])
+
+
+class TestMacroSystem:
+    @pytest.mark.parametrize(
+        "shape, freq, voids", [((6, 3), 500.0, True), ((4, 2, 2), 0.0, False)], ids=["harmonic-2d", "static-3d"]
+    )
+    def test_factored_matrix_is_the_reference_block(self, monkeypatch, rng, shape, freq, voids):
+        dim = len(shape)
+        grid = StructuredGrid(shape, (1.0,) * dim)
+        left = np.flatnonzero(np.arange(grid.n_nodes) % grid.nodes_shape[0] == 0)
+        fixed = (dim * left[:, None] + np.arange(dim)).ravel()
+        cell = StructuredGrid((2,) * dim, (0.5,) * dim)
+        prob = MacroProblem(grid, cell, fixed, np.ones(grid.n_dofs), omega=2 * np.pi * freq)
+        state = full_state(prob)
+        if voids:
+            state.x_macro[rng.random(grid.n_elems) < 0.3] = state.x_min
+        d_h, rho_h = elasticity_matrix(200e3, 0.3, dim), 7.9e-9
+        factored = []
+        splu = rcto.fem.splu
+        monkeypatch.setattr(rcto.fem, "splu", lambda a, **kw: factored.append(a) or splu(a, **kw))
+        factorized_dynamic(prob, state, d_h, rho_h)
+        k, m = reference_matrices(prob, state, d_h, rho_h)
+        ref = (k - prob.omega**2 * m)[prob.free][:, prob.free].toarray()
+        (got,) = factored
+        assert got.nnz == k[prob.free][:, prob.free].nnz
+        assert np.abs(got.toarray() - ref).max() <= 1e-14 * np.abs(ref).max()
+
+    def test_fixed_dof_ids_outside_the_grid_rejected(self):
+        prob = cantilever(2, 1)
+        for bad in (prob.grid.n_dofs, -1):
+            with pytest.raises(ValueError, match="fixed DOF ids"):
+                MacroProblem(prob.grid, prob.cell, np.append(prob.fixed_dofs, bad), prob.force)
+
+
+def factorized(k, m, omega, free):
+    """FactorizedSystem of the free block of K - omega^2 M, eliminated in the order of ``free``."""
+    return FactorizedSystem(dynamic_stiffness(k, m, omega)[free][:, free], free, k.shape[0])
 
 
 def steel_cantilever_modes():
@@ -275,7 +329,7 @@ def steel_cantilever_modes():
 
     prob = cantilever(4, 2)
     k, m = assemble(prob.grid, elasticity_matrix(200e3, 0.3, 2), 7.9e-9)
-    free = free_dofs(prob.grid.n_dofs, prob.fixed_dofs)
+    free = np.sort(prob.free)
     kf = k.toarray()[np.ix_(free, free)]
     mf = m.toarray()[np.ix_(free, free)]
     return prob, k, m, free, kf, mf, scipy.linalg.eigh(kf, mf, eigvals_only=True)
@@ -294,7 +348,7 @@ class TestSolve:
         d = elasticity_matrix(1000.0, 0.3, 2)
         k, m = assemble(prob.grid, d, 1.0)
         u = solve_system(k, m, 0.0, prob.force, prob.fixed_dofs)
-        free = free_dofs(prob.grid.n_dofs, prob.fixed_dofs)
+        free = np.sort(prob.free)
         kd = k.toarray()[np.ix_(free, free)]
         u_ref = np.linalg.solve(kd, prob.force[free])
         assert np.linalg.norm(u[free] - u_ref) <= 1e-9 * np.linalg.norm(u_ref)
@@ -303,7 +357,7 @@ class TestSolve:
         prob = cantilever(4, 2)
         d = elasticity_matrix(200e3, 0.3, 2)
         k, m = assemble(prob.grid, d, 7.9e-9)
-        free = free_dofs(prob.grid.n_dofs, prob.fixed_dofs)
+        free = np.sort(prob.free)
         for _ in range(5):
             f = np.zeros(prob.grid.n_dofs)
             f[free] = rng.standard_normal(free.size)
@@ -316,7 +370,7 @@ class TestSolve:
         prob = cantilever(4, 2)
         d = elasticity_matrix(200e3, 0.3, 2)
         k, m = assemble(prob.grid, d, 7.9e-9)
-        free = free_dofs(prob.grid.n_dofs, prob.fixed_dofs)
+        free = np.sort(prob.free)
         kf = k.toarray()[np.ix_(free, free)]
         mf = m.toarray()[np.ix_(free, free)]
         evals = scipy.linalg.eigh(kf, mf, eigvals_only=True)
@@ -343,7 +397,7 @@ class TestSolve:
         prob = cantilever(3, 2)
         d = elasticity_matrix(200e3, 0.3, 2)
         k, m = assemble(prob.grid, d, 7.9e-9)
-        system = FactorizedSystem(dynamic_stiffness(k, m, 0.0), free_dofs(prob.grid.n_dofs, prob.fixed_dofs))
+        system = factorized(k, m, 0.0, np.sort(prob.free))
         for _ in range(4):
             system.solve(prob.force)
         assert system.calls == 4
@@ -357,7 +411,7 @@ class TestSolve:
 
     def test_block_solve_matches_column_solves(self, rng):
         prob, k, m, free, *_ = steel_cantilever_modes()
-        system = FactorizedSystem(dynamic_stiffness(k, m, 2 * np.pi * 500.0), free)
+        system = factorized(k, m, 2 * np.pi * 500.0, free)
         block = np.zeros((prob.grid.n_dofs, 3))
         block[free, 0] = rng.standard_normal(free.size)
         block[:, 2] = prob.force
@@ -375,7 +429,7 @@ class TestSolve:
     def test_empty_block_returns_empty_and_counts_nothing(self):
         # a problem without uncertain parameters solves empty first- and second-order blocks
         prob, k, m, free, *_ = steel_cantilever_modes()
-        system = FactorizedSystem(dynamic_stiffness(k, m, 0.0), free)
+        system = factorized(k, m, 0.0, free)
         system.solve(prob.force)
         u = system.solve(np.zeros((prob.grid.n_dofs, 0)))
         assert u.shape == (prob.grid.n_dofs, 0)
@@ -383,7 +437,7 @@ class TestSolve:
 
     def test_block_residual_contract_enforced_at_resonance(self):
         prob, k, m, free, _, _, evals = steel_cantilever_modes()
-        system = FactorizedSystem(dynamic_stiffness(k, m, np.sqrt(evals[2])), free)
+        system = factorized(k, m, np.sqrt(evals[2]), free)
         with pytest.raises(SingularSystemError):
             system.solve(np.column_stack([np.zeros(prob.grid.n_dofs), prob.force]))
 
@@ -435,7 +489,7 @@ class TestSystemProperties:
         mat = steel_foam()
         state = full_state(prob)
         props = homogenize(prob.cell, state.x_micro, mat, prob.penalty)
-        k, m = assemble_state(prob, state, props.d_h, props.rho_h)
+        k, m = reference_matrices(prob, state, props.d_h, props.rho_h)
         c0 = mean_compliance(prob.force, solve_system(k, m, 0.0, prob.force, prob.fixed_dofs))
         perm = rng.permutation(prob.grid.n_dofs)
         pmat = np.eye(prob.grid.n_dofs)[perm]

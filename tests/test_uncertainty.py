@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import rcto.fem
 from rcto.fem import StructuredGrid, mean_compliance
 from rcto.homogenization import homogenize, seed_cell
 from rcto.materials import PARAMETER_NAMES, Phase, TwoPhaseMaterial
@@ -23,7 +24,7 @@ from rcto.uncertainty import (
     select_beta,
 )
 
-from conftest import cantilever, degenerate_params, full_state, hybrid_params, steel_foam
+from conftest import cantilever, degenerate_params, full_state, hybrid_params, reference_matrices, steel_foam
 
 
 class TestInterval:
@@ -156,23 +157,19 @@ class TestParameterMatrices:
         prob = cantilever(4, 2, cell_n=4)
         state = full_state(prob)  # homogeneous phase-1 cell
         props = homogenize(prob.cell, state.x_micro, self.mat, prob.penalty)
-        from rcto.problem import assemble_state
-
-        k, _ = assemble_state(prob, state, props.d_h, props.rho_h)
+        k, _ = reference_matrices(prob, state, props.d_h, props.rho_h)
         g = parameter_to_matrices(prob, state, props, "e1")
         assert np.allclose(g.toarray(), k.toarray() / self.mat.phase1.youngs, rtol=1e-9)
 
     def test_random_cell_modulus_derivative_matches_finite_differences(self, rng):
         prob, state, props = self._setup(omega=0.0, rng=rng)
         g = parameter_to_matrices(prob, state, props, "e1")
-        from rcto.problem import assemble_state
-
         e0 = self.mat.phase1.youngs
         h = 1e-4 * e0
         def k_at(e1):
             m = TwoPhaseMaterial(Phase(e1, 0.3, 7.9e-9), self.mat.phase2)
             p = homogenize(prob.cell, state.x_micro, m, prob.penalty)
-            return assemble_state(prob, state, p.d_h, p.rho_h)[0].toarray()
+            return reference_matrices(prob, state, p.d_h, p.rho_h)[0].toarray()
         fd = (k_at(e0 + h) - k_at(e0 - h)) / (2 * h)
         assert np.abs(g.toarray() - fd).max() <= 0.02 * np.abs(fd).max()
 
@@ -222,6 +219,15 @@ class TestMcsEvaluate:
         c_det = mean_compliance(prob.force, system.solve(prob.force))
         assert np.isclose(res.expectation, c_det, rtol=1e-12)
         assert res.std == 0.0
+
+    def test_identical_samples_give_zero_std_exactly(self, monkeypatch):
+        # np.mean of 50 copies of this value rounds away from it, so np.std(ddof=1) of them is 2.9e-14
+        value = 185.90891464231507
+        monkeypatch.setattr(BatchComplianceEvaluator, "compliance", lambda self, names, v: np.full(len(v), value))
+        prob = cantilever(2, 1, cell_n=2)
+        res = mcs_evaluate(prob, full_state(prob), self.mat, hybrid_params(self.mat), 2, 50, seed=1)
+        assert res.std == 0.0
+        assert res.expectation == value
 
     def test_sample_mean_consistent_with_perturbation_expectation(self):
         # single interval point, one-element problem, large sample
@@ -298,13 +304,28 @@ class TestMcsEvaluate:
         n_random = 40
         res = mcs_evaluate(prob, state, self.mat, params, 6, n_random, seed=11)
         assert len(samples) == res.n_outer
-        means = np.array([np.mean(c) for c in samples])
-        stds = np.array([np.std(c, ddof=1) for c in samples])
+        # the oracle's moments: those of the offsets from each point's first sample
+        means = np.array([c[0] + np.mean(c - c[0]) for c in samples])
+        stds = np.array([np.std(c - c[0], ddof=1) for c in samples])
         i_mean, i_std = int(np.argmax(means)), int(np.argmax(stds))
         assert res.expectation == means[i_mean] and res.std == stds[i_std]
         assert np.isclose(res.expectation_se, stds[i_mean] / np.sqrt(n_random), rtol=1e-14)
         assert np.isclose(res.std_se, stds[i_std] / np.sqrt(2 * (n_random - 1)), rtol=1e-14)
         assert i_mean != i_std  # the two errors come from different points here
+
+    def test_oracle_and_macro_factorization_skip_the_full_matrices(self, monkeypatch):
+        # the macro system is scattered straight into its free block; the full K, M pair is never built
+        def forbidden(*args, **kwargs):
+            raise AssertionError("full-matrix assembly on the run path")
+
+        monkeypatch.setattr(rcto.fem, "assemble", forbidden)
+        monkeypatch.setattr(rcto.fem, "dynamic_stiffness", forbidden)
+        prob = cantilever(4, 2, cell_n=4, omega=2 * np.pi * 300.0)
+        state = full_state(prob, micro=seed_cell(prob.cell, 0.25, 1e-6))
+        props = homogenize(prob.cell, state.x_micro, self.mat, prob.penalty)
+        factorized_dynamic(prob, state, props.d_h, props.rho_h).solve(prob.force)
+        ev = BatchComplianceEvaluator(prob, state, self.mat)
+        assert ev.compliance(("e1",), [[200e3]]).shape == (1,)
 
     def test_batch_and_plain_paths_agree(self, rng):
         prob = cantilever(4, 2, cell_n=4, omega=2 * np.pi * 300.0)
