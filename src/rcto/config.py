@@ -251,6 +251,9 @@ def _parse_document(doc: dict, text: str) -> RunConfig:
     loads = [_parse_load(v, entry, dim, f"loads[{i}]") for i, entry in enumerate(raw_loads or [])]
     if len({load.frequency for load in loads if load is not None}) > 1:
         v.error("loads: all loads must share one excitation frequency")
+    if macro_elements and loads and None not in loads:
+        if not np.any(resolve_load_vector(StructuredGrid(macro_elements, macro_spacing), loads)):
+            v.error("loads: the loads resolve to a zero force vector (zero amplitudes, or loads that cancel)")
 
     cell = v.section(doc, "cell", "", {"elements", "element_size", "seed_fraction"})
     cell_elements = v.take(

@@ -7,11 +7,12 @@ Boundary conditions are enforced by row/column elimination.  All element
 matrices are exact for constant coefficients under the 2-point rule.
 
 A ``SparsityPattern`` drops the element entries on constrained DOFs when it
-is built, so one scatter gives the free block of a system.  The macro
-dynamic stiffness is the one system factored in a run, its free DOFs in a
-geometric nested-dissection order (``dissection_order``; George, SIAM J.
-Numer. Anal. 1973); the periodic cell is solved by preconditioned CG in
-``homogenization``.
+is built, so one scatter gives the free block of a system.  Only the macro
+mesh is assembled: its dynamic stiffness is the one system factored in a
+run, its free DOFs in a geometric nested-dissection order
+(``dissection_order``; George, SIAM J. Numer. Anal. 1973).  The periodic
+cell is never assembled; ``homogenization`` applies its stiffness
+matrix-free inside a preconditioned CG.
 
 Unit system: N, mm, tonne, s (so moduli in MPa, densities in tonne/mm^3,
 frequencies converted to rad/s by the caller).
@@ -296,7 +297,6 @@ class SparsityPattern:
     """
 
     n: int
-    dofs: np.ndarray
     indptr: np.ndarray
     indices: np.ndarray
     positions: np.ndarray
@@ -312,8 +312,8 @@ class SparsityPattern:
         indptr = np.searchsorted(keys, np.arange(n + 1, dtype=np.int64) * n).astype(itype)
         np.minimum(positions, indptr[-1], out=positions)  # every dropped entry to the one slot past the data
         positions = positions.astype(itype).reshape(dofs.shape[0], -1)
-        pattern = cls(n, dofs, indptr, (keys[: indptr[-1]] % n).astype(itype), positions)
-        for arr in (dofs, pattern.indptr, pattern.indices, positions):
+        pattern = cls(n, indptr, (keys[: indptr[-1]] % n).astype(itype), positions)
+        for arr in (pattern.indptr, pattern.indices, positions):
             arr.setflags(write=False)  # shared by every matrix scattered with this pattern
         return pattern
 

@@ -3,7 +3,8 @@
 Solves the cell problems for the unit test strains under periodic boundary
 conditions (master-slave coupling of opposite faces, zero-mean correctors)
 by conjugate gradients preconditioned with the FFT-diagonalized stiffness of
-the voxel-mean material, without a factorization, and returns the effective
+the voxel-mean material, with neither a factorization nor an assembled
+matrix (``cell_operator`` applies the stiffness), and returns the effective
 density and elasticity matrix together with the cell-energy basis that every
 derivative reads.  With g_iq the corrected strains (eps0 - eps) of the
 unit test strains at Gauss point q of voxel i, the basis is
@@ -30,11 +31,9 @@ import numpy as np
 from .errors import NumericalError, SingularSystemError
 from .fem import (
     RESIDUAL_TOL,
-    SparsityPattern,
     StructuredGrid,
     _corner_offsets,
     element_stiffness_batch,
-    scatter,
     strain_operators,
 )
 from .materials import _PARTS, TwoPhaseMaterial, voigt_size
@@ -45,30 +44,41 @@ CG_RTOL = 1e-10  # relative residual at which the cell CG stops
 
 
 @lru_cache(maxsize=8)
-def cell_pattern(grid: StructuredGrid) -> SparsityPattern:
-    """Assembly pattern of the periodic cell; each node maps to its master node (x-fastest)."""
-    grids = np.meshgrid(*[np.arange(n + 1) for n in grid.shape], indexing="ij")
-    master = np.zeros(grid.n_nodes, dtype=np.intp)
-    stride = 1
-    for g, n in zip(grids, grid.shape):
-        master += (g.ravel(order="F") % n) * stride
-        stride *= n
-    dofs = grid.dim * master[grid.elem_node_ids][:, :, None] + np.arange(grid.dim)
-    return SparsityPattern.from_dofs(dofs.reshape(grid.n_elems, -1), grid.dim * grid.n_elems)
+def corner_tables(grid: StructuredGrid) -> tuple[np.ndarray, np.ndarray]:
+    """The master node at corner a of each voxel (n_voxels, 2^dim), and for each corner a the slot 2^dim * voxel + a
+    of the voxel whose corner a is each master node (2^dim, n_voxels).  Master ids are the voxel ids (x fastest)."""
+    ids, axes = np.arange(grid.n_elems).reshape(grid.shape[::-1]), tuple(range(grid.dim))  # C order (..., y, x)
+    offsets = _corner_offsets(grid.dim)[:, ::-1]
+    nodes = np.stack([np.roll(ids, -o, axes).ravel() for o in offsets], axis=1)
+    slots = np.stack([len(offsets) * np.roll(ids, o, axes).ravel() + a for a, o in enumerate(offsets)])
+    for table in (nodes, slots):
+        table.setflags(write=False)
+    return nodes, slots
 
 
-def _sum_to_masters(pattern: SparsityPattern, elem_loads: np.ndarray) -> np.ndarray:
-    """Sum (n_voxels, ndof_e, ncomp) element load columns into (n_red, ncomp) master-DOF loads."""
-    flat = elem_loads.reshape(pattern.dofs.size, -1)
-    return np.column_stack(
-        [np.bincount(pattern.dofs.ravel(), weights=col, minlength=pattern.n) for col in flat.T]
-    )
+def _gather(grid: StructuredGrid, u: np.ndarray) -> np.ndarray:
+    """Element DOF values (n_voxels, ndof_e, k) of a block (n_red, k) of master-DOF vectors."""
+    nodes = corner_tables(grid)[0]
+    return np.take(u.reshape(len(nodes), -1), nodes, axis=0).reshape(len(nodes), -1, u.shape[-1])
+
+
+def _sum_to_masters(grid: StructuredGrid, elem: np.ndarray) -> np.ndarray:
+    """Sum element columns (n_voxels, ndof_e, k) into master-DOF columns (n_red, k), 2^dim slots each."""
+    slots = corner_tables(grid)[1]
+    rows = elem.reshape(slots.size, -1)  # one row per element slot: a voxel's corner
+    return np.take(rows, slots, axis=0).sum(axis=0).reshape(-1, elem.shape[-1])
+
+
+def cell_operator(grid: StructuredGrid, d_voxels: np.ndarray):
+    """u -> K u on blocks (n_red, k) for the periodic cell stiffness K of the per-voxel elasticities."""
+    k_e = element_stiffness_batch(d_voxels, grid.spacing)
+    return lambda u: _sum_to_masters(grid, k_e @ _gather(grid, u))
 
 
 def cell_loads(grid: StructuredGrid, d_voxels: np.ndarray) -> np.ndarray:
     """Reduced load vectors (n_red, ncomp): integral of B^T D eps0, one column per test strain."""
     b, _, w = strain_operators(grid.spacing)
-    return _sum_to_masters(cell_pattern(grid), np.einsum("q,qce->ec", w, b) @ d_voxels)
+    return _sum_to_masters(grid, np.einsum("q,qce->ec", w, b) @ d_voxels)
 
 
 def _phase_contrast(d_voxels: np.ndarray, d_ref: np.ndarray) -> float:
@@ -134,8 +144,8 @@ def solve_cell_problems(grid: StructuredGrid, d_voxels: np.ndarray):
     ncomp) whose column c is (eps0_c - eps_c) at each Gauss point, the Gauss
     weights w, and the zero-mean reduced periodic solution u (n_red_dofs, ncomp).
 
-    One block conjugate-gradient run over the ncomp load columns on the
-    assembled periodic stiffness K, preconditioned by the FFT inverse of the
+    One block conjugate-gradient run over the ncomp load columns on the cell
+    stiffness K of ``cell_operator``, preconditioned by the FFT inverse of the
     stiffness of the voxel-mean material D_ref.  Each answer must meet
     ``fem.RESIDUAL_TOL`` in its true residual on the zero-mean load.
     """
@@ -146,9 +156,7 @@ def solve_cell_problems(grid: StructuredGrid, d_voxels: np.ndarray):
     d_ref = d_voxels.mean(axis=0)
     kappa = _phase_contrast(d_voxels, d_ref)
     b, _, w = strain_operators(grid.spacing)
-    pattern = cell_pattern(grid)
-    load_op = np.einsum("q,qce->ec", w, b)
-    f = _zero_mean(_sum_to_masters(pattern, load_op @ d_voxels), grid.dim)
+    f = _zero_mean(cell_loads(grid, d_voxels), grid.dim)
     # A computed load entry sums 2^dim element entries, each a dot product of
     # length ncomp, so it lies within (2^dim + ncomp) eps of the exact load
     # relative to the same sums in absolute values (Higham, Accuracy and
@@ -156,17 +164,14 @@ def solve_cell_problems(grid: StructuredGrid, d_voxels: np.ndarray):
     # cannot be told from the exact zero load of a homogeneous cell: its
     # correctors are zero, and the D_h error this makes is f^T K^-1 f, second
     # order in the floor.
-    magnitude = _sum_to_masters(pattern, np.abs(load_op) @ np.abs(d_voxels))
+    magnitude = _sum_to_masters(grid, np.abs(np.einsum("q,qce->ec", w, b)) @ np.abs(d_voxels))
     floor = (2**grid.dim + ncomp) * np.finfo(float).eps * np.linalg.norm(magnitude, axis=0)
-    norm_f = np.linalg.norm(f, axis=0)
-    loaded = norm_f > floor
+    loaded = np.linalg.norm(f, axis=0) > floor
     u = np.zeros_like(f)
     if loaded.any():
-        k = scatter(pattern, element_stiffness_batch(d_voxels, grid.spacing)).T  # bitwise symmetric: K as CSR
-        u[:, loaded] = _block_cg(k, f[:, loaded], _ReferencePreconditioner(grid, d_ref), kappa)
-    eps = b[None] @ u[pattern.dofs][:, None]
-    g = np.eye(ncomp)[None, None, :, :] - eps
-    return g, w, u
+        precondition = _ReferencePreconditioner(grid, d_ref)
+        u[:, loaded] = _block_cg(cell_operator(grid, d_voxels), f[:, loaded], precondition, kappa)
+    return np.eye(ncomp) - b[None] @ _gather(grid, u)[:, None], w, u
 
 
 def _zero_mean(v: np.ndarray, dim: int) -> np.ndarray:
@@ -176,7 +181,7 @@ def _zero_mean(v: np.ndarray, dim: int) -> np.ndarray:
 
 
 def _block_cg(k, f: np.ndarray, precondition: _ReferencePreconditioner, kappa: float) -> np.ndarray:
-    """Preconditioned CG on every column of the zero-mean block f at once, checked by its true residual.
+    """Preconditioned CG for the operator k on every column of the zero-mean block f, checked by its true residual.
 
     The preconditioned operator's spectrum lies within the phase contrast
     kappa, so after n iterations the energy norm of the error has fallen by
@@ -209,7 +214,7 @@ def _block_cg(k, f: np.ndarray, precondition: _ReferencePreconditioner, kappa: f
                 f"iterations for phase contrast kappa = {kappa:.4g}"
             )
         iterations += 1
-        q = k @ p
+        q = k(p)
         alpha = rz / np.einsum("ij,ij->j", p, q)
         x_c += alpha * p
         r -= alpha * q
@@ -219,7 +224,7 @@ def _block_cg(k, f: np.ndarray, precondition: _ReferencePreconditioner, kappa: f
         rz = rz_new
     logger.debug("cell CG: %d iterations (bound %d, phase contrast %.4g)", iterations, cap, kappa)
     x = _zero_mean(x, len(precondition.shape))
-    residual = np.linalg.norm(f - k @ x, axis=0)
+    residual = np.linalg.norm(f - k(x), axis=0)
     if not np.all(residual <= RESIDUAL_TOL * norm_f):
         raise NumericalError(
             f"cell solve failed the residual contract (|r|/|f| = {np.max(residual / norm_f):.3e} > {RESIDUAL_TOL})"
@@ -340,12 +345,9 @@ def homogenize(
         raise ValueError(f"expected {grid.n_elems} micro design variables, got {x.shape}")
     d_voxels = micro_elasticity(x, material, penalty, grid.dim)
     g, w, _ = solve_cell_problems(grid, d_voxels)
-    eta = stiffness_weights(x, penalty)
-    d_h, basis = effective_elasticity(grid, g, w, eta, material.coefficients(grid.dim))
+    d_h, basis = effective_elasticity(grid, g, w, stiffness_weights(x, penalty), material.coefficients(grid.dim))
     rho_h = effective_density(x, material, grid)
-    return EffectiveProperties(
-        grid=grid, x=x.copy(), material=material, penalty=penalty, d_h=d_h, rho_h=rho_h, basis=basis,
-    )
+    return EffectiveProperties(grid=grid, x=x.copy(), material=material, penalty=penalty, d_h=d_h, rho_h=rho_h, basis=basis)
 
 
 def seed_cell(grid: StructuredGrid, fraction: float, x_min: float) -> np.ndarray:

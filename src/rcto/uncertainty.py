@@ -28,8 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, SingularSystemError
-from .fem import SparsityPattern, element_mass, element_stiffness_batch, mean_compliance, scatter
-from .homogenization import EffectiveProperties, cell_loads, cell_pattern, homogenize, stiffness_weights
+from .fem import element_mass, element_stiffness_batch, mean_compliance, scatter
+from .homogenization import EffectiveProperties, cell_loads, cell_operator, homogenize, stiffness_weights
 from .materials import _PARTS, PARAMETER_NAMES, PARAMETERS, TwoPhaseMaterial, voigt_size
 from .problem import DesignState, MacroProblem, apply_parameter_operator, factorized_dynamic, stiffness_scale
 
@@ -335,20 +335,14 @@ class BatchComplianceEvaluator:
         self._setup_macro(problem, state)
 
     def _setup_cell(self, cell, state):
-        periodic = cell_pattern(cell)  # the first dim DOFs, the corner node's, are pinned and dropped
-        pattern = SparsityPattern.from_dofs(periodic.dofs - cell.dim, periodic.n - cell.dim)
-        self._nf_cell = pattern.n
+        self._nf_cell = cell.dim * (cell.n_elems - 1)  # the first dim DOFs, the corner node's, are pinned
         eta = stiffness_weights(state.x_micro, self.problem.penalty)
         self._a_parts = _PARTS[cell.dim]
         # four stiffness/load basis blocks: {phase-1, phase-2} x {A0, A1}
-        kb, fb = [], []
-        for wts in (eta, 1.0 - eta):
-            for part in self._a_parts:
-                d_stack = wts[:, None, None] * part
-                kb.append(scatter(pattern, element_stiffness_batch(d_stack, cell.spacing)).toarray().ravel())
-                fb.append(cell_loads(cell, d_stack)[cell.dim:].ravel())
-        self._cell_kb = np.array(kb)
-        self._cell_fb = np.array(fb)
+        d_stacks = [wts[:, None, None] * part for wts in (eta, 1.0 - eta) for part in self._a_parts]
+        eye = np.eye(cell.dim * cell.n_elems)
+        self._cell_kb = np.array([cell_operator(cell, d)(eye)[cell.dim:, cell.dim:].ravel() for d in d_stacks])
+        self._cell_fb = np.array([cell_loads(cell, d)[cell.dim:].ravel() for d in d_stacks])
         self._cell_volume = cell.volume
         # phase volumes for the average-stiffness part of the energy identity
         self._vol_eta = float(np.sum(eta) * cell.elem_volume)

@@ -168,6 +168,19 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="frequency"):
             parse_config(path)
 
+    @pytest.mark.parametrize("loads", [
+        [{"location": "right-bottom", "amplitude": 0.0}],
+        [{"location": "right-bottom", "direction": "-y", "amplitude": 1000.0},
+         {"location": "right-bottom", "direction": "y", "amplitude": 1000.0}],
+    ], ids=["zero-amplitude", "opposite-loads"])
+    def test_loads_resolving_to_a_zero_force_vector_rejected(self, tmp_path, capsys, loads):
+        path = write_config(tmp_path, small_doc(loads=loads))
+        with pytest.raises(ConfigError, match="loads: .*zero force vector"):
+            parse_config(path)
+        assert main(["run", "--config", path, "--out", str(tmp_path / "o")]) == 2
+        assert "error[config]" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
 
 def set_key(doc, dotted, value):
     """doc with the key at a reported path such as ``loads[0].amplitude`` set to value."""

@@ -5,13 +5,14 @@ import pathlib
 import numpy as np
 import pytest
 
-from rcto import homogenization
-from rcto.config import parse_config
+from rcto import fem, homogenization
+from rcto.config import build_problem, parse_config
 from rcto.errors import NumericalError, SingularSystemError
-from rcto.fem import StructuredGrid, element_stiffness_batch, scatter, strain_operators
+from rcto.fem import StructuredGrid, element_stiffness_batch, strain_operators
 from rcto.homogenization import (
     cell_loads,
-    cell_pattern,
+    cell_operator,
+    corner_tables,
     effective_density,
     format_effective_matrix,
     homogenize,
@@ -21,10 +22,11 @@ from rcto.homogenization import (
     stiffness_weights,
 )
 from rcto.materials import Phase, TwoPhaseMaterial, elasticity_matrix
+from rcto.uncertainty import BatchComplianceEvaluator
 
 from conftest import (
-    assert_same_csc,
     coo_reference,
+    full_state,
     reference_d_h,
     reference_d_h_derivative,
     steel_foam,
@@ -89,29 +91,56 @@ class TestCellProblems:
             solve_cell_problems(grid, np.zeros((grid.n_elems, 3, 3)))
 
 
-class TestCellPattern:
+def periodic_dofs(grid):
+    """(n_voxels, ndof_e) master DOFs of each voxel: every node index wrapped into the cell, x fastest."""
+    nodes = np.stack(np.unravel_index(grid.elem_node_ids, grid.nodes_shape, order="F"), axis=-1)
+    master = np.ravel_multi_index(np.moveaxis(nodes % grid.shape, -1, 0), grid.shape, order="F")
+    return (grid.dim * master[:, :, None] + np.arange(grid.dim)).reshape(grid.n_elems, -1)
+
+
+class TestCellOperator:
     @pytest.mark.parametrize("shape", [(3, 2), (3, 1), (2, 2, 1)])
-    def test_scatter_matches_coo_assembly(self, rng, shape):
+    def test_operator_matches_coo_assembly(self, rng, shape):
         # a one-element axis maps both faces of an element onto one master node
         grid = StructuredGrid(shape, (1.0,) * len(shape))
-        pattern = cell_pattern(grid)
-        assert pattern.n == grid.dim * grid.n_elems
-        assert np.unique(pattern.dofs).size == pattern.n
-        ndof_e = pattern.dofs.shape[1]
-        elem_mats = rng.standard_normal((grid.n_elems, ndof_e, ndof_e))
-        ref = coo_reference(pattern.dofs, pattern.n, elem_mats)
-        assert_same_csc(scatter(pattern, elem_mats), ref)
+        dofs, n = periodic_dofs(grid), grid.dim * grid.n_elems
+        assert np.unique(dofs).size == n
+        nodes, slots = corner_tables(grid)
+        assert np.array_equal(grid.dim * nodes, dofs[:, :: grid.dim])
+        corners = np.arange(nodes.shape[1])  # slot a of the node at corner a of voxel v is that corner of v
+        assert np.array_equal(slots[corners, nodes], corners.size * np.arange(grid.n_elems)[:, None] + corners)
+        ncomp = 3 if grid.dim == 2 else 6
+        d = rng.standard_normal((grid.n_elems, ncomp, ncomp))
+        u = rng.standard_normal((n, 4))
+        ref = coo_reference(dofs, n, element_stiffness_batch(d, grid.spacing)) @ u
+        assert np.abs(cell_operator(grid, d)(u) - ref).max() <= 1e-14 * np.abs(ref).max()
 
-    def test_pattern_built_once_per_grid(self):
+    def test_corner_tables_built_once_per_grid(self):
         grid = StructuredGrid((4, 2), (0.25, 0.5))
-        assert cell_pattern(grid) is cell_pattern(grid)
-        assert cell_pattern(grid) is cell_pattern(StructuredGrid((4, 2), (0.25, 0.5)))
+        assert corner_tables(grid) is corner_tables(grid)
+        assert corner_tables(grid) is corner_tables(StructuredGrid((4, 2), (0.25, 0.5)))
+        assert not any(table.flags.writeable for table in corner_tables(grid))
 
-    def test_grids_with_equal_element_counts_get_their_own_pattern(self):
-        wide = cell_pattern(StructuredGrid((4, 2), (0.25, 0.5)))
-        tall = cell_pattern(StructuredGrid((2, 4), (0.5, 0.25)))
+    def test_grids_with_equal_element_counts_get_their_own_tables(self):
+        wide = corner_tables(StructuredGrid((4, 2), (0.25, 0.5)))
+        tall = corner_tables(StructuredGrid((2, 4), (0.5, 0.25)))
         assert wide is not tall
-        assert not np.array_equal(wide.dofs, tall.dofs)
+        assert not np.array_equal(wide[0], tall[0]) and not np.array_equal(wide[1], tall[1])
+
+
+class TestNoCellAssembly:
+    def test_cell_paths_never_build_a_sparsity_pattern(self, monkeypatch):
+        problem = build_problem(parse_config(str(CONFIGS / "cantilever_small.yaml")))
+        problem.pattern  # the macro free block is the one assembled system
+
+        def refuse(*args):
+            raise AssertionError("a sparsity pattern was built for the periodic cell")
+
+        monkeypatch.setattr(fem.SparsityPattern, "from_dofs", refuse)
+        for shape in [(9, 5), (3, 4, 2)]:  # cells no other test builds, so nothing is cached
+            grid = StructuredGrid(shape, tuple(1.0 / n for n in shape))
+            homogenize(grid, seed_cell(grid, 0.2, X_MIN), steel_foam(), 3.0)
+        BatchComplianceEvaluator(problem, full_state(problem), steel_foam())
 
 
 def random_cell_3d(rng, n):
@@ -122,14 +151,15 @@ def random_cell_3d(rng, n):
 
 def dense_cell_solution(grid, d):
     """Pinned-corner dense solve of the cell problems moved to zero mean per direction, and its g."""
-    k = scatter(cell_pattern(grid), element_stiffness_batch(d, grid.spacing)).toarray()
+    dofs = periodic_dofs(grid)
+    k = coo_reference(dofs, grid.dim * grid.n_elems, element_stiffness_batch(d, grid.spacing)).toarray()
     rhs = cell_loads(grid, d)
     u = np.zeros_like(rhs)
     u[grid.dim:] = np.linalg.solve(k[grid.dim:, grid.dim:], rhs[grid.dim:])
     nodal = u.reshape(-1, grid.dim, rhs.shape[1])
     u = (nodal - nodal.mean(axis=0)).reshape(u.shape)
     b = strain_operators(grid.spacing)[0]
-    return u, np.eye(rhs.shape[1]) - b[None] @ u[cell_pattern(grid).dofs][:, None]
+    return u, np.eye(rhs.shape[1]) - b[None] @ u[dofs][:, None]
 
 
 class TestCellSolver:
