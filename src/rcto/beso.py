@@ -230,12 +230,10 @@ def initial_state(
     problem: MacroProblem,
     x_min: float = X_MIN_DEFAULT,
     seed_fraction: float = 0.05,
-    x_micro: np.ndarray | None = None,
 ) -> DesignState:
     """Full macro design plus the disclosed phase-2 disk seed in the cell."""
-    if x_micro is None:
-        x_micro = seed_cell(problem.cell, seed_fraction, x_min)
-    return DesignState(x_macro=np.ones(problem.grid.n_elems), x_micro=np.asarray(x_micro, dtype=float), x_min=x_min)
+    x_micro = seed_cell(problem.cell, seed_fraction, x_min)
+    return DesignState(x_macro=np.ones(problem.grid.n_elems), x_micro=x_micro, x_min=x_min)
 
 
 def run(

@@ -457,15 +457,8 @@ def _parse_materials(v: _Validator, doc: dict) -> tuple[TwoPhaseMaterial | None,
 
 def resolve_fixed_dofs(grid: StructuredGrid, anchors) -> np.ndarray:
     """All DOFs of the nodes on the named edges/faces."""
-    nshape = grid.nodes_shape
-    axes = [np.arange(n) for n in nshape]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    idx = np.stack([m.ravel(order="F") for m in mesh], axis=-1)
-    mask = np.zeros(grid.n_nodes, dtype=bool)
-    for anchor in anchors:
-        axis, frac = _AXIS_TOKENS[anchor.split("-")[0]]
-        mask |= idx[:, axis] == frac * (nshape[axis] - 1)
-    nodes = np.flatnonzero(mask)
+    planes = (_AXIS_TOKENS[anchor.split("-")[0]] for anchor in anchors)  # frac 0 or 1: the first or last plane
+    nodes = np.unique(np.concatenate([np.take(grid.node_ids, -int(frac), axis).ravel() for axis, frac in planes]))
     return (grid.dim * nodes[:, None] + np.arange(grid.dim)[None, :]).ravel()
 
 
@@ -474,8 +467,7 @@ def resolve_load_vector(grid: StructuredGrid, loads) -> np.ndarray:
     f = np.zeros(grid.n_dofs)
     for load in loads:
         frac = _anchor_fractions(load.location, grid.dim)
-        node_idx = [int(math.floor(fr * n + 0.5)) for fr, n in zip(frac, grid.shape)]
-        node = int(grid.node_id(np.array(node_idx)))
+        node = int(grid.node_ids[tuple(int(math.floor(fr * n + 0.5)) for fr, n in zip(frac, grid.shape))])
         for axis, comp in enumerate(load.direction):
             f[grid.dim * node + axis] += load.amplitude * comp
     return f

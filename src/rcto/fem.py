@@ -4,7 +4,8 @@ Bilinear quads (2D) / trilinear hexes (3D) on a regular grid, full 2-point
 Gauss integration per axis, consistent mass, sparse assembly, and solves of
 the dynamic stiffness K - omega^2 M backed by a symmetric-mode sparse LU.
 Boundary conditions are enforced by row/column elimination.  All element
-matrices are exact for constant coefficients under the 2-point rule.
+matrices are exact for constant coefficients under the 2-point rule.  Node,
+element and DOF numbering all read one table, ``StructuredGrid.node_ids``.
 
 A ``SparsityPattern`` drops the element entries on constrained DOFs when it
 is built, so one scatter gives the free block of a system.  Only the macro
@@ -21,6 +22,7 @@ frequencies converted to rad/s by the caller).
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -41,7 +43,7 @@ SYMMETRIC_LU = dict(permc_spec="NATURAL", diag_pivot_thresh=0.01, options={"Symm
 
 @dataclass(frozen=True)
 class StructuredGrid:
-    """Regular grid of square/cubic elements; node and element ids run x-fastest."""
+    """Regular grid of square/cubic elements; node and element numbering lives in ``node_ids`` (x fastest)."""
 
     shape: tuple[int, ...]
     spacing: tuple[float, ...]
@@ -60,50 +62,42 @@ class StructuredGrid:
     def dim(self) -> int:
         return len(self.shape)
 
-    @property
+    @cached_property
     def n_elems(self) -> int:
-        return int(np.prod(self.shape))
+        return math.prod(self.shape)
 
     @property
     def nodes_shape(self) -> tuple[int, ...]:
         return tuple(n + 1 for n in self.shape)
 
-    @property
+    @cached_property
     def n_nodes(self) -> int:
-        return int(np.prod(self.nodes_shape))
+        return math.prod(self.nodes_shape)
 
     @property
     def n_dofs(self) -> int:
         return self.dim * self.n_nodes
 
-    @property
+    @cached_property
     def elem_volume(self) -> float:
-        return float(np.prod(self.spacing))
+        return math.prod(self.spacing)
 
     @property
     def volume(self) -> float:
         return self.elem_volume * self.n_elems
 
-    def node_id(self, idx) -> np.ndarray:
-        """Node index (i[,j[,k]]) -> flat node id, x fastest."""
-        idx = np.asarray(idx)
-        nshape = self.nodes_shape
-        flat = idx[..., 0]
-        stride = 1
-        for ax in range(1, self.dim):
-            stride *= nshape[ax - 1]
-            flat = flat + idx[..., ax] * stride
-        return flat
+    @cached_property
+    def node_ids(self) -> np.ndarray:
+        """Read-only flat node id of every node, indexed [i, j(, k)] like ``nodes_shape``; ids run x fastest."""
+        ids = np.arange(self.n_nodes).reshape(self.nodes_shape, order="F")
+        ids.setflags(write=False)
+        return ids
 
     @cached_property
     def elem_node_ids(self) -> np.ndarray:
         """(n_elems, 4 or 8) node ids in the standard counterclockwise ordering."""
-        axes = [np.arange(n) for n in self.shape]
-        grids = np.meshgrid(*axes, indexing="ij")
-        base = np.stack([g.ravel(order="F") for g in grids], axis=-1)
-        corner_offsets = _corner_offsets(self.dim)
-        corners = base[:, None, :] + corner_offsets[None, :, :]
-        return self.node_id(corners)
+        corners = [tuple(slice(o, o + n) for o, n in zip(offset, self.shape)) for offset in _corner_offsets(self.dim)]
+        return np.stack([self.node_ids[box].ravel(order="F") for box in corners], axis=1)
 
     @cached_property
     def elem_dofs(self) -> np.ndarray:
@@ -251,40 +245,29 @@ def assemble(grid: StructuredGrid, d_mats, rhos) -> tuple[sp.csc_matrix, sp.csc_
     return scatter(grid.pattern, k_all), scatter(grid.pattern, m_all)
 
 
-def dissection_order(shape: tuple[int, ...]) -> np.ndarray:
-    """Nested-dissection order of the DOFs of a node box (x-fastest node ids, dim DOFs per node).
+def dissection_order(node_ids: np.ndarray) -> np.ndarray:
+    """Nested-dissection order of the DOFs of a node box (``StructuredGrid.node_ids``, dim DOFs per node).
 
     The box is bisected along its longest axis by the node plane in its
     middle.  Each part is ordered recursively, then the separator; recursion
     stops when no axis has 3 or more nodes.  Each node's DOFs stay together.
     """
-    dim = len(shape)
-    strides = np.cumprod((1,) + tuple(shape[:-1]))
     blocks = []
 
-    def add_box(lo, hi):
-        ids = np.zeros(1, dtype=np.intp)
-        for a, b, st in zip(lo, hi, strides):  # x fastest
-            ids = (np.arange(a * st, b * st, st)[:, None] + ids).ravel()
-        blocks.append(ids)
-
-    def dissect(lo, hi):
-        sizes = [b - a for a, b in zip(lo, hi)]
-        if min(sizes) == 0:
+    def dissect(box):
+        ax = int(np.argmax(box.shape))
+        if box.shape[ax] < 3:
+            blocks.append(box.ravel(order="F"))  # x fastest
             return
-        ax = int(np.argmax(sizes))
-        if sizes[ax] < 3:
-            add_box(lo, hi)
-            return
-        at = lambda box, v: box[:ax] + (v,) + box[ax + 1:]
-        mid = (lo[ax] + hi[ax]) // 2
-        dissect(lo, at(hi, mid))
-        dissect(at(lo, mid + 1), hi)
-        add_box(at(lo, mid), at(hi, mid + 1))
+        mid = box.shape[ax] // 2
+        part_a, separator, part_b = np.split(box, [mid, mid + 1], axis=ax)
+        dissect(part_a)
+        dissect(part_b)
+        blocks.append(separator.ravel(order="F"))
 
-    dissect((0,) * dim, tuple(shape))
+    dissect(node_ids)
     nodes = np.concatenate(blocks)
-    return (dim * nodes[:, None] + np.arange(dim)).ravel()
+    return (node_ids.ndim * nodes[:, None] + np.arange(node_ids.ndim)).ravel()
 
 
 @dataclass(frozen=True, eq=False)

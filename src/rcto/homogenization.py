@@ -47,10 +47,10 @@ CG_RTOL = 1e-10  # relative residual at which the cell CG stops
 def corner_tables(grid: StructuredGrid) -> tuple[np.ndarray, np.ndarray]:
     """The master node at corner a of each voxel (n_voxels, 2^dim), and for each corner a the slot 2^dim * voxel + a
     of the voxel whose corner a is each master node (2^dim, n_voxels).  Master ids are the voxel ids (x fastest)."""
-    ids, axes = np.arange(grid.n_elems).reshape(grid.shape[::-1]), tuple(range(grid.dim))  # C order (..., y, x)
-    offsets = _corner_offsets(grid.dim)[:, ::-1]
-    nodes = np.stack([np.roll(ids, -o, axes).ravel() for o in offsets], axis=1)
-    slots = np.stack([len(offsets) * np.roll(ids, o, axes).ravel() + a for a, o in enumerate(offsets)])
+    ids, axes = np.arange(grid.n_elems).reshape(grid.shape, order="F"), tuple(range(grid.dim))
+    offsets = _corner_offsets(grid.dim)
+    nodes = np.stack([np.roll(ids, -o, axes).ravel(order="F") for o in offsets], axis=1)
+    slots = np.stack([len(offsets) * np.roll(ids, o, axes).ravel(order="F") + a for a, o in enumerate(offsets)])
     for table in (nodes, slots):
         table.setflags(write=False)
     return nodes, slots
@@ -372,11 +372,10 @@ def seed_cell(grid: StructuredGrid, fraction: float, x_min: float) -> np.ndarray
     return x
 
 
-def format_effective_matrix(d_h: np.ndarray, rho_h: float | None = None) -> str:
-    """Plain-text block of the effective elasticity matrix (and density)."""
+def format_effective_matrix(d_h: np.ndarray, rho_h: float) -> str:
+    """Plain-text block of the effective elasticity matrix and density."""
     lines = ["effective elasticity matrix (MPa):"]
     for row in d_h:
         lines.append("  " + "  ".join(f"{v: .6e}" for v in row))
-    if rho_h is not None:
-        lines.append(f"effective density (tonne/mm^3):  {rho_h: .6e}")
+    lines.append(f"effective density (tonne/mm^3):  {rho_h: .6e}")
     return "\n".join(lines) + "\n"

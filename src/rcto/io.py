@@ -88,7 +88,7 @@ def import_field_csv(path: str, grid: StructuredGrid) -> np.ndarray:
     return values
 
 
-def export_field_vtk(path: str, grid: StructuredGrid, values: np.ndarray, name: str = "density") -> None:
+def export_field_vtk(path: str, grid: StructuredGrid, values: np.ndarray) -> None:
     """VTK legacy ASCII structured-points file with one cell-data scalar field."""
     values = np.asarray(values)
     if values.size != grid.n_elems:
@@ -104,7 +104,7 @@ def export_field_vtk(path: str, grid: StructuredGrid, values: np.ndarray, name: 
         "ORIGIN 0.0 0.0 0.0",
         f"SPACING {_fmt(spacing[0])} {_fmt(spacing[1])} {_fmt(spacing[2])}",
         f"CELL_DATA {grid.n_elems}",
-        f"SCALARS {name} double 1",
+        "SCALARS density double 1",
         "LOOKUP_TABLE default",
     ]
     lines += [_fmt(v) for v in values]  # storage is already x fastest

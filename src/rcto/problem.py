@@ -84,7 +84,7 @@ class MacroProblem:
     @cached_property
     def free(self) -> np.ndarray:
         """Free DOFs in the grid's nested-dissection order, the order the LU eliminates them."""
-        order = fem.dissection_order(self.grid.nodes_shape)
+        order = fem.dissection_order(self.grid.node_ids)
         free = order[~np.isin(order, self.fixed_dofs)]
         free.setflags(write=False)
         return free
@@ -130,9 +130,8 @@ def apply_parameter_operator(
     s = stiffness_scale(state.x_macro, problem.penalty, state.x_min)
     ue = u[..., grid.elem_dofs]  # gathered once for the stiffness and the mass term
     forces = s[:, None] * (ue @ k.reshape(dd.shape[:-2] + k.shape[-2:]))
-    if problem.omega != 0.0:
-        m_u = state.x_macro[:, None] * (ue @ fem.element_mass(1.0, grid.spacing))
-        forces = forces - problem.omega**2 * np.asarray(drho)[..., None, None] * m_u
+    m_u = state.x_macro[:, None] * (ue @ fem.element_mass(1.0, grid.spacing))
+    forces = forces - problem.omega**2 * np.asarray(drho)[..., None, None] * m_u
     lead = forces.shape[:-2]
     offsets = grid.n_dofs * np.arange(int(np.prod(lead)))
     index = (offsets[:, None] + grid.elem_dofs.ravel()).ravel()
@@ -160,6 +159,5 @@ def parameter_to_matrices(
     k_elems, m_elems = fem.element_matrices_batch(
         s[:, None, None] * dd, state.x_macro * drho, problem.grid.spacing
     )
-    if problem.omega != 0.0 and drho != 0.0:
-        k_elems -= problem.omega**2 * m_elems
+    k_elems -= problem.omega**2 * m_elems
     return fem.scatter(problem.grid.pattern, k_elems)

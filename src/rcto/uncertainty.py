@@ -294,6 +294,9 @@ class McsResult:
 
 
 _DENSE_DOF_LIMIT = 1600  # beyond this the dense batched path would not fit in memory
+# bytes of one dense chunk's sample matrices (per sample a float64 cell matrix, a macro matrix and its mass
+# term); four samples fit at _DENSE_DOF_LIMIT
+_DENSE_BATCH_BYTES = 256 * 2**20
 
 
 def _solve_samples(k: np.ndarray, rhs: np.ndarray, system: str) -> np.ndarray:
@@ -369,10 +372,20 @@ class BatchComplianceEvaluator:
         )
 
     def compliance(self, names: tuple[str, ...], values: np.ndarray) -> np.ndarray:
-        """Mean compliance for each parameter sample row (honest FE re-solves)."""
+        """Mean compliance for each parameter sample row (honest FE re-solves).
+
+        The dense path solves the fewest near-equal chunks of rows that fit in
+        ``_DENSE_BATCH_BYTES``, so no chunk is a lone row when four rows fit:
+        numpy forms a one-row product as a vector product, which rounds differently.
+        """
         values = np.atleast_2d(np.asarray(values, dtype=float))
         if not self.batched:
             return self._compliance_plain(names, values)
+        rows = max(1, _DENSE_BATCH_BYTES // (8 * (self._nf_cell**2 + 2 * self._nf**2)))
+        chunks = np.array_split(values, -(-len(values) // rows))
+        return np.concatenate([self._compliance_dense(names, chunk) for chunk in chunks])
+
+    def _compliance_dense(self, names, values) -> np.ndarray:
         material = self.base.with_values(names, values.T)
         nb = values.shape[0]
         c = np.broadcast_to(material.coefficients(self.problem.grid.dim).reshape(2, 2, -1), (2, 2, nb))
@@ -396,8 +409,7 @@ class BatchComplianceEvaluator:
 
         d_cols = np.stack([d_h[:, c, d] for (c, d) in self._pairs], axis=1)
         k_macro = (d_cols @ self._macro_kbas).reshape(nb, self._nf, self._nf)
-        if self.problem.omega != 0.0:
-            k_macro -= (self.problem.omega**2 * rho_h)[:, None, None] * self._macro_mbas.reshape(self._nf, self._nf)
+        k_macro -= (self.problem.omega**2 * rho_h)[:, None, None] * self._macro_mbas.reshape(self._nf, self._nf)
         rhs = np.repeat(self._f_free[None, :, None], nb, axis=0)
         return _solve_samples(k_macro, rhs, "macro")[..., 0] @ self._f_free
 

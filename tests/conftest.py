@@ -1,5 +1,7 @@
 """Shared builders for the test suite."""
 
+import itertools
+
 import numpy as np
 import pytest
 import scipy.sparse
@@ -24,6 +26,11 @@ def cantilever(nx, ny, elem=1.0, cell_n=4, omega=0.0, penalty=3.0, load=-1000.0)
     f = np.zeros(grid.n_dofs)
     f[2 * nx + 1] = load
     return MacroProblem(grid=grid, cell=cell, fixed_dofs=fixed, force=f, omega=omega, penalty=penalty)
+
+
+def box_indices(shape):
+    """Every index of a box by a plain loop, x fastest: row n is the index whose flat id is n."""
+    return np.array([idx[::-1] for idx in itertools.product(*[range(n) for n in reversed(shape)])])
 
 
 def fractional_interval(mid, frac):
@@ -110,7 +117,7 @@ def assert_dissection_order(grid):
     two parts.
     """
     node_box, dim = grid.nodes_shape, grid.dim
-    order = dissection_order(node_box)
+    order = dissection_order(grid.node_ids)
     assert np.array_equal(np.sort(order), np.arange(grid.n_dofs))
     nodes = order.reshape(-1, dim) // dim
     assert np.array_equal(order.reshape(-1, dim), dim * nodes + np.arange(dim))

@@ -6,6 +6,7 @@ Run with -s (or look at captured stdout) to see the per-criterion summary.
 import os
 
 import numpy as np
+import pytest
 import yaml
 
 from rcto.beso import (
@@ -89,6 +90,7 @@ def test_criterion_2_ihpa_degeneracy():
     assert report(2, ok, f"degenerate intervals: |E - C_det|/C_det = {rel:.2e} (<= 1e-9), SD = {obj.std}")
 
 
+@pytest.mark.slow
 def test_criterion_3_ihpa_vs_mcs_oracle():
     prob = cantilever(8, 4, cell_n=6)
     state = full_state(prob, micro=seed_cell(prob.cell, 0.1, 1e-6))

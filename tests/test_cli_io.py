@@ -1,6 +1,7 @@
 """Configuration ingestion, field export, result bundles and the CLI."""
 
 import dataclasses
+import itertools
 import json
 import logging
 import math
@@ -17,6 +18,7 @@ from rcto.cli import main
 from rcto.config import (
     GPA_TO_MPA,
     KGM3_TO_TONMM3,
+    LoadSpec,
     build_problem,
     parse_config,
     resolve_fixed_dofs,
@@ -35,7 +37,7 @@ from rcto.io import (
 )
 from rcto.uncertainty import UncertainSet
 
-from conftest import degenerate_params, full_state, steel_foam
+from conftest import box_indices, degenerate_params, full_state, steel_foam
 
 HERE = os.path.dirname(__file__)
 CONFIGS = os.path.join(HERE, "..", "configs")
@@ -336,7 +338,66 @@ class TestConfigFields:
         assert parse_config(os.path.join(CONFIGS, name)).defaults_applied == SHIPPED_DEFAULTS[name]
 
 
+# anchor token -> (axis, fraction of the grid's length along it)
+SIDES = {
+    "left": (0, 0.0), "right": (0, 1.0), "bottom": (1, 0.0), "top": (1, 1.0), "middle": (1, 0.5),
+    "front": (2, 0.0), "back": (2, 1.0),
+}
+
+
+def node_fractions(grid):
+    """Each node's position as a fraction of the grid's length along each axis, rows in x-fastest node order."""
+    return box_indices(grid.nodes_shape) / np.array(grid.shape)
+
+
+def face_dofs(grid, tokens):
+    """DOFs of every node whose coordinates lie on one of the named faces."""
+    frac = node_fractions(grid)
+    nodes = np.flatnonzero(np.any([np.isclose(frac[:, SIDES[t][0]], SIDES[t][1]) for t in tokens], axis=0))
+    return (grid.dim * nodes[:, None] + np.arange(grid.dim)).ravel()
+
+
 class TestAnchors:
+    @pytest.mark.parametrize("shape", [(3, 2), (1, 4), (5, 1), (3, 2, 4), (2, 1, 1), (1, 3, 2)])
+    def test_fixed_dofs_match_a_coordinate_mask_for_every_anchor(self, shape):
+        dim = len(shape)
+        grid = StructuredGrid(shape, tuple(0.5 + a for a in range(dim)))
+        kind = "edge" if dim == 2 else "face"
+        tokens = [t for t, (axis, frac) in SIDES.items() if axis < dim and frac != 0.5]
+        for combo in [[t] for t in tokens] + [tokens[:2], tokens[1:3], tokens]:
+            dofs = resolve_fixed_dofs(grid, [f"{t}-{kind}" for t in combo])
+            assert np.array_equal(dofs, face_dofs(grid, combo)), combo
+
+    @pytest.mark.parametrize("shape", [(4, 2), (2, 4, 6)])
+    def test_load_node_of_every_anchor_matches_nodal_coordinates(self, shape):
+        dim = len(shape)
+        grid = StructuredGrid(shape, tuple(0.5 + a for a in range(dim)))
+        frac = node_fractions(grid)
+        direction = (1.0, -2.0, 3.0)[:dim]
+        per_axis = [[None] + [t for t, (axis, _) in SIDES.items() if axis == a] for a in range(dim)]
+        for combo in itertools.product(*per_axis):
+            tokens = [t for t in combo if t]
+            locations = ["-".join(tokens)] if tokens else []
+            if len(tokens) < dim:
+                locations.append("-".join(tokens + ["center"]))
+            for location in locations:
+                target = [0.5] * dim  # unassigned axes, and the one 'center' assigns, sit at the middle
+                for t in tokens:
+                    target[SIDES[t][0]] = SIDES[t][1]
+                (node,) = np.flatnonzero(np.all(np.isclose(frac, target), axis=1))
+                f = resolve_load_vector(grid, [LoadSpec(location, direction, 2.5, 0.0)])
+                expected = np.zeros(grid.n_dofs)
+                expected[dim * node : dim * node + dim] = 2.5 * np.array(direction)
+                assert np.array_equal(f, expected), location
+
+    @pytest.mark.parametrize("name", ["cantilever_2d.yaml", "cantilever_small.yaml", "mbb_2d.yaml", "prism_3d.yaml"])
+    def test_shipped_config_fixes_only_the_faces_it_names(self, name):
+        path = os.path.join(CONFIGS, name)
+        with open(path, encoding="utf-8") as fh:
+            anchors = yaml.safe_load(fh)["boundary"]["fixed"]
+        problem = build_problem(parse_config(path))
+        assert np.array_equal(problem.fixed_dofs, face_dofs(problem.grid, [a.split("-")[0] for a in anchors]))
+
     def test_fixed_edge_resolution(self):
         grid = StructuredGrid((3, 2), (1.0, 1.0))
         dofs = resolve_fixed_dofs(grid, ["left-edge"])
@@ -515,6 +576,7 @@ class TestCli:
         files = os.listdir(os.path.join(out, "iterations"))
         assert any(name.endswith("_macro.csv") for name in files)
 
+    @pytest.mark.slow
     def test_verify_subcommand_writes_report(self, tmp_path):
         cfg_path = write_config(tmp_path, small_doc(mode="verify"))
         out = str(tmp_path / "ver")
@@ -590,6 +652,7 @@ class TestCli:
         assert exc.value.code == 2
         assert "--seed" in capsys.readouterr().err
 
+    @pytest.mark.slow
     def test_run_in_verify_mode_parses_config_once(self, tmp_path, caplog):
         cfg_path = write_config(tmp_path, small_doc(mode="verify"))
         with caplog.at_level(logging.INFO, logger="rcto.config"):

@@ -35,6 +35,7 @@ from conftest import (
     assert_dissection_order,
     assert_fills_less_than_minimum_degree,
     assert_same_csc,
+    box_indices,
     cantilever,
     capture_factors,
     coo_reference,
@@ -96,12 +97,14 @@ class TestElementStiffness:
     def test_zero_material_gives_zero_matrix(self):
         assert not np.any(element_stiffness(np.zeros((3, 3)), (1.0, 1.0)))
 
+    @pytest.mark.slow
     def test_matches_symbolic_oracle_unit_square(self):
         d = elasticity_matrix(1.0, 0.0, 2)
         k = element_stiffness(d, (1.0, 1.0))
         k_ref = symbolic_q4_stiffness(d, 1.0, 1.0)
         assert np.allclose(k, k_ref, atol=1e-13)
 
+    @pytest.mark.slow
     def test_matches_symbolic_oracle_rectangle_with_poisson(self):
         d = elasticity_matrix(70e3, 0.33, 2)
         k = element_stiffness(d, (2.0, 0.5))
@@ -245,10 +248,45 @@ class TestSparsityPattern:
         assert_same_csc(scatter(pattern, elem_mats), ref)
 
 
+# element corners in the standard counterclockwise ordering, bottom layer first in 3D
+CORNERS = {
+    2: [(0, 0), (1, 0), (1, 1), (0, 1)],
+    3: [(0, 0, 0), (1, 0, 0), (1, 1, 0), (0, 1, 0), (0, 0, 1), (1, 0, 1), (1, 1, 1), (0, 1, 1)],
+}
+
+
+class TestNumbering:
+    """The grid's numbering against plain loops over node and element indices."""
+
+    @pytest.mark.parametrize("shape", [(1, 1), (3, 1), (2, 4), (1, 1, 1), (3, 2, 1), (1, 3, 2), (2, 3, 4)])
+    def test_elem_node_ids_match_a_loop_over_element_indices(self, shape):
+        grid = StructuredGrid(shape, (1.0,) * len(shape))
+        node_of = {tuple(idx): n for n, idx in enumerate(box_indices(grid.nodes_shape))}
+        ref = [[node_of[tuple(i + o for i, o in zip(elem, c))] for c in CORNERS[grid.dim]] for elem in box_indices(shape)]
+        assert np.array_equal(grid.elem_node_ids, ref)
+        assert np.array_equal(grid.elem_dofs, [[grid.dim * n + a for n in row for a in range(grid.dim)] for row in ref])
+
+    @pytest.mark.parametrize("shape", [(3, 2), (1, 2, 3)])
+    def test_node_ids_are_built_once_read_only_and_x_fastest(self, shape):
+        grid = StructuredGrid(shape, (1.0,) * len(shape))
+        assert grid.node_ids is grid.node_ids
+        assert not grid.node_ids.flags.writeable
+        with pytest.raises(ValueError):
+            grid.node_ids[0, 0] = 1
+        assert [grid.node_ids[tuple(idx)] for idx in box_indices(grid.nodes_shape)] == list(range(grid.n_nodes))
+
+
 class TestDissectionOrder:
     @pytest.mark.parametrize("shape", [(6, 3), (2, 5), (4, 3, 3)])
     def test_order_dissects_the_node_box(self, shape):
         assert_dissection_order(StructuredGrid(shape, (1.0,) * len(shape)))
+
+    @pytest.mark.parametrize("shape, nodes", [((4, 1), [0, 1, 5, 6, 3, 4, 8, 9, 2, 7]), ((1, 1, 1), list(range(8)))])
+    def test_boxes_list_their_nodes_x_fastest(self, shape, nodes):
+        # 5 x 2 nodes: the x = 2 node plane separates two 2 x 2 leaf boxes; 2 x 2 x 2 nodes: one leaf box
+        dim = len(shape)
+        order = dissection_order(StructuredGrid(shape, (1.0,) * dim).node_ids)
+        assert np.array_equal(order, (dim * np.array(nodes)[:, None] + np.arange(dim)).ravel())
 
     def test_free_dofs_and_pattern_built_once_per_problem(self):
         prob = cantilever(4, 2)
@@ -260,7 +298,7 @@ class TestDissectionOrder:
     def test_elimination_order_lists_the_free_dofs_in_grid_order(self):
         prob = cantilever(6, 3)
         assert np.array_equal(np.sort(prob.free), np.setdiff1d(np.arange(prob.grid.n_dofs), prob.fixed_dofs))
-        position = np.argsort(dissection_order(prob.grid.nodes_shape))
+        position = np.argsort(dissection_order(prob.grid.node_ids))
         assert np.all(np.diff(position[prob.free]) > 0)
 
     def test_fills_less_than_minimum_degree_on_a_3d_macro_grid(self, monkeypatch):

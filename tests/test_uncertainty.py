@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import rcto.fem
+import rcto.uncertainty
 from rcto.fem import StructuredGrid, mean_compliance
 from rcto.homogenization import homogenize, seed_cell
 from rcto.materials import PARAMETER_NAMES, Phase, TwoPhaseMaterial
@@ -242,6 +243,7 @@ class TestMcsEvaluate:
         se = res.std / np.sqrt(res.n_random)
         assert abs(res.expectation - obj.expectation) <= 3 * se + 1e-4 * obj.expectation
 
+    @pytest.mark.slow
     def test_corner_maxima_stable_across_seeds(self):
         prob = cantilever(4, 2, cell_n=4)
         state = full_state(prob, micro=seed_cell(prob.cell, 0.25, 1e-6))
@@ -340,6 +342,23 @@ class TestMcsEvaluate:
         plain = ev._compliance_plain(names, vals)
         assert np.allclose(batch, plain, rtol=1e-10)
 
+    @pytest.mark.parametrize("rows, sizes", [(4, [4, 3, 3, 3]), (5, [5, 4, 4])])
+    def test_chunked_compliance_equals_one_batch(self, monkeypatch, rng, rows, sizes):
+        prob = cantilever(4, 2, cell_n=4, omega=2 * np.pi * 300.0)
+        ev = BatchComplianceEvaluator(prob, full_state(prob, micro=seed_cell(prob.cell, 0.25, 1e-6)), self.mat)
+        names = ("e1", "rho1")
+        vals = np.column_stack([rng.normal(200e3, 6e3, 13), rng.normal(7.9e-9, 2e-10, 13)])
+        chunks = []
+        dense = ev._compliance_dense
+        monkeypatch.setattr(ev, "_compliance_dense", lambda n, v: chunks.append(len(v)) or dense(n, v))
+        whole = ev.compliance(names, vals)
+        # a budget of exactly `rows` samples: one cell matrix, one macro matrix and its mass term each
+        budget = rows * 8 * (ev._nf_cell**2 + 2 * ev._nf**2)
+        monkeypatch.setattr(rcto.uncertainty, "_DENSE_BATCH_BYTES", budget)
+        chunked = ev.compliance(names, vals)
+        assert chunks == [13] + sizes
+        assert np.array_equal(chunked, whole)
+
     def test_batch_path_handles_split_poisson(self, rng):
         # distinct per-phase Poisson ratios exercise the general coefficient split
         base = TwoPhaseMaterial(Phase(200e3, 0.32, 7.9e-9), Phase(150e3, 0.22, 0.79e-9))
@@ -352,6 +371,7 @@ class TestMcsEvaluate:
         ])
         assert np.allclose(ev.compliance(names, vals), ev._compliance_plain(names, vals), rtol=1e-10)
 
+    @pytest.mark.slow
     def test_split_poisson_set_costs_nineteen_calls(self):
         base = TwoPhaseMaterial(Phase(200e3, 0.32, 7.9e-9), Phase(150e3, 0.22, 0.79e-9))
         prob = cantilever(4, 2, cell_n=4, omega=2 * np.pi * 100.0)
