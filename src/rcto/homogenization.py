@@ -164,14 +164,23 @@ def solve_cell_problems(grid: StructuredGrid, d_voxels: np.ndarray):
     # cannot be told from the exact zero load of a homogeneous cell: its
     # correctors are zero, and the D_h error this makes is f^T K^-1 f, second
     # order in the floor.
-    magnitude = _sum_to_masters(grid, np.abs(np.einsum("q,qce->ec", w, b)) @ np.abs(d_voxels))
-    floor = (2**grid.dim + ncomp) * np.finfo(float).eps * np.linalg.norm(magnitude, axis=0)
-    loaded = np.linalg.norm(f, axis=0) > floor
+    loaded = np.linalg.norm(f, axis=0) > load_floor(grid, d_voxels)
     u = np.zeros_like(f)
     if loaded.any():
         precondition = _ReferencePreconditioner(grid, d_ref)
         u[:, loaded] = _block_cg(cell_operator(grid, d_voxels), f[:, loaded], precondition, kappa)
     return np.eye(ncomp) - b[None] @ _gather(grid, u)[:, None], w, u
+
+
+def load_floor(grid: StructuredGrid, d_voxels: np.ndarray) -> np.ndarray:
+    """Rounding floor (ncomp,) of the 2-norm of each ``cell_loads`` column.
+
+    It is (2^dim + ncomp) eps times the norm of the same sums taken in
+    absolute values, so it grows with every entry of |d_voxels|.
+    """
+    b, _, w = strain_operators(grid.spacing)
+    magnitude = _sum_to_masters(grid, np.abs(np.einsum("q,qce->ec", w, b)) @ np.abs(d_voxels))
+    return (2**grid.dim + voigt_size(grid.dim)) * np.finfo(float).eps * np.linalg.norm(magnitude, axis=0)
 
 
 def _zero_mean(v: np.ndarray, dim: int) -> np.ndarray:

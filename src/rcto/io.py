@@ -157,6 +157,10 @@ class VerifyReport:
         if self.mcs.resampled:
             lines.append(f"(Monte Carlo redrew {self.mcs.resampled} non-physical samples)")
         lines.append(
+            f"(Monte Carlo reduced bases: cell {self.mcs.cell_basis} columns from {self.mcs.cell_solves} full solves, "
+            f"macro {self.mcs.macro_basis} columns from {self.mcs.macro_solves} full solves)"
+        )
+        lines.append(
             f"(Monte Carlo standard errors: expectation {self.mcs.expectation_se:.6f}, "
             f"standard variance {self.mcs.std_se:.6f})"
         )

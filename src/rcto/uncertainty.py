@@ -7,9 +7,11 @@ estimated two ways:
 
 * a nested first-order perturbation analysis around the midpoint means
   (one matrix factorization, 1 + 3n backsolves for n parameters), and
-* a brute-force nested Monte Carlo oracle (outer loop over interval
-  realizations of (mu, sigma), inner loop over normal samples) used for
-  verification.
+* a nested Monte Carlo oracle (outer loop over interval realizations of
+  (mu, sigma), inner loop over normal samples) used for verification.  It
+  solves each sample's cell and macro problems by Galerkin projection on
+  reduced bases of full solutions, grown as the samples need them, and
+  holds every sample to a residual contract in the full space.
 
 The perturbation estimate combines, per parameter: the displacement
 derivative taken along the expectation interval, the same derivative
@@ -29,7 +31,16 @@ import numpy as np
 
 from .errors import NumericalError, SingularSystemError
 from .fem import element_mass, element_stiffness_batch, mean_compliance, scatter
-from .homogenization import EffectiveProperties, cell_loads, cell_operator, homogenize, stiffness_weights
+from .homogenization import (
+    EffectiveProperties,
+    cell_loads,
+    cell_operator,
+    homogenize,
+    load_floor,
+    micro_elasticity,
+    solve_cell_problems,
+    stiffness_weights,
+)
 from .materials import _PARTS, PARAMETER_NAMES, PARAMETERS, TwoPhaseMaterial, voigt_size
 from .problem import DesignState, MacroProblem, apply_parameter_operator, factorized_dynamic, stiffness_scale
 
@@ -278,6 +289,8 @@ class McsResult:
     expectation_se = s / sqrt(N) and std_se = s / sqrt(2(N - 1)) are the
     standard errors of the sample mean and the sample std, each taken from
     the N samples (sample std s) of the outer point that set that worst case.
+    The oracle's own work is the final column count of its cell and macro
+    reduced bases and the full solves that built them.
     """
 
     expectation: float
@@ -288,139 +301,210 @@ class McsResult:
     resampled: int
     expectation_se: float
     std_se: float
+    cell_basis: int
+    cell_solves: int
+    macro_basis: int
+    macro_solves: int
 
     def objective(self, kappa: float) -> float:
         return self.expectation + kappa * self.std
 
 
-_DENSE_DOF_LIMIT = 1600  # beyond this the dense batched path would not fit in memory
-# bytes of one dense chunk's sample matrices (per sample a float64 cell matrix, a macro matrix and its mass
-# term); four samples fit at _DENSE_DOF_LIMIT
-_DENSE_BATCH_BYTES = 256 * 2**20
+# a sample's Galerkin solution must meet max |K u - f| <= RESIDUAL_CONTRACT max |f| in the full space
+RESIDUAL_CONTRACT = 1e-7
+# a full solution column whose Gram-Schmidt remainder is below this fraction of its norm adds no direction
+_SPAN_TOL = 1e-12
+# the rows of a compliance call go in blocks whose full-space residuals stay within this many bytes per scale
+_BLOCK_BYTES = 32 * 2**20
 
 
-def _solve_samples(k: np.ndarray, rhs: np.ndarray, system: str) -> np.ndarray:
-    """Dense solve of a batch of sample systems, held to a residual of 1e-7 of the largest load entry."""
-    try:
-        u = np.linalg.solve(k, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystemError(f"singular {system} system in a Monte Carlo sample: {exc}") from exc
-    resid = np.abs(k @ u - rhs).max()
-    if not np.isfinite(resid) or resid > 1e-7 * max(np.abs(rhs).max(), 1e-30):
-        raise SingularSystemError(f"{system} solve failed the residual contract in a Monte Carlo sample")
-    return u
+class _ReducedBasis:
+    """Galerkin reduced basis of one affine family K(t) u = F(s), each sample checked by its full-space residual.
+
+    K(t) = sum_q t_q K_q for the operators K_q (blocks (n, k) -> (n, k)) and
+    F(s) = sum_p s_p F_p for the loads F_p (n, m).  The basis V is
+    orthonormal and stores K_q V, V^T K_q V and V^T F_p, so a batch of
+    samples costs one r x r solve each and one GEMM for all their residuals
+    (Hesthaven, Rozza and Stamm, Certified Reduced Basis Methods, 2016).  A
+    load column whose 2-norm is at most |s| . floors, a bound on its
+    rounding floor (``homogenization.load_floor``), is the zero load, as in
+    ``solve_cell_problems``: its solution is zero.
+    """
+
+    def __init__(self, name: str, operators, loads: np.ndarray, floors: np.ndarray):
+        self.name = name
+        self.operators = operators
+        self.loads = loads  # (P, n, m)
+        self.floors = floors  # (P, m)
+        n_loads, n, self.m = loads.shape
+        self._f_cat = loads.transpose(1, 2, 0).reshape(n * self.m, n_loads)
+        self.v = np.zeros((n, 0))
+        self._kv = np.zeros((n, len(operators), 0))  # K_q V; its (n, Q r) view is the residual GEMM's left factor
+        self._vkv = np.zeros((len(operators), 0, 0))
+        self._vf = np.zeros((n_loads, 0, self.m))
+        self.full_solves = 0
+
+    @property
+    def size(self) -> int:
+        return self.v.shape[1]
+
+    def products(self, t: np.ndarray, s: np.ndarray, full_solve) -> np.ndarray:
+        """u_b^T F(s_b) (b, m, m) for the Galerkin solutions u_b of the sample rows of t (b, Q) and s (b, P).
+
+        While a sample fails the residual contract, the full solution
+        ``full_solve(i)`` (n, m) of the worst failing sample i enters the
+        basis and the failing samples are solved again.  A full solution that
+        adds no direction, or a sample that fails with its own full solution
+        in the basis, raises NumericalError.
+        """
+        out = np.empty((len(t), self.m, self.m))
+        pending = np.arange(len(t))
+        enriched = np.zeros(len(t), dtype=bool)
+        while True:
+            a, f_red, error = self._galerkin(t[pending], s[pending])
+            ok = error <= RESIDUAL_CONTRACT
+            out[pending[ok]] = np.swapaxes(a[ok], 1, 2) @ f_red[ok]
+            pending, error = pending[~ok], error[~ok]
+            if pending.size == 0:
+                return out
+            worst = int(np.argmax(error))  # a NaN residual is the worst
+            if enriched[pending].any():
+                raise NumericalError(
+                    f"a Monte Carlo sample fails the {self.name} residual contract with its own full solution "
+                    f"in the basis: max|r| / max|f| = {np.max(error[enriched[pending]]):.3e} > {RESIDUAL_CONTRACT:g}"
+                )
+            enriched[pending[worst]] = True
+            self.full_solves += 1
+            if not self._add(full_solve(pending[worst])):
+                raise NumericalError(
+                    f"the full {self.name} solution of a Monte Carlo sample adds no direction to the reduced "
+                    f"basis of {self.size} columns, yet its Galerkin solution has max|r| / max|f| = "
+                    f"{error[worst]:.3e} > {RESIDUAL_CONTRACT:g}"
+                )
+
+    def _galerkin(self, t: np.ndarray, s: np.ndarray):
+        """Reduced solutions a (b, r, m), reduced loads (b, r, m) and each sample's max|r| / max|f|."""
+        (n, r), b = self.v.shape, len(t)
+        f = (self._f_cat @ s.T).reshape(n, self.m, b)
+        loaded = np.linalg.norm(f, axis=0) > self.floors.T @ np.abs(s).T
+        f *= loaded
+        f_red = (s @ self._vf.reshape(len(self._vf), -1)).reshape(b, r, self.m) * loaded.T[:, None, :]
+        k_red = (t @ self._vkv.reshape(len(self._vkv), -1)).reshape(b, r, r)
+        try:
+            a = np.linalg.solve(k_red, f_red)
+        except np.linalg.LinAlgError as exc:
+            raise SingularSystemError(f"singular reduced {self.name} system in a Monte Carlo sample: {exc}") from exc
+        x = t.T[:, None, None, :] * a.transpose(1, 2, 0)  # (Q, r, m, b): row q r + i holds t_q a_i
+        residual = self._kv.reshape(n, -1) @ x.reshape(-1, self.m * b) - f.reshape(n, -1)
+        r_max = np.abs(residual).reshape(n * self.m, b).max(axis=0, initial=0.0)
+        f_max = np.abs(f).reshape(n * self.m, b).max(axis=0, initial=0.0)
+        error = np.divide(r_max, f_max, out=np.where(r_max == 0.0, 0.0, np.inf), where=f_max > 0.0)
+        return a, f_red, error
+
+    def _add(self, u: np.ndarray) -> int:
+        """Append the new directions of the columns of u, orthonormalized by two Gram-Schmidt passes; count them."""
+        v = self.v
+        for col in u.T:
+            w = col.copy()
+            for _ in range(2):
+                w -= v @ (v.T @ w)
+            norm = np.linalg.norm(w)
+            if norm > _SPAN_TOL * np.linalg.norm(col):
+                v = np.column_stack([v, w / norm])
+        added = v.shape[1] - self.size
+        if added:
+            new = v[:, self.size:]
+            self._kv = np.concatenate([self._kv, np.stack([k(new) for k in self.operators], axis=1)], axis=2)
+            self.v = v
+            vkv = (v.T @ self._kv.reshape(len(v), -1)).reshape(self.size, -1, self.size).transpose(1, 0, 2)
+            self._vkv = 0.5 * (vkv + vkv.transpose(0, 2, 1))
+            self._vf = v.T @ self.loads
+        return added
 
 
 class BatchComplianceEvaluator:
-    """Vectorized plain-FE compliance evaluation over batches of material samples.
+    """Mean compliance of a fixed design and load over batches of material samples: the Monte Carlo oracle.
 
-    The mesh, design and load are fixed; every sample performs an honest
-    homogenization (batched dense periodic cell solve) followed by an honest
-    macro solve.  No perturbation shortcuts: this is the oracle path.  Above
-    a size limit the dense batching is replaced by per-sample sparse solves
-    (same arithmetic, much slower).
+    Both scales are affine in a few scalars of a sample.  The periodic cell
+    stiffness and loads are sums over the four phase coefficients c[p, k] of
+    ``materials.phase_coefficients``; the macro dynamic stiffness is a sum
+    over the independent entries of D_h and omega^2 rho_h.  Each scale is
+    solved by Galerkin projection on a reduced basis of full solutions
+    (``_ReducedBasis``), grown greedily over the calls: the cell basis from
+    ``solve_cell_problems``, the macro basis from ``factorized_dynamic``.
+    No perturbation shortcut: every sample's cell correctors and macro
+    displacement meet RESIDUAL_CONTRACT in the full space, or the call raises.
     """
 
     def __init__(self, problem: MacroProblem, state: DesignState, base_material: TwoPhaseMaterial):
         self.problem = problem
         self.base = base_material
         self.state = state.copy()
-        self.ncomp = voigt_size(problem.grid.dim)
-        n_red = problem.grid.dim * problem.cell.n_elems
-        self.batched = n_red <= _DENSE_DOF_LIMIT and problem.grid.n_dofs <= _DENSE_DOF_LIMIT
-        if not self.batched:
-            logger.info(
-                "Monte Carlo evaluator falling back to per-sample sparse solves "
-                "(problem too large for the dense batched path)"
-            )
-            return
-        self._setup_cell(problem.cell, state)
-        self._setup_macro(problem, state)
-
-    def _setup_cell(self, cell, state):
-        self._nf_cell = cell.dim * (cell.n_elems - 1)  # the first dim DOFs, the corner node's, are pinned
-        eta = stiffness_weights(state.x_micro, self.problem.penalty)
-        self._a_parts = _PARTS[cell.dim]
-        # four stiffness/load basis blocks: {phase-1, phase-2} x {A0, A1}
-        d_stacks = [wts[:, None, None] * part for wts in (eta, 1.0 - eta) for part in self._a_parts]
-        eye = np.eye(cell.dim * cell.n_elems)
-        self._cell_kb = np.array([cell_operator(cell, d)(eye)[cell.dim:, cell.dim:].ravel() for d in d_stacks])
-        self._cell_fb = np.array([cell_loads(cell, d)[cell.dim:].ravel() for d in d_stacks])
-        self._cell_volume = cell.volume
+        cell, grid = problem.cell, problem.grid
+        self.ncomp = voigt_size(grid.dim)
+        eta = stiffness_weights(state.x_micro, problem.penalty)
+        # four stiffness/load terms {phase 1, phase 2} x {A0, A1}, in the order of the sample coefficients
+        d_stacks = [wts[:, None, None] * part for wts in (eta, 1.0 - eta) for part in _PARTS[cell.dim]]
+        self.cell = _ReducedBasis(
+            "cell",
+            [cell_operator(cell, d) for d in d_stacks],
+            np.array([cell_loads(cell, d) for d in d_stacks]),
+            np.array([load_floor(cell, d) for d in d_stacks]),
+        )
         # phase volumes for the average-stiffness part of the energy identity
-        self._vol_eta = float(np.sum(eta) * cell.elem_volume)
-        self._vol_ieta = float(np.sum(1.0 - eta) * cell.elem_volume)
+        self._phase_volumes = np.array([np.sum(eta), np.sum(1.0 - eta)]) * cell.elem_volume
+        self._phase1_volume_fraction = float(np.sum(state.x_micro) * cell.elem_volume / cell.volume)
 
-    def _setup_macro(self, problem, state):
-        grid = problem.grid
         s = stiffness_scale(state.x_macro, problem.penalty, state.x_min)
-        pairs = [(c, d) for c in range(self.ncomp) for d in range(c, self.ncomp)]
-        self._pairs = pairs
-        kbas = []
-        for c, d in pairs:
+        self._pairs = np.triu_indices(self.ncomp)
+        blocks = []
+        for c, d in zip(*self._pairs):
             e_cd = np.zeros((self.ncomp, self.ncomp))
             e_cd[[c, d], [d, c]] = 1.0
-            k_e = element_stiffness_batch(s[:, None, None] * e_cd, grid.spacing)
-            kbas.append(scatter(problem.pattern, k_e).toarray().ravel())
-        self._macro_kbas = np.array(kbas)
-        m_e = state.x_macro[:, None, None] * element_mass(1.0, grid.spacing)
-        self._macro_mbas = scatter(problem.pattern, m_e).toarray().ravel()
-        self._f_free = problem.force[problem.free]
-        self._nf = problem.free.size
-        self._phase1_volume_fraction = float(
-            np.sum(state.x_micro) * problem.cell.elem_volume / problem.cell.volume
-        )
+            blocks.append(scatter(problem.pattern, element_stiffness_batch(s[:, None, None] * e_cd, grid.spacing)))
+        blocks.append(scatter(problem.pattern, state.x_macro[:, None, None] * element_mass(1.0, grid.spacing)))
+        load = problem.force[problem.free]
+        self.macro = _ReducedBasis("macro", [k.dot for k in blocks], load[None, :, None], np.zeros((1, 1)))
 
     def compliance(self, names: tuple[str, ...], values: np.ndarray) -> np.ndarray:
-        """Mean compliance for each parameter sample row (honest FE re-solves).
+        """Mean compliance for each parameter sample row.
 
-        The dense path solves the fewest near-equal chunks of rows that fit in
-        ``_DENSE_BATCH_BYTES``, so no chunk is a lone row when four rows fit:
-        numpy forms a one-row product as a vector product, which rounds differently.
+        The rows go in the fewest near-equal blocks whose residuals fit in
+        ``_BLOCK_BYTES``, so no block is a lone row when three rows fit: numpy
+        forms a one-row product as a vector product, which rounds differently.
         """
         values = np.atleast_2d(np.asarray(values, dtype=float))
-        if not self.batched:
-            return self._compliance_plain(names, values)
-        rows = max(1, _DENSE_BATCH_BYTES // (8 * (self._nf_cell**2 + 2 * self._nf**2)))
-        chunks = np.array_split(values, -(-len(values) // rows))
-        return np.concatenate([self._compliance_dense(names, chunk) for chunk in chunks])
+        rows = max(1, _BLOCK_BYTES // (8 * max(len(self.cell.v) * self.ncomp, len(self.macro.v))))
+        blocks = np.array_split(values, -(-len(values) // rows))
+        return np.concatenate([self._compliance(names, block) for block in blocks])
 
-    def _compliance_dense(self, names, values) -> np.ndarray:
+    def _compliance(self, names, values) -> np.ndarray:
+        problem, nb = self.problem, len(values)
         material = self.base.with_values(names, values.T)
-        nb = values.shape[0]
-        c = np.broadcast_to(material.coefficients(self.problem.grid.dim).reshape(2, 2, -1), (2, 2, nb))
-        coefs = c.reshape(4, nb).T.copy()  # columns: phase 1 A0, A1, phase 2 A0, A1
+        coefs = np.broadcast_to(material.coefficients(problem.grid.dim).reshape(4, -1), (4, nb)).T
+        uf = self.cell.products(coefs, coefs, lambda i: self._cell_solution(names, values[i]))
 
-        nfree_c = self._nf_cell
-        k_cell = (coefs @ self._cell_kb).reshape(nb, nfree_c, nfree_c)
-        f_cell = (coefs @ self._cell_fb).reshape(nb, nfree_c, self.ncomp)
-        u_cell = _solve_samples(k_cell, f_cell, "cell")
-
-        # energy identity: D_h = <D> - u.f / |Y| (u solves the cell problem)
-        a0, a1 = self._a_parts
-        avg0 = coefs[:, 0] * self._vol_eta + coefs[:, 2] * self._vol_ieta
-        avg1 = coefs[:, 1] * self._vol_eta + coefs[:, 3] * self._vol_ieta
-        d_avg = avg0[:, None, None] * a0 + avg1[:, None, None] * a1
-        uf = np.einsum("bir,bic->brc", u_cell, f_cell)
-        d_h = (d_avg - uf) / self._cell_volume
-        d_h = 0.5 * (d_h + d_h.transpose(0, 2, 1))
+        # energy identity: D_h = (<D> - u.f) / |Y| (u solves the cell problem)
+        d_avg = (self._phase_volumes @ coefs.reshape(nb, 2, 2)) @ np.reshape(_PARTS[problem.grid.dim], (2, -1))
+        d_h = (d_avg.reshape(uf.shape) - uf) / problem.cell.volume
+        d_h = 0.5 * (d_h + np.swapaxes(d_h, 1, 2))
         rho1, rho2 = material.phase1.density, material.phase2.density
         rho_h = np.broadcast_to(rho2 + (rho1 - rho2) * self._phase1_volume_fraction, nb)
 
-        d_cols = np.stack([d_h[:, c, d] for (c, d) in self._pairs], axis=1)
-        k_macro = (d_cols @ self._macro_kbas).reshape(nb, self._nf, self._nf)
-        k_macro -= (self.problem.omega**2 * rho_h)[:, None, None] * self._macro_mbas.reshape(self._nf, self._nf)
-        rhs = np.repeat(self._f_free[None, :, None], nb, axis=0)
-        return _solve_samples(k_macro, rhs, "macro")[..., 0] @ self._f_free
+        t = np.column_stack([d_h[:, self._pairs[0], self._pairs[1]], -problem.omega**2 * rho_h])
+        fu = self.macro.products(t, np.ones((nb, 1)), lambda i: self._macro_solution(d_h[i], rho_h[i]))
+        return fu[:, 0, 0]
 
-    def _compliance_plain(self, names, values) -> np.ndarray:
-        out = np.empty(values.shape[0])
-        for b, row in enumerate(values):
-            material = self.base.with_values(names, row)
-            props = homogenize(self.problem.cell, self.state.x_micro, material, self.problem.penalty)
-            system = factorized_dynamic(self.problem, self.state, props.d_h, props.rho_h)
-            out[b] = mean_compliance(self.problem.force, system.solve(self.problem.force))
-        return out
+    def _cell_solution(self, names, row) -> np.ndarray:
+        """Zero-mean periodic correctors (n_red, ncomp) of one sample by the full cell solver."""
+        material = self.base.with_values(names, row)
+        d_voxels = micro_elasticity(self.state.x_micro, material, self.problem.penalty, self.problem.cell.dim)
+        return solve_cell_problems(self.problem.cell, d_voxels)[2]
+
+    def _macro_solution(self, d_h, rho_h) -> np.ndarray:
+        """Free-DOF displacement (n_free, 1) of one sample by the sparse LU of its dynamic stiffness."""
+        u = factorized_dynamic(self.problem, self.state, d_h, rho_h).solve(self.problem.force)
+        return u[self.problem.free, None]
 
 
 def _interval_corners(params: UncertainSet) -> np.ndarray | None:
@@ -512,6 +596,11 @@ def mcs_evaluate(
             best_std, std_se = std, std / np.sqrt(2.0 * (n_random - 1))
     if resampled:
         logger.info("Monte Carlo resampled %d non-physical draws", resampled)
+    cell, macro = evaluator.cell, evaluator.macro
+    logger.info(
+        "Monte Carlo reduced bases: cell %d columns from %d full solves, macro %d columns from %d full solves",
+        cell.size, cell.full_solves, macro.size, macro.full_solves,
+    )
     return McsResult(
         expectation=best_mean,
         std=best_std,
@@ -521,4 +610,8 @@ def mcs_evaluate(
         resampled=resampled,
         expectation_se=expectation_se,
         std_se=std_se,
+        cell_basis=cell.size,
+        cell_solves=cell.full_solves,
+        macro_basis=macro.size,
+        macro_solves=macro.full_solves,
     )

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 import scipy.sparse
 
-from rcto.fem import StructuredGrid, assemble, dissection_order
+from rcto.fem import StructuredGrid, assemble, dissection_order, mean_compliance
+from rcto.homogenization import homogenize
 from rcto.materials import Phase, TwoPhaseMaterial
-from rcto.problem import DesignState, MacroProblem, stiffness_scale
+from rcto.problem import DesignState, MacroProblem, factorized_dynamic, stiffness_scale
 from rcto.uncertainty import HybridParameter, Interval, UncertainSet
 
 
@@ -85,6 +86,16 @@ def degenerate_params(material: TwoPhaseMaterial) -> UncertainSet:
 def full_state(problem: MacroProblem, x_min=1e-6, micro=None) -> DesignState:
     x_micro = np.ones(problem.cell.n_elems) if micro is None else np.asarray(micro, dtype=float)
     return DesignState(x_macro=np.ones(problem.grid.n_elems), x_micro=x_micro, x_min=x_min)
+
+
+def reference_compliance(problem: MacroProblem, state: DesignState, base: TwoPhaseMaterial, names, values):
+    """Mean compliance of each sample row by full solves: homogenize, factor the macro system and solve, row by row."""
+    out = []
+    for row in np.atleast_2d(values):
+        props = homogenize(problem.cell, state.x_micro, base.with_values(names, row), problem.penalty)
+        system = factorized_dynamic(problem, state, props.d_h, props.rho_h)
+        out.append(mean_compliance(problem.force, system.solve(problem.force)))
+    return np.array(out)
 
 
 def reference_matrices(problem: MacroProblem, state: DesignState, d_h, rho_h):

@@ -473,9 +473,11 @@ class TestVerifyReport:
         assert calls == 16
         table = report.format_table(calls)
         assert "FEA calls" in table and "16" in table
-        assert table.splitlines()[-1] == (
-            "(Monte Carlo standard errors: expectation 0.000000, standard variance 0.000000)"
-        )
+        assert table.splitlines()[-2:] == [
+            # a homogeneous cell has rounding-level loads, so zero correctors and no cell solve
+            "(Monte Carlo reduced bases: cell 0 columns from 0 full solves, macro 1 columns from 1 full solves)",
+            "(Monte Carlo standard errors: expectation 0.000000, standard variance 0.000000)",
+        ]
 
     def test_relative_errors_recomputable_from_raw_numbers(self):
         mat = steel_foam()
@@ -583,6 +585,7 @@ class TestCli:
         assert main(["verify", "--config", cfg_path, "--out", out]) == 0
         text = open(os.path.join(out, "verification.txt")).read()
         assert "IHPA" in text and "MCS" in text and "rel. error" in text
+        assert "(Monte Carlo reduced bases: cell " in text
 
     def test_config_error_exit_code_and_category(self, tmp_path, capsys):
         doc = small_doc()

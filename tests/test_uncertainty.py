@@ -1,10 +1,15 @@
 """Hybrid parameter model, perturbation analysis, and the Monte Carlo oracle."""
 
+import pathlib
+
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.sparse
 
 import rcto.fem
-import rcto.uncertainty
+from rcto.config import build_problem, parse_config
+from rcto.errors import NumericalError, SingularSystemError
 from rcto.fem import StructuredGrid, mean_compliance
 from rcto.homogenization import homogenize, seed_cell
 from rcto.materials import PARAMETER_NAMES, Phase, TwoPhaseMaterial
@@ -25,7 +30,17 @@ from rcto.uncertainty import (
     select_beta,
 )
 
-from conftest import cantilever, degenerate_params, full_state, hybrid_params, reference_matrices, steel_foam
+from conftest import (
+    cantilever,
+    degenerate_params,
+    full_state,
+    hybrid_params,
+    reference_compliance,
+    reference_matrices,
+    steel_foam,
+)
+
+CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
 
 
 class TestInterval:
@@ -243,7 +258,6 @@ class TestMcsEvaluate:
         se = res.std / np.sqrt(res.n_random)
         assert abs(res.expectation - obj.expectation) <= 3 * se + 1e-4 * obj.expectation
 
-    @pytest.mark.slow
     def test_corner_maxima_stable_across_seeds(self):
         prob = cantilever(4, 2, cell_n=4)
         state = full_state(prob, micro=seed_cell(prob.cell, 0.25, 1e-6))
@@ -329,7 +343,7 @@ class TestMcsEvaluate:
         ev = BatchComplianceEvaluator(prob, state, self.mat)
         assert ev.compliance(("e1",), [[200e3]]).shape == (1,)
 
-    def test_batch_and_plain_paths_agree(self, rng):
+    def test_oracle_matches_full_solves(self, rng):
         prob = cantilever(4, 2, cell_n=4, omega=2 * np.pi * 300.0)
         state = full_state(prob, micro=seed_cell(prob.cell, 0.25, 1e-6))
         ev = BatchComplianceEvaluator(prob, state, self.mat)
@@ -339,27 +353,21 @@ class TestMcsEvaluate:
             rng.normal(7.9e-9, 2e-10, 12), rng.normal(0.79e-9, 2e-11, 12),
         ])
         batch = ev.compliance(names, vals)
-        plain = ev._compliance_plain(names, vals)
-        assert np.allclose(batch, plain, rtol=1e-10)
+        assert np.allclose(batch, reference_compliance(prob, state, self.mat, names, vals), rtol=1e-10)
 
-    @pytest.mark.parametrize("rows, sizes", [(4, [4, 3, 3, 3]), (5, [5, 4, 4])])
-    def test_chunked_compliance_equals_one_batch(self, monkeypatch, rng, rows, sizes):
+    @pytest.mark.parametrize("sizes", [[4, 3, 3, 3], [5, 4, 4], [1] * 13])
+    def test_rows_in_several_calls_match_one_call(self, rng, sizes):
         prob = cantilever(4, 2, cell_n=4, omega=2 * np.pi * 300.0)
-        ev = BatchComplianceEvaluator(prob, full_state(prob, micro=seed_cell(prob.cell, 0.25, 1e-6)), self.mat)
+        state = full_state(prob, micro=seed_cell(prob.cell, 0.25, 1e-6))
         names = ("e1", "rho1")
         vals = np.column_stack([rng.normal(200e3, 6e3, 13), rng.normal(7.9e-9, 2e-10, 13)])
-        chunks = []
-        dense = ev._compliance_dense
-        monkeypatch.setattr(ev, "_compliance_dense", lambda n, v: chunks.append(len(v)) or dense(n, v))
-        whole = ev.compliance(names, vals)
-        # a budget of exactly `rows` samples: one cell matrix, one macro matrix and its mass term each
-        budget = rows * 8 * (ev._nf_cell**2 + 2 * ev._nf**2)
-        monkeypatch.setattr(rcto.uncertainty, "_DENSE_BATCH_BYTES", budget)
-        chunked = ev.compliance(names, vals)
-        assert chunks == [13] + sizes
-        assert np.array_equal(chunked, whole)
+        whole = BatchComplianceEvaluator(prob, state, self.mat).compliance(names, vals)
+        ev = BatchComplianceEvaluator(prob, state, self.mat)
+        parts = np.split(vals, np.cumsum(sizes)[:-1])
+        split = np.concatenate([ev.compliance(names, part) for part in parts])
+        assert np.allclose(split, whole, rtol=1e-10)
 
-    def test_batch_path_handles_split_poisson(self, rng):
+    def test_oracle_handles_split_poisson(self, rng):
         # distinct per-phase Poisson ratios exercise the general coefficient split
         base = TwoPhaseMaterial(Phase(200e3, 0.32, 7.9e-9), Phase(150e3, 0.22, 0.79e-9))
         prob = cantilever(4, 2, cell_n=4)
@@ -369,9 +377,67 @@ class TestMcsEvaluate:
         vals = np.column_stack([
             rng.normal(200e3, 6e3, 10), rng.normal(0.32, 0.01, 10), rng.normal(0.22, 0.01, 10),
         ])
-        assert np.allclose(ev.compliance(names, vals), ev._compliance_plain(names, vals), rtol=1e-10)
+        assert np.allclose(ev.compliance(names, vals), reference_compliance(prob, state, base, names, vals), rtol=1e-10)
 
-    @pytest.mark.slow
+    def test_samples_outside_the_basis_enrich_it(self, rng):
+        prob = cantilever(4, 2, cell_n=4, omega=2 * np.pi * 300.0)
+        state = full_state(prob, micro=seed_cell(prob.cell, 0.25, 1e-6))
+        ev = BatchComplianceEvaluator(prob, state, self.mat)
+        names = ("e1", "e2")
+        ev.compliance(names, np.column_stack([rng.normal(200e3, 2e3, 8), rng.normal(150e3, 1.5e3, 8)]))
+        solves = ev.cell.full_solves + ev.macro.full_solves
+        far = np.array([[1.4 * 200e3, 0.6 * 150e3], [0.6 * 200e3, 1.4 * 150e3], [1.4 * 200e3, 1.4 * 150e3]])
+        got = ev.compliance(names, far)
+        assert ev.cell.full_solves + ev.macro.full_solves > solves
+        assert np.allclose(got, reference_compliance(prob, state, self.mat, names, far), rtol=1e-10)
+
+    @pytest.mark.parametrize("scale, size", [("cell", 1e-7), ("macro", 1e-8)])
+    def test_a_sample_failing_with_its_own_full_solution_raises(self, monkeypatch, rng, scale, size):
+        # a full solution off by a random direction this small leaves max|r| / max|f| of 2.5e-7 (cell) or 1.2e-6 (macro)
+        prob = cantilever(4, 2, cell_n=4, omega=2 * np.pi * 300.0)
+        ev = BatchComplianceEvaluator(prob, full_state(prob, micro=seed_cell(prob.cell, 0.25, 1e-6)), self.mat)
+        exact = getattr(ev, f"_{scale}_solution")
+
+        def perturbed(*args):
+            u = exact(*args)
+            return u + size * np.abs(u).max() * rng.standard_normal(u.shape)
+
+        monkeypatch.setattr(ev, f"_{scale}_solution", perturbed)
+        with pytest.raises(NumericalError, match=f"fails the {scale} residual contract with its own full solution"):
+            ev.compliance(("e1",), [[200e3]])
+
+    def test_a_full_solution_that_adds_no_direction_raises(self, monkeypatch):
+        prob = cantilever(4, 2, cell_n=4, omega=2 * np.pi * 300.0)
+        ev = BatchComplianceEvaluator(prob, full_state(prob, micro=seed_cell(prob.cell, 0.25, 1e-6)), self.mat)
+        monkeypatch.setattr(ev, "_macro_solution", lambda d_h, rho_h: np.zeros((prob.free.size, 1)))
+        with pytest.raises(NumericalError, match="macro solution of a Monte Carlo sample adds no direction"):
+            ev.compliance(("e1",), [[200e3]])
+
+    def test_macro_above_the_old_dense_limit(self, rng):
+        prob = cantilever(40, 20, cell_n=4, omega=2 * np.pi * 100.0)
+        assert prob.grid.n_dofs > 1600
+        state = full_state(prob, micro=seed_cell(prob.cell, 0.25, 1e-6))
+        names = ("e1", "nu", "rho1")
+        vals = np.column_stack([rng.normal(200e3, 6e3, 3), rng.normal(0.3, 0.004, 3), rng.normal(7.9e-9, 2e-10, 3)])
+        got = BatchComplianceEvaluator(prob, state, self.mat).compliance(names, vals)
+        assert np.allclose(got, reference_compliance(prob, state, self.mat, names, vals), rtol=1e-10)
+
+    def test_sample_at_a_macro_resonance_raises(self):
+        # pick omega so that a 10 % heavier phase 1 puts the first eigenvalue of (K, rho_h M) at omega^2
+        prob = cantilever(4, 2, cell_n=4)
+        state = full_state(prob, micro=seed_cell(prob.cell, 0.25, 1e-6))
+        props = homogenize(prob.cell, state.x_micro, self.mat, prob.penalty)
+        k, m = reference_matrices(prob, state, props.d_h, 1.0)
+        free = prob.free
+        lam = scipy.linalg.eigh(k[free][:, free].toarray(), m[free][:, free].toarray(), eigvals_only=True)[0]
+        rho1 = 1.1 * self.mat.phase1.density
+        rho_h = props.density(rho1, self.mat.phase2.density)
+        resonant = MacroProblem(prob.grid, prob.cell, prob.fixed_dofs, prob.force, omega=np.sqrt(lam / rho_h))
+        ev = BatchComplianceEvaluator(resonant, state, self.mat)
+        assert np.isfinite(ev.compliance(("rho1",), [[self.mat.phase1.density]])).all()
+        with pytest.raises(SingularSystemError):
+            ev.compliance(("rho1",), [[self.mat.phase1.density], [rho1]])
+
     def test_split_poisson_set_costs_nineteen_calls(self):
         base = TwoPhaseMaterial(Phase(200e3, 0.32, 7.9e-9), Phase(150e3, 0.22, 0.79e-9))
         prob = cantilever(4, 2, cell_n=4, omega=2 * np.pi * 100.0)
@@ -391,6 +457,42 @@ class TestMcsEvaluate:
         assert obj.std > 0.0
         res = mcs_evaluate(prob, state, base, params, n_interval=8, n_random=1500, seed=4)
         assert abs(obj.expectation - res.expectation) <= 0.05 * res.expectation
+
+
+class TestNoDenseOracle:
+    def test_oracle_never_densifies_or_builds_a_pattern(self, monkeypatch, rng):
+        cfg = parse_config(str(CONFIGS / "cantilever_small.yaml"))
+        grid = StructuredGrid((3, 2, 2), (1.0, 1.0, 1.0))
+        force = np.zeros(grid.n_dofs)
+        force[3 * grid.node_ids[-1, 0, 0] + 1] = -1000.0
+        prism = MacroProblem(
+            grid=grid,
+            cell=StructuredGrid((3, 3, 3), (1 / 3, 1 / 3, 1 / 3)),
+            fixed_dofs=(3 * grid.node_ids[0].ravel()[:, None] + np.arange(3)).ravel(),
+            force=force,
+            omega=2 * np.pi * 50.0,
+        )
+        cases = [(build_problem(cfg), cfg.base_material), (prism, steel_foam())]
+        for prob, _ in cases:
+            prob.pattern  # the macro free block is the one assembled system
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the oracle densified a sparse matrix or built a sparsity pattern")
+
+        for cls in (scipy.sparse.csc_matrix, scipy.sparse.csr_matrix, scipy.sparse.coo_matrix):
+            monkeypatch.setattr(cls, "toarray", refuse)
+            monkeypatch.setattr(cls, "todense", refuse)
+        monkeypatch.setattr(rcto.fem.SparsityPattern, "from_dofs", refuse)
+        names = ("e1", "e2", "nu")
+        for prob, mat in cases:
+            ev = BatchComplianceEvaluator(prob, full_state(prob, micro=seed_cell(prob.cell, 0.2, 1e-6)), mat)
+            p1, p2 = mat.phase1, mat.phase2
+            vals = np.column_stack([
+                rng.normal(p1.youngs, 0.03 * p1.youngs, 6), rng.normal(p2.youngs, 0.03 * p2.youngs, 6),
+                rng.normal(p1.poisson, 0.004, 6),
+            ])
+            assert np.all(np.isfinite(ev.compliance(names, vals)))
+            assert ev.cell.full_solves > 0 and ev.macro.full_solves > 0
 
 
 class TestIhpaAgainstMcs:
