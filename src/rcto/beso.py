@@ -6,8 +6,11 @@ n = 0 case: no uncertain parameters, one factorization and one backsolve),
 build mass-normalized filtered sensitivity numbers, rank the
 merged macro/micro candidates, and flip design variables against a single
 total-weight budget that walks toward the target fraction by a fixed
-evolutionary ratio.  Convergence compares the objective sum over the last
-window against the preceding window, once the weight target is met.
+evolutionary ratio.  The weight is ``problem.design_weight`` and its
+derivatives ``problem.weight_gradient``: the budget, the fractions, the
+update's prefix weights and the quantum, (1 - x_min) times the larger
+derivative, all read them.  Convergence compares the objective sum over the
+last window against the preceding window, once the weight target is met.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import numpy as np
 from .errors import InfeasibleTargetError
 from .homogenization import EffectiveProperties, effective_density, seed_cell
 from .materials import TwoPhaseMaterial
-from .problem import DesignState, MacroProblem, X_MIN_DEFAULT
+from .problem import DesignState, MacroProblem, X_MIN_DEFAULT, design_weight, weight_gradient
 from .sensitivity import (
     SensitivityField,
     history_average,
@@ -74,21 +77,18 @@ def update_weight_target(current: float, target: float, evolution_ratio: float) 
 
 def reference_mass(problem: MacroProblem, material: TwoPhaseMaterial) -> float:
     """Phase-1-full design mass, the denominator of every weight fraction."""
-    return problem.grid.volume * material.phase1.density
+    return float(design_weight(problem, material, problem.grid.n_elems, problem.cell.n_elems))
 
 
 def total_mass(problem: MacroProblem, state: DesignState, material: TwoPhaseMaterial) -> float:
-    rho_h = effective_density(state.x_micro, material, problem.cell)
-    return float(np.sum(state.x_macro) * problem.grid.elem_volume * rho_h)
+    return float(design_weight(problem, material, np.sum(state.x_macro), np.sum(state.x_micro)))
 
 
 def mass_quantum(problem: MacroProblem, state: DesignState, material: TwoPhaseMaterial) -> float:
-    """Largest single-flip mass change at the given state."""
+    """Largest single-flip mass change at the given state: (1 - x_min) times the larger weight derivative."""
     rho_h = effective_density(state.x_micro, material, problem.cell)
-    macro_step = (1.0 - state.x_min) * problem.grid.elem_volume * rho_h
-    drho = (material.phase1.density - material.phase2.density) / problem.cell.n_elems
-    micro_step = (1.0 - state.x_min) * abs(drho) * float(np.sum(state.x_macro)) * problem.grid.elem_volume
-    return max(macro_step, micro_step)
+    gradient = weight_gradient(problem, state, rho_h, material.phase1.density - material.phase2.density)
+    return (1.0 - state.x_min) * max(abs(g) for g in gradient)
 
 
 @dataclass
@@ -121,9 +121,6 @@ def concurrent_update(
     ne_mac = problem.grid.n_elems
     ne_mic = problem.cell.n_elems
     x_min = state.x_min
-    rho1 = material.phase1.density
-    rho2 = material.phase2.density
-    v_a = problem.grid.elem_volume
 
     values = np.concatenate([xi.macro, xi.micro])
     scale = np.max(np.abs(values))
@@ -133,9 +130,7 @@ def concurrent_update(
     is_micro = order >= ne_mac
     n1 = np.concatenate([[0], np.cumsum(~is_micro)])  # macro solids in prefix
     m1 = np.concatenate([[0], np.cumsum(is_micro)])   # micro phase-1 voxels in prefix
-    rho_hat = rho2 + (rho1 - rho2) * (m1 + x_min * (ne_mic - m1)) / ne_mic
-    macro_sum = v_a * (n1 + x_min * (ne_mac - n1))
-    prefix_mass = macro_sum * rho_hat
+    prefix_mass = design_weight(problem, material, n1 + x_min * (ne_mac - n1), m1 + x_min * (ne_mic - m1))
 
     if target_mass < prefix_mass[0] - 1e-12 * prefix_mass[-1]:
         raise InfeasibleTargetError(
@@ -175,13 +170,7 @@ def concurrent_update(
 
     x_macro = new[:ne_mac]
     x_micro = new[ne_mac:]
-    new_state = DesignState(
-        x_macro=x_macro,
-        x_micro=x_micro,
-        x_min=x_min,
-        iteration=state.iteration + 1,
-        weight_fraction=state.weight_fraction,
-    )
+    new_state = DesignState(x_macro=x_macro, x_micro=x_micro, x_min=x_min, iteration=state.iteration + 1)
     info = UpdateInfo(
         cap_bound=cap_bound,
         flips_macro=int(np.sum(x_macro != state.x_macro)),
@@ -264,12 +253,7 @@ def run(
     filt_micro = SensitivityFilter(problem.cell, r_min_micro, periodic=True)
 
     m0 = reference_mass(problem, material)
-    empty = DesignState(
-        x_macro=np.full(problem.grid.n_elems, x_min),
-        x_micro=np.full(problem.cell.n_elems, x_min),
-        x_min=x_min,
-    )
-    floor = total_mass(problem, empty, material)
+    floor = design_weight(problem, material, problem.grid.n_elems * x_min, problem.cell.n_elems * x_min)
     if schedule.target_weight_fraction * m0 < floor:
         raise InfeasibleTargetError(
             f"target weight fraction {schedule.target_weight_fraction} is below the "
@@ -280,7 +264,7 @@ def run(
     previous_field: SensitivityField | None = None
     converged = False
     # the scheduled fraction compounds on itself; the achieved weight follows
-    # within one element-mass quantum
+    # within one mass_quantum
     target_fraction = total_mass(problem, state, material) / m0
 
     for _ in range(schedule.max_iterations):
@@ -293,14 +277,13 @@ def run(
         previous_field = filtered
 
         mass_now = total_mass(problem, state, material)
-        state.weight_fraction = mass_now / m0
         history.append(
             HistoryRow(
                 iteration=state.iteration,
                 objective=objective.objective,
                 expectation=objective.expectation,
                 std=objective.std,
-                weight_fraction=state.weight_fraction,
+                weight_fraction=mass_now / m0,
                 macro_solid_fraction=state.macro_solid_fraction,
                 micro_phase1_fraction=state.micro_phase1_fraction,
             )

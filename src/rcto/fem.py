@@ -308,9 +308,7 @@ def scatter(pattern: SparsityPattern, elem_mats: np.ndarray) -> sp.csc_matrix:
 
 
 def dynamic_stiffness(k: sp.spmatrix, m: sp.spmatrix, omega: float) -> sp.csc_matrix:
-    """K - omega^2 M; reduces to K exactly for omega = 0."""
-    if omega == 0.0:
-        return k.tocsc()
+    """K - omega^2 M."""
     return (k - omega**2 * m).tocsc()
 
 

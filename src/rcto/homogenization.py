@@ -255,11 +255,8 @@ def micro_elasticity(x: np.ndarray, material: TwoPhaseMaterial, penalty: float, 
 
 
 def effective_density(x: np.ndarray, material: TwoPhaseMaterial, grid: StructuredGrid) -> float:
-    """Volume-weighted effective density of the cell (linear in each voxel variable)."""
-    x = np.asarray(x, dtype=float)
-    vi = grid.elem_volume
-    total = vi * np.sum(x * material.phase1.density + (1.0 - x) * material.phase2.density)
-    return float(total / grid.volume)
+    """rho_h: the volume average of the voxels' ``mixed_density``, each voxel variable its phase-1 fraction."""
+    return float(grid.elem_volume * np.sum(material.mixed_density(np.asarray(x, dtype=float))) / grid.volume)
 
 
 def cell_energy_basis(g: np.ndarray, w: np.ndarray, dim: int) -> np.ndarray:
@@ -329,7 +326,7 @@ class EffectiveProperties:
 
     def density(self, rho1: float, rho2: float) -> float:
         """rho_h with phase densities rho1, rho2 in place of the phases' own (linear in them)."""
-        return float(self.voxel_volume * np.sum(self.x * rho1 + (1.0 - self.x) * rho2) / self.cell_volume)
+        return effective_density(self.x, self.material.with_values(("rho1", "rho2"), (rho1, rho2)), self.grid)
 
     def d_h_derivative(self, wrt: tuple[str, ...]) -> np.ndarray:
         """d^k D_h / d(theta...) holding the cell strain fields fixed."""

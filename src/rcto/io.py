@@ -213,7 +213,7 @@ def write_bundle(
         "expectation": result.objective.expectation,
         "std": result.objective.std,
         "kappa": cfg.schedule.kappa,
-        "weight_fraction": result.state.weight_fraction,
+        "weight_fraction": result.history[-1].weight_fraction,
         "macro_solid_fraction": result.state.macro_solid_fraction,
         "micro_phase1_fraction": result.state.micro_phase1_fraction,
         "defaults_applied": list(cfg.defaults_applied),

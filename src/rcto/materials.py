@@ -172,6 +172,10 @@ class TwoPhaseMaterial:
         """Partial derivative of the phase elasticity matrix w.r.t. a multiset of parameter names."""
         return np.tensordot(self.coefficients(dim, wrt)[phase_index - 1], _PARTS[dim], axes=1)
 
+    def mixed_density(self, phase1_fraction):
+        """Density of a mix holding phase 1 at the given volume fraction (linear; broadcasts over arrays)."""
+        return phase1_fraction * self.phase1.density + (1.0 - phase1_fraction) * self.phase2.density
+
     def rho_derivative(self, phase_index: int, wrt: tuple[str, ...]) -> float:
         """Partial derivative of the phase density (density is linear in rho1/rho2)."""
         fields = _fields(phase_index, wrt)

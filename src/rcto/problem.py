@@ -19,6 +19,7 @@ import scipy.sparse as sp
 from . import fem
 from .fem import StructuredGrid
 from .homogenization import EffectiveProperties
+from .materials import TwoPhaseMaterial
 
 X_MIN_DEFAULT = 1e-6
 
@@ -31,7 +32,6 @@ class DesignState:
     x_micro: np.ndarray
     x_min: float = X_MIN_DEFAULT
     iteration: int = 0
-    weight_fraction: float = 1.0
 
     def copy(self) -> "DesignState":
         return replace(self, x_macro=self.x_macro.copy(), x_micro=self.x_micro.copy())
@@ -95,6 +95,22 @@ class MacroProblem:
         rank = np.full(self.grid.n_dofs, -1, dtype=np.intp)
         rank[self.free] = np.arange(self.free.size)
         return fem.SparsityPattern.from_dofs(rank[self.grid.elem_dofs], self.free.size)
+
+
+def design_weight(problem: MacroProblem, material: TwoPhaseMaterial, macro_sum, micro_sum):
+    """W = V_a sum_a x_a rho_h of designs given by sum_a x_a and sum_i x_i; broadcasts over arrays of designs.
+
+    rho_h is the ``mixed_density`` of the cell's phase-1 fraction (V_i / |Y|) sum_i x_i.
+    """
+    voxel_share = problem.cell.elem_volume / problem.cell.volume
+    return problem.grid.elem_volume * macro_sum * material.mixed_density(voxel_share * micro_sum)
+
+
+def weight_gradient(problem: MacroProblem, state: DesignState, rho_h: float, delta_rho: float):
+    """dW/dx of one macro element, V_a rho_h, and of one voxel, (V_i / |Y|) (rho1 - rho2) sum_a x_a V_a."""
+    v_a = problem.grid.elem_volume
+    voxel_share = problem.cell.elem_volume / problem.cell.volume
+    return v_a * rho_h, voxel_share * delta_rho * float(np.sum(state.x_macro) * v_a)
 
 
 def factorized_dynamic(problem: MacroProblem, state: DesignState, d_h: np.ndarray, rho_h: float):

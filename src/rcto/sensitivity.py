@@ -35,7 +35,14 @@ import numpy as np
 from .errors import NormalizationError
 from .fem import StructuredGrid, element_mass, strain_operators
 from .homogenization import EffectiveProperties, stiffness_weights
-from .problem import DesignState, MacroProblem, element_strains, stiffness_scale, stiffness_scale_derivative
+from .problem import (
+    DesignState,
+    MacroProblem,
+    element_strains,
+    stiffness_scale,
+    stiffness_scale_derivative,
+    weight_gradient,
+)
 from .uncertainty import IhpaCache, select_beta
 
 
@@ -45,9 +52,6 @@ class SensitivityField:
 
     macro: np.ndarray
     micro: np.ndarray
-
-    def copy(self) -> "SensitivityField":
-        return SensitivityField(self.macro.copy(), self.micro.copy())
 
 
 class _Pair:
@@ -162,19 +166,14 @@ def normalize(
 ) -> SensitivityField:
     """Sensitivity per unit mass, making the two scales directly comparable.
 
-    The macro weight derivative is V_a rho_h; the micro one is
-    (V_i/|Y|)(rho1 - rho2) sum_a x_a V_a.  Vanishing derivatives mean the
-    scales cannot be ranked together and are rejected.
+    Each scale divides by its derivative of the design weight,
+    ``problem.weight_gradient`` at props.rho_h.  Vanishing derivatives mean
+    the scales cannot be ranked together and are rejected.
     """
-    v_a = problem.grid.elem_volume
-    dm_macro = v_a * props.rho_h
-    dm_micro = (
-        props.voxel_volume / props.cell_volume
-        * props.delta_rho_derivative(())
-        * float(np.sum(state.x_macro) * v_a)
-    )
-    scale = abs(props.rho_h) + abs(props.delta_rho_derivative(()))
-    if abs(dm_macro) <= 1e-300 or abs(dm_micro) <= 1e-12 * scale * v_a:
+    delta_rho = props.delta_rho_derivative(())
+    dm_macro, dm_micro = weight_gradient(problem, state, props.rho_h, delta_rho)
+    scale = abs(props.rho_h) + abs(delta_rho)
+    if abs(dm_macro) <= 1e-300 or abs(dm_micro) <= 1e-12 * scale * problem.grid.elem_volume:
         raise NormalizationError(
             "scales not comparable: weight derivative vanishes "
             f"(macro {dm_macro:.3e}, micro {dm_micro:.3e}); needs rho_h > 0 and rho1 > rho2"

@@ -488,8 +488,7 @@ class BatchComplianceEvaluator:
         d_avg = (self._phase_volumes @ coefs.reshape(nb, 2, 2)) @ np.reshape(_PARTS[problem.grid.dim], (2, -1))
         d_h = (d_avg.reshape(uf.shape) - uf) / problem.cell.volume
         d_h = 0.5 * (d_h + np.swapaxes(d_h, 1, 2))
-        rho1, rho2 = material.phase1.density, material.phase2.density
-        rho_h = np.broadcast_to(rho2 + (rho1 - rho2) * self._phase1_volume_fraction, nb)
+        rho_h = np.broadcast_to(material.mixed_density(self._phase1_volume_fraction), nb)
 
         t = np.column_stack([d_h[:, self._pairs[0], self._pairs[1]], -problem.omega**2 * rho_h])
         fu = self.macro.products(t, np.ones((nb, 1)), lambda i: self._macro_solution(d_h[i], rho_h[i]))
@@ -518,8 +517,6 @@ def _interval_corners(params: UncertainSet) -> np.ndarray | None:
             count *= len(vals)
             if count > _CORNER_LIMIT:
                 return None
-    if not levels:
-        return None
     return np.array(list(itertools.product(*levels)))
 
 

@@ -9,7 +9,7 @@ from rcto.errors import InfeasibleTargetError
 from rcto.fem import StructuredGrid, mean_compliance
 from rcto.homogenization import effective_density, homogenize, seed_cell
 from rcto.materials import Phase, TwoPhaseMaterial
-from rcto.problem import DesignState, MacroProblem, factorized_dynamic
+from rcto.problem import DesignState, MacroProblem, design_weight, factorized_dynamic, weight_gradient
 from rcto.sensitivity import SensitivityField
 from rcto.beso import (
     Schedule,
@@ -143,15 +143,36 @@ class TestConcurrentUpdate:
 
     def test_weight_always_within_one_quantum_of_target(self, rng):
         prob = cantilever(4, 2, cell_n=3)
+        ne_mac, ne_mic = prob.grid.n_elems, prob.cell.n_elems
         state = full_state(prob, micro=seed_cell(prob.cell, 0.2, X_MIN))
         m0 = reference_mass(prob, self.mat)
         for target_frac in (0.9, 0.7, 0.5, 0.3):
-            xi = SensitivityField(rng.random(prob.grid.n_elems), rng.random(prob.cell.n_elems))
+            xi = SensitivityField(rng.random(ne_mac), rng.random(ne_mic))
+            # one design_weight call weighs every prefix of the merged ranking
+            is_micro = np.argsort(-np.concatenate([xi.macro, xi.micro])) >= ne_mac
+            n1 = np.concatenate([[0], np.cumsum(~is_micro)])
+            m1 = np.concatenate([[0], np.cumsum(is_micro)])
+            prefix = design_weight(prob, self.mat, n1 + X_MIN * (ne_mac - n1), m1 + X_MIN * (ne_mic - m1))
+            cut = prefix[np.argmin(np.abs(prefix - target_frac * m0))]
             state, _ = concurrent_update(prob, state, self.mat, xi, target_frac * m0, flip_cap=None)
+            assert np.isclose(total_mass(prob, state, self.mat), cut, rtol=1e-14, atol=0.0)
             quantum = mass_quantum(prob, state, self.mat)
             assert abs(total_mass(prob, state, self.mat) - target_frac * m0) <= quantum
             assert set(np.unique(state.x_macro)) <= {X_MIN, 1.0}
             assert set(np.unique(state.x_micro)) <= {X_MIN, 1.0}
+
+    def test_weight_gradient_matches_central_differences(self, rng):
+        # W is bilinear in (sum_a x_a, sum_i x_i), so central differences agree to rounding
+        prob = cantilever(4, 2, cell_n=3)
+        state = full_state(prob, micro=rng.choice([X_MIN, 1.0], prob.cell.n_elems))
+        state.x_macro[rng.random(prob.grid.n_elems) < 0.4] = X_MIN
+        macro_sum, micro_sum = np.sum(state.x_macro), np.sum(state.x_micro)
+        rho_h = effective_density(state.x_micro, self.mat, prob.cell)
+        gradient = weight_gradient(prob, state, rho_h, self.mat.phase1.density - self.mat.phase2.density)
+        weight = lambda a, i: design_weight(prob, self.mat, macro_sum + a, micro_sum + i)
+        h = 0.5
+        fd = ((weight(h, 0.0) - weight(-h, 0.0)) / (2 * h), (weight(0.0, h) - weight(0.0, -h)) / (2 * h))
+        assert np.allclose(gradient, fd, rtol=1e-13, atol=0.0)
 
     def test_infeasible_targets_raise_structured_errors(self):
         prob = tiny_problem()
