@@ -2,7 +2,7 @@
 
 Bilinear quads (2D) / trilinear hexes (3D) on a regular grid, full 2-point
 Gauss integration per axis, consistent mass, sparse assembly, and solves of
-the dynamic stiffness K - omega^2 M backed by a symmetric-mode sparse LU.
+the dynamic stiffness K - omega^2 M by a banded Cholesky factorization.
 Boundary conditions are enforced by row/column elimination.  All element
 matrices are exact for constant coefficients under the 2-point rule.  Node,
 element and DOF numbering all read one table, ``StructuredGrid.node_ids``.
@@ -10,8 +10,11 @@ element and DOF numbering all read one table, ``StructuredGrid.node_ids``.
 A ``SparsityPattern`` drops the element entries on constrained DOFs when it
 is built, so one scatter gives the free block of a system.  Only the macro
 mesh is assembled: its dynamic stiffness is the one system factored in a
-run, its free DOFs in a geometric nested-dissection order
-(``dissection_order``; George, SIAM J. Numer. Anal. 1973).  The periodic
+run, its free DOFs in a band order (``band_order``; George and Liu,
+*Computer Solution of Large Sparse Positive Definite Systems*, 1981) that
+LAPACK's blocked banded Cholesky ``dpbtrf`` factors.  A drive at or above
+the first natural frequency makes K - omega^2 M indefinite; Cholesky
+refuses it and a symmetric-mode sparse LU factors it instead.  The periodic
 cell is never assembled; ``homogenization`` applies its stiffness
 matrix-free inside a preconditioned CG.
 
@@ -28,16 +31,18 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg.lapack import dpbtrf, dpbtrs
 from scipy.sparse.linalg import splu
 
 from .errors import SingularSystemError
 
 RESIDUAL_TOL = 1e-9
 
-# SuperLU's symmetric mode on a block that is already in elimination order
-# (the order of ``free``): no column permutation of its own, and a diagonal
-# pivot is kept unless it is below 0.01 of the largest entry in its column.  Every system factored here is symmetric;
-# K - omega^2 M may be indefinite, hence the threshold against tiny pivots.
+# The fallback for a system Cholesky refuses as not positive definite: SuperLU's
+# symmetric mode on a block already in band order (the order of ``free``), so no
+# column permutation and its fill stays inside the band.  A diagonal pivot is kept
+# unless it is below 0.01 of the largest entry in its column: the indefinite
+# K - omega^2 M needs that threshold against tiny pivots.
 SYMMETRIC_LU = dict(permc_spec="NATURAL", diag_pivot_thresh=0.01, options={"SymmetricMode": True})
 
 
@@ -245,28 +250,14 @@ def assemble(grid: StructuredGrid, d_mats, rhos) -> tuple[sp.csc_matrix, sp.csc_
     return scatter(grid.pattern, k_all), scatter(grid.pattern, m_all)
 
 
-def dissection_order(node_ids: np.ndarray) -> np.ndarray:
-    """Nested-dissection order of the DOFs of a node box (``StructuredGrid.node_ids``, dim DOFs per node).
+def band_order(node_ids: np.ndarray) -> np.ndarray:
+    """Band order of the DOFs of a node box (``StructuredGrid.node_ids``, dim DOFs per node).
 
-    The box is bisected along its longest axis by the node plane in its
-    middle.  Each part is ordered recursively, then the separator; recursion
-    stops when no axis has 3 or more nodes.  Each node's DOFs stay together.
+    The nodes are listed with the shortest axis fastest, so the half-bandwidth
+    is one node layer across the other axes; each node's DOFs stay together.
     """
-    blocks = []
-
-    def dissect(box):
-        ax = int(np.argmax(box.shape))
-        if box.shape[ax] < 3:
-            blocks.append(box.ravel(order="F"))  # x fastest
-            return
-        mid = box.shape[ax] // 2
-        part_a, separator, part_b = np.split(box, [mid, mid + 1], axis=ax)
-        dissect(part_a)
-        dissect(part_b)
-        blocks.append(separator.ravel(order="F"))
-
-    dissect(node_ids)
-    nodes = np.concatenate(blocks)
+    axes = np.argsort(node_ids.shape, kind="stable")
+    nodes = np.transpose(node_ids, axes).ravel(order="F")
     return (node_ids.ndim * nodes[:, None] + np.arange(node_ids.ndim)).ravel()
 
 
@@ -313,12 +304,16 @@ def dynamic_stiffness(k: sp.spmatrix, m: sp.spmatrix, omega: float) -> sp.csc_ma
 
 
 class FactorizedSystem:
-    """Symmetric-mode sparse LU of the free block of a dynamic stiffness, counting backsolves.
+    """Factorization of the free block of a dynamic stiffness, counting backsolves.
 
     ``kff`` holds the rows and columns of the free DOFs in the order ``free``
-    lists them, the order the LU eliminates them.  One factorization serves
-    every right-hand side; ``calls`` counts linear-system applications (the
-    uncertainty analysis's FEA calls), one per right-hand side column.
+    lists them (``MacroProblem.free`` is in band order).  Its upper band, in
+    LAPACK band storage, is factored by the banded Cholesky ``dpbtrf``; a
+    block Cholesky refuses as not positive definite (a drive at or above the
+    first natural frequency) is factored by ``splu`` with ``SYMMETRIC_LU``
+    instead.  One factorization serves every right-hand side; ``calls``
+    counts linear-system applications (the uncertainty analysis's FEA
+    calls), one per right-hand side column.
     """
 
     def __init__(self, kff: sp.spmatrix, free: np.ndarray, n_dofs: int):
@@ -327,12 +322,21 @@ class FactorizedSystem:
         if self.free.size == 0 or self.free.size >= self.n_dofs:
             raise ValueError("need at least one constrained DOF and at least one free DOF")
         self._kff = kff.tocsc()
-        try:
-            self._lu = splu(self._kff, **SYMMETRIC_LU)
-        except RuntimeError as exc:  # SuperLU signals exact singularity this way
-            raise SingularSystemError(
-                f"dynamic stiffness is singular (resonance or unconstrained rigid modes): {exc}"
-            ) from exc
+        upper = sp.triu(self._kff, format="coo")  # a CSC block holds no duplicates: one assignment fills the band
+        kd = int(np.max(upper.col - upper.row, initial=0))
+        band = np.zeros((kd + 1, self.free.size), order="F")  # LAPACK upper band storage, (i, j) at [kd + i - j, j]
+        band[kd + upper.row - upper.col, upper.col] = upper.data
+        self._band, info = dpbtrf(band, overwrite_ab=1)
+        if info < 0:
+            raise ValueError(f"dpbtrf rejected its argument {-info}")
+        self._lu = None
+        if info > 0:  # not positive definite
+            try:
+                self._lu = splu(self._kff, **SYMMETRIC_LU)
+            except RuntimeError as exc:  # SuperLU signals exact singularity this way
+                raise SingularSystemError(
+                    f"dynamic stiffness is singular (resonance or unconstrained rigid modes): {exc}"
+                ) from exc
         self._calls = 0
 
     @property
@@ -354,20 +358,22 @@ class FactorizedSystem:
         u = np.zeros((self.n_dofs, f.shape[1]))
         if loaded.any():
             f, norm_f = f[:, loaded], norm_f[loaded]
-            x = self._lu.solve(f)
+            x = dpbtrs(self._band, f)[0] if self._lu is None else self._lu.solve(f)
             residual = np.linalg.norm(self._kff @ x - f, axis=0)
             if not np.all(np.isfinite(residual)) or np.any(residual > RESIDUAL_TOL * norm_f):
                 raise SingularSystemError(
                     "linear solve failed the residual contract "
                     f"(|r|/|f| = {np.max(residual / norm_f):.3e} > {RESIDUAL_TOL}); "
-                    "the excitation frequency may sit at a resonance"
+                    + ("the excitation frequency may sit at a resonance" if self._lu is None else
+                       "Cholesky refused K - omega^2 M as not positive definite, "
+                       "so the drive is at or above the first natural frequency")
                 )
             u[np.ix_(self.free, loaded)] = x
         return u.reshape((self.n_dofs,) + rhs.shape[1:])
 
 
 def solve_system(k, m, omega: float, f: np.ndarray, fixed: np.ndarray) -> np.ndarray:
-    """One-shot constrained solve of (K - omega^2 M) u = f, eliminating the free DOFs in index order."""
+    """One-shot constrained solve of (K - omega^2 M) u = f in index order, at a cost set by that order's bandwidth."""
     free = np.setdiff1d(np.arange(k.shape[0]), fixed)
     return FactorizedSystem(dynamic_stiffness(k, m, omega)[free][:, free], free, k.shape[0]).solve(f)
 

@@ -83,8 +83,8 @@ class MacroProblem:
 
     @cached_property
     def free(self) -> np.ndarray:
-        """Free DOFs in the grid's nested-dissection order, the order the LU eliminates them."""
-        order = fem.dissection_order(self.grid.node_ids)
+        """Free DOFs in the grid's band order (shortest axis fastest), the order the macro system is factored in."""
+        order = fem.band_order(self.grid.node_ids)
         free = order[~np.isin(order, self.fixed_dofs)]
         free.setflags(write=False)
         return free
@@ -114,7 +114,10 @@ def weight_gradient(problem: MacroProblem, state: DesignState, rho_h: float, del
 
 
 def factorized_dynamic(problem: MacroProblem, state: DesignState, d_h: np.ndarray, rho_h: float):
-    """LU of the free block of K - omega^2 M, one scatter of s_e k(D_h) - omega^2 rho_h x_e m over the elements."""
+    """Banded Cholesky of the free block of K - omega^2 M, or its SuperLU if the block is indefinite.
+
+    One scatter of s_e k(D_h) - omega^2 rho_h x_e m over the elements builds the block.
+    """
     grid = problem.grid
     s = stiffness_scale(state.x_macro, problem.penalty, state.x_min)
     elem = s[:, None, None] * fem.element_stiffness_batch(np.asarray(d_h)[None], grid.spacing)

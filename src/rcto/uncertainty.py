@@ -501,7 +501,7 @@ class BatchComplianceEvaluator:
         return solve_cell_problems(self.problem.cell, d_voxels)[2]
 
     def _macro_solution(self, d_h, rho_h) -> np.ndarray:
-        """Free-DOF displacement (n_free, 1) of one sample by the sparse LU of its dynamic stiffness."""
+        """Free-DOF displacement (n_free, 1) of one sample by the banded Cholesky of its dynamic stiffness."""
         u = factorized_dynamic(self.problem, self.state, d_h, rho_h).solve(self.problem.force)
         return u[self.problem.free, None]
 

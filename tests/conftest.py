@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.sparse
 
-from rcto.fem import StructuredGrid, assemble, dissection_order, mean_compliance
+from rcto.fem import StructuredGrid, assemble, band_order, mean_compliance
 from rcto.homogenization import homogenize
 from rcto.materials import Phase, TwoPhaseMaterial
 from rcto.problem import DesignState, MacroProblem, factorized_dynamic, stiffness_scale
@@ -119,37 +119,26 @@ def assert_same_csc(mat, ref):
     assert np.abs(mat.data - ref.data).max() <= 1e-14 * np.abs(ref.data).max()
 
 
-def assert_dissection_order(grid):
-    """Check the nested-dissection order of a grid's DOFs against its node box.
+def assert_band_order(grid):
+    """Check the band order of a grid's DOFs against its node box.
 
-    The order is a permutation of all DOFs with each node's DOFs contiguous;
-    its first bisection cuts the longest axis by the middle node plane,
-    orders the two parts before that separator, and no element couples the
-    two parts.
+    The order is a permutation of all DOFs with each node's DOFs contiguous,
+    and it lists the nodes as a plain loop over the box does with the
+    shortest axis fastest (ties in axis order).
     """
-    node_box, dim = grid.nodes_shape, grid.dim
-    order = dissection_order(grid.node_ids)
+    dim = grid.dim
+    order = band_order(grid.node_ids)
     assert np.array_equal(np.sort(order), np.arange(grid.n_dofs))
     nodes = order.reshape(-1, dim) // dim
     assert np.array_equal(order.reshape(-1, dim), dim * nodes + np.arange(dim))
-    n_axis = max(node_box)
-    if n_axis < 3:
-        return
-    axis = node_box.index(n_axis)
-    plane = dim * int(np.prod(node_box)) // n_axis
-    mid = n_axis // 2
-    first = plane * mid
-    second = plane * (n_axis - mid - 1)
-    part_a, part_b, separator = order[:first], order[first:first + second], order[first + second:]
-    stride = int(np.prod(node_box[:axis]))
-    assert sorted(set((separator // dim // stride) % n_axis)) == [mid]
-    in_a = np.isin(grid.elem_dofs, part_a).any(axis=1)
-    in_b = np.isin(grid.elem_dofs, part_b).any(axis=1)
-    assert not np.any(in_a & in_b)
+    axes = sorted(range(dim), key=lambda a: (grid.nodes_shape[a], a))
+    index = box_indices(grid.nodes_shape)[nodes[:, 0]]  # grid index of each listed node
+    loop = box_indices(tuple(grid.nodes_shape[a] for a in axes))  # the same box, shortest axis first
+    assert np.array_equal(index[:, axes], loop)
 
 
 def capture_factors(monkeypatch):
-    """Record every LU factor object made through ``rcto.fem.splu``."""
+    """Record every SuperLU factor object made through ``rcto.fem.splu``, the indefinite fallback."""
     import rcto.fem
 
     factors = []
@@ -161,17 +150,6 @@ def capture_factors(monkeypatch):
 
     monkeypatch.setattr(rcto.fem, "splu", recording_splu)
     return factors
-
-
-def assert_fills_less_than_minimum_degree(lu, kff_sorted):
-    """An LU kept in the caller's order has less fill than SuperLU's minimum degree on the sorted block."""
-    import scipy.sparse.linalg
-
-    assert np.array_equal(lu.perm_c, np.arange(kff_sorted.shape[0]))
-    mmd = scipy.sparse.linalg.splu(
-        kff_sorted, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.01, options={"SymmetricMode": True}
-    )
-    assert lu.L.nnz + lu.U.nnz < mmd.L.nnz + mmd.U.nnz
 
 
 def reference_d_h(g, w, d_voxels, volume):

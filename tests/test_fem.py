@@ -11,15 +11,13 @@ import numpy as np
 import pytest
 import sympy as sp
 
-import rcto.fem
-
 from rcto.errors import SingularSystemError
 from rcto.fem import (
     FactorizedSystem,
     SparsityPattern,
     StructuredGrid,
     assemble,
-    dissection_order,
+    band_order,
     dynamic_stiffness,
     element_mass,
     element_stiffness,
@@ -32,8 +30,7 @@ from rcto.fem import (
 from rcto.materials import elasticity_matrix
 
 from conftest import (
-    assert_dissection_order,
-    assert_fills_less_than_minimum_degree,
+    assert_band_order,
     assert_same_csc,
     box_indices,
     cantilever,
@@ -276,17 +273,16 @@ class TestNumbering:
         assert [grid.node_ids[tuple(idx)] for idx in box_indices(grid.nodes_shape)] == list(range(grid.n_nodes))
 
 
-class TestDissectionOrder:
-    @pytest.mark.parametrize("shape", [(6, 3), (2, 5), (4, 3, 3)])
-    def test_order_dissects_the_node_box(self, shape):
-        assert_dissection_order(StructuredGrid(shape, (1.0,) * len(shape)))
+class TestBandOrder:
+    @pytest.mark.parametrize("shape", [(6, 3), (2, 5), (3, 3), (4, 3, 3), (2, 4, 3), (24, 8, 8)])
+    def test_order_lists_the_node_box_shortest_axis_fastest(self, shape):
+        assert_band_order(StructuredGrid(shape, (1.0,) * len(shape)))
 
-    @pytest.mark.parametrize("shape, nodes", [((4, 1), [0, 1, 5, 6, 3, 4, 8, 9, 2, 7]), ((1, 1, 1), list(range(8)))])
-    def test_boxes_list_their_nodes_x_fastest(self, shape, nodes):
-        # 5 x 2 nodes: the x = 2 node plane separates two 2 x 2 leaf boxes; 2 x 2 x 2 nodes: one leaf box
-        dim = len(shape)
-        order = dissection_order(StructuredGrid(shape, (1.0,) * dim).node_ids)
-        assert np.array_equal(order, (dim * np.array(nodes)[:, None] + np.arange(dim)).ravel())
+    @pytest.mark.parametrize("shape, kd", [((120, 40), 85), ((90, 40), 85), ((24, 8, 8), 275)])
+    def test_half_bandwidth_of_the_shipped_meshes(self, shape, kd):
+        grid = StructuredGrid(shape, (1.0,) * len(shape))
+        position = np.argsort(band_order(grid.node_ids))[grid.elem_dofs]
+        assert (position.max(axis=1) - position.min(axis=1)).max() == kd
 
     def test_free_dofs_and_pattern_built_once_per_problem(self):
         prob = cantilever(4, 2)
@@ -298,26 +294,30 @@ class TestDissectionOrder:
     def test_elimination_order_lists_the_free_dofs_in_grid_order(self):
         prob = cantilever(6, 3)
         assert np.array_equal(np.sort(prob.free), np.setdiff1d(np.arange(prob.grid.n_dofs), prob.fixed_dofs))
-        position = np.argsort(dissection_order(prob.grid.node_ids))
+        position = np.argsort(band_order(prob.grid.node_ids))
         assert np.all(np.diff(position[prob.free]) > 0)
 
-    def test_fills_less_than_minimum_degree_on_a_3d_macro_grid(self, monkeypatch):
+    def test_positive_definite_3d_macro_system_needs_no_superlu_factor(self, monkeypatch):
         grid = StructuredGrid((8, 4, 4), (1.0, 1.0, 1.0))
         left = np.flatnonzero(np.arange(grid.n_nodes) % grid.nodes_shape[0] == 0)
         fixed = (3 * left[:, None] + np.arange(3)).ravel()
         prob = MacroProblem(grid, StructuredGrid((2, 2, 2), (0.5,) * 3), fixed, np.ones(grid.n_dofs))
         factors = capture_factors(monkeypatch)
-        factorized_dynamic(prob, full_state(prob), elasticity_matrix(200e3, 0.3, 3), 7.9e-9)
+        system = factorized_dynamic(prob, full_state(prob), elasticity_matrix(200e3, 0.3, 3), 7.9e-9)
+        u = system.solve(prob.force)
+        assert factors == []
         k, _ = assemble(grid, elasticity_matrix(200e3, 0.3, 3), 7.9e-9)
         free = np.sort(prob.free)
-        assert len(factors) == 1
-        assert_fills_less_than_minimum_degree(factors[0], k[free][:, free].tocsc())
+        u_ref = np.linalg.solve(k[free][:, free].toarray(), prob.force[free])
+        assert np.linalg.norm(u[free] - u_ref) <= 1e-10 * np.linalg.norm(u_ref)
 
-    def test_indefinite_system_in_dissection_order_matches_dense_solve(self):
+    def test_indefinite_system_in_band_order_falls_back_to_one_superlu_factor(self, monkeypatch):
         prob, k, m, free, kf, mf, evals = steel_cantilever_modes()
         assert not np.array_equal(prob.free, free)
         omega = (evals[0] * evals[1]) ** 0.25  # between the first two natural frequencies
+        factors = capture_factors(monkeypatch)
         system = factorized(k, m, omega, prob.free)
+        assert len(factors) == 1
         u = system.solve(prob.force)
         u_ref = np.linalg.solve(kf - omega**2 * mf, prob.force[free])
         assert np.linalg.norm(u[free] - u_ref) <= 1e-10 * np.linalg.norm(u_ref)
@@ -340,8 +340,8 @@ class TestMacroSystem:
             state.x_macro[rng.random(grid.n_elems) < 0.3] = state.x_min
         d_h, rho_h = elasticity_matrix(200e3, 0.3, dim), 7.9e-9
         factored = []
-        splu = rcto.fem.splu
-        monkeypatch.setattr(rcto.fem, "splu", lambda a, **kw: factored.append(a) or splu(a, **kw))
+        init = FactorizedSystem.__init__
+        monkeypatch.setattr(FactorizedSystem, "__init__", lambda fs, a, *rest: factored.append(a) or init(fs, a, *rest))
         factorized_dynamic(prob, state, d_h, rho_h)
         k, m = reference_matrices(prob, state, d_h, rho_h)
         ref = (k - prob.omega**2 * m)[prob.free][:, prob.free].toarray()
@@ -416,9 +416,28 @@ class TestSolve:
         with pytest.raises(SingularSystemError):
             solve_system(k, m, omega_res, prob.force, prob.fixed_dofs)
 
+    def test_failure_below_the_first_resonance_says_the_drive_may_sit_at_a_resonance(self, monkeypatch):
+        # 1e-8 below the first eigenvalue K - omega^2 M is still positive definite, so Cholesky factors it
+        prob, k, m, free, _, _, evals = steel_cantilever_modes()
+        factors = capture_factors(monkeypatch)
+        system = factorized(k, m, np.sqrt(evals[0] * (1.0 - 1e-8)), prob.free)
+        with pytest.raises(SingularSystemError, match="may sit at a resonance") as err:
+            system.solve(prob.force)
+        assert factors == []
+        assert "positive definite" not in str(err.value)
+
+    def test_failure_of_the_fallback_says_cholesky_refused_the_system(self, monkeypatch):
+        prob, k, m, free, _, _, evals = steel_cantilever_modes()
+        factors = capture_factors(monkeypatch)
+        system = factorized(k, m, np.sqrt(evals[2]), prob.free)
+        with pytest.raises(SingularSystemError, match="Cholesky refused .* not positive definite") as err:
+            system.solve(prob.force)
+        assert len(factors) == 1
+        assert "at or above the first natural frequency" in str(err.value)
+
     def test_accurate_solve_of_an_ill_conditioned_static_system_returns(self):
         # outer half at 1e-12 of the stiffness and density: |K| |u| / |f| (inf-norms) is 2.6e15, above
-        # the 4.1e14 of the exact resonance above, yet the LU's normwise backward error is 6.6e-28
+        # the 4.1e14 of the exact resonance above, yet the solve's normwise backward error is 6.6e-28
         prob = cantilever(40, 4)
         soft = np.where(np.arange(prob.grid.n_elems) % 40 >= 20, 1e-12, 1.0)
         k, m = assemble(prob.grid, soft[:, None, None] * elasticity_matrix(200e3, 0.3, 2), soft * 7.9e-9)

@@ -23,3 +23,10 @@ def test_traced_attribute_resolves(span, module_name, attr):
         assert hasattr(owner, part), f"{span}: {module_name}.{attr} no longer exists"
         owner = getattr(owner, part)
     assert callable(owner)
+
+
+def test_superlu_entry_point_resolves():
+    # the tracer wraps ``rcto.fem.splu`` outside ``TRACED`` to read the fallback's fill
+    import rcto.fem
+
+    assert callable(rcto.fem.splu)
