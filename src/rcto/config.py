@@ -252,8 +252,11 @@ def _parse_document(doc: dict, text: str) -> RunConfig:
     if len({load.frequency for load in loads if load is not None}) > 1:
         v.error("loads: all loads must share one excitation frequency")
     if macro_elements and loads and None not in loads:
-        if not np.any(resolve_load_vector(StructuredGrid(macro_elements, macro_spacing), loads)):
-            v.error("loads: the loads resolve to a zero force vector (zero amplitudes, or loads that cancel)")
+        grid = StructuredGrid(macro_elements, macro_spacing)
+        fixed = resolve_fixed_dofs(grid, fixed_anchors) if fixed_anchors else []
+        if not np.any(np.delete(resolve_load_vector(grid, loads), fixed)):  # a load on a fixed DOF does no work
+            v.error("loads: the loads leave a zero force vector on the free DOFs (zero amplitudes, loads that "
+                    "cancel, or loads only on fixed nodes)")
 
     cell = v.section(doc, "cell", "", {"elements", "element_size", "seed_fraction"})
     cell_elements = v.take(

@@ -1,22 +1,22 @@
 """Structured-mesh finite element kernel.
 
 Bilinear quads (2D) / trilinear hexes (3D) on a regular grid, full 2-point
-Gauss integration per axis, consistent mass, sparse assembly, and solves of
+Gauss integration per axis, consistent mass, banded assembly, and solves of
 the dynamic stiffness K - omega^2 M by a banded Cholesky factorization.
 Boundary conditions are enforced by row/column elimination.  All element
 matrices are exact for constant coefficients under the 2-point rule.  Node,
 element and DOF numbering all read one table, ``StructuredGrid.node_ids``.
 
-A ``SparsityPattern`` drops the element entries on constrained DOFs when it
-is built, so one scatter gives the free block of a system.  Only the macro
+A ``SparsityPattern`` maps each element entry to its slot in LAPACK upper
+band storage, dropping those below the diagonal or on constrained DOFs, so
+one scatter gives the band of the free block of a system.  Only the macro
 mesh is assembled: its dynamic stiffness is the one system factored in a
 run, its free DOFs in a band order (``band_order``; George and Liu,
 *Computer Solution of Large Sparse Positive Definite Systems*, 1981) that
 LAPACK's blocked banded Cholesky ``dpbtrf`` factors.  A drive at or above
 the first natural frequency makes K - omega^2 M indefinite; Cholesky
-refuses it and a symmetric-mode sparse LU factors it instead.  The periodic
-cell is never assembled; ``homogenization`` applies its stiffness
-matrix-free inside a preconditioned CG.
+refuses it and SuperLU factors a CSC copy of the band instead.  No other
+module builds a sparse matrix, and the periodic cell is never assembled.
 
 Unit system: N, mm, tonne, s (so moduli in MPa, densities in tonne/mm^3,
 frequencies converted to rad/s by the caller).
@@ -31,6 +31,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg.blas import dsbmv
 from scipy.linalg.lapack import dpbtrf, dpbtrs
 from scipy.sparse.linalg import splu
 
@@ -109,11 +110,6 @@ class StructuredGrid:
         nodes = self.elem_node_ids
         dofs = self.dim * nodes[:, :, None] + np.arange(self.dim)[None, None, :]
         return dofs.reshape(self.n_elems, -1)
-
-    @cached_property
-    def pattern(self) -> "SparsityPattern":
-        """Assembly pattern of the grid's unconstrained global matrices, built on first use."""
-        return SparsityPattern.from_dofs(self.elem_dofs, self.n_dofs)
 
     @cached_property
     def centroids(self) -> np.ndarray:
@@ -247,7 +243,13 @@ def assemble(grid: StructuredGrid, d_mats, rhos) -> tuple[sp.csc_matrix, sp.csc_
     if np.any(rhos < 0):
         raise ValueError("densities must be nonnegative")
     k_all, m_all = element_matrices_batch(d_mats, rhos, grid.spacing)
-    return scatter(grid.pattern, k_all), scatter(grid.pattern, m_all)
+    return sum_to_csc(grid.elem_dofs, grid.n_dofs, k_all), sum_to_csc(grid.elem_dofs, grid.n_dofs, m_all)
+
+
+def sum_to_csc(dofs: np.ndarray, n: int, elem_mats: np.ndarray) -> sp.csc_matrix:
+    """Sum a (n_elems, ndof_e, ndof_e) stack on the DOFs ``dofs`` into an n x n CSC matrix by plain COO assembly."""
+    rows, cols = np.broadcast_arrays(dofs[:, :, None], dofs[:, None, :])
+    return sp.csc_matrix((elem_mats.ravel(), (rows.ravel(), cols.ravel())), shape=(n, n))
 
 
 def band_order(node_ids: np.ndarray) -> np.ndarray:
@@ -263,76 +265,59 @@ def band_order(node_ids: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class SparsityPattern:
-    """CSC structure of an assembled matrix and the data slot of every element entry.
+    """Half-bandwidth kd of an assembled symmetric matrix and the band slot of every element entry.
 
-    ``positions[e, i * ndof_e + j]`` indexes the CSC data of entry (dofs[e, i], dofs[e, j]).  An
-    entry on a negative DOF id (a constrained DOF) is dropped: its position
-    is ``indices.size``, one slot past the data, which ``scatter`` discards.
+    The band is LAPACK upper band storage (Users' Guide, 3rd ed., 5.3.4): an F-ordered (kd + 1, n)
+    array with entry (r, c), r <= c, at [kd + r - c, c].  ``positions[e, i * ndof_e + j]`` is the flat
+    slot of entry (dofs[e, i], dofs[e, j]); an entry below the diagonal (its mirror holds the same
+    value) or on a negative DOF id (a constrained DOF) goes one slot past the band, which ``scatter`` drops.
     """
 
     n: int
-    indptr: np.ndarray
-    indices: np.ndarray
+    kd: int
     positions: np.ndarray
 
     @classmethod
     def from_dofs(cls, dofs: np.ndarray, n: int) -> "SparsityPattern":
-        # CSC order sorts the entries by column, then row; a dropped entry's key is n * n or more
-        keys = (
-            np.where(dofs < 0, n, dofs)[:, None, :].astype(np.int64) * n + np.where(dofs < 0, n * n, dofs)[:, :, None]
-        )
-        keys, positions = np.unique(keys.ravel(), return_inverse=True)
-        itype = np.int32 if keys.size < np.iinfo(np.int32).max else np.int64
-        indptr = np.searchsorted(keys, np.arange(n + 1, dtype=np.int64) * n).astype(itype)
-        np.minimum(positions, indptr[-1], out=positions)  # every dropped entry to the one slot past the data
-        positions = positions.astype(itype).reshape(dofs.shape[0], -1)
-        pattern = cls(n, indptr, (keys[: indptr[-1]] % n).astype(itype), positions)
-        for arr in (pattern.indptr, pattern.indices, positions):
-            arr.setflags(write=False)  # shared by every matrix scattered with this pattern
-        return pattern
+        kd = int(np.max(dofs.max(axis=1) - np.where(dofs < 0, n, dofs).min(axis=1), initial=0))
+        rows, cols = dofs[:, :, None].astype(np.intp), dofs[:, None, :].astype(np.intp)
+        upper = (rows >= 0) & (rows <= cols)  # both DOFs free, on or above the diagonal
+        positions = np.where(upper, kd + rows - cols + (kd + 1) * cols, (kd + 1) * n).reshape(len(dofs), -1)
+        positions.setflags(write=False)  # shared by every band scattered with this pattern
+        return cls(n, kd, positions)
 
 
-def scatter(pattern: SparsityPattern, elem_mats: np.ndarray) -> sp.csc_matrix:
-    """Sum a (n_elems, ndof_e, ndof_e) stack into the global sparse matrix of a pattern."""
-    data = np.bincount(pattern.positions.ravel(), weights=elem_mats.ravel())[: pattern.indices.size]
-    return sp.csc_matrix((data, pattern.indices, pattern.indptr), shape=(pattern.n, pattern.n))
-
-
-def dynamic_stiffness(k: sp.spmatrix, m: sp.spmatrix, omega: float) -> sp.csc_matrix:
-    """K - omega^2 M."""
-    return (k - omega**2 * m).tocsc()
+def scatter(pattern: SparsityPattern, elem_mats: np.ndarray) -> np.ndarray:
+    """Sum a (n_elems, ndof_e, ndof_e) stack into the (kd + 1, n) upper band of a pattern."""
+    size = (pattern.kd + 1) * pattern.n
+    data = np.bincount(pattern.positions.ravel(), weights=elem_mats.ravel(), minlength=size + 1)
+    return data[:size].reshape((pattern.kd + 1, pattern.n), order="F")
 
 
 class FactorizedSystem:
     """Factorization of the free block of a dynamic stiffness, counting backsolves.
 
-    ``kff`` holds the rows and columns of the free DOFs in the order ``free``
-    lists them (``MacroProblem.free`` is in band order).  Its upper band, in
-    LAPACK band storage, is factored by the banded Cholesky ``dpbtrf``; a
-    block Cholesky refuses as not positive definite (a drive at or above the
-    first natural frequency) is factored by ``splu`` with ``SYMMETRIC_LU``
-    instead.  One factorization serves every right-hand side; ``calls``
-    counts linear-system applications (the uncertainty analysis's FEA
-    calls), one per right-hand side column.
+    ``band`` is the block's upper band (``SparsityPattern``), rows and columns in the order of ``free``
+    (``MacroProblem.free`` is in band order).  ``dpbtrf`` factors a copy; a band it refuses as not positive
+    definite (a drive at or above the first natural frequency) goes to ``splu`` with ``SYMMETRIC_LU`` as CSC.
+    Solves are checked against the unfactored band.  One factorization serves every right-hand side;
+    ``calls`` counts FEA calls (linear-system applications), one per right-hand side column.
     """
 
-    def __init__(self, kff: sp.spmatrix, free: np.ndarray, n_dofs: int):
+    def __init__(self, band: np.ndarray, free: np.ndarray, n_dofs: int):
         self.n_dofs = int(n_dofs)
         self.free = np.asarray(free, dtype=np.intp)
         if self.free.size == 0 or self.free.size >= self.n_dofs:
             raise ValueError("need at least one constrained DOF and at least one free DOF")
-        self._kff = kff.tocsc()
-        upper = sp.triu(self._kff, format="coo")  # a CSC block holds no duplicates: one assignment fills the band
-        kd = int(np.max(upper.col - upper.row, initial=0))
-        band = np.zeros((kd + 1, self.free.size), order="F")  # LAPACK upper band storage, (i, j) at [kd + i - j, j]
-        band[kd + upper.row - upper.col, upper.col] = upper.data
-        self._band, info = dpbtrf(band, overwrite_ab=1)
+        self._band = band
+        self._factor, info = dpbtrf(band)
         if info < 0:
             raise ValueError(f"dpbtrf rejected its argument {-info}")
         self._lu = None
         if info > 0:  # not positive definite
+            upper = sp.dia_array((band, np.arange(len(band))[::-1]), shape=(self.free.size,) * 2)
             try:
-                self._lu = splu(self._kff, **SYMMETRIC_LU)
+                self._lu = splu((upper + sp.triu(upper, 1).T).tocsc(), **SYMMETRIC_LU)
             except RuntimeError as exc:  # SuperLU signals exact singularity this way
                 raise SingularSystemError(
                     f"dynamic stiffness is singular (resonance or unconstrained rigid modes): {exc}"
@@ -358,8 +343,9 @@ class FactorizedSystem:
         u = np.zeros((self.n_dofs, f.shape[1]))
         if loaded.any():
             f, norm_f = f[:, loaded], norm_f[loaded]
-            x = dpbtrs(self._band, f)[0] if self._lu is None else self._lu.solve(f)
-            residual = np.linalg.norm(self._kff @ x - f, axis=0)
+            x = dpbtrs(self._factor, f)[0] if self._lu is None else self._lu.solve(f)
+            kd, band = len(self._band) - 1, self._band
+            residual = np.array([np.linalg.norm(dsbmv(kd, 1.0, band, a, beta=-1.0, y=b)) for a, b in zip(x.T, f.T)])
             if not np.all(np.isfinite(residual)) or np.any(residual > RESIDUAL_TOL * norm_f):
                 raise SingularSystemError(
                     "linear solve failed the residual contract "
@@ -375,7 +361,11 @@ class FactorizedSystem:
 def solve_system(k, m, omega: float, f: np.ndarray, fixed: np.ndarray) -> np.ndarray:
     """One-shot constrained solve of (K - omega^2 M) u = f in index order, at a cost set by that order's bandwidth."""
     free = np.setdiff1d(np.arange(k.shape[0]), fixed)
-    return FactorizedSystem(dynamic_stiffness(k, m, omega)[free][:, free], free, k.shape[0]).solve(f)
+    upper = sp.triu((k - omega**2 * m).tocsc()[free][:, free], format="coo")  # a CSC block holds no duplicates
+    kd = int(np.max(upper.col - upper.row, initial=0))
+    band = np.zeros((kd + 1, free.size), order="F")
+    band[kd + upper.row - upper.col, upper.col] = upper.data
+    return FactorizedSystem(band, free, k.shape[0]).solve(f)
 
 
 def mean_compliance(f: np.ndarray, u: np.ndarray) -> float:

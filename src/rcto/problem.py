@@ -14,7 +14,6 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import fem
 from .fem import StructuredGrid
@@ -91,7 +90,7 @@ class MacroProblem:
 
     @cached_property
     def pattern(self) -> fem.SparsityPattern:
-        """Pattern of the free block, rows and columns in the order of ``free``; constrained entries dropped."""
+        """Band pattern of the free block, rows and columns in the order of ``free``; constrained entries dropped."""
         rank = np.full(self.grid.n_dofs, -1, dtype=np.intp)
         rank[self.free] = np.arange(self.free.size)
         return fem.SparsityPattern.from_dofs(rank[self.grid.elem_dofs], self.free.size)
@@ -116,7 +115,7 @@ def weight_gradient(problem: MacroProblem, state: DesignState, rho_h: float, del
 def factorized_dynamic(problem: MacroProblem, state: DesignState, d_h: np.ndarray, rho_h: float):
     """Banded Cholesky of the free block of K - omega^2 M, or its SuperLU if the block is indefinite.
 
-    One scatter of s_e k(D_h) - omega^2 rho_h x_e m over the elements builds the block.
+    One scatter of s_e k(D_h) - omega^2 rho_h x_e m over the elements builds the block's band, its only stored form.
     """
     grid = problem.grid
     s = stiffness_scale(state.x_macro, problem.penalty, state.x_min)
@@ -164,8 +163,8 @@ def parameter_to_matrices(
     props: EffectiveProperties,
     theta: str,
     theta2: str | None = None,
-) -> sp.csc_matrix:
-    """Sparse dK_d/dtheta, or the second derivative d2K_d/dtheta dtheta2.
+):
+    """Sparse (CSC) dK_d/dtheta, or the second derivative d2K_d/dtheta dtheta2.
 
     Chain rule through the effective properties holding the cell strain
     fields fixed; density contributions are linear so all their second
@@ -179,4 +178,4 @@ def parameter_to_matrices(
         s[:, None, None] * dd, state.x_macro * drho, problem.grid.spacing
     )
     k_elems -= problem.omega**2 * m_elems
-    return fem.scatter(problem.grid.pattern, k_elems)
+    return fem.sum_to_csc(problem.grid.elem_dofs, problem.grid.n_dofs, k_elems)

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, SingularSystemError
-from .fem import element_mass, element_stiffness_batch, mean_compliance, scatter
+from .fem import mean_compliance
 from .homogenization import (
     EffectiveProperties,
     cell_loads,
@@ -42,7 +42,7 @@ from .homogenization import (
     stiffness_weights,
 )
 from .materials import _PARTS, PARAMETER_NAMES, PARAMETERS, TwoPhaseMaterial, voigt_size
-from .problem import DesignState, MacroProblem, apply_parameter_operator, factorized_dynamic, stiffness_scale
+from .problem import DesignState, MacroProblem, apply_parameter_operator, factorized_dynamic
 
 logger = logging.getLogger(__name__)
 
@@ -427,8 +427,8 @@ class BatchComplianceEvaluator:
 
     Both scales are affine in a few scalars of a sample.  The periodic cell
     stiffness and loads are sums over the four phase coefficients c[p, k] of
-    ``materials.phase_coefficients``; the macro dynamic stiffness is a sum
-    over the independent entries of D_h and omega^2 rho_h.  Each scale is
+    ``materials.phase_coefficients``; the macro dynamic stiffness is a sum over
+    the entries of D_h and rho_h of ``apply_parameter_operator``.  Each scale is
     solved by Galerkin projection on a reduced basis of full solutions
     (``_ReducedBasis``), grown greedily over the calls: the cell basis from
     ``solve_cell_problems``, the macro basis from ``factorized_dynamic``.
@@ -440,8 +440,8 @@ class BatchComplianceEvaluator:
         self.problem = problem
         self.base = base_material
         self.state = state.copy()
-        cell, grid = problem.cell, problem.grid
-        self.ncomp = voigt_size(grid.dim)
+        cell = problem.cell
+        self.ncomp = voigt_size(problem.grid.dim)
         eta = stiffness_weights(state.x_micro, problem.penalty)
         # four stiffness/load terms {phase 1, phase 2} x {A0, A1}, in the order of the sample coefficients
         d_stacks = [wts[:, None, None] * part for wts in (eta, 1.0 - eta) for part in _PARTS[cell.dim]]
@@ -455,16 +455,15 @@ class BatchComplianceEvaluator:
         self._phase_volumes = np.array([np.sum(eta), np.sum(1.0 - eta)]) * cell.elem_volume
         self._phase1_volume_fraction = float(np.sum(state.x_micro) * cell.elem_volume / cell.volume)
 
-        s = stiffness_scale(state.x_macro, problem.penalty, state.x_min)
+        # the derivative of K_d along each independent entry (c, d) of D_h, then along rho_h (-omega^2 x m)
         self._pairs = np.triu_indices(self.ncomp)
-        blocks = []
+        operators = []
         for c, d in zip(*self._pairs):
             e_cd = np.zeros((self.ncomp, self.ncomp))
             e_cd[[c, d], [d, c]] = 1.0
-            blocks.append(scatter(problem.pattern, element_stiffness_batch(s[:, None, None] * e_cd, grid.spacing)))
-        blocks.append(scatter(problem.pattern, state.x_macro[:, None, None] * element_mass(1.0, grid.spacing)))
-        load = problem.force[problem.free]
-        self.macro = _ReducedBasis("macro", [k.dot for k in blocks], load[None, :, None], np.zeros((1, 1)))
+            operators.append(lambda v, dd=e_cd: self._macro_operator(dd, 0.0, v))
+        operators.append(lambda v, dd=np.zeros((self.ncomp, self.ncomp)): self._macro_operator(dd, 1.0, v))
+        self.macro = _ReducedBasis("macro", operators, problem.force[problem.free][None, :, None], np.zeros((1, 1)))
 
     def compliance(self, names: tuple[str, ...], values: np.ndarray) -> np.ndarray:
         """Mean compliance for each parameter sample row.
@@ -490,7 +489,7 @@ class BatchComplianceEvaluator:
         d_h = 0.5 * (d_h + np.swapaxes(d_h, 1, 2))
         rho_h = np.broadcast_to(material.mixed_density(self._phase1_volume_fraction), nb)
 
-        t = np.column_stack([d_h[:, self._pairs[0], self._pairs[1]], -problem.omega**2 * rho_h])
+        t = np.column_stack([d_h[:, self._pairs[0], self._pairs[1]], rho_h])
         fu = self.macro.products(t, np.ones((nb, 1)), lambda i: self._macro_solution(d_h[i], rho_h[i]))
         return fu[:, 0, 0]
 
@@ -499,6 +498,12 @@ class BatchComplianceEvaluator:
         material = self.base.with_values(names, row)
         d_voxels = micro_elasticity(self.state.x_micro, material, self.problem.penalty, self.problem.cell.dim)
         return solve_cell_problems(self.problem.cell, d_voxels)[2]
+
+    def _macro_operator(self, dd, drho, v: np.ndarray) -> np.ndarray:
+        """Free-DOF block (n_free, k) of dK_d v for free-DOF columns v and one (dD_h, drho_h) direction."""
+        u = np.zeros((v.shape[1], self.problem.grid.n_dofs))
+        u[:, self.problem.free] = v.T
+        return apply_parameter_operator(self.problem, self.state, dd, drho, u)[:, self.problem.free].T
 
     def _macro_solution(self, d_h, rho_h) -> np.ndarray:
         """Free-DOF displacement (n_free, 1) of one sample by the banded Cholesky of its dynamic stiffness."""

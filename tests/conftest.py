@@ -112,11 +112,31 @@ def coo_reference(dofs, n, elem_mats):
     return scipy.sparse.coo_matrix((elem_mats.ravel(), (rows, cols)), shape=(n, n)).tocsc()
 
 
-def assert_same_csc(mat, ref):
-    assert ref.has_sorted_indices and mat.has_sorted_indices
-    assert np.array_equal(mat.indptr, ref.indptr)
-    assert np.array_equal(mat.indices, ref.indices)
-    assert np.abs(mat.data - ref.data).max() <= 1e-14 * np.abs(ref.data).max()
+def upper_band(a, kd):
+    """LAPACK upper band storage (kd + 1, n) of a square matrix, read diagonal by diagonal; nothing lies above it."""
+    a = a.toarray() if scipy.sparse.issparse(a) else np.asarray(a)
+    assert not np.any(np.triu(a, kd + 1))
+    band = np.zeros((kd + 1, a.shape[0]))
+    for d in range(kd + 1):
+        band[kd - d, d:] = np.diagonal(a, d)
+    return band
+
+
+def assert_same_band(band, ref):
+    """band is the upper band of the matrix ref, to 1e-14 of ref's largest entry."""
+    ref = ref.toarray() if scipy.sparse.issparse(ref) else ref
+    assert band.shape[1] == ref.shape[0]
+    assert np.abs(band - upper_band(ref, band.shape[0] - 1)).max() <= 1e-14 * np.abs(ref).max()
+
+
+def refuse_sparse_matrices(monkeypatch, refuse):
+    """Make building or densifying a scipy.sparse matrix call ``refuse``."""
+    for cls in (
+        scipy.sparse.csc_matrix, scipy.sparse.csr_matrix, scipy.sparse.coo_matrix, scipy.sparse.dia_array,
+        scipy.sparse.csc_array, scipy.sparse.csr_array, scipy.sparse.coo_array,
+    ):
+        for attr in ("__init__", "toarray", "todense"):
+            monkeypatch.setattr(cls, attr, refuse)
 
 
 def assert_band_order(grid):

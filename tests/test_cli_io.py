@@ -183,6 +183,19 @@ class TestParseConfig:
         assert "error[config]" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("mode, location", [("dcto", "left-bottom"), ("rcto", "left-center")])
+    def test_load_on_clamped_nodes_rejected(self, tmp_path, capsys, mode, location):
+        # the left edge is fixed, so the load does no work and every compliance would be zero
+        with open(os.path.join(CONFIGS, "cantilever_small.yaml"), encoding="utf-8") as fh:
+            doc = yaml.safe_load(fh)
+        doc["mode"] = mode
+        doc["loads"][0]["location"] = location
+        path = write_config(tmp_path, doc)
+        assert main(["run", "--config", path, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "error[config]" in err and "zero force vector on the free DOFs" in err
+        assert not (tmp_path / "o").exists()
+
 
 def set_key(doc, dotted, value):
     """doc with the key at a reported path such as ``loads[0].amplitude`` set to value."""

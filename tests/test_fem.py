@@ -5,12 +5,16 @@ rule implemented here, both independent of the production quadrature path.
 Solve checks use dense numpy factorizations as the reference.
 """
 
+import ast
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
 import sympy as sp
 
+import rcto
+from rcto.config import build_problem, parse_config
 from rcto.errors import SingularSystemError
 from rcto.fem import (
     FactorizedSystem,
@@ -18,7 +22,6 @@ from rcto.fem import (
     StructuredGrid,
     assemble,
     band_order,
-    dynamic_stiffness,
     element_mass,
     element_stiffness,
     element_stiffness_batch,
@@ -31,7 +34,7 @@ from rcto.materials import elasticity_matrix
 
 from conftest import (
     assert_band_order,
-    assert_same_csc,
+    assert_same_band,
     box_indices,
     cantilever,
     capture_factors,
@@ -39,9 +42,12 @@ from conftest import (
     full_state,
     reference_matrices,
     steel_foam,
+    upper_band,
 )
 from rcto.homogenization import homogenize
 from rcto.problem import MacroProblem, factorized_dynamic
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def symbolic_q4_stiffness(d, a, b):
@@ -226,11 +232,9 @@ class TestSparsityPattern:
         grid = StructuredGrid((5, 3), (1.0, 0.5))
         elem_mats = rng.standard_normal((grid.n_elems, 8, 8))
         ref = coo_reference(grid.elem_dofs, grid.n_dofs, elem_mats)
-        assert_same_csc(scatter(grid.pattern, elem_mats), ref)
-
-    def test_pattern_built_once_per_grid(self):
-        grid = StructuredGrid((4, 2), (1.0, 1.0))
-        assert grid.pattern is grid.pattern
+        pattern = SparsityPattern.from_dofs(grid.elem_dofs, grid.n_dofs)
+        assert pattern.kd == 15  # an element spans two node rows of 6 nodes, x fastest
+        assert_same_band(scatter(pattern, elem_mats), ref)
 
     def test_negative_dofs_are_dropped_at_pattern_build(self, rng):
         # keep a shuffled subset of the DOFs; the pattern's rows and columns follow the shuffle
@@ -241,8 +245,7 @@ class TestSparsityPattern:
         pattern = SparsityPattern.from_dofs(rank[grid.elem_dofs], kept.size)
         elem_mats = rng.standard_normal((grid.n_elems, 8, 8))
         ref = coo_reference(grid.elem_dofs, grid.n_dofs, elem_mats)[kept][:, kept]
-        ref.sort_indices()
-        assert_same_csc(scatter(pattern, elem_mats), ref)
+        assert_same_band(scatter(pattern, elem_mats), ref)
 
 
 # element corners in the standard counterclockwise ordering, bottom layer first in 3D
@@ -278,11 +281,16 @@ class TestBandOrder:
     def test_order_lists_the_node_box_shortest_axis_fastest(self, shape):
         assert_band_order(StructuredGrid(shape, (1.0,) * len(shape)))
 
-    @pytest.mark.parametrize("shape, kd", [((120, 40), 85), ((90, 40), 85), ((24, 8, 8), 275)])
-    def test_half_bandwidth_of_the_shipped_meshes(self, shape, kd):
+    @pytest.mark.parametrize(
+        "shape, kd, config", [((120, 40), 85, "cantilever_2d"), ((90, 40), 85, "mbb_2d"), ((24, 8, 8), 275, "prism_3d")]
+    )
+    def test_half_bandwidth_of_the_shipped_meshes(self, shape, kd, config):
         grid = StructuredGrid(shape, (1.0,) * len(shape))
         position = np.argsort(band_order(grid.node_ids))[grid.elem_dofs]
         assert (position.max(axis=1) - position.min(axis=1)).max() == kd
+        problem = build_problem(parse_config(str(CONFIGS / f"{config}.yaml")))
+        assert problem.grid.shape == shape
+        assert problem.pattern.kd == kd
 
     def test_free_dofs_and_pattern_built_once_per_problem(self):
         prob = cantilever(4, 2)
@@ -346,8 +354,8 @@ class TestMacroSystem:
         k, m = reference_matrices(prob, state, d_h, rho_h)
         ref = (k - prob.omega**2 * m)[prob.free][:, prob.free].toarray()
         (got,) = factored
-        assert got.nnz == k[prob.free][:, prob.free].nnz
-        assert np.abs(got.toarray() - ref).max() <= 1e-14 * np.abs(ref).max()
+        assert got.shape == (prob.pattern.kd + 1, prob.free.size)
+        assert_same_band(got, ref)
 
     def test_fixed_dof_ids_outside_the_grid_rejected(self):
         prob = cantilever(2, 1)
@@ -358,7 +366,9 @@ class TestMacroSystem:
 
 def factorized(k, m, omega, free):
     """FactorizedSystem of the free block of K - omega^2 M, eliminated in the order of ``free``."""
-    return FactorizedSystem(dynamic_stiffness(k, m, omega)[free][:, free], free, k.shape[0])
+    kff = (k - omega**2 * m).toarray()[np.ix_(free, free)]
+    rows, cols = np.nonzero(np.triu(kff))
+    return FactorizedSystem(upper_band(kff, int(np.max(cols - rows))), free, k.shape[0])
 
 
 def steel_cantilever_modes():
@@ -571,3 +581,19 @@ class TestSystemProperties:
 
         up = solve_system(sps.csc_matrix(kp), sps.csc_matrix(kp * 0), 0.0, fp, fixed_p)
         assert np.isclose(mean_compliance(fp, up), c0, rtol=1e-9)
+
+
+def test_only_fem_imports_scipy_sparse():
+    # the sparse format lives in one module; the others read the band pattern or apply operators matrix-free
+    importers = set()
+    for path in sorted(Path(rcto.__file__).parent.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [f"{node.module}.{alias.name}" for alias in node.names] + [node.module or ""]
+            else:
+                continue
+            if any(name == "scipy.sparse" or name.startswith("scipy.sparse.") for name in names):
+                importers.add(path.stem)
+    assert importers == {"fem"}
