@@ -316,6 +316,9 @@ RESIDUAL_CONTRACT = 1e-7
 _SPAN_TOL = 1e-12
 # the rows of a compliance call go in blocks whose full-space residuals stay within this many bytes per scale
 _BLOCK_BYTES = 32 * 2**20
+# mcs_evaluate sends the samples of as many whole outer points per compliance call as fit this many rows: enough
+# to spread the fixed cost of a call, few enough that an enrichment round re-solves little and memory stays flat
+_GROUP_ROWS = 150
 
 
 class _ReducedBasis:
@@ -468,9 +471,12 @@ class BatchComplianceEvaluator:
     def compliance(self, names: tuple[str, ...], values: np.ndarray) -> np.ndarray:
         """Mean compliance for each parameter sample row.
 
-        The rows go in the fewest near-equal blocks whose residuals fit in
-        ``_BLOCK_BYTES``, so no block is a lone row when three rows fit: numpy
-        forms a one-row product as a vector product, which rounds differently.
+        Rows are independent samples; ``mcs_evaluate`` passes those of
+        several outer points in one call, and any enrichment of a basis
+        serves all of them.  The rows go in the fewest near-equal blocks whose
+        residuals fit in ``_BLOCK_BYTES``, so no block is a lone row when three
+        rows fit: numpy forms a one-row product as a vector product, which
+        rounds differently.
         """
         values = np.atleast_2d(np.asarray(values, dtype=float))
         rows = max(1, _BLOCK_BYTES // (8 * max(len(self.cell.v) * self.ncomp, len(self.macro.v))))
@@ -535,6 +541,24 @@ def _latin_hypercube(rng: np.random.Generator, n_points: int, lows, highs) -> np
     return lows + u * (highs - lows)
 
 
+def _draw_samples(rng: np.random.Generator, names, row: np.ndarray, out: np.ndarray) -> int:
+    """Fill out (n_random, n) with the normal samples of one outer point (mu, sigma interleaved); count redraws."""
+    mu, sigma = row[0::2], row[1::2]
+    out[...] = mu + sigma * rng.standard_normal(out.shape)
+    redrawn = 0
+    for _ in range(100):
+        bad = ~np.all([PARAMETERS[name].admits(col) for name, col in zip(names, out.T)], axis=0)
+        nbad = int(bad.sum())
+        if nbad == 0:
+            return redrawn
+        redrawn += nbad
+        out[bad] = mu + sigma * rng.standard_normal((nbad, out.shape[1]))
+    raise NumericalError(
+        "could not draw physical material samples after 100 redraw rounds; "
+        "the sigma intervals are too wide for unbounded normal sampling"
+    )
+
+
 def mcs_evaluate(
     problem: MacroProblem,
     state: DesignState,
@@ -551,6 +575,11 @@ def mcs_evaluate(
     inner loop draws n_random normal samples per point.  Non-physical draws
     (outside the open ranges of ``materials.PARAMETERS``) are redrawn and
     counted.  Deterministic for a fixed seed; reductions run in a fixed order.
+
+    The draws come in point order and evaluation uses none, so the samples
+    of whole points share each ``BatchComplianceEvaluator.compliance`` call:
+    the first point alone, then as many points as fit ``_GROUP_ROWS`` rows
+    (at least one).
     """
     if n_interval < 2 or n_random < 2:
         raise ValueError("n_interval and n_random must both be at least 2")
@@ -566,36 +595,24 @@ def mcs_evaluate(
         outer = np.vstack([corners, outer])
 
     evaluator = BatchComplianceEvaluator(problem, state, base_material)
-    n = len(params)
     best_mean = -np.inf
     best_std = -np.inf
     resampled = 0
-    calls = 0
-    for row in outer:
-        mu = row[0::2]
-        sigma = row[1::2]
-        z = rng.standard_normal((n_random, n))
-        thetas = mu + sigma * z
-        for _ in range(100):
-            bad = ~np.all([PARAMETERS[name].admits(col) for name, col in zip(names, thetas.T)], axis=0)
-            nbad = int(bad.sum())
-            if nbad == 0:
-                break
-            resampled += nbad
-            thetas[bad] = mu + sigma * rng.standard_normal((nbad, n))
-        else:
-            raise NumericalError(
-                "could not draw physical material samples after 100 redraw rounds; "
-                "the sigma intervals are too wide for unbounded normal sampling"
-            )
-        c = evaluator.compliance(names, thetas)
-        calls += n_random
-        offsets = c - c[0]  # moments of the offsets: identical samples give mean c[0] and std 0 exactly
-        mean, std = float(c[0] + np.mean(offsets)), float(np.std(offsets, ddof=1))
-        if mean > best_mean:
-            best_mean, expectation_se = mean, std / np.sqrt(n_random)
-        if std > best_std:
-            best_std, std_se = std, std / np.sqrt(2.0 * (n_random - 1))
+    # the first point alone, so the bases grow on its samples as when every point had a call of its own
+    per_call = max(1, _GROUP_ROWS // n_random)
+    edges = [0, *range(1, len(outer), per_call), len(outer)]
+    thetas = np.empty((per_call * n_random, len(params)))
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        for k, row in enumerate(outer[lo:hi]):
+            resampled += _draw_samples(rng, names, row, thetas[k * n_random:(k + 1) * n_random])
+        group = evaluator.compliance(names, thetas[:(hi - lo) * n_random])
+        for c in group.reshape(hi - lo, n_random):
+            offsets = c - c[0]  # moments of the offsets: identical samples give mean c[0] and std 0 exactly
+            mean, std = float(c[0] + np.mean(offsets)), float(np.std(offsets, ddof=1))
+            if mean > best_mean:
+                best_mean, expectation_se = mean, std / np.sqrt(n_random)
+            if std > best_std:
+                best_std, std_se = std, std / np.sqrt(2.0 * (n_random - 1))
     if resampled:
         logger.info("Monte Carlo resampled %d non-physical draws", resampled)
     cell, macro = evaluator.cell, evaluator.macro
@@ -608,7 +625,7 @@ def mcs_evaluate(
         std=best_std,
         n_outer=outer.shape[0],
         n_random=n_random,
-        fea_calls=calls,
+        fea_calls=outer.shape[0] * n_random,
         resampled=resampled,
         expectation_se=expectation_se,
         std_se=std_se,

@@ -8,9 +8,9 @@ import scipy.sparse
 
 from rcto.fem import StructuredGrid, assemble, band_order, mean_compliance
 from rcto.homogenization import homogenize
-from rcto.materials import Phase, TwoPhaseMaterial
+from rcto.materials import PARAMETERS, Phase, TwoPhaseMaterial
 from rcto.problem import DesignState, MacroProblem, factorized_dynamic, stiffness_scale
-from rcto.uncertainty import HybridParameter, Interval, UncertainSet
+from rcto.uncertainty import HybridParameter, Interval, UncertainSet, _interval_corners, _latin_hypercube
 
 
 def steel_foam() -> TwoPhaseMaterial:
@@ -96,6 +96,34 @@ def reference_compliance(problem: MacroProblem, state: DesignState, base: TwoPha
         system = factorized_dynamic(problem, state, props.d_h, props.rho_h)
         out.append(mean_compliance(problem.force, system.solve(problem.force)))
     return np.array(out)
+
+
+def reference_draws(params: UncertainSet, n_interval: int, n_random: int, seed: int):
+    """Every Monte Carlo sample row of ``mcs_evaluate`` and its redraw count, drawn one outer point at a time.
+
+    The Latin hypercube first (after the box corners in the outer order),
+    then each point's normal samples and the redraws of its non-physical
+    ones, point after point.
+    """
+    rng = np.random.default_rng(seed)
+    lows = [b for p in params for b in (p.mean.lo, p.std.lo)]
+    highs = [b for p in params for b in (p.mean.hi, p.std.hi)]
+    outer = _latin_hypercube(rng, n_interval, lows, highs)
+    corners = _interval_corners(params)
+    if corners is not None:
+        outer = np.vstack([corners, outer])
+    rows, resampled = [], 0
+    for point in outer:
+        mu, sigma = point[0::2], point[1::2]
+        thetas = mu + sigma * rng.standard_normal((n_random, len(params)))
+        while True:
+            bad = ~np.all([PARAMETERS[name].admits(col) for name, col in zip(params.names, thetas.T)], axis=0)
+            if not bad.any():
+                break
+            resampled += int(bad.sum())
+            thetas[bad] = mu + sigma * rng.standard_normal((int(bad.sum()), len(params)))
+        rows.append(thetas)
+    return np.concatenate(rows), resampled
 
 
 def reference_matrices(problem: MacroProblem, state: DesignState, d_h, rho_h):

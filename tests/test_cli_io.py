@@ -600,6 +600,21 @@ class TestCli:
         assert "IHPA" in text and "MCS" in text and "rel. error" in text
         assert "(Monte Carlo reduced bases: cell " in text
 
+    def test_verify_table_of_the_small_cantilever_is_pinned(self, tmp_path, capsys):
+        # the shipped small cantilever with 16 interval points of 20 samples: 1,040 outer points, 20,800 samples
+        with open(os.path.join(CONFIGS, "cantilever_small.yaml"), encoding="utf-8") as fh:
+            doc = yaml.safe_load(fh)
+        doc["mcs"] = {"n_interval": 16, "n_random": 20}
+        assert main(["verify", "--config", write_config(tmp_path, doc), "--seed", "1"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        for expected in (
+            f"{'expectation':<20}{'635.454253':>16}{'683.522233':>16}",
+            f"{'standard variance':<20}{'70.004101':>16}{'113.565392':>16}",
+            f"{'FEA calls':<20}{16:>16}{20800:>16}",
+            "(Monte Carlo reduced bases: cell 21 columns from 7 full solves, macro 15 columns from 15 full solves)",
+        ):
+            assert any(line.startswith(expected) for line in lines), expected
+
     def test_config_error_exit_code_and_category(self, tmp_path, capsys):
         doc = small_doc()
         doc["optimizer"]["bogus_key"] = 1

@@ -1,12 +1,15 @@
 """Hybrid parameter model, perturbation analysis, and the Monte Carlo oracle."""
 
 import pathlib
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.linalg
 
 import rcto.fem
+import rcto.uncertainty
+from rcto.beso import initial_state
 from rcto.config import build_problem, parse_config
 from rcto.errors import NumericalError, SingularSystemError
 from rcto.fem import StructuredGrid, mean_compliance
@@ -35,12 +38,26 @@ from conftest import (
     full_state,
     hybrid_params,
     reference_compliance,
+    reference_draws,
     reference_matrices,
     refuse_sparse_matrices,
     steel_foam,
 )
 
 CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
+
+
+def record_compliance_rows(monkeypatch):
+    """Record a copy of the sample rows of every ``BatchComplianceEvaluator.compliance`` call."""
+    rows = []
+    original = BatchComplianceEvaluator.compliance
+
+    def recording(ev, names, values):
+        rows.append(np.array(values))
+        return original(ev, names, values)
+
+    monkeypatch.setattr(BatchComplianceEvaluator, "compliance", recording)
+    return rows
 
 
 class TestInterval:
@@ -309,17 +326,18 @@ class TestMcsEvaluate:
         prob = cantilever(3, 2, cell_n=3)
         state = full_state(prob, micro=seed_cell(prob.cell, 0.2, 1e-6))
         params = hybrid_params(self.mat, mean_frac=0.04, cov=0.04, sigma_frac=0.3)
-        samples = []
+        outputs = []
         original = BatchComplianceEvaluator.compliance
 
         def recording(ev, names, values):
-            samples.append(original(ev, names, values))
-            return samples[-1]
+            outputs.append(original(ev, names, values))
+            return outputs[-1]
 
         monkeypatch.setattr(BatchComplianceEvaluator, "compliance", recording)
         n_random = 40
         res = mcs_evaluate(prob, state, self.mat, params, 6, n_random, seed=11)
-        assert len(samples) == res.n_outer
+        # a call holds the samples of whole outer points, in point order
+        samples = np.concatenate(outputs).reshape(res.n_outer, n_random)
         # the oracle's moments: those of the offsets from each point's first sample
         means = np.array([c[0] + np.mean(c - c[0]) for c in samples])
         stds = np.array([np.std(c - c[0], ddof=1) for c in samples])
@@ -328,6 +346,74 @@ class TestMcsEvaluate:
         assert np.isclose(res.expectation_se, stds[i_mean] / np.sqrt(n_random), rtol=1e-14)
         assert np.isclose(res.std_se, stds[i_std] / np.sqrt(2 * (n_random - 1)), rtol=1e-14)
         assert i_mean != i_std  # the two errors come from different points here
+
+    def wide_params(self):
+        """e1 with a std near half its mean, so some draws are negative and redrawn, and rho1."""
+        p1 = self.mat.phase1
+        return UncertainSet([
+            HybridParameter("e1", Interval(0.95 * p1.youngs, 1.05 * p1.youngs),
+                            Interval(0.4 * p1.youngs, 0.5 * p1.youngs)),
+            HybridParameter("rho1", Interval(0.97 * p1.density, 1.03 * p1.density), Interval.exact(0.03 * p1.density)),
+        ])
+
+    def test_samples_reach_the_oracle_in_draw_order(self, monkeypatch):
+        rows = record_compliance_rows(monkeypatch)
+        prob = cantilever(2, 1, cell_n=2)
+        params = self.wide_params()
+        res = mcs_evaluate(prob, full_state(prob), self.mat, params, 30, 10, seed=7)
+        expected, resampled = reference_draws(params, 30, 10, seed=7)
+        assert len(rows) > 2 and resampled > 0
+        assert np.array_equal(np.concatenate(rows), expected)
+        assert res.resampled == resampled
+
+    def test_each_call_holds_whole_points_within_the_row_cap(self, monkeypatch):
+        rows = record_compliance_rows(monkeypatch)
+        prob = cantilever(2, 1, cell_n=2)
+        n_random = 10
+        res = mcs_evaluate(prob, full_state(prob), self.mat, self.wide_params(), 30, n_random, seed=7)
+        sizes = [len(r) for r in rows]
+        per_call = rcto.uncertainty._GROUP_ROWS // n_random
+        assert sizes[0] == n_random  # the first point alone
+        assert all(size % n_random == 0 and size <= rcto.uncertainty._GROUP_ROWS for size in sizes)
+        assert all(size == per_call * n_random for size in sizes[1:-1])  # as many whole points as fit
+        assert sum(sizes) == res.n_outer * n_random == res.fea_calls
+
+    def test_points_above_the_row_cap_go_one_per_call(self, monkeypatch):
+        rows = record_compliance_rows(monkeypatch)
+        prob = cantilever(2, 1, cell_n=2)
+        n_random = rcto.uncertainty._GROUP_ROWS + 1
+        res = mcs_evaluate(prob, full_state(prob), self.mat, self.wide_params(), 2, n_random, seed=3)
+        assert [len(r) for r in rows] == [n_random] * res.n_outer
+
+    def test_grouped_points_match_a_per_point_evaluation(self, monkeypatch):
+        # the macro basis grows from 6 to 8 columns after the first point here.  A call enriches with the worst
+        # failing sample of all its points, so on other draws the two greedy paths can part by a column
+        # (n_random 12 here: 8 grouped against 9 per point), with the same moments.
+        prob = cantilever(4, 2, cell_n=4, omega=2 * np.pi * 300.0)
+        state = full_state(prob, micro=seed_cell(prob.cell, 0.25, 1e-6))
+        params = self.wide_params()
+        grouped = mcs_evaluate(prob, state, self.mat, params, 8, 20, seed=5)
+        monkeypatch.setattr(rcto.uncertainty, "_GROUP_ROWS", 1)
+        per_point = mcs_evaluate(prob, state, self.mat, params, 8, 20, seed=5)
+        assert grouped.resampled == per_point.resampled > 0
+        for field in ("n_outer", "n_random", "fea_calls", "cell_basis", "cell_solves", "macro_basis", "macro_solves"):
+            assert getattr(grouped, field) == getattr(per_point, field), field
+        for field in ("expectation", "std", "expectation_se", "std_se"):
+            assert np.isclose(getattr(grouped, field), getattr(per_point, field), rtol=1e-12, atol=0.0), field
+
+    def test_oracle_working_memory_is_bounded(self):
+        # verify_small's settings: 1,040 outer points of 20 samples on the shipped small cantilever
+        cfg = parse_config(str(CONFIGS / "cantilever_small.yaml"))
+        prob = build_problem(cfg)
+        state = initial_state(prob, x_min=cfg.x_min, seed_fraction=cfg.seed_fraction)
+        tracemalloc.start()
+        try:
+            res = mcs_evaluate(prob, state, cfg.base_material, cfg.params, 16, 20, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.fea_calls == 20800
+        assert peak < 4 * 2**20
 
     def test_oracle_and_macro_factorization_skip_the_full_matrices(self, monkeypatch):
         # the macro system is scattered straight into its free block; the full K, M pair is never built
