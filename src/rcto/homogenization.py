@@ -2,12 +2,15 @@
 
 Solves the cell problems for the unit test strains under periodic boundary
 conditions (master-slave coupling of opposite faces, zero-mean correctors)
-by conjugate gradients preconditioned with the FFT-diagonalized stiffness of
-the voxel-mean material, with neither a factorization nor an assembled
-matrix (``cell_operator`` applies the stiffness), and returns the effective
-density and elasticity matrix together with the cell-energy basis that every
-derivative reads.  With g_iq the corrected strains (eps0 - eps) of the
-unit test strains at Gauss point q of voxel i, the basis is
+by conjugate gradients on a reference-medium split (Moulinec and Suquet,
+1998): K = K_ref + Delta K, with K_ref the stiffness of the elasticity that
+most voxels share and Delta K that of D_i - D_ref over the voxels that
+differ.  The FFT-diagonalized K_ref preconditions the CG (Zeman et al., J.
+Comput. Phys. 2010) and gives K_ref p by a recurrence, so an iteration
+applies Delta K alone, with neither a factorization nor an assembled
+matrix.  It returns the effective density and elasticity matrix together
+with the cell-energy basis that every derivative reads.  With g_iq the
+corrected strains (eps0 - eps) of the unit test strains at Gauss point q of voxel i, the basis is
 P[i, k] = sum_q w_q g_iq^T A_k g_iq for the two constant material parts
 A0, A1.  Each phase elasticity is c[p, 0] A0 + c[p, 1] A1
 (``materials.phase_coefficients``), so D_h, its derivatives with respect to
@@ -81,18 +84,54 @@ def cell_loads(grid: StructuredGrid, d_voxels: np.ndarray) -> np.ndarray:
     return _sum_to_masters(grid, np.einsum("q,qce->ec", w, b) @ d_voxels)
 
 
+def reference_split(d_voxels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The elasticity D_ref that most voxels share, and the mask of the voxels whose D differs from it.
+
+    A 1-D key, the entries weighted by 1, 2, ..., finds the most common
+    matrix; membership is exact equality.  A key collision can only pick a
+    less common reference, never a wrong mask.
+    """
+    flat = d_voxels.reshape(len(d_voxels), -1)
+    _, first, counts = np.unique(flat @ np.arange(1.0, flat.shape[1] + 1), return_index=True, return_counts=True)
+    d_ref = d_voxels[first[np.argmax(counts)]]
+    return d_ref, np.any(flat != d_ref.ravel(), axis=1)
+
+
+def _difference_operator(grid: StructuredGrid, d_voxels: np.ndarray, d_ref: np.ndarray, differ: np.ndarray):
+    """u -> Delta K u on blocks (n_red, k): the cell stiffness of D_i - D_ref over the voxels in the mask differ.
+
+    The element stiffness is linear in D, so K_ref + Delta K is exactly the
+    cell stiffness of the per-voxel elasticities.
+    """
+    nodes = corner_tables(grid)[0][differ]
+    k_e = element_stiffness_batch(d_voxels[differ] - d_ref, grid.spacing)
+
+    def apply(u: np.ndarray) -> np.ndarray:
+        u_nodes = u.reshape(grid.n_elems, -1)  # master node v holds DOFs dim * v + a
+        u_e = u_nodes[nodes].reshape(k_e.shape[:2] + u.shape[1:])
+        forces = (k_e @ u_e).reshape(nodes.shape + u_nodes.shape[1:])
+        out = np.zeros_like(u_nodes)
+        for a, corner in enumerate(nodes.T):  # corner a of distinct voxels is distinct nodes: no index repeats
+            out[corner] += forces[:, a]
+        return out.reshape(u.shape)
+
+    return apply
+
+
 def _phase_contrast(d_voxels: np.ndarray, d_ref: np.ndarray) -> float:
-    """Ratio of the extreme generalized eigenvalues of (D_i, D_ref) over all voxels.
+    """Ratio of the extreme generalized eigenvalues of (D_i, D_ref) over the voxels and D_ref itself.
 
     It bounds the spectrum of the reference-preconditioned cell operator:
     u^T K u / u^T K_ref u is a voxel-weighted average of eps^T D_i eps / eps^T D_ref eps.
+    Voxels equal to D_ref add only the eigenvalue 1, so the differing voxels suffice.
     """
     try:
         inv_l = np.linalg.inv(np.linalg.cholesky(d_ref))
     except np.linalg.LinAlgError:
         raise SingularSystemError(
-            "unit cell system is singular: the mean voxel elasticity is not positive definite (void cell?)"
+            "unit cell system is singular: the reference voxel elasticity is not positive definite (void cell?)"
         ) from None
+    d_voxels = np.concatenate([d_ref[None], d_voxels])
     lam = np.linalg.eigvalsh(inv_l @ d_voxels @ inv_l.T)
     if lam.min() <= 0.0:
         raise SingularSystemError("unit cell system is singular: a voxel elasticity is not positive definite")
@@ -100,21 +139,25 @@ def _phase_contrast(d_voxels: np.ndarray, d_ref: np.ndarray) -> float:
 
 
 class _ReferencePreconditioner:
-    """Exact inverse, on zero-mean periodic fields, of the cell stiffness of one homogeneous material.
+    """Exact inverse, on zero-mean periodic fields, of the cell stiffness K_ref of one homogeneous material.
 
     That stiffness is block-circulant on the master-node grid, so the FFT
     diagonalizes it into one dim x dim Hermitian block per frequency, the
     symbol sum_ab conj(e^{i xi.o_a}) k_ab e^{i xi.o_b} of one element matrix
     k over the element's corner offsets o (Zeman et al., J. Comput. Phys.
-    2010).  The zero frequency (rigid translation) is mapped to zero.
-    ``condition`` is the ratio of the extreme eigenvalues of the other blocks,
-    the condition number of K_ref on zero-mean fields.
+    2010).  The zero frequency (rigid translation) is mapped to zero, so
+    K_ref z = r - mean(r) per direction for z = K_ref^+ r.  ``condition`` is
+    the ratio of the extreme eigenvalues of the other blocks, the condition
+    number of K_ref on zero-mean fields.  ``stiffness`` applies K_ref itself
+    through the element matrix, independent of the FFT.
     """
 
     def __init__(self, grid: StructuredGrid, d_ref: np.ndarray):
         dim, corners = grid.dim, 2**grid.dim
+        self.grid = grid
         self.shape = grid.shape[::-1]  # master DOF dim * node + a is entry (..., y, x, a) in C order
-        k = element_stiffness_batch(d_ref[None], grid.spacing)[0].reshape(corners, dim, corners, dim)
+        self.element = element_stiffness_batch(d_ref[None], grid.spacing)[0]
+        k = self.element.reshape(corners, dim, corners, dim)
         axes = [2.0 * np.pi * np.fft.fftfreq(n) for n in grid.shape]
         axes[0] = 2.0 * np.pi * np.fft.rfftfreq(grid.shape[0])  # rfftn halves the last array axis, x
         xi = np.meshgrid(*axes[::-1], indexing="ij")[::-1]
@@ -135,6 +178,10 @@ class _ReferencePreconditioner:
         z_hat = sum(self.inverse[..., j, None] * r_hat[..., None, j, :] for j in range(r_hat.shape[-2]))
         return np.fft.irfftn(z_hat, s=self.shape, axes=axes).reshape(r.shape)
 
+    def stiffness(self, u: np.ndarray) -> np.ndarray:
+        """K_ref u for a block u (n_red, k)."""
+        return _sum_to_masters(self.grid, self.element @ _gather(self.grid, u))
+
 
 def solve_cell_problems(grid: StructuredGrid, d_voxels: np.ndarray):
     """Solve the periodic cell problems for all unit test strains.
@@ -145,17 +192,20 @@ def solve_cell_problems(grid: StructuredGrid, d_voxels: np.ndarray):
     weights w, and the zero-mean reduced periodic solution u (n_red_dofs, ncomp).
 
     One block conjugate-gradient run over the ncomp load columns on the cell
-    stiffness K of ``cell_operator``, preconditioned by the FFT inverse of the
-    stiffness of the voxel-mean material D_ref.  Each answer must meet
-    ``fem.RESIDUAL_TOL`` in its true residual on the zero-mean load.
+    stiffness K = K_ref + Delta K, preconditioned by the FFT inverse of K_ref.
+    D_ref is the majority voxel elasticity (``reference_split``), so Delta K
+    touches only the voxels that differ from it: on a two-valued design at
+    most half the cell.  Each answer must meet ``fem.RESIDUAL_TOL`` in its
+    true residual on the zero-mean load.
     """
     ncomp = voigt_size(grid.dim)
     d_voxels = np.asarray(d_voxels, dtype=float)
     if d_voxels.shape != (grid.n_elems, ncomp, ncomp):
         raise ValueError(f"expected per-voxel D of shape {(grid.n_elems, ncomp, ncomp)}")
-    d_ref = d_voxels.mean(axis=0)
-    kappa = _phase_contrast(d_voxels, d_ref)
+    d_ref, differ = reference_split(d_voxels)
+    kappa = _phase_contrast(d_voxels[differ], d_ref)
     b, _, w = strain_operators(grid.spacing)
+    nq, _, ndof_e = b.shape
     f = _zero_mean(cell_loads(grid, d_voxels), grid.dim)
     # A computed load entry sums 2^dim element entries, each a dot product of
     # length ncomp, so it lies within (2^dim + ncomp) eps of the exact load
@@ -167,9 +217,10 @@ def solve_cell_problems(grid: StructuredGrid, d_voxels: np.ndarray):
     loaded = np.linalg.norm(f, axis=0) > load_floor(grid, d_voxels)
     u = np.zeros_like(f)
     if loaded.any():
-        precondition = _ReferencePreconditioner(grid, d_ref)
-        u[:, loaded] = _block_cg(cell_operator(grid, d_voxels), f[:, loaded], precondition, kappa)
-    return np.eye(ncomp) - b[None] @ _gather(grid, u)[:, None], w, u
+        difference = _difference_operator(grid, d_voxels, d_ref, differ)
+        u[:, loaded] = _block_cg(difference, f[:, loaded], _ReferencePreconditioner(grid, d_ref), kappa)
+    g = (b.reshape(nq * ncomp, ndof_e) @ _gather(grid, u)).reshape(grid.n_elems, nq, ncomp, ncomp)
+    return np.eye(ncomp) - g, w, u
 
 
 def load_floor(grid: StructuredGrid, d_voxels: np.ndarray) -> np.ndarray:
@@ -189,8 +240,18 @@ def _zero_mean(v: np.ndarray, dim: int) -> np.ndarray:
     return (nodal - nodal.mean(axis=0)).reshape(v.shape)
 
 
-def _block_cg(k, f: np.ndarray, precondition: _ReferencePreconditioner, kappa: float) -> np.ndarray:
-    """Preconditioned CG for the operator k on every column of the zero-mean block f, checked by its true residual.
+def _block_cg(difference, f: np.ndarray, reference: _ReferencePreconditioner, kappa: float) -> np.ndarray:
+    """Preconditioned CG for K = K_ref + Delta K on every column of the zero-mean block f, checked by its true residual.
+
+    ``difference`` applies Delta K; ``reference`` applies K_ref^+ and, for the
+    final check only, K_ref.  The loop never forms K_ref p: for z = K_ref^+ r,
+    K_ref z is r less its mean per direction, so p <- z + beta p carries
+    s = K_ref p by s <- (r - mean r) + beta s, and the product is
+    q = s + Delta K p.  The projection leaves the rounding mean of the load
+    in r, which no K p can remove; without it the recursive residual falls
+    far below the true one.  Once r is down to that mean, r . z is rounding
+    and CG has no direction left, so a column whose r . z is not positive
+    stops the run as the cap does.
 
     The preconditioned operator's spectrum lies within the phase contrast
     kappa, so after n iterations the energy norm of the error has fallen by
@@ -201,39 +262,43 @@ def _block_cg(k, f: np.ndarray, precondition: _ReferencePreconditioner, kappa: f
     sqrt(kappa) / 4 * ln(kappa * cond K_ref) iterations covers that factor.
     Exact-arithmetic CG needs no more than this cap, so passing it raises.
     """
-    margin = 0.5 * np.log(kappa * precondition.condition)
+    dim = len(reference.shape)
+    margin = 0.5 * np.log(kappa * reference.condition)
     cap = int(np.ceil(0.5 * np.sqrt(kappa) * (np.log(2.0 / CG_RTOL) + margin)))
     norm_f = np.linalg.norm(f, axis=0)
     x = np.zeros_like(f)
     cols = np.arange(f.shape[1])  # the columns still iterating, and their iterates below
     x_c, r = np.zeros_like(f), f.copy()
-    p = precondition(r)
+    p = reference(r)
+    s = _zero_mean(r, dim)  # K_ref p
     rz = np.einsum("ij,ij->j", r, p)
     iterations = 0
     while True:
         done = np.linalg.norm(r, axis=0) <= CG_RTOL * norm_f[cols]
         if done.any():
             x[:, cols[done]] = x_c[:, done]
-            cols, x_c, r, p, rz = cols[~done], x_c[:, ~done], r[:, ~done], p[:, ~done], rz[~done]
+            cols, x_c, r, p, s, rz = cols[~done], x_c[:, ~done], r[:, ~done], p[:, ~done], s[:, ~done], rz[~done]
         if cols.size == 0:
             break
-        if iterations == cap:
+        if iterations == cap or not np.all(rz > 0.0):
             raise NumericalError(
-                f"cell CG did not reach a relative residual of {CG_RTOL:g} within its bound of {cap} "
-                f"iterations for phase contrast kappa = {kappa:.4g}"
+                f"cell CG did not reach a relative residual of {CG_RTOL:g} in {iterations} iterations "
+                f"(bound {cap}) for phase contrast kappa = {kappa:.4g}"
             )
         iterations += 1
-        q = k(p)
+        q = s + difference(p)
         alpha = rz / np.einsum("ij,ij->j", p, q)
         x_c += alpha * p
         r -= alpha * q
-        z = precondition(r)
+        z = reference(r)
         rz_new = np.einsum("ij,ij->j", r, z)
-        p = z + (rz_new / rz) * p
+        beta = rz_new / rz
+        p = z + beta * p
+        s = _zero_mean(r, dim) + beta * s
         rz = rz_new
     logger.debug("cell CG: %d iterations (bound %d, phase contrast %.4g)", iterations, cap, kappa)
-    x = _zero_mean(x, len(precondition.shape))
-    residual = np.linalg.norm(f - k(x), axis=0)
+    x = _zero_mean(x, dim)
+    residual = np.linalg.norm(f - reference.stiffness(x) - difference(x), axis=0)
     if not np.all(residual <= RESIDUAL_TOL * norm_f):
         raise NumericalError(
             f"cell solve failed the residual contract (|r|/|f| = {np.max(residual / norm_f):.3e} > {RESIDUAL_TOL})"

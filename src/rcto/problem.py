@@ -121,7 +121,9 @@ def factorized_dynamic(problem: MacroProblem, state: DesignState, d_h: np.ndarra
     s = stiffness_scale(state.x_macro, problem.penalty, state.x_min)
     elem = s[:, None, None] * fem.element_stiffness_batch(np.asarray(d_h)[None], grid.spacing)
     elem -= (problem.omega**2 * rho_h * state.x_macro)[:, None, None] * fem.element_mass(1.0, grid.spacing)
-    return fem.FactorizedSystem(fem.scatter(problem.pattern, elem), problem.free, grid.n_dofs)
+    band = fem.scatter(problem.pattern, elem)
+    del elem  # release the element stack before the factorization copies the band
+    return fem.FactorizedSystem(band, problem.free, grid.n_dofs)
 
 
 def element_strains(grid: StructuredGrid, u: np.ndarray) -> np.ndarray:

@@ -17,6 +17,7 @@ from rcto.homogenization import (
     format_effective_matrix,
     homogenize,
     micro_elasticity,
+    reference_split,
     seed_cell,
     solve_cell_problems,
     stiffness_weights,
@@ -129,6 +130,70 @@ class TestCellOperator:
         assert not np.array_equal(wide[0], tall[0]) and not np.array_equal(wide[1], tall[1])
 
 
+def spd_stack(rng, n, ncomp):
+    a = rng.standard_normal((n, ncomp, ncomp))
+    return a @ np.swapaxes(a, 1, 2) + ncomp * np.eye(ncomp)
+
+
+class TestReferenceSplit:
+    def test_majority_matrix_is_the_reference(self):
+        d1, d2 = steel_foam().phase1.elasticity(2), steel_foam().phase2.elasticity(2)
+        d = np.stack([d1, d2, d2, d1, d2])
+        d_ref, differ = reference_split(d)
+        assert np.array_equal(d_ref, d2)
+        assert np.array_equal(differ, [True, False, False, True, False])
+
+    def test_key_collision_still_splits_exactly(self):
+        # entries weighted 1, 2, ...: a 2 in the first entry and a 1 in the second give the same key
+        a, b = np.zeros((2, 2)), np.zeros((2, 2))
+        a[0, 0], b[0, 1] = 2.0, 1.0
+        d = np.stack([a, b, b, a, a])
+        d_ref, differ = reference_split(d)
+        assert np.array_equal(differ, np.any(d != d_ref, axis=(1, 2)))
+        assert any(np.array_equal(d_ref, m) for m in (a, b))
+
+    @pytest.mark.parametrize("case", ["two-phase", "every voxel differs", "homogeneous"])
+    @pytest.mark.parametrize("shape", [(5, 4), (3, 4, 2)])
+    def test_reference_plus_difference_is_the_cell_operator(self, rng, case, shape):
+        grid = StructuredGrid(shape, tuple(1.0 / n for n in shape))
+        ncomp = 3 if grid.dim == 2 else 6
+        if case == "two-phase":
+            x = np.where(rng.random(grid.n_elems) < 0.7, 1.0, X_MIN)
+            d = micro_elasticity(x, steel_foam(), 3.0, grid.dim)
+            d_ref, differ = reference_split(d)
+            assert 0 < differ.sum() < grid.n_elems / 2
+        elif case == "every voxel differs":
+            d = spd_stack(rng, grid.n_elems, ncomp)
+            d_ref, differ = d.mean(axis=0), np.ones(grid.n_elems, dtype=bool)
+        else:
+            d = np.broadcast_to(spd_stack(rng, 1, ncomp), (grid.n_elems, ncomp, ncomp))
+            d_ref, differ = reference_split(d)
+            assert not differ.any()
+        reference = homogenization._ReferencePreconditioner(grid, d_ref)
+        difference = homogenization._difference_operator(grid, d, d_ref, differ)
+        p = rng.standard_normal((grid.dim * grid.n_elems, 4))
+        ref = cell_operator(grid, d)(p)
+        assert np.abs(reference.stiffness(p) + difference(p) - ref).max() <= 1e-14 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("name", ["prism_3d.yaml", "cantilever_2d.yaml"])
+    def test_cell_solve_builds_stiffness_for_the_differing_voxels_only(self, name, monkeypatch):
+        cfg = parse_config(str(CONFIGS / name))
+        cell = cfg.cell_grid()
+        x = seed_cell(cell, cfg.seed_fraction, cfg.x_min)
+        d = micro_elasticity(x, cfg.base_material, cfg.penalty, cell.dim)
+        stacks = []
+
+        def recording(d_mats, spacing):
+            stacks.append(len(d_mats))
+            return element_stiffness_batch(d_mats, spacing)
+
+        monkeypatch.setattr(homogenization, "element_stiffness_batch", recording)
+        solve_cell_problems(cell, d)
+        minority = int(np.sum(x == cfg.x_min))  # 136 of 2,744 on prism_3d, 124 of 2,500 on cantilever_2d
+        assert 0 < minority < cell.n_elems / 2
+        assert sorted(stacks) == [1, minority]  # the reference element, then the differing voxels
+
+
 class TestNoCellAssembly:
     def test_cell_paths_never_build_a_sparsity_pattern(self, monkeypatch):
         problem = build_problem(parse_config(str(CONFIGS / "cantilever_small.yaml")))
@@ -173,6 +238,18 @@ class TestCellSolver:
         nodal_mean = u.reshape(-1, grid.dim, u.shape[1]).mean(axis=0)
         assert np.abs(nodal_mean).max() <= 1e-14 * np.abs(u).max()
         assert np.abs(g - g_ref).max() <= 1e-10 * np.abs(g_ref).max()
+
+    @pytest.mark.parametrize("shape", [(8, 6), (4, 3, 4)])
+    def test_phase2_majority_cell_matches_dense_solve(self, rng, shape):
+        grid = StructuredGrid(shape, tuple(1.0 / n for n in shape))
+        x = np.where(rng.random(grid.n_elems) < 0.3, 1.0, X_MIN)
+        d = micro_elasticity(x, steel_foam(), 3.0, grid.dim)
+        assert np.array_equal(reference_split(d)[0], d[np.argmin(x)])  # D_ref is the phase-2 voxel
+        g, w, _ = solve_cell_problems(grid, d)
+        _, g_ref = dense_cell_solution(grid, d)
+        assert np.abs(g - g_ref).max() <= 1e-10 * np.abs(g_ref).max()
+        d_h, d_h_dense = reference_d_h(g, w, d, grid.volume), reference_d_h(g_ref, w, d, grid.volume)
+        assert np.abs(d_h - d_h_dense).max() <= 1e-10 * np.abs(d_h_dense).max()
 
     @pytest.mark.parametrize("shape", [(5, 5), (3, 3, 3)])
     def test_rounding_level_loads_give_zero_correctors(self, shape):
