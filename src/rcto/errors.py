@@ -24,7 +24,11 @@ class NumericalError(RctoError):
 
 
 class SingularSystemError(NumericalError):
-    """Singular or near-resonant linear system (never silent garbage)."""
+    """Singular or near-resonant linear system, or a drive at or above the first natural frequency.
+
+    Above it K - omega^2 M is indefinite and minimum dynamic compliance is not defined; the system is
+    refused, never solved into silent garbage.
+    """
 
 
 class InfeasibleTargetError(NumericalError):

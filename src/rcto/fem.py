@@ -14,9 +14,10 @@ mesh is assembled: its dynamic stiffness is the one system factored in a
 run, its free DOFs in a band order (``band_order``; George and Liu,
 *Computer Solution of Large Sparse Positive Definite Systems*, 1981) that
 LAPACK's blocked banded Cholesky ``dpbtrf`` factors.  A drive at or above
-the first natural frequency makes K - omega^2 M indefinite; Cholesky
-refuses it and SuperLU factors a CSC copy of the band instead.  No other
-module builds a sparse matrix, and the periodic cell is never assembled.
+the first natural frequency makes K - omega^2 M indefinite, where minimum
+dynamic compliance is not defined; Cholesky refuses it and the
+factorization raises ``SingularSystemError``.  No other module builds a
+sparse matrix, and the periodic cell is never assembled.
 
 Unit system: N, mm, tonne, s (so moduli in MPa, densities in tonne/mm^3,
 frequencies converted to rad/s by the caller).
@@ -33,18 +34,11 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.linalg.blas import dsbmv
 from scipy.linalg.lapack import dpbtrf, dpbtrs
-from scipy.sparse.linalg import splu
+from scipy.sparse.linalg import splu  # unused here; kept as ``rcto.fem.splu`` because perfbench's tracer wraps it
 
 from .errors import SingularSystemError
 
 RESIDUAL_TOL = 1e-9
-
-# The fallback for a system Cholesky refuses as not positive definite: SuperLU's
-# symmetric mode on a block already in band order (the order of ``free``), so no
-# column permutation and its fill stays inside the band.  A diagonal pivot is kept
-# unless it is below 0.01 of the largest entry in its column: the indefinite
-# K - omega^2 M needs that threshold against tiny pivots.
-SYMMETRIC_LU = dict(permc_spec="NATURAL", diag_pivot_thresh=0.01, options={"SymmetricMode": True})
 
 
 @dataclass(frozen=True)
@@ -299,8 +293,9 @@ class FactorizedSystem:
 
     ``band`` is the block's upper band (``SparsityPattern``), rows and columns in the order of ``free``
     (``MacroProblem.free`` is in band order).  ``dpbtrf`` factors a copy; a band it refuses as not positive
-    definite (a drive at or above the first natural frequency) goes to ``splu`` with ``SYMMETRIC_LU`` as CSC.
-    Solves are checked against the unfactored band.  One factorization serves every right-hand side;
+    definite raises ``SingularSystemError``: for symmetric positive definite K and M, K - omega^2 M is
+    definite exactly when omega lies below the first natural frequency.  Solves are checked against the
+    unfactored band.  One factorization serves every right-hand side;
     ``calls`` counts FEA calls (linear-system applications), one per right-hand side column.
     """
 
@@ -313,15 +308,12 @@ class FactorizedSystem:
         self._factor, info = dpbtrf(band)
         if info < 0:
             raise ValueError(f"dpbtrf rejected its argument {-info}")
-        self._lu = None
-        if info > 0:  # not positive definite
-            upper = sp.dia_array((band, np.arange(len(band))[::-1]), shape=(self.free.size,) * 2)
-            try:
-                self._lu = splu((upper + sp.triu(upper, 1).T).tocsc(), **SYMMETRIC_LU)
-            except RuntimeError as exc:  # SuperLU signals exact singularity this way
-                raise SingularSystemError(
-                    f"dynamic stiffness is singular (resonance or unconstrained rigid modes): {exc}"
-                ) from exc
+        if info > 0:
+            raise SingularSystemError(
+                "Cholesky refused K - omega^2 M as not positive definite, so the drive is at or above "
+                "the first natural frequency, where minimum dynamic compliance is not defined; "
+                "a rigid-body mode is a natural frequency of 0"
+            )
         self._calls = 0
 
     @property
@@ -343,23 +335,24 @@ class FactorizedSystem:
         u = np.zeros((self.n_dofs, f.shape[1]))
         if loaded.any():
             f, norm_f = f[:, loaded], norm_f[loaded]
-            x = dpbtrs(self._factor, f)[0] if self._lu is None else self._lu.solve(f)
+            x = dpbtrs(self._factor, f)[0]
             kd, band = len(self._band) - 1, self._band
             residual = np.array([np.linalg.norm(dsbmv(kd, 1.0, band, a, beta=-1.0, y=b)) for a, b in zip(x.T, f.T)])
             if not np.all(np.isfinite(residual)) or np.any(residual > RESIDUAL_TOL * norm_f):
                 raise SingularSystemError(
                     "linear solve failed the residual contract "
                     f"(|r|/|f| = {np.max(residual / norm_f):.3e} > {RESIDUAL_TOL}); "
-                    + ("the excitation frequency may sit at a resonance" if self._lu is None else
-                       "Cholesky refused K - omega^2 M as not positive definite, "
-                       "so the drive is at or above the first natural frequency")
+                    "the excitation frequency may sit at a resonance"
                 )
             u[np.ix_(self.free, loaded)] = x
         return u.reshape((self.n_dofs,) + rhs.shape[1:])
 
 
 def solve_system(k, m, omega: float, f: np.ndarray, fixed: np.ndarray) -> np.ndarray:
-    """One-shot constrained solve of (K - omega^2 M) u = f in index order, at a cost set by that order's bandwidth."""
+    """One-shot constrained solve of (K - omega^2 M) u = f in index order, at a cost set by that order's bandwidth.
+
+    Raises ``SingularSystemError`` when omega is at or above the first natural frequency (``FactorizedSystem``).
+    """
     free = np.setdiff1d(np.arange(k.shape[0]), fixed)
     upper = sp.triu((k - omega**2 * m).tocsc()[free][:, free], format="coo")  # a CSC block holds no duplicates
     kd = int(np.max(upper.col - upper.row, initial=0))

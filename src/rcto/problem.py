@@ -113,9 +113,10 @@ def weight_gradient(problem: MacroProblem, state: DesignState, rho_h: float, del
 
 
 def factorized_dynamic(problem: MacroProblem, state: DesignState, d_h: np.ndarray, rho_h: float):
-    """Banded Cholesky of the free block of K - omega^2 M, or its SuperLU if the block is indefinite.
+    """Banded Cholesky of the free block of K - omega^2 M.
 
     One scatter of s_e k(D_h) - omega^2 rho_h x_e m over the elements builds the block's band, its only stored form.
+    A drive at or above the design's first natural frequency raises ``SingularSystemError``.
     """
     grid = problem.grid
     s = stiffness_scale(state.x_macro, problem.penalty, state.x_min)

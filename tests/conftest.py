@@ -186,7 +186,11 @@ def assert_band_order(grid):
 
 
 def capture_factors(monkeypatch):
-    """Record every SuperLU factor object made through ``rcto.fem.splu``, the indefinite fallback."""
+    """Record every SuperLU factor object made through ``rcto.fem.splu``.
+
+    No path of the package calls SuperLU any more: the macro system is factored by banded Cholesky or
+    refused, so a test that captures factors expects none.
+    """
     import rcto.fem
 
     factors = []

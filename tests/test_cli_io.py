@@ -642,6 +642,19 @@ class TestCli:
         assert code == 3
         assert "error[numerical]" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("mode", ["dcto", "rcto"])
+    def test_drive_above_the_first_natural_frequency_exits_3(self, tmp_path, capsys, mode):
+        # the small cantilever's seed design is already above its first natural frequency at 5 kHz, where
+        # a signed dynamic compliance has no useful minimum (Olhoff and Du 2016; Jog 2002)
+        with open(os.path.join(CONFIGS, "cantilever_small.yaml"), encoding="utf-8") as fh:
+            doc = yaml.safe_load(fh)
+        doc["loads"][0]["frequency"] = 5000.0
+        out = tmp_path / "o"
+        assert main(["run", "--config", write_config(tmp_path, doc), "--out", str(out), "--mode", mode]) == 3
+        err = capsys.readouterr().err
+        assert "error[numerical]" in err and "at or above the first natural frequency" in err
+        assert not (out / "summary.json").exists()
+
     def test_io_error_exit_code(self, tmp_path, capsys):
         code = main(["export", "--bundle", str(tmp_path / "missing"), "--format", "csv",
                      "--out", str(tmp_path / "o")])

@@ -319,18 +319,6 @@ class TestBandOrder:
         u_ref = np.linalg.solve(k[free][:, free].toarray(), prob.force[free])
         assert np.linalg.norm(u[free] - u_ref) <= 1e-10 * np.linalg.norm(u_ref)
 
-    def test_indefinite_system_in_band_order_falls_back_to_one_superlu_factor(self, monkeypatch):
-        prob, k, m, free, kf, mf, evals = steel_cantilever_modes()
-        assert not np.array_equal(prob.free, free)
-        omega = (evals[0] * evals[1]) ** 0.25  # between the first two natural frequencies
-        factors = capture_factors(monkeypatch)
-        system = factorized(k, m, omega, prob.free)
-        assert len(factors) == 1
-        u = system.solve(prob.force)
-        u_ref = np.linalg.solve(kf - omega**2 * mf, prob.force[free])
-        assert np.linalg.norm(u[free] - u_ref) <= 1e-10 * np.linalg.norm(u_ref)
-        assert not np.any(u[prob.fixed_dofs])
-
 
 class TestMacroSystem:
     @pytest.mark.parametrize(
@@ -436,14 +424,24 @@ class TestSolve:
         assert factors == []
         assert "positive definite" not in str(err.value)
 
-    def test_failure_of_the_fallback_says_cholesky_refused_the_system(self, monkeypatch):
+    @pytest.mark.parametrize("mode", ["between-1-and-2", "at-3"])
+    @pytest.mark.parametrize("order", ["band", "index"])
+    def test_drive_at_or_above_the_first_natural_frequency_is_refused_by_the_factorization(
+        self, monkeypatch, mode, order
+    ):
+        # K - omega^2 M is indefinite above the first eigenvalue and singular at the third: no solve is attempted
         prob, k, m, free, _, _, evals = steel_cantilever_modes()
+        assert not np.array_equal(prob.free, free)
+        omega = np.sqrt(np.sqrt(evals[0] * evals[1]) if mode == "between-1-and-2" else evals[2])
         factors = capture_factors(monkeypatch)
-        system = factorized(k, m, np.sqrt(evals[2]), prob.free)
         with pytest.raises(SingularSystemError, match="Cholesky refused .* not positive definite") as err:
-            system.solve(prob.force)
-        assert len(factors) == 1
+            if order == "band":
+                factorized(k, m, omega, prob.free)
+            else:
+                solve_system(k, m, omega, prob.force, prob.fixed_dofs)
         assert "at or above the first natural frequency" in str(err.value)
+        assert "may sit at a resonance" not in str(err.value)
+        assert factors == []
 
     def test_accurate_solve_of_an_ill_conditioned_static_system_returns(self):
         # outer half at 1e-12 of the stiffness and density: |K| |u| / |f| (inf-norms) is 2.6e15, above
@@ -483,13 +481,6 @@ class TestSolve:
             system.solve(prob.force)
         assert system.calls == 4
 
-    def test_indefinite_system_matches_dense_solve(self):
-        prob, k, m, free, kf, mf, evals = steel_cantilever_modes()
-        omega = (evals[0] * evals[1]) ** 0.25  # between the first two natural frequencies
-        u = solve_system(k, m, omega, prob.force, prob.fixed_dofs)
-        u_ref = np.linalg.solve(kf - omega**2 * mf, prob.force[free])
-        assert np.linalg.norm(u[free] - u_ref) <= 1e-9 * np.linalg.norm(u_ref)
-
     def test_block_solve_matches_column_solves(self, rng):
         prob, k, m, free, *_ = steel_cantilever_modes()
         system = factorized(k, m, 2 * np.pi * 500.0, free)
@@ -517,9 +508,10 @@ class TestSolve:
         assert system.calls == 1
 
     def test_block_residual_contract_enforced_at_resonance(self):
+        # 1e-8 below the first eigenvalue Cholesky factors the block, and the loaded column fails its residual
         prob, k, m, free, _, _, evals = steel_cantilever_modes()
-        system = factorized(k, m, np.sqrt(evals[2]), free)
-        with pytest.raises(SingularSystemError):
+        system = factorized(k, m, np.sqrt(evals[0] * (1.0 - 1e-8)), free)
+        with pytest.raises(SingularSystemError, match="may sit at a resonance"):
             system.solve(np.column_stack([np.zeros(prob.grid.n_dofs), prob.force]))
 
 

@@ -508,21 +508,30 @@ class TestMcsEvaluate:
         got = BatchComplianceEvaluator(prob, state, self.mat).compliance(names, vals)
         assert np.allclose(got, reference_compliance(prob, state, self.mat, names, vals), rtol=1e-10)
 
-    def test_sample_at_a_macro_resonance_raises(self):
-        # pick omega so that a 10 % heavier phase 1 puts the first eigenvalue of (K, rho_h M) at omega^2
+    def resonant_evaluator(self):
+        """Oracle on cantilever(4, 2) driven where a 10 % heavier phase 1 puts the first eigenvalue of (K, rho_h M)."""
         prob = cantilever(4, 2, cell_n=4)
         state = full_state(prob, micro=seed_cell(prob.cell, 0.25, 1e-6))
         props = homogenize(prob.cell, state.x_micro, self.mat, prob.penalty)
         k, m = reference_matrices(prob, state, props.d_h, 1.0)
         free = prob.free
         lam = scipy.linalg.eigh(k[free][:, free].toarray(), m[free][:, free].toarray(), eigvals_only=True)[0]
-        rho1 = 1.1 * self.mat.phase1.density
-        rho_h = props.density(rho1, self.mat.phase2.density)
+        rho_h = props.density(1.1 * self.mat.phase1.density, self.mat.phase2.density)
         resonant = MacroProblem(prob.grid, prob.cell, prob.fixed_dofs, prob.force, omega=np.sqrt(lam / rho_h))
-        ev = BatchComplianceEvaluator(resonant, state, self.mat)
+        return BatchComplianceEvaluator(resonant, state, self.mat)
+
+    def test_sample_at_a_macro_resonance_raises(self):
+        ev = self.resonant_evaluator()
         assert np.isfinite(ev.compliance(("rho1",), [[self.mat.phase1.density]])).all()
         with pytest.raises(SingularSystemError):
-            ev.compliance(("rho1",), [[self.mat.phase1.density], [rho1]])
+            ev.compliance(("rho1",), [[self.mat.phase1.density], [1.1 * self.mat.phase1.density]])
+
+    def test_first_sample_above_the_first_natural_frequency_raises(self):
+        # a 30 % heavier phase 1 lowers the first natural frequency below the drive, so the full solve
+        # that starts the macro basis is refused
+        ev = self.resonant_evaluator()
+        with pytest.raises(SingularSystemError, match="at or above the first natural frequency"):
+            ev.compliance(("rho1",), [[1.3 * self.mat.phase1.density]])
 
     def test_split_poisson_set_costs_nineteen_calls(self):
         base = TwoPhaseMaterial(Phase(200e3, 0.32, 7.9e-9), Phase(150e3, 0.22, 0.79e-9))
