@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InfeasibleTargetError
+from .errors import InfeasibleTargetError, SingularSystemError
 from .homogenization import EffectiveProperties, effective_density, seed_cell
 from .materials import TwoPhaseMaterial
 from .problem import DesignState, MacroProblem, X_MIN_DEFAULT, design_weight, weight_gradient
@@ -268,7 +268,10 @@ def run(
     target_fraction = total_mass(problem, state, material) / m0
 
     for _ in range(schedule.max_iterations):
-        objective, cache = ihpa_evaluate(problem, state, base_material, params, kappa=schedule.kappa)
+        try:
+            objective, cache = ihpa_evaluate(problem, state, base_material, params, kappa=schedule.kappa)
+        except SingularSystemError as exc:
+            raise SingularSystemError(f"iteration {state.iteration}: {exc}") from exc
         raw = robust_sensitivity(cache, schedule.kappa, beta=schedule.beta)
 
         xi = normalize(raw, problem, state, cache.props)

@@ -9,11 +9,12 @@ element and DOF numbering all read one table, ``StructuredGrid.node_ids``.
 
 A ``SparsityPattern`` maps each element entry to its slot in LAPACK upper
 band storage, dropping those below the diagonal or on constrained DOFs, so
-one scatter gives the band of the free block of a system.  Only the macro
-mesh is assembled: its dynamic stiffness is the one system factored in a
-run, its free DOFs in a band order (``band_order``; George and Liu,
-*Computer Solution of Large Sparse Positive Definite Systems*, 1981) that
-LAPACK's blocked banded Cholesky ``dpbtrf`` factors.  A drive at or above
+one scatter of a few scaled reference element matrices gives the band of
+the free block of a system without an element stack.  Only the macro mesh
+is assembled: its dynamic stiffness is the one system factored in a run,
+its free DOFs in a band order (``band_order``; George and Liu, *Computer
+Solution of Large Sparse Positive Definite Systems*, 1981) that LAPACK's
+blocked banded Cholesky ``dpbtrf`` factors in place.  A drive at or above
 the first natural frequency makes K - omega^2 M indefinite, where minimum
 dynamic compliance is not defined; Cholesky refuses it and the
 factorization raises ``SingularSystemError``.  No other module builds a
@@ -32,7 +33,6 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg.blas import dsbmv
 from scipy.linalg.lapack import dpbtrf, dpbtrs
 from scipy.sparse.linalg import splu  # unused here; kept as ``rcto.fem.splu`` because perfbench's tracer wraps it
 
@@ -259,43 +259,65 @@ def band_order(node_ids: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class SparsityPattern:
-    """Half-bandwidth kd of an assembled symmetric matrix and the band slot of every element entry.
+    """Half-bandwidth kd of an assembled symmetric matrix and the band slots of the element entries.
 
     The band is LAPACK upper band storage (Users' Guide, 3rd ed., 5.3.4): an F-ordered (kd + 1, n)
-    array with entry (r, c), r <= c, at [kd + r - c, c].  ``positions[e, i * ndof_e + j]`` is the flat
-    slot of entry (dofs[e, i], dofs[e, j]); an entry below the diagonal (its mirror holds the same
-    value) or on a negative DOF id (a constrained DOF) goes one slot past the band, which ``scatter`` drops.
+    array with entry (r, c), r <= c, at [kd + r - c, c].  ``pairs[p]`` is a local entry (i, j) that
+    reaches the band in some element, and ``slots[p, e]`` the flat slot of entry (dofs[e, i], dofs[e, j]);
+    an entry below the diagonal (its mirror holds the same value) or on a negative DOF id (a constrained
+    DOF) goes one slot past the band, which ``scatter`` drops.  Local DOF i of distinct elements is
+    distinct DOFs, so the band slots within one row of ``slots`` are distinct.
     """
 
     n: int
     kd: int
-    positions: np.ndarray
+    pairs: np.ndarray
+    slots: np.ndarray
 
     @classmethod
     def from_dofs(cls, dofs: np.ndarray, n: int) -> "SparsityPattern":
+        dofs = np.asarray(dofs, dtype=np.intp)
+        for local in dofs.T:
+            kept = local[local >= 0]
+            if np.unique(kept).size != kept.size:
+                raise ValueError("a local DOF maps two elements onto one DOF; scatter adds one element per slot")
         kd = int(np.max(dofs.max(axis=1) - np.where(dofs < 0, n, dofs).min(axis=1), initial=0))
-        rows, cols = dofs[:, :, None].astype(np.intp), dofs[:, None, :].astype(np.intp)
-        upper = (rows >= 0) & (rows <= cols)  # both DOFs free, on or above the diagonal
-        positions = np.where(upper, kd + rows - cols + (kd + 1) * cols, (kd + 1) * n).reshape(len(dofs), -1)
-        positions.setflags(write=False)  # shared by every band scattered with this pattern
-        return cls(n, kd, positions)
+        pairs, slots = [], []
+        for i, j in itertools.product(range(dofs.shape[1]), repeat=2):
+            rows, cols = dofs[:, i], dofs[:, j]
+            upper = (rows >= 0) & (rows <= cols)  # both DOFs free, on or above the diagonal
+            if upper.any():
+                pairs.append((i, j))
+                slots.append(np.where(upper, kd + rows - cols + (kd + 1) * cols, (kd + 1) * n))
+        pairs, slots = np.array(pairs, dtype=np.intp).reshape(-1, 2), np.array(slots, dtype=np.intp)
+        for table in (pairs, slots):
+            table.setflags(write=False)  # shared by every band scattered with this pattern
+        return cls(n, kd, pairs, slots)
 
 
-def scatter(pattern: SparsityPattern, elem_mats: np.ndarray) -> np.ndarray:
-    """Sum a (n_elems, ndof_e, ndof_e) stack into the (kd + 1, n) upper band of a pattern."""
+def scatter(pattern: SparsityPattern, scales: np.ndarray, matrices: np.ndarray) -> np.ndarray:
+    """Sum sum_r scales[r, e] matrices[r] over the elements e into the (kd + 1, n) upper band of a pattern.
+
+    ``scales`` is (R, n_elems) and ``matrices`` (R, ndof_e, ndof_e): each element matrix is a combination
+    of R shared ones, so the band is filled one local entry at a time and no element stack is formed.
+    """
     size = (pattern.kd + 1) * pattern.n
-    data = np.bincount(pattern.positions.ravel(), weights=elem_mats.ravel(), minlength=size + 1)
-    return data[:size].reshape((pattern.kd + 1, pattern.n), order="F")
+    flat = np.zeros(size + 1)
+    weights = np.asarray(scales, dtype=float).T
+    for (i, j), slots in zip(pattern.pairs, pattern.slots):
+        flat[slots] += weights @ matrices[:, i, j]  # distinct band slots: no entry is added twice
+    return flat[:size].reshape((pattern.kd + 1, pattern.n), order="F")
 
 
 class FactorizedSystem:
     """Factorization of the free block of a dynamic stiffness, counting backsolves.
 
     ``band`` is the block's upper band (``SparsityPattern``), rows and columns in the order of ``free``
-    (``MacroProblem.free`` is in band order).  ``dpbtrf`` factors a copy; a band it refuses as not positive
-    definite raises ``SingularSystemError``: for symmetric positive definite K and M, K - omega^2 M is
-    definite exactly when omega lies below the first natural frequency.  Solves are checked against the
-    unfactored band.  One factorization serves every right-hand side;
+    (``MacroProblem.free`` is in band order).  ``dpbtrf`` factors it in place, so the caller's band holds
+    the Cholesky factor afterwards; a band it refuses as not positive definite raises
+    ``SingularSystemError``: for symmetric positive definite K and M, K - omega^2 M is definite exactly
+    when omega lies below the first natural frequency.  Solves are checked against the band's nonzero
+    diagonals, copied out before the factorization.  One factorization serves every right-hand side;
     ``calls`` counts FEA calls (linear-system applications), one per right-hand side column.
     """
 
@@ -304,8 +326,10 @@ class FactorizedSystem:
         self.free = np.asarray(free, dtype=np.intp)
         if self.free.size == 0 or self.free.size >= self.n_dofs:
             raise ValueError("need at least one constrained DOF and at least one free DOF")
-        self._band = band
-        self._factor, info = dpbtrf(band)
+        self._kd = len(band) - 1
+        self._rows = np.flatnonzero(np.any(band, axis=1))  # band row kd - d holds diagonal d
+        self._diagonals = band[self._rows]
+        self._factor, info = dpbtrf(band, overwrite_ab=1)
         if info < 0:
             raise ValueError(f"dpbtrf rejected its argument {-info}")
         if info > 0:
@@ -319,6 +343,16 @@ class FactorizedSystem:
     @property
     def calls(self) -> int:
         return self._calls
+
+    def _residual(self, x: np.ndarray, f: np.ndarray) -> np.ndarray:
+        """K x - f for a block x, K read from its kept diagonals and their mirrors."""
+        r, n = -f, len(x)
+        for row, a in zip(self._rows, self._diagonals):
+            d = self._kd - row  # a[c] = K[c - d, c] for c >= d
+            r[: n - d] += a[d:, None] * x[d:]
+            if d:
+                r[d:] += a[d:, None] * x[: n - d]
+        return r
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve K_d u = rhs for a full-length vector or an (n_dofs, k) block.
@@ -336,8 +370,7 @@ class FactorizedSystem:
         if loaded.any():
             f, norm_f = f[:, loaded], norm_f[loaded]
             x = dpbtrs(self._factor, f)[0]
-            kd, band = len(self._band) - 1, self._band
-            residual = np.array([np.linalg.norm(dsbmv(kd, 1.0, band, a, beta=-1.0, y=b)) for a, b in zip(x.T, f.T)])
+            residual = np.linalg.norm(self._residual(x, f), axis=0)
             if not np.all(np.isfinite(residual)) or np.any(residual > RESIDUAL_TOL * norm_f):
                 raise SingularSystemError(
                     "linear solve failed the residual contract "

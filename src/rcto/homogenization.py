@@ -44,6 +44,7 @@ from .materials import _PARTS, TwoPhaseMaterial, voigt_size
 logger = logging.getLogger(__name__)
 
 CG_RTOL = 1e-10  # relative residual at which the cell CG stops
+BASIS_CHUNK = 256  # voxels per block of ``cell_energy_basis``
 
 
 @lru_cache(maxsize=8)
@@ -69,7 +70,10 @@ def _sum_to_masters(grid: StructuredGrid, elem: np.ndarray) -> np.ndarray:
     """Sum element columns (n_voxels, ndof_e, k) into master-DOF columns (n_red, k), 2^dim slots each."""
     slots = corner_tables(grid)[1]
     rows = elem.reshape(slots.size, -1)  # one row per element slot: a voxel's corner
-    return np.take(rows, slots, axis=0).sum(axis=0).reshape(-1, elem.shape[-1])
+    out = rows[slots[0]]
+    for corner in slots[1:]:  # one corner at a time: no (2^dim, n_red, k) stack
+        out += rows[corner]
+    return out.reshape(-1, elem.shape[-1])
 
 
 def cell_operator(grid: StructuredGrid, d_voxels: np.ndarray):
@@ -220,7 +224,7 @@ def solve_cell_problems(grid: StructuredGrid, d_voxels: np.ndarray):
         difference = _difference_operator(grid, d_voxels, d_ref, differ)
         u[:, loaded] = _block_cg(difference, f[:, loaded], _ReferencePreconditioner(grid, d_ref), kappa)
     g = (b.reshape(nq * ncomp, ndof_e) @ _gather(grid, u)).reshape(grid.n_elems, nq, ncomp, ncomp)
-    return np.eye(ncomp) - g, w, u
+    return np.subtract(np.eye(ncomp), g, out=g), w, u
 
 
 def load_floor(grid: StructuredGrid, d_voxels: np.ndarray) -> np.ndarray:
@@ -325,12 +329,20 @@ def effective_density(x: np.ndarray, material: TwoPhaseMaterial, grid: Structure
 
 
 def cell_energy_basis(g: np.ndarray, w: np.ndarray, dim: int) -> np.ndarray:
-    """P[i, k] = sum_q w_q g_iq^T A_k g_iq: (n_voxels, 2, ncomp, ncomp), symmetric in the last two axes."""
+    """P[i, k] = sum_q w_q g_iq^T A_k g_iq: (n_voxels, 2, ncomp, ncomp), symmetric in the last two axes.
+
+    Built BASIS_CHUNK voxels at a time, so its products never hold more than one chunk of strains.
+    """
     n, nq, ncomp, _ = g.shape
-    a_g = (np.array(_PARTS[dim])[None, :, None] @ g[:, None]).reshape(n, 2, nq * ncomp, ncomp)
-    g_w = (g * w[:, None, None]).reshape(n, 1, nq * ncomp, ncomp)
-    p = np.swapaxes(g_w, -1, -2) @ a_g
-    return 0.5 * (p + np.swapaxes(p, -1, -2))
+    parts = np.array(_PARTS[dim])[None, :, None]
+    basis = np.empty((n, 2, ncomp, ncomp))
+    for start in range(0, n, BASIS_CHUNK):
+        chunk = g[start : start + BASIS_CHUNK]
+        a_g = (parts @ chunk[:, None]).reshape(len(chunk), 2, nq * ncomp, ncomp)
+        g_w = (chunk * w[:, None, None]).reshape(len(chunk), 1, nq * ncomp, ncomp)
+        p = np.swapaxes(g_w, -1, -2) @ a_g
+        basis[start : start + len(chunk)] = 0.5 * (p + np.swapaxes(p, -1, -2))
+    return basis
 
 
 def phase_moments(basis: np.ndarray, eta: np.ndarray, volume: float) -> np.ndarray:

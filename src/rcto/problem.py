@@ -16,6 +16,7 @@ from functools import cached_property
 import numpy as np
 
 from . import fem
+from .errors import SingularSystemError
 from .fem import StructuredGrid
 from .homogenization import EffectiveProperties
 from .materials import TwoPhaseMaterial
@@ -115,16 +116,21 @@ def weight_gradient(problem: MacroProblem, state: DesignState, rho_h: float, del
 def factorized_dynamic(problem: MacroProblem, state: DesignState, d_h: np.ndarray, rho_h: float):
     """Banded Cholesky of the free block of K - omega^2 M.
 
-    One scatter of s_e k(D_h) - omega^2 rho_h x_e m over the elements builds the block's band, its only stored form.
-    A drive at or above the design's first natural frequency raises ``SingularSystemError``.
+    Element e of the block is s_e k(D_h) - omega^2 rho_h x_e m, two scales times two shared reference
+    matrices, so one scatter of those builds the block's band, its only stored form, which is factored in
+    place.  A drive at or above the design's first natural frequency raises ``SingularSystemError``
+    naming the drive.
     """
     grid = problem.grid
-    s = stiffness_scale(state.x_macro, problem.penalty, state.x_min)
-    elem = s[:, None, None] * fem.element_stiffness_batch(np.asarray(d_h)[None], grid.spacing)
-    elem -= (problem.omega**2 * rho_h * state.x_macro)[:, None, None] * fem.element_mass(1.0, grid.spacing)
-    band = fem.scatter(problem.pattern, elem)
-    del elem  # release the element stack before the factorization copies the band
-    return fem.FactorizedSystem(band, problem.free, grid.n_dofs)
+    scales = np.stack([stiffness_scale(state.x_macro, problem.penalty, state.x_min),
+                       -problem.omega**2 * rho_h * state.x_macro])
+    matrices = np.stack([fem.element_stiffness_batch(np.asarray(d_h)[None], grid.spacing)[0],
+                         fem.element_mass(1.0, grid.spacing)])
+    band = fem.scatter(problem.pattern, scales, matrices)
+    try:
+        return fem.FactorizedSystem(band, problem.free, grid.n_dofs)
+    except SingularSystemError as exc:
+        raise SingularSystemError(f"drive {problem.omega / (2.0 * np.pi):g} Hz: {exc}") from exc
 
 
 def element_strains(grid: StructuredGrid, u: np.ndarray) -> np.ndarray:

@@ -1,6 +1,7 @@
 """Shared builders for the test suite."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -155,6 +156,17 @@ def assert_same_band(band, ref):
     ref = ref.toarray() if scipy.sparse.issparse(ref) else ref
     assert band.shape[1] == ref.shape[0]
     assert np.abs(band - upper_band(ref, band.shape[0] - 1)).max() <= 1e-14 * np.abs(ref).max()
+
+
+def traced_peak(fn):
+    """(fn(), the peak bytes that Python and numpy held above the start while fn ran), by ``tracemalloc``."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak
 
 
 def refuse_sparse_matrices(monkeypatch, refuse):

@@ -653,6 +653,7 @@ class TestCli:
         assert main(["run", "--config", write_config(tmp_path, doc), "--out", str(out), "--mode", mode]) == 3
         err = capsys.readouterr().err
         assert "error[numerical]" in err and "at or above the first natural frequency" in err
+        assert "iteration 0: drive 5000 Hz: Cholesky refused" in err
         assert not (out / "summary.json").exists()
 
     def test_io_error_exit_code(self, tmp_path, capsys):

@@ -10,6 +10,7 @@ from rcto.config import build_problem, parse_config
 from rcto.errors import NumericalError, SingularSystemError
 from rcto.fem import StructuredGrid, element_stiffness_batch, strain_operators
 from rcto.homogenization import (
+    cell_energy_basis,
     cell_loads,
     cell_operator,
     corner_tables,
@@ -32,6 +33,7 @@ from conftest import (
     reference_d_h_derivative,
     refuse_sparse_matrices,
     steel_foam,
+    traced_peak,
 )
 
 X_MIN = 1e-6
@@ -468,6 +470,23 @@ class TestCellEnergyBasis:
         got = props.d_h_derivative(wrt)
         assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
         assert np.array_equal(got, got.T)
+
+
+    def test_chunks_leave_the_basis_bitwise_unchanged(self, rng, monkeypatch):
+        grid, x = self._cell(rng, (4, 3, 5))
+        g, w, _ = solve_cell_problems(grid, micro_elasticity(x, self.mat, 3.0, grid.dim))
+        whole = cell_energy_basis(g, w, grid.dim)
+        monkeypatch.setattr(homogenization, "BASIS_CHUNK", 7)  # 60 voxels: eight chunks, the last of four
+        assert np.array_equal(cell_energy_basis(g, w, grid.dim), whole)
+
+    def test_working_set_of_a_3d_homogenization(self):
+        # the prism_3d seed cell, 14^3 voxels: its strain fields g alone take 6.3 MiB
+        cfg = parse_config(str(CONFIGS / "prism_3d.yaml"))
+        cell = cfg.cell_grid()
+        x = seed_cell(cell, cfg.seed_fraction, cfg.x_min)
+        props, peak = traced_peak(lambda: homogenize(cell, x, cfg.base_material, cfg.penalty))
+        assert props.basis.shape == (14**3, 2, 6, 6)
+        assert peak < 16 * 2**20
 
 
 class TestSeedAndFormatting:

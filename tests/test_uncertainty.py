@@ -1,7 +1,6 @@
 """Hybrid parameter model, perturbation analysis, and the Monte Carlo oracle."""
 
 import pathlib
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -42,6 +41,7 @@ from conftest import (
     reference_matrices,
     refuse_sparse_matrices,
     steel_foam,
+    traced_peak,
 )
 
 CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
@@ -406,12 +406,7 @@ class TestMcsEvaluate:
         cfg = parse_config(str(CONFIGS / "cantilever_small.yaml"))
         prob = build_problem(cfg)
         state = initial_state(prob, x_min=cfg.x_min, seed_fraction=cfg.seed_fraction)
-        tracemalloc.start()
-        try:
-            res = mcs_evaluate(prob, state, cfg.base_material, cfg.params, 16, 20, seed=1)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        res, peak = traced_peak(lambda: mcs_evaluate(prob, state, cfg.base_material, cfg.params, 16, 20, seed=1))
         assert res.fea_calls == 20800
         assert peak < 4 * 2**20
 
