@@ -238,9 +238,12 @@ def run(
 ) -> OptimizationResult:
     """Full concurrent optimization loop; deterministic when params is empty.
 
-    Per iteration: homogenize, evaluate, build sensitivities, normalize,
-    filter, average with history, update both scales against the scheduled
-    weight budget, and test convergence once the target fraction is reached.
+    Per iteration: homogenize, evaluate, test convergence once the target
+    fraction is reached, and unless the run stops there build sensitivities,
+    normalize, filter, average with history and update both scales against
+    the scheduled weight budget.  The perturbation vectors are released
+    before the next evaluation; the filtered field stays for the history
+    average.
     """
     material = params.mean_material(base_material)
     state = initial_state(problem, x_min=x_min, seed_fraction=seed_fraction)
@@ -272,12 +275,6 @@ def run(
             objective, cache = ihpa_evaluate(problem, state, base_material, params, kappa=schedule.kappa)
         except SingularSystemError as exc:
             raise SingularSystemError(f"iteration {state.iteration}: {exc}") from exc
-        raw = robust_sensitivity(cache, schedule.kappa, beta=schedule.beta)
-
-        xi = normalize(raw, problem, state, cache.props)
-        filtered = SensitivityField(filt_macro.apply(xi.macro), filt_micro.apply(xi.micro))
-        smoothed = history_average(filtered, previous_field)
-        previous_field = filtered
 
         mass_now = total_mass(problem, state, material)
         history.append(
@@ -306,6 +303,12 @@ def run(
         if len(history) == schedule.max_iterations:
             break  # return the design the last objective was evaluated at
 
+        # sensitivities only for an update: neither stop above reads them
+        xi = normalize(robust_sensitivity(cache, schedule.kappa, beta=schedule.beta), problem, state, cache.props)
+        del cache  # its perturbation vectors and cell basis would otherwise live through the next evaluation
+        filtered = SensitivityField(filt_macro.apply(xi.macro), filt_micro.apply(xi.micro))
+        smoothed = history_average(filtered, previous_field)
+        previous_field = filtered
         target_fraction = update_weight_target(
             target_fraction, schedule.target_weight_fraction, schedule.evolution_ratio
         )

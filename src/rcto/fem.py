@@ -17,8 +17,13 @@ Solution of Large Sparse Positive Definite Systems*, 1981) that LAPACK's
 blocked banded Cholesky ``dpbtrf`` factors in place.  A drive at or above
 the first natural frequency makes K - omega^2 M indefinite, where minimum
 dynamic compliance is not defined; Cholesky refuses it and the
-factorization raises ``SingularSystemError``.  No other module builds a
-sparse matrix, and the periodic cell is never assembled.
+factorization raises ``SingularSystemError``.  The periodic cell is never
+assembled.
+
+No run path builds a sparse matrix: ``scipy.sparse`` is imported only inside
+the reference assemblers the tests compare against (``assemble``,
+``sum_to_csc``, ``solve_system``), so ``import rcto`` does not load it.
+``rcto.fem.splu`` resolves lazily through the module ``__getattr__``.
 
 Unit system: N, mm, tonne, s (so moduli in MPa, densities in tonne/mm^3,
 frequencies converted to rad/s by the caller).
@@ -32,13 +37,20 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.linalg.lapack import dpbtrf, dpbtrs
-from scipy.sparse.linalg import splu  # unused here; kept as ``rcto.fem.splu`` because perfbench's tracer wraps it
 
 from .errors import SingularSystemError
 
 RESIDUAL_TOL = 1e-9
+
+
+def __getattr__(name: str):
+    # ``rcto.fem.splu`` is unused here and kept only because perfbench's tracer wraps it; ROADMAP item 4 drops both
+    if name == "splu":
+        from scipy.sparse.linalg import splu
+
+        return splu
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True)
@@ -221,8 +233,8 @@ def element_matrices_batch(d_mats: np.ndarray, rhos: np.ndarray, spacing) -> tup
     return element_stiffness_batch(d_mats, spacing), m
 
 
-def assemble(grid: StructuredGrid, d_mats, rhos) -> tuple[sp.csc_matrix, sp.csc_matrix]:
-    """Assemble global (K, M) from one elasticity matrix and density per element.
+def assemble(grid: StructuredGrid, d_mats, rhos):
+    """Assemble global CSC (K, M) from one elasticity matrix and density per element.
 
     d_mats may be a single (ncomp, ncomp) matrix or a (n_elems, ncomp, ncomp)
     stack; rhos a scalar or (n_elems,) vector.
@@ -240,8 +252,10 @@ def assemble(grid: StructuredGrid, d_mats, rhos) -> tuple[sp.csc_matrix, sp.csc_
     return sum_to_csc(grid.elem_dofs, grid.n_dofs, k_all), sum_to_csc(grid.elem_dofs, grid.n_dofs, m_all)
 
 
-def sum_to_csc(dofs: np.ndarray, n: int, elem_mats: np.ndarray) -> sp.csc_matrix:
+def sum_to_csc(dofs: np.ndarray, n: int, elem_mats: np.ndarray):
     """Sum a (n_elems, ndof_e, ndof_e) stack on the DOFs ``dofs`` into an n x n CSC matrix by plain COO assembly."""
+    import scipy.sparse as sp
+
     rows, cols = np.broadcast_arrays(dofs[:, :, None], dofs[:, None, :])
     return sp.csc_matrix((elem_mats.ravel(), (rows.ravel(), cols.ravel())), shape=(n, n))
 
@@ -344,41 +358,55 @@ class FactorizedSystem:
     def calls(self) -> int:
         return self._calls
 
-    def _residual(self, x: np.ndarray, f: np.ndarray) -> np.ndarray:
-        """K x - f for a block x, K read from its kept diagonals and their mirrors."""
-        r, n = -f, len(x)
-        for row, a in zip(self._rows, self._diagonals):
-            d = self._kd - row  # a[c] = K[c - d, c] for c >= d
-            r[: n - d] += a[d:, None] * x[d:]
-            if d:
-                r[d:] += a[d:, None] * x[: n - d]
-        return r
+    def _residual_into(self, x: np.ndarray, f: np.ndarray) -> np.ndarray:
+        """Overwrite a block f with K x - f column by column, K read from its kept diagonals and their mirrors."""
+        n = len(x)
+        for xc, rc in zip(x.T, f.T):
+            np.negative(rc, out=rc)
+            for row, a in zip(self._rows, self._diagonals):
+                d = self._kd - row  # a[c] = K[c - d, c] for c >= d
+                rc[: n - d] += a[d:] * xc[d:]
+                if d:
+                    rc[d:] += a[d:] * xc[: n - d]
+        return f
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve K_d u = rhs for a full-length vector or an (n_dofs, k) block.
 
         A block is one backsolve call and counts as k FEA calls.  Each column
-        must pass the residual contract relative to its own norm; a zero
-        column gives a zero solution.
+        must pass the residual contract relative to its own norm.  A zero
+        column needs no mask: ``dpbtrs`` returns exact zeros for it, whose
+        residual 0 meets the contract.  The free rows are copied once, in the
+        Fortran order ``dpbtrs`` reads, and that copy then holds the residual,
+        so a block costs its copy, its solution and the returned u.
         """
         rhs = np.asarray(rhs, dtype=float)
-        f = rhs[self.free].reshape(self.free.size, -1)
+        block = rhs.reshape(self.n_dofs, -1)
+        f = np.empty((self.free.size, block.shape[1]), order="F")  # the layout dpbtrs reads without a copy
+        for j, column in enumerate(block.T):
+            f[:, j] = column[self.free]
         self._calls += f.shape[1]
-        norm_f = np.linalg.norm(f, axis=0)
-        loaded = norm_f > 0.0
-        u = np.zeros((self.n_dofs, f.shape[1]))
-        if loaded.any():
-            f, norm_f = f[:, loaded], norm_f[loaded]
-            x = dpbtrs(self._factor, f)[0]
-            residual = np.linalg.norm(self._residual(x, f), axis=0)
-            if not np.all(np.isfinite(residual)) or np.any(residual > RESIDUAL_TOL * norm_f):
-                raise SingularSystemError(
-                    "linear solve failed the residual contract "
-                    f"(|r|/|f| = {np.max(residual / norm_f):.3e} > {RESIDUAL_TOL}); "
-                    "the excitation frequency may sit at a resonance"
-                )
-            u[np.ix_(self.free, loaded)] = x
-        return u.reshape((self.n_dofs,) + rhs.shape[1:])
+        norm_f = _column_norms(f)
+        x = dpbtrs(self._factor, f)[0]
+        residual = _column_norms(self._residual_into(x, f))
+        del f  # u takes the residual's place
+        failed = ~(residual <= RESIDUAL_TOL * norm_f)  # a NaN residual fails
+        if failed.any():
+            with np.errstate(divide="ignore", invalid="ignore"):
+                ratio = np.max(residual[failed] / norm_f[failed])
+            raise SingularSystemError(
+                "linear solve failed the residual contract "
+                f"(|r|/|f| = {ratio:.3e} > {RESIDUAL_TOL}); "
+                "the excitation frequency may sit at a resonance"
+            )
+        u = np.zeros((self.n_dofs, x.shape[1]))
+        u[self.free] = x
+        return u.reshape(rhs.shape)
+
+
+def _column_norms(a: np.ndarray) -> np.ndarray:
+    """2-norm of each column of a block, without the block of squares that ``np.linalg.norm(a, axis=0)`` forms."""
+    return np.sqrt(np.einsum("ij,ij->j", a, a))
 
 
 def solve_system(k, m, omega: float, f: np.ndarray, fixed: np.ndarray) -> np.ndarray:
@@ -386,6 +414,8 @@ def solve_system(k, m, omega: float, f: np.ndarray, fixed: np.ndarray) -> np.nda
 
     Raises ``SingularSystemError`` when omega is at or above the first natural frequency (``FactorizedSystem``).
     """
+    import scipy.sparse as sp
+
     free = np.setdiff1d(np.arange(k.shape[0]), fixed)
     upper = sp.triu((k - omega**2 * m).tocsc()[free][:, free], format="coo")  # a CSC block holds no duplicates
     kd = int(np.max(upper.col - upper.row, initial=0))

@@ -150,20 +150,32 @@ def apply_parameter_operator(
     dd (..., ncomp, ncomp) symmetric, drho (...) and u (..., n_dofs)
     broadcast against each other.  Element e adds s_e u_e k(dD) - omega^2
     drho x_e u_e m to its DOFs, with k(dD) from the reference stiffness
-    basis and m the unit consistent mass.
+    basis and m the unit consistent mass.  The operators are applied one
+    at a time into the output, so no (..., n_elems, ndof_e) stack of the
+    whole broadcast is formed; each DOF sums its element forces in element
+    order, as one ``bincount`` over the stack would.
     """
     grid = problem.grid
+    dd, drho, u = np.asarray(dd), np.asarray(drho, dtype=float), np.asarray(u)
+    lead = np.broadcast_shapes(dd.shape[:-2], drho.shape, u.shape[:-1])
     k = fem.element_stiffness_batch(dd.reshape((-1,) + dd.shape[-2:]), grid.spacing)
-    s = stiffness_scale(state.x_macro, problem.penalty, state.x_min)
-    ue = u[..., grid.elem_dofs]  # gathered once for the stiffness and the mass term
-    forces = s[:, None] * (ue @ k.reshape(dd.shape[:-2] + k.shape[-2:]))
-    m_u = state.x_macro[:, None] * (ue @ fem.element_mass(1.0, grid.spacing))
-    forces = forces - problem.omega**2 * np.asarray(drho)[..., None, None] * m_u
-    lead = forces.shape[:-2]
-    offsets = grid.n_dofs * np.arange(int(np.prod(lead)))
-    index = (offsets[:, None] + grid.elem_dofs.ravel()).ravel()
-    out = np.bincount(index, weights=forces.ravel(), minlength=offsets.size * grid.n_dofs)
-    return out.reshape(lead + (grid.n_dofs,))
+    k = np.broadcast_to(k.reshape(dd.shape[:-2] + k.shape[-2:]), lead + k.shape[-2:])
+    mass_scale = np.broadcast_to(problem.omega**2 * drho, lead)
+    fields = np.broadcast_to(u, lead + u.shape[-1:])
+    s = stiffness_scale(state.x_macro, problem.penalty, state.x_min)[:, None]
+    m = fem.element_mass(1.0, grid.spacing)
+    dofs = grid.elem_dofs.ravel()
+    out = np.empty(lead + (grid.n_dofs,))
+    for i in np.ndindex(lead):
+        ue = fields[i][grid.elem_dofs]
+        forces = ue @ k[i]
+        forces *= s
+        mass = ue @ m
+        mass *= state.x_macro[:, None]
+        mass *= mass_scale[i]
+        forces -= mass
+        out[i] = np.bincount(dofs, weights=forces.ravel(), minlength=grid.n_dofs)
+    return out
 
 
 def parameter_to_matrices(

@@ -234,12 +234,16 @@ def ihpa_evaluate(
     u0 = system.solve(f)
     c0 = mean_compliance(f, u0)
     # the interval derivative has the random one's right-hand side; the 1 + 3n count keeps both columns
-    g_u0 = apply_parameter_operator(problem, state, dd, drho, u0)
-    du = system.solve(-np.concatenate([g_u0, g_u0]).T).T
+    rhs = np.empty((2, n, f.size))
+    rhs[0] = apply_parameter_operator(problem, state, dd, drho, u0)
+    np.negative(rhs[0], out=rhs[0])
+    rhs[1] = rhs[0]
+    du = system.solve(rhs.reshape(2 * n, f.size).T).T
+    del rhs
     du_random = du[n:]
     cross = 2.0 * apply_parameter_operator(problem, state, dd, drho, du_random)
     cross += apply_parameter_operator(problem, state, d2d, d2rho, u0)
-    d2u_cross = system.solve(-cross.T).T
+    d2u_cross = system.solve(np.negative(cross, out=cross).T).T
 
     scales = params.scales()
     f_du_rand = du_random @ f

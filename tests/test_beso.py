@@ -5,6 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
+import rcto.beso
 from rcto.errors import InfeasibleTargetError
 from rcto.fem import StructuredGrid, mean_compliance
 from rcto.homogenization import effective_density, homogenize, seed_cell
@@ -249,6 +250,26 @@ class TestRun:
         res = run(prob, self.mat, params, sched, r_min_macro=1.5, r_min_micro=0.12)
         assert res.history[-1].std > 0.0
         assert res.history[-1].objective > res.history[-1].expectation
+
+    def test_neither_stop_builds_the_last_iterations_sensitivities(self, monkeypatch):
+        # only the update reads the sensitivities, and both stops leave the loop before it
+        calls = []
+        robust = rcto.beso.robust_sensitivity
+        monkeypatch.setattr(rcto.beso, "robust_sensitivity", lambda *args, **kw: calls.append(1) or robust(*args, **kw))
+        prob = cantilever(6, 2, cell_n=4, omega=2 * np.pi * 100.0)
+        params = hybrid_params(self.mat, mean_frac=0.05, cov=0.05, sigma_frac=0.05)
+        histories = []
+        for iterations in (2, 3):
+            calls.clear()
+            sched = Schedule(target_weight_fraction=0.6, max_iterations=iterations)
+            res = run(prob, self.mat, params, sched, r_min_macro=1.5, r_min_micro=0.12)
+            assert not res.converged and len(calls) == iterations - 1
+            histories.append(res.history)
+        assert histories[0] == histories[1][:2]  # the pass a 2-iteration run skips changes nothing it returns
+        calls.clear()
+        sched = Schedule(target_weight_fraction=1.0, max_iterations=60)
+        res = run(cantilever(4, 2, cell_n=4), self.mat, UncertainSet(), sched, r_min_macro=1.5, r_min_micro=0.12)
+        assert res.converged and len(calls) == len(res.history) - 1
 
     def test_schedule_needs_one_iteration(self):
         # the result reports the last evaluated objective, so an empty loop is rejected up front

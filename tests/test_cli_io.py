@@ -758,10 +758,12 @@ class TestCli:
         h2 = open(os.path.join(out2, "history.csv"), "rb").read()
         assert h1 == h2
 
-    def test_import_leaves_out_scipy_ndimage(self):
-        # the sensitivity filter once imported scipy.ndimage, about 0.1 s of every start-up, for one call
+    @pytest.mark.parametrize("module", ["scipy.ndimage", "scipy.sparse"])
+    def test_import_leaves_out_unused_scipy_modules(self, module):
+        # the sensitivity filter once imported scipy.ndimage, about 0.1 s of every start-up, for one call;
+        # scipy.sparse builds only the reference matrices of the tests, and held about 4 MB of every run
         src = os.path.join(HERE, "..", "src")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        code = "import sys, rcto.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.ndimage')))"
+        code = f"import sys, rcto.cli; print(sorted(m for m in sys.modules if m.startswith({module!r})))"
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
         assert out.stdout.strip() == "[]"
