@@ -8,9 +8,11 @@ most voxels share and Delta K that of D_i - D_ref over the voxels that
 differ.  The FFT-diagonalized K_ref preconditions the CG (Zeman et al., J.
 Comput. Phys. 2010) and gives K_ref p by a recurrence, so an iteration
 applies Delta K alone, with neither a factorization nor an assembled
-matrix.  It returns the effective density and elasticity matrix together
-with the cell-energy basis that every derivative reads.  With g_iq the
-corrected strains (eps0 - eps) of the unit test strains at Gauss point q of voxel i, the basis is
+matrix.  The solve returns only the zero-mean correctors u; readers take
+what they need from u through one gather and one full-cell operator.  With
+g_iq = I - B u_e the corrected strains (eps0 - eps) of the unit test strains
+at Gauss point q of voxel i, formed one block of voxels at a time, the
+cell-energy basis that D_h and every derivative read is
 P[i, k] = sum_q w_q g_iq^T A_k g_iq for the two constant material parts
 A0, A1.  Each phase elasticity is c[p, 0] A0 + c[p, 1] A1
 (``materials.phase_coefficients``), so D_h, its derivatives with respect to
@@ -60,10 +62,13 @@ def corner_tables(grid: StructuredGrid) -> tuple[np.ndarray, np.ndarray]:
     return nodes, slots
 
 
-def _gather(grid: StructuredGrid, u: np.ndarray) -> np.ndarray:
-    """Element DOF values (n_voxels, ndof_e, k) of a block (n_red, k) of master-DOF vectors."""
-    nodes = corner_tables(grid)[0]
-    return np.take(u.reshape(len(nodes), -1), nodes, axis=0).reshape(len(nodes), -1, u.shape[-1])
+def _gather(grid: StructuredGrid, u: np.ndarray, nodes: np.ndarray | None = None) -> np.ndarray:
+    """Element DOF values (n, ndof_e, k) of a block (n_red, k) of master-DOF vectors at the rows ``nodes``
+    (n, 2^dim) of the corner node table, by default all of it."""
+    if nodes is None:
+        nodes = corner_tables(grid)[0]
+    u_nodes = u.reshape(grid.n_elems, -1)  # master node v holds DOFs dim * v + a
+    return np.take(u_nodes, nodes, axis=0).reshape(len(nodes), nodes.shape[1] * grid.dim, u.shape[-1])
 
 
 def _sum_to_masters(grid: StructuredGrid, elem: np.ndarray) -> np.ndarray:
@@ -76,16 +81,38 @@ def _sum_to_masters(grid: StructuredGrid, elem: np.ndarray) -> np.ndarray:
     return out.reshape(-1, elem.shape[-1])
 
 
-def cell_operator(grid: StructuredGrid, d_voxels: np.ndarray):
-    """u -> K u on blocks (n_red, k) for the periodic cell stiffness K of the per-voxel elasticities."""
-    k_e = element_stiffness_batch(d_voxels, grid.spacing)
+def cell_operator(grid: StructuredGrid, k_e: np.ndarray):
+    """u -> K u on blocks (n_red, k) for the periodic cell stiffness K of the element matrices k_e: one
+    (ndof_e, ndof_e) matrix for every voxel, or one per voxel (n_voxels, ndof_e, ndof_e)."""
     return lambda u: _sum_to_masters(grid, k_e @ _gather(grid, u))
 
 
-def cell_loads(grid: StructuredGrid, d_voxels: np.ndarray) -> np.ndarray:
-    """Reduced load vectors (n_red, ncomp): integral of B^T D eps0, one column per test strain."""
+def cell_loads(grid: StructuredGrid, d_voxels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Reduced load vectors (n_red, ncomp), the integral of B^T D eps0 per test strain, and the rounding floor
+    (ncomp,) of each column's 2-norm.
+
+    A computed load entry sums 2^dim element entries, each a dot product of
+    length ncomp, so it lies within (2^dim + ncomp) eps of the exact load
+    relative to the same sums in absolute values (Higham, Accuracy and
+    Stability of Numerical Algorithms, sec. 3.1).  A column below that floor
+    cannot be told from the exact zero load of a homogeneous cell: its
+    correctors are zero, and the D_h error is f^T K^-1 f, second order in it.
+    """
     b, _, w = strain_operators(grid.spacing)
-    return _sum_to_masters(grid, np.einsum("q,qce->ec", w, b) @ d_voxels)
+    b_w = np.einsum("q,qce->ec", w, b)
+    magnitude = _sum_to_masters(grid, np.abs(b_w) @ np.abs(d_voxels))
+    floors = (2**grid.dim + voigt_size(grid.dim)) * np.finfo(float).eps * np.linalg.norm(magnitude, axis=0)
+    return _sum_to_masters(grid, b_w @ d_voxels), floors
+
+
+def corrected_strains(grid: StructuredGrid, u: np.ndarray, voxels=slice(None)) -> np.ndarray:
+    """g = I - B u_e: (n, nq, ncomp, ncomp), column c the corrected strain eps0_c - eps_c at each Gauss point
+    of the selected voxels, for the correctors u (n_red, ncomp) of ``solve_cell_problems``."""
+    b = strain_operators(grid.spacing)[0]
+    nq, ncomp, ndof_e = b.shape
+    u_e = _gather(grid, u, corner_tables(grid)[0][voxels])
+    g = (b.reshape(nq * ncomp, ndof_e) @ u_e).reshape(len(u_e), nq, ncomp, ncomp)
+    return np.subtract(np.eye(ncomp), g, out=g)
 
 
 def reference_split(d_voxels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -111,10 +138,9 @@ def _difference_operator(grid: StructuredGrid, d_voxels: np.ndarray, d_ref: np.n
     k_e = element_stiffness_batch(d_voxels[differ] - d_ref, grid.spacing)
 
     def apply(u: np.ndarray) -> np.ndarray:
-        u_nodes = u.reshape(grid.n_elems, -1)  # master node v holds DOFs dim * v + a
-        u_e = u_nodes[nodes].reshape(k_e.shape[:2] + u.shape[1:])
-        forces = (k_e @ u_e).reshape(nodes.shape + u_nodes.shape[1:])
-        out = np.zeros_like(u_nodes)
+        width = grid.dim * u.shape[1]  # a node's values; explicit, as an empty difference set has none
+        forces = (k_e @ _gather(grid, u, nodes)).reshape(nodes.shape + (width,))
+        out = np.zeros((grid.n_elems, width))
         for a, corner in enumerate(nodes.T):  # corner a of distinct voxels is distinct nodes: no index repeats
             out[corner] += forces[:, a]
         return out.reshape(u.shape)
@@ -152,16 +178,13 @@ class _ReferencePreconditioner:
     2010).  The zero frequency (rigid translation) is mapped to zero, so
     K_ref z = r - mean(r) per direction for z = K_ref^+ r.  ``condition`` is
     the ratio of the extreme eigenvalues of the other blocks, the condition
-    number of K_ref on zero-mean fields.  ``stiffness`` applies K_ref itself
-    through the element matrix, independent of the FFT.
+    number of K_ref on zero-mean fields.
     """
 
-    def __init__(self, grid: StructuredGrid, d_ref: np.ndarray):
+    def __init__(self, grid: StructuredGrid, k_ref: np.ndarray):
         dim, corners = grid.dim, 2**grid.dim
-        self.grid = grid
         self.shape = grid.shape[::-1]  # master DOF dim * node + a is entry (..., y, x, a) in C order
-        self.element = element_stiffness_batch(d_ref[None], grid.spacing)[0]
-        k = self.element.reshape(corners, dim, corners, dim)
+        k = k_ref.reshape(corners, dim, corners, dim)
         axes = [2.0 * np.pi * np.fft.fftfreq(n) for n in grid.shape]
         axes[0] = 2.0 * np.pi * np.fft.rfftfreq(grid.shape[0])  # rfftn halves the last array axis, x
         xi = np.meshgrid(*axes[::-1], indexing="ij")[::-1]
@@ -182,25 +205,21 @@ class _ReferencePreconditioner:
         z_hat = sum(self.inverse[..., j, None] * r_hat[..., None, j, :] for j in range(r_hat.shape[-2]))
         return np.fft.irfftn(z_hat, s=self.shape, axes=axes).reshape(r.shape)
 
-    def stiffness(self, u: np.ndarray) -> np.ndarray:
-        """K_ref u for a block u (n_red, k)."""
-        return _sum_to_masters(self.grid, self.element @ _gather(self.grid, u))
 
-
-def solve_cell_problems(grid: StructuredGrid, d_voxels: np.ndarray):
+def solve_cell_problems(grid: StructuredGrid, d_voxels: np.ndarray) -> np.ndarray:
     """Solve the periodic cell problems for all unit test strains.
 
     d_voxels: (n_voxels, ncomp, ncomp) elasticity matrix per voxel.
-    Returns (g, w, u): corrected strain matrices g (n_voxels, nq, ncomp,
-    ncomp) whose column c is (eps0_c - eps_c) at each Gauss point, the Gauss
-    weights w, and the zero-mean reduced periodic solution u (n_red_dofs, ncomp).
+    Returns the zero-mean reduced periodic correctors u (n_red_dofs, ncomp),
+    one column per unit test strain (``corrected_strains`` reads g from them).
 
-    One block conjugate-gradient run over the ncomp load columns on the cell
+    One block conjugate-gradient run over the loaded columns on the cell
     stiffness K = K_ref + Delta K, preconditioned by the FFT inverse of K_ref.
     D_ref is the majority voxel elasticity (``reference_split``), so Delta K
     touches only the voxels that differ from it: on a two-valued design at
-    most half the cell.  Each answer must meet ``fem.RESIDUAL_TOL`` in its
-    true residual on the zero-mean load.
+    most half the cell.  A column whose load lies below its rounding floor
+    (``cell_loads``) is the zero load and gets zero correctors.  Each answer
+    must meet ``fem.RESIDUAL_TOL`` in its true residual on the zero-mean load.
     """
     ncomp = voigt_size(grid.dim)
     d_voxels = np.asarray(d_voxels, dtype=float)
@@ -208,34 +227,16 @@ def solve_cell_problems(grid: StructuredGrid, d_voxels: np.ndarray):
         raise ValueError(f"expected per-voxel D of shape {(grid.n_elems, ncomp, ncomp)}")
     d_ref, differ = reference_split(d_voxels)
     kappa = _phase_contrast(d_voxels[differ], d_ref)
-    b, _, w = strain_operators(grid.spacing)
-    nq, _, ndof_e = b.shape
-    f = _zero_mean(cell_loads(grid, d_voxels), grid.dim)
-    # A computed load entry sums 2^dim element entries, each a dot product of
-    # length ncomp, so it lies within (2^dim + ncomp) eps of the exact load
-    # relative to the same sums in absolute values (Higham, Accuracy and
-    # Stability of Numerical Algorithms, sec. 3.1).  A column below that floor
-    # cannot be told from the exact zero load of a homogeneous cell: its
-    # correctors are zero, and the D_h error this makes is f^T K^-1 f, second
-    # order in the floor.
-    loaded = np.linalg.norm(f, axis=0) > load_floor(grid, d_voxels)
+    f, floors = cell_loads(grid, d_voxels)
+    f = _zero_mean(f, grid.dim)
+    loaded = np.linalg.norm(f, axis=0) > floors
     u = np.zeros_like(f)
     if loaded.any():
+        k_ref = element_stiffness_batch(d_ref[None], grid.spacing)[0]
         difference = _difference_operator(grid, d_voxels, d_ref, differ)
-        u[:, loaded] = _block_cg(difference, f[:, loaded], _ReferencePreconditioner(grid, d_ref), kappa)
-    g = (b.reshape(nq * ncomp, ndof_e) @ _gather(grid, u)).reshape(grid.n_elems, nq, ncomp, ncomp)
-    return np.subtract(np.eye(ncomp), g, out=g), w, u
-
-
-def load_floor(grid: StructuredGrid, d_voxels: np.ndarray) -> np.ndarray:
-    """Rounding floor (ncomp,) of the 2-norm of each ``cell_loads`` column.
-
-    It is (2^dim + ncomp) eps times the norm of the same sums taken in
-    absolute values, so it grows with every entry of |d_voxels|.
-    """
-    b, _, w = strain_operators(grid.spacing)
-    magnitude = _sum_to_masters(grid, np.abs(np.einsum("q,qce->ec", w, b)) @ np.abs(d_voxels))
-    return (2**grid.dim + voigt_size(grid.dim)) * np.finfo(float).eps * np.linalg.norm(magnitude, axis=0)
+        reference = _ReferencePreconditioner(grid, k_ref)
+        u[:, loaded] = _block_cg(cell_operator(grid, k_ref), difference, f[:, loaded], reference, kappa)
+    return u
 
 
 def _zero_mean(v: np.ndarray, dim: int) -> np.ndarray:
@@ -244,12 +245,12 @@ def _zero_mean(v: np.ndarray, dim: int) -> np.ndarray:
     return (nodal - nodal.mean(axis=0)).reshape(v.shape)
 
 
-def _block_cg(difference, f: np.ndarray, reference: _ReferencePreconditioner, kappa: float) -> np.ndarray:
+def _block_cg(stiffness, difference, f: np.ndarray, reference: _ReferencePreconditioner, kappa: float) -> np.ndarray:
     """Preconditioned CG for K = K_ref + Delta K on every column of the zero-mean block f, checked by its true residual.
 
-    ``difference`` applies Delta K; ``reference`` applies K_ref^+ and, for the
-    final check only, K_ref.  The loop never forms K_ref p: for z = K_ref^+ r,
-    K_ref z is r less its mean per direction, so p <- z + beta p carries
+    ``stiffness`` applies K_ref, for the final check only; ``difference``
+    applies Delta K and ``reference`` K_ref^+.  The loop never forms K_ref p:
+    for z = K_ref^+ r, K_ref z is r less its mean per direction, so p <- z + beta p carries
     s = K_ref p by s <- (r - mean r) + beta s, and the product is
     q = s + Delta K p.  The projection leaves the rounding mean of the load
     in r, which no K p can remove; without it the recursive residual falls
@@ -302,7 +303,7 @@ def _block_cg(difference, f: np.ndarray, reference: _ReferencePreconditioner, ka
         rz = rz_new
     logger.debug("cell CG: %d iterations (bound %d, phase contrast %.4g)", iterations, cap, kappa)
     x = _zero_mean(x, dim)
-    residual = np.linalg.norm(f - reference.stiffness(x) - difference(x), axis=0)
+    residual = np.linalg.norm(f - stiffness(x) - difference(x), axis=0)
     if not np.all(residual <= RESIDUAL_TOL * norm_f):
         raise NumericalError(
             f"cell solve failed the residual contract (|r|/|f| = {np.max(residual / norm_f):.3e} > {RESIDUAL_TOL})"
@@ -328,20 +329,23 @@ def effective_density(x: np.ndarray, material: TwoPhaseMaterial, grid: Structure
     return float(grid.elem_volume * np.sum(material.mixed_density(np.asarray(x, dtype=float))) / grid.volume)
 
 
-def cell_energy_basis(g: np.ndarray, w: np.ndarray, dim: int) -> np.ndarray:
+def cell_energy_basis(grid: StructuredGrid, u: np.ndarray) -> np.ndarray:
     """P[i, k] = sum_q w_q g_iq^T A_k g_iq: (n_voxels, 2, ncomp, ncomp), symmetric in the last two axes.
 
-    Built BASIS_CHUNK voxels at a time, so its products never hold more than one chunk of strains.
+    The corrected strains g of the correctors u are formed BASIS_CHUNK voxels
+    at a time, so neither the whole g nor the whole gather of u is held.
     """
-    n, nq, ncomp, _ = g.shape
-    parts = np.array(_PARTS[dim])[None, :, None]
-    basis = np.empty((n, 2, ncomp, ncomp))
-    for start in range(0, n, BASIS_CHUNK):
-        chunk = g[start : start + BASIS_CHUNK]
-        a_g = (parts @ chunk[:, None]).reshape(len(chunk), 2, nq * ncomp, ncomp)
-        g_w = (chunk * w[:, None, None]).reshape(len(chunk), 1, nq * ncomp, ncomp)
+    w = strain_operators(grid.spacing)[2]
+    ncomp = u.shape[1]
+    parts = np.array(_PARTS[grid.dim])[None, :, None]
+    basis = np.empty((grid.n_elems, 2, ncomp, ncomp))
+    for start in range(0, grid.n_elems, BASIS_CHUNK):
+        chunk = corrected_strains(grid, u, slice(start, start + BASIS_CHUNK))
+        n, nq = chunk.shape[:2]
+        a_g = (parts @ chunk[:, None]).reshape(n, 2, nq * ncomp, ncomp)
+        g_w = (chunk * w[:, None, None]).reshape(n, 1, nq * ncomp, ncomp)
         p = np.swapaxes(g_w, -1, -2) @ a_g
-        basis[start : start + len(chunk)] = 0.5 * (p + np.swapaxes(p, -1, -2))
+        basis[start : start + n] = 0.5 * (p + np.swapaxes(p, -1, -2))
     return basis
 
 
@@ -358,14 +362,14 @@ def _combine(coefficients: np.ndarray, moments: np.ndarray) -> np.ndarray:
 
 
 def effective_elasticity(
-    grid: StructuredGrid, g: np.ndarray, w: np.ndarray, eta: np.ndarray, coefficients: np.ndarray
+    grid: StructuredGrid, u: np.ndarray, eta: np.ndarray, coefficients: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Effective elasticity from corrected strain fields, and the cell-energy basis it is read from.
+    """Effective elasticity from the cell correctors u, and the cell-energy basis it is read from.
 
     D_h = sum_pk c[p, k] M[p, k] for the phase coefficients c of
     ``materials.phase_coefficients``.
     """
-    basis = cell_energy_basis(g, w, grid.dim)
+    basis = cell_energy_basis(grid, u)
     return _combine(coefficients, phase_moments(basis, eta, grid.volume)), basis
 
 
@@ -381,21 +385,9 @@ class EffectiveProperties:
     rho_h: float
     basis: np.ndarray  # P[i, k], see cell_energy_basis
 
-    @property
-    def dim(self) -> int:
-        return self.grid.dim
-
-    @property
-    def cell_volume(self) -> float:
-        return self.grid.volume
-
-    @property
-    def voxel_volume(self) -> float:
-        return self.grid.elem_volume
-
     @cached_property
     def moments(self) -> np.ndarray:
-        return phase_moments(self.basis, stiffness_weights(self.x, self.penalty), self.cell_volume)
+        return phase_moments(self.basis, stiffness_weights(self.x, self.penalty), self.grid.volume)
 
     def elasticity(self, coefficients: np.ndarray) -> np.ndarray:
         """D_h with phase coefficients c[p, k] in place of the phases' own (linear in c)."""
@@ -407,7 +399,7 @@ class EffectiveProperties:
 
     def d_h_derivative(self, wrt: tuple[str, ...]) -> np.ndarray:
         """d^k D_h / d(theta...) holding the cell strain fields fixed."""
-        return self.elasticity(self.material.coefficients(self.dim, wrt))
+        return self.elasticity(self.material.coefficients(self.grid.dim, wrt))
 
     def rho_h_derivative(self, wrt: tuple[str, ...]) -> float:
         return self.density(self.material.rho_derivative(1, wrt), self.material.rho_derivative(2, wrt))
@@ -427,8 +419,8 @@ def homogenize(
     if x.shape != (grid.n_elems,):
         raise ValueError(f"expected {grid.n_elems} micro design variables, got {x.shape}")
     d_voxels = micro_elasticity(x, material, penalty, grid.dim)
-    g, w, _ = solve_cell_problems(grid, d_voxels)
-    d_h, basis = effective_elasticity(grid, g, w, stiffness_weights(x, penalty), material.coefficients(grid.dim))
+    u = solve_cell_problems(grid, d_voxels)
+    d_h, basis = effective_elasticity(grid, u, stiffness_weights(x, penalty), material.coefficients(grid.dim))
     rho_h = effective_density(x, material, grid)
     return EffectiveProperties(grid=grid, x=x.copy(), material=material, penalty=penalty, d_h=d_h, rho_h=rho_h, basis=basis)
 

@@ -80,9 +80,9 @@ class _FormContext:
         self.sprime = stiffness_scale_derivative(state.x_macro, problem.penalty, state.x_min)
         self.omega2 = problem.omega**2
         self.basis = props.basis.reshape(2 * props.grid.n_elems, -1)
-        self.voxel_scale = props.voxel_volume / props.cell_volume
+        self.voxel_scale = props.grid.elem_volume / props.grid.volume
         self.micro_stiff_scale = (
-            problem.penalty * stiffness_weights(state.x_micro, problem.penalty - 1.0) / props.cell_volume
+            problem.penalty * stiffness_weights(state.x_micro, problem.penalty - 1.0) / props.grid.volume
         )
 
     def mass_pair(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -93,7 +93,7 @@ class _FormContext:
         """(2, 3) kernel of d^|wrt| of the phase properties: row p holds phase p's A0, A1 coefficients and density."""
         material = self.props.material
         rho = [material.rho_derivative(p, wrt) for p in (1, 2)]
-        return np.column_stack([material.coefficients(self.props.dim, wrt), rho])
+        return np.column_stack([material.coefficients(self.props.grid.dim, wrt), rho])
 
     def form(self, pair: _Pair, kernel: np.ndarray) -> SensitivityField:
         """v^T (dK_d/dx) u per macro element and per voxel, with the phase properties replaced by kernel."""

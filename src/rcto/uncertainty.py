@@ -30,13 +30,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, SingularSystemError
-from .fem import mean_compliance
+from .fem import element_stiffness_batch, mean_compliance
 from .homogenization import (
     EffectiveProperties,
     cell_loads,
     cell_operator,
     homogenize,
-    load_floor,
     micro_elasticity,
     solve_cell_problems,
     stiffness_weights,
@@ -334,7 +333,7 @@ class _ReducedBasis:
     samples costs one r x r solve each and one GEMM for all their residuals
     (Hesthaven, Rozza and Stamm, Certified Reduced Basis Methods, 2016).  A
     load column whose 2-norm is at most |s| . floors, a bound on its
-    rounding floor (``homogenization.load_floor``), is the zero load, as in
+    rounding floor (``homogenization.cell_loads``), is the zero load, as in
     ``solve_cell_problems``: its solution is zero.
     """
 
@@ -452,12 +451,9 @@ class BatchComplianceEvaluator:
         eta = stiffness_weights(state.x_micro, problem.penalty)
         # four stiffness/load terms {phase 1, phase 2} x {A0, A1}, in the order of the sample coefficients
         d_stacks = [wts[:, None, None] * part for wts in (eta, 1.0 - eta) for part in _PARTS[cell.dim]]
-        self.cell = _ReducedBasis(
-            "cell",
-            [cell_operator(cell, d) for d in d_stacks],
-            np.array([cell_loads(cell, d) for d in d_stacks]),
-            np.array([load_floor(cell, d) for d in d_stacks]),
-        )
+        loads, floors = zip(*(cell_loads(cell, d) for d in d_stacks))
+        operators = [cell_operator(cell, element_stiffness_batch(d, cell.spacing)) for d in d_stacks]
+        self.cell = _ReducedBasis("cell", operators, np.array(loads), np.array(floors))
         # phase volumes for the average-stiffness part of the energy identity
         self._phase_volumes = np.array([np.sum(eta), np.sum(1.0 - eta)]) * cell.elem_volume
         self._phase1_volume_fraction = float(np.sum(state.x_micro) * cell.elem_volume / cell.volume)
@@ -488,6 +484,11 @@ class BatchComplianceEvaluator:
         return np.concatenate([self._compliance(names, block) for block in blocks])
 
     def _compliance(self, names, values) -> np.ndarray:
+        """Mean compliance of a block of sample rows.
+
+        A Galerkin compliance f^T V (V^T K V)^-1 V^T f <= 0 raises SingularSystemError: only an indefinite
+        K - omega^2 M gives one.  The check is one-sided: a positive compliance does not prove K - omega^2 M definite.
+        """
         problem, nb = self.problem, len(values)
         material = self.base.with_values(names, values.T)
         coefs = np.broadcast_to(material.coefficients(problem.grid.dim).reshape(4, -1), (4, nb)).T
@@ -501,13 +502,18 @@ class BatchComplianceEvaluator:
 
         t = np.column_stack([d_h[:, self._pairs[0], self._pairs[1]], rho_h])
         fu = self.macro.products(t, np.ones((nb, 1)), lambda i: self._macro_solution(d_h[i], rho_h[i]))
+        if not np.all(fu[:, 0, 0] > 0.0):
+            raise SingularSystemError(
+                f"a Monte Carlo sample's macro compliance is not positive ({np.min(fu[:, 0, 0]):.6g}): the drive "
+                "is at or above its first natural frequency, where minimum dynamic compliance is not defined"
+            )
         return fu[:, 0, 0]
 
     def _cell_solution(self, names, row) -> np.ndarray:
         """Zero-mean periodic correctors (n_red, ncomp) of one sample by the full cell solver."""
         material = self.base.with_values(names, row)
         d_voxels = micro_elasticity(self.state.x_micro, material, self.problem.penalty, self.problem.cell.dim)
-        return solve_cell_problems(self.problem.cell, d_voxels)[2]
+        return solve_cell_problems(self.problem.cell, d_voxels)
 
     def _macro_operator(self, dd, drho, v: np.ndarray) -> np.ndarray:
         """Free-DOF block (n_free, k) of dK_d v for free-DOF columns v and one (dD_h, drho_h) direction."""

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 import scipy.sparse
 
-from rcto.fem import StructuredGrid, assemble, band_order, mean_compliance
-from rcto.homogenization import homogenize
+from rcto.fem import StructuredGrid, assemble, band_order, mean_compliance, strain_operators
+from rcto.homogenization import corrected_strains, homogenize, solve_cell_problems
 from rcto.materials import PARAMETERS, Phase, TwoPhaseMaterial
 from rcto.problem import DesignState, MacroProblem, factorized_dynamic, stiffness_scale
 from rcto.uncertainty import HybridParameter, Interval, UncertainSet, _interval_corners, _latin_hypercube
@@ -214,6 +214,11 @@ def capture_factors(monkeypatch):
 
     monkeypatch.setattr(rcto.fem, "splu", recording_splu)
     return factors
+
+
+def cell_strains(grid, d_voxels):
+    """Corrected strains g of the whole cell and the Gauss weights w, from one cell solve."""
+    return corrected_strains(grid, solve_cell_problems(grid, d_voxels)), strain_operators(grid.spacing)[2]
 
 
 def reference_d_h(g, w, d_voxels, volume):

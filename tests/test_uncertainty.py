@@ -550,6 +550,19 @@ class TestMcsEvaluate:
         with pytest.raises(SingularSystemError, match="at or above the first natural frequency"):
             ev.compliance(("rho1",), [[1.3 * self.mat.phase1.density]])
 
+    def test_galerkin_sample_above_the_first_natural_frequency_raises(self):
+        # a macro basis grown below the resonance answers heavier samples within the residual contract, with
+        # no full solve to refuse them; their Galerkin compliances (-9,568.19 at 1.12x, -1,899.85 at 1.2x) are
+        # negative, which only an indefinite K - omega^2 M gives
+        ev = self.resonant_evaluator()
+        rho1 = self.mat.phase1.density
+        assert np.all(ev.compliance(("rho1",), np.linspace(0.5, 1.08, 30)[:, None] * rho1) > 0.0)
+        assert ev.macro.full_solves == 4
+        for scale in (1.12, 1.2):
+            with pytest.raises(SingularSystemError, match="compliance is not positive"):
+                ev.compliance(("rho1",), [[scale * rho1]])
+        assert ev.macro.full_solves == 4
+
     def test_split_poisson_set_costs_nineteen_calls(self):
         base = TwoPhaseMaterial(Phase(200e3, 0.32, 7.9e-9), Phase(150e3, 0.22, 0.79e-9))
         prob = cantilever(4, 2, cell_n=4, omega=2 * np.pi * 100.0)
