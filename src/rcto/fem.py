@@ -23,7 +23,11 @@ assembled.
 No run path builds a sparse matrix: ``scipy.sparse`` is imported only inside
 the reference assemblers the tests compare against (``assemble``,
 ``sum_to_csc``, ``solve_system``), so ``import rcto`` does not load it.
-``rcto.fem.splu`` resolves lazily through the module ``__getattr__``.
+``rcto.fem.splu`` resolves lazily through the module ``__getattr__``.  Nor
+does ``import rcto`` load the ``scipy.linalg`` package: ``dpbtrf`` and
+``dpbtrs`` come from its compiled LAPACK module ``scipy.linalg._flapack``,
+loaded on its own (``_flapack``), which spares every run the package's
+start-up time and memory.
 
 Unit system: N, mm, tonne, s (so moduli in MPa, densities in tonne/mm^3,
 frequencies converted to rad/s by the caller).
@@ -31,17 +35,39 @@ frequencies converted to rad/s by the caller).
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import itertools
 import math
+import os
+import sys
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy.linalg.lapack import dpbtrf, dpbtrs
+import scipy
 
 from .errors import SingularSystemError
 
 RESIDUAL_TOL = 1e-9
+
+
+def _flapack():
+    """scipy's f2py LAPACK module ``scipy.linalg._flapack``, loaded without running ``scipy/linalg/__init__.py``
+    (most of scipy.linalg plus numpy.f2py, numpy.testing and numpy.ma).  It is registered under its own name,
+    so ``import scipy.linalg``, before or after, shares the one module object."""
+    name = "scipy.linalg._flapack"
+    module = sys.modules.get(name)
+    if module is None:
+        spec = importlib.machinery.PathFinder.find_spec(name, [os.path.join(scipy.__path__[0], "linalg")])
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[name] = module
+        spec.loader.exec_module(module)
+    return module
+
+
+dpbtrf = _flapack().dpbtrf
+dpbtrs = _flapack().dpbtrs
 
 
 def __getattr__(name: str):

@@ -32,6 +32,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
+import numpy.fft  # noqa: F401  loaded at start-up, not inside the first cell solve
 
 from .errors import NumericalError, SingularSystemError
 from .fem import (
@@ -81,10 +82,18 @@ def _sum_to_masters(grid: StructuredGrid, elem: np.ndarray) -> np.ndarray:
     return out.reshape(-1, elem.shape[-1])
 
 
-def cell_operator(grid: StructuredGrid, k_e: np.ndarray):
+def cell_operator(grid: StructuredGrid, k_e: np.ndarray, weights: np.ndarray | None = None):
     """u -> K u on blocks (n_red, k) for the periodic cell stiffness K of the element matrices k_e: one
-    (ndof_e, ndof_e) matrix for every voxel, or one per voxel (n_voxels, ndof_e, ndof_e)."""
-    return lambda u: _sum_to_masters(grid, k_e @ _gather(grid, u))
+    (ndof_e, ndof_e) matrix for every voxel, or one per voxel (n_voxels, ndof_e, ndof_e).  With
+    ``weights`` (n_voxels,), voxel i's matrix is weights[i] k_e, and the scaled stack is never formed."""
+
+    def apply(u):
+        elem = k_e @ _gather(grid, u)
+        if weights is not None:
+            elem *= weights[:, None, None]
+        return _sum_to_masters(grid, elem)
+
+    return apply
 
 
 def cell_loads(grid: StructuredGrid, d_voxels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -28,6 +28,7 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
+import numpy.random  # noqa: F401  loaded at start-up, not inside the first Monte Carlo run
 
 from .errors import NumericalError, SingularSystemError
 from .fem import element_stiffness_batch, mean_compliance
@@ -449,10 +450,13 @@ class BatchComplianceEvaluator:
         cell = problem.cell
         self.ncomp = voigt_size(problem.grid.dim)
         eta = stiffness_weights(state.x_micro, problem.penalty)
-        # four stiffness/load terms {phase 1, phase 2} x {A0, A1}, in the order of the sample coefficients
-        d_stacks = [wts[:, None, None] * part for wts in (eta, 1.0 - eta) for part in _PARTS[cell.dim]]
-        loads, floors = zip(*(cell_loads(cell, d) for d in d_stacks))
-        operators = [cell_operator(cell, element_stiffness_batch(d, cell.spacing)) for d in d_stacks]
+        # four stiffness/load terms {phase 1, phase 2} x {A0, A1}, in the order of the sample coefficients:
+        # a per-voxel weight times one reference element matrix of a material part
+        parts = _PARTS[cell.dim]
+        k_parts = element_stiffness_batch(np.asarray(parts), cell.spacing)
+        terms = [(wts, part, k) for wts in (eta, 1.0 - eta) for part, k in zip(parts, k_parts)]
+        loads, floors = zip(*(cell_loads(cell, wts[:, None, None] * part) for wts, part, _ in terms))
+        operators = [cell_operator(cell, k, wts) for wts, _, k in terms]
         self.cell = _ReducedBasis("cell", operators, np.array(loads), np.array(floors))
         # phase volumes for the average-stiffness part of the energy identity
         self._phase_volumes = np.array([np.sum(eta), np.sum(1.0 - eta)]) * cell.elem_volume

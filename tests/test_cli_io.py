@@ -758,12 +758,33 @@ class TestCli:
         h2 = open(os.path.join(out2, "history.csv"), "rb").read()
         assert h1 == h2
 
-    @pytest.mark.parametrize("module", ["scipy.ndimage", "scipy.sparse"])
-    def test_import_leaves_out_unused_scipy_modules(self, module):
-        # the sensitivity filter once imported scipy.ndimage, about 0.1 s of every start-up, for one call;
-        # scipy.sparse builds only the reference matrices of the tests, and held about 4 MB of every run
+    @staticmethod
+    def _python(code: str) -> str:
         src = os.path.join(HERE, "..", "src")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        code = f"import sys, rcto.cli; print(sorted(m for m in sys.modules if m.startswith({module!r})))"
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-        assert out.stdout.strip() == "[]"
+        return out.stdout.strip()
+
+    @pytest.mark.parametrize(
+        "module, expected",
+        [("scipy.ndimage", []), ("scipy.sparse", []), ("scipy.linalg", ["scipy.linalg._flapack"])],
+        ids=["scipy.ndimage", "scipy.sparse", "scipy.linalg"],
+    )
+    def test_import_leaves_out_unused_scipy_modules(self, module, expected):
+        # the sensitivity filter once imported scipy.ndimage, about 0.1 s of every start-up, for one call;
+        # scipy.sparse builds only the reference matrices of the tests, and held about 4 MB of every run;
+        # the scipy.linalg package cost about 0.25 s and 27 MB for the two LAPACK routines of its _flapack
+        code = f"import sys, rcto.cli; print(sorted(m for m in sys.modules if m.startswith({module!r})))"
+        assert self._python(code) == repr(expected)
+
+    @pytest.mark.parametrize("first", ["rcto.fem", "scipy.linalg.lapack"])
+    def test_band_routines_are_scipy_lapack_routines(self, first):
+        # rcto loads scipy.linalg._flapack on its own; either import order must end with one module object
+        second = "scipy.linalg.lapack" if first == "rcto.fem" else "rcto.fem"
+        code = (
+            f"import importlib, sys; importlib.import_module({first!r}); importlib.import_module({second!r}); "
+            "import rcto.fem as fem, scipy.linalg.lapack as lapack; "
+            "print(fem.dpbtrf is lapack.dpbtrf, fem.dpbtrs is lapack.dpbtrs, "
+            "lapack._flapack is sys.modules['scipy.linalg._flapack'])"
+        )
+        assert self._python(code) == "True True True"

@@ -122,6 +122,17 @@ class TestCellOperator:
         ref = coo_reference(dofs, n, k_e) @ u
         assert np.abs(cell_operator(grid, k_e)(u) - ref).max() <= 1e-14 * np.abs(ref).max()
 
+    @pytest.mark.parametrize("shape", [(5, 4), (3, 4, 2)])
+    def test_weighted_operator_matches_the_scaled_stack(self, rng, shape):
+        # the Monte Carlo oracle's cell terms: a per-voxel weight times one reference element matrix
+        grid = StructuredGrid(shape, tuple(1.0 / n for n in shape))
+        ncomp = 3 if grid.dim == 2 else 6
+        k = element_stiffness_batch(spd_stack(rng, 1, ncomp), grid.spacing)[0]
+        weights = rng.random(grid.n_elems)
+        u = rng.standard_normal((grid.dim * grid.n_elems, 3))
+        ref = cell_operator(grid, weights[:, None, None] * k)(u)
+        assert np.abs(cell_operator(grid, k, weights)(u) - ref).max() <= 1e-14 * np.abs(ref).max()
+
     def test_corner_tables_built_once_per_grid(self):
         grid = StructuredGrid((4, 2), (0.25, 0.5))
         assert corner_tables(grid) is corner_tables(grid)
