@@ -21,7 +21,7 @@ import yaml
 
 from .beso import Schedule
 from .errors import ConfigError
-from .fem import StructuredGrid
+from .fem import StructuredGrid, unique_ids
 from .materials import PARAMETERS, PHYSICAL_RANGES, Phase, TwoPhaseMaterial
 from .problem import MacroProblem, X_MIN_DEFAULT
 from .uncertainty import HybridParameter, Interval, UncertainSet
@@ -461,7 +461,7 @@ def _parse_materials(v: _Validator, doc: dict) -> tuple[TwoPhaseMaterial | None,
 def resolve_fixed_dofs(grid: StructuredGrid, anchors) -> np.ndarray:
     """All DOFs of the nodes on the named edges/faces."""
     planes = (_AXIS_TOKENS[anchor.split("-")[0]] for anchor in anchors)  # frac 0 or 1: the first or last plane
-    nodes = np.unique(np.concatenate([np.take(grid.node_ids, -int(frac), axis).ravel() for axis, frac in planes]))
+    nodes = unique_ids(np.concatenate([np.take(grid.node_ids, -int(frac), axis).ravel() for axis, frac in planes]))
     return (grid.dim * nodes[:, None] + np.arange(grid.dim)[None, :]).ravel()
 
 

@@ -17,8 +17,9 @@ Solution of Large Sparse Positive Definite Systems*, 1981) that LAPACK's
 blocked banded Cholesky ``dpbtrf`` factors in place.  A drive at or above
 the first natural frequency makes K - omega^2 M indefinite, where minimum
 dynamic compliance is not defined; Cholesky refuses it and the
-factorization raises ``SingularSystemError``.  The periodic cell is never
-assembled.
+factorization raises ``SingularSystemError``.  Every solve is checked by
+the element operator that built the band, not by a copy of the band.  The
+periodic cell is never assembled.
 
 No run path builds a sparse matrix: ``scipy.sparse`` is imported only inside
 the reference assemblers the tests compare against (``assemble``,
@@ -286,6 +287,14 @@ def sum_to_csc(dofs: np.ndarray, n: int, elem_mats: np.ndarray):
     return sp.csc_matrix((elem_mats.ravel(), (rows.ravel(), cols.ravel())), shape=(n, n))
 
 
+def unique_ids(ids: np.ndarray) -> np.ndarray:
+    """``np.unique(ids)`` by one sort and a mask; a plain ``np.unique`` imports ``numpy.ma``, which no run needs."""
+    ids = np.sort(np.ravel(ids))
+    first = np.ones(ids.size, dtype=bool)
+    np.not_equal(ids[1:], ids[:-1], out=first[1:])
+    return ids[first]
+
+
 def band_order(node_ids: np.ndarray) -> np.ndarray:
     """Band order of the DOFs of a node box (``StructuredGrid.node_ids``, dim DOFs per node).
 
@@ -319,17 +328,18 @@ class SparsityPattern:
         dofs = np.asarray(dofs, dtype=np.intp)
         for local in dofs.T:
             kept = local[local >= 0]
-            if np.unique(kept).size != kept.size:
+            if unique_ids(kept).size != kept.size:
                 raise ValueError("a local DOF maps two elements onto one DOF; scatter adds one element per slot")
         kd = int(np.max(dofs.max(axis=1) - np.where(dofs < 0, n, dofs).min(axis=1), initial=0))
-        pairs, slots = [], []
-        for i, j in itertools.product(range(dofs.shape[1]), repeat=2):
+
+        def upper(i, j):  # both DOFs free, on or above the diagonal
+            return (dofs[:, i] >= 0) & (dofs[:, i] <= dofs[:, j])
+        entries = itertools.product(range(dofs.shape[1]), repeat=2)
+        pairs = np.array([p for p in entries if upper(*p).any()], dtype=np.intp).reshape(-1, 2)
+        slots = np.empty((len(pairs), len(dofs)), dtype=np.intp)  # filled in place: the table is never stacked
+        for (i, j), row in zip(pairs, slots):
             rows, cols = dofs[:, i], dofs[:, j]
-            upper = (rows >= 0) & (rows <= cols)  # both DOFs free, on or above the diagonal
-            if upper.any():
-                pairs.append((i, j))
-                slots.append(np.where(upper, kd + rows - cols + (kd + 1) * cols, (kd + 1) * n))
-        pairs, slots = np.array(pairs, dtype=np.intp).reshape(-1, 2), np.array(slots, dtype=np.intp)
+            row[:] = np.where(upper(i, j), kd + rows - cols + (kd + 1) * cols, (kd + 1) * n)
         for table in (pairs, slots):
             table.setflags(write=False)  # shared by every band scattered with this pattern
         return cls(n, kd, pairs, slots)
@@ -356,19 +366,18 @@ class FactorizedSystem:
     (``MacroProblem.free`` is in band order).  ``dpbtrf`` factors it in place, so the caller's band holds
     the Cholesky factor afterwards; a band it refuses as not positive definite raises
     ``SingularSystemError``: for symmetric positive definite K and M, K - omega^2 M is definite exactly
-    when omega lies below the first natural frequency.  Solves are checked against the band's nonzero
-    diagonals, copied out before the factorization.  One factorization serves every right-hand side;
-    ``calls`` counts FEA calls (linear-system applications), one per right-hand side column.
+    when omega lies below the first natural frequency.  ``apply`` maps fields (..., n_dofs) to K - omega^2 M
+    times them: the operator the band was built from, which checks every solve, so no copy of the band is
+    kept and a band that disagrees with its operator fails the check.  One factorization serves every
+    right-hand side; ``calls`` counts FEA calls (linear-system applications), one per right-hand side column.
     """
 
-    def __init__(self, band: np.ndarray, free: np.ndarray, n_dofs: int):
+    def __init__(self, band: np.ndarray, free: np.ndarray, n_dofs: int, apply):
         self.n_dofs = int(n_dofs)
         self.free = np.asarray(free, dtype=np.intp)
         if self.free.size == 0 or self.free.size >= self.n_dofs:
             raise ValueError("need at least one constrained DOF and at least one free DOF")
-        self._kd = len(band) - 1
-        self._rows = np.flatnonzero(np.any(band, axis=1))  # band row kd - d holds diagonal d
-        self._diagonals = band[self._rows]
+        self._apply = apply
         self._factor, info = dpbtrf(band, overwrite_ab=1)
         if info < 0:
             raise ValueError(f"dpbtrf rejected its argument {-info}")
@@ -384,27 +393,14 @@ class FactorizedSystem:
     def calls(self) -> int:
         return self._calls
 
-    def _residual_into(self, x: np.ndarray, f: np.ndarray) -> np.ndarray:
-        """Overwrite a block f with K x - f column by column, K read from its kept diagonals and their mirrors."""
-        n = len(x)
-        for xc, rc in zip(x.T, f.T):
-            np.negative(rc, out=rc)
-            for row, a in zip(self._rows, self._diagonals):
-                d = self._kd - row  # a[c] = K[c - d, c] for c >= d
-                rc[: n - d] += a[d:] * xc[d:]
-                if d:
-                    rc[d:] += a[d:] * xc[: n - d]
-        return f
-
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve K_d u = rhs for a full-length vector or an (n_dofs, k) block.
 
         A block is one backsolve call and counts as k FEA calls.  Each column
-        must pass the residual contract relative to its own norm.  A zero
-        column needs no mask: ``dpbtrs`` returns exact zeros for it, whose
-        residual 0 meets the contract.  The free rows are copied once, in the
-        Fortran order ``dpbtrs`` reads, and that copy then holds the residual,
-        so a block costs its copy, its solution and the returned u.
+        must pass the residual contract relative to its own norm, its
+        residual formed by ``apply``.  A zero column needs no mask:
+        ``dpbtrs`` returns exact zeros for it, whose residual 0 meets the
+        contract.
         """
         rhs = np.asarray(rhs, dtype=float)
         block = rhs.reshape(self.n_dofs, -1)
@@ -412,21 +408,20 @@ class FactorizedSystem:
         for j, column in enumerate(block.T):
             f[:, j] = column[self.free]
         self._calls += f.shape[1]
-        norm_f = _column_norms(f)
-        x = dpbtrs(self._factor, f)[0]
-        residual = _column_norms(self._residual_into(x, f))
-        del f  # u takes the residual's place
-        failed = ~(residual <= RESIDUAL_TOL * norm_f)  # a NaN residual fails
+        u = np.zeros((self.n_dofs, f.shape[1]))
+        u[self.free] = dpbtrs(self._factor, f)[0]
+        residual = self._apply(u.T)[:, self.free].T  # u is zero on the constrained DOFs
+        residual -= f
+        norm_f, norm_r = _column_norms(f), _column_norms(residual)
+        failed = ~(norm_r <= RESIDUAL_TOL * norm_f)  # a NaN residual fails
         if failed.any():
             with np.errstate(divide="ignore", invalid="ignore"):
-                ratio = np.max(residual[failed] / norm_f[failed])
+                ratio = np.max(norm_r[failed] / norm_f[failed])
             raise SingularSystemError(
                 "linear solve failed the residual contract "
                 f"(|r|/|f| = {ratio:.3e} > {RESIDUAL_TOL}); "
                 "the excitation frequency may sit at a resonance"
             )
-        u = np.zeros((self.n_dofs, x.shape[1]))
-        u[self.free] = x
         return u.reshape(rhs.shape)
 
 
@@ -443,11 +438,12 @@ def solve_system(k, m, omega: float, f: np.ndarray, fixed: np.ndarray) -> np.nda
     import scipy.sparse as sp
 
     free = np.setdiff1d(np.arange(k.shape[0]), fixed)
-    upper = sp.triu((k - omega**2 * m).tocsc()[free][:, free], format="coo")  # a CSC block holds no duplicates
+    a = (k - omega**2 * m).tocsc()
+    upper = sp.triu(a[free][:, free], format="coo")  # a CSC block holds no duplicates
     kd = int(np.max(upper.col - upper.row, initial=0))
     band = np.zeros((kd + 1, free.size), order="F")
     band[kd + upper.row - upper.col, upper.col] = upper.data
-    return FactorizedSystem(band, free, k.shape[0]).solve(f)
+    return FactorizedSystem(band, free, k.shape[0], lambda u: (a @ u.T).T).solve(f)
 
 
 def mean_compliance(f: np.ndarray, u: np.ndarray) -> float:

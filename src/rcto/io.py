@@ -178,6 +178,7 @@ def verify(
     seed: int,
 ) -> tuple[VerifyReport, int]:
     """Run both uncertainty propagation routes on one design and compare."""
+    import numpy.random  # noqa: F401  loaded here, not inside the Monte Carlo run; no other command draws
     objective, cache = ihpa_evaluate(problem, state, base_material, params, kappa=kappa)
     mcs = mcs_evaluate(problem, state, base_material, params, n_interval, n_random, seed)
     return VerifyReport(ihpa=objective, mcs=mcs, kappa=kappa), cache.fea_calls

@@ -11,7 +11,7 @@ element by element from the reference element matrices
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -74,7 +74,7 @@ class MacroProblem:
     penalty: float = 3.0
 
     def __post_init__(self):
-        object.__setattr__(self, "fixed_dofs", np.unique(np.asarray(self.fixed_dofs, dtype=np.intp)))
+        object.__setattr__(self, "fixed_dofs", fem.unique_ids(np.asarray(self.fixed_dofs, dtype=np.intp)))
         object.__setattr__(self, "force", np.asarray(self.force, dtype=float))
         if self.force.shape != (self.grid.n_dofs,):
             raise ValueError("force vector length must equal the number of macro DOFs")
@@ -118,8 +118,9 @@ def factorized_dynamic(problem: MacroProblem, state: DesignState, d_h: np.ndarra
 
     Element e of the block is s_e k(D_h) - omega^2 rho_h x_e m, two scales times two shared reference
     matrices, so one scatter of those builds the block's band, its only stored form, which is factored in
-    place.  A drive at or above the design's first natural frequency raises ``SingularSystemError``
-    naming the drive.
+    place.  Solves are checked by ``apply_parameter_operator`` at (D_h, rho_h), which is K - omega^2 M
+    itself, since K - omega^2 M is linear in (D_h, rho_h).  A drive at or above the design's first natural
+    frequency raises ``SingularSystemError`` naming the drive.
     """
     grid = problem.grid
     scales = np.stack([stiffness_scale(state.x_macro, problem.penalty, state.x_min),
@@ -127,8 +128,9 @@ def factorized_dynamic(problem: MacroProblem, state: DesignState, d_h: np.ndarra
     matrices = np.stack([fem.element_stiffness_batch(np.asarray(d_h)[None], grid.spacing)[0],
                          fem.element_mass(1.0, grid.spacing)])
     band = fem.scatter(problem.pattern, scales, matrices)
+    apply = partial(apply_parameter_operator, problem, state, d_h, rho_h)
     try:
-        return fem.FactorizedSystem(band, problem.free, grid.n_dofs)
+        return fem.FactorizedSystem(band, problem.free, grid.n_dofs, apply)
     except SingularSystemError as exc:
         raise SingularSystemError(f"drive {problem.omega / (2.0 * np.pi):g} Hz: {exc}") from exc
 

@@ -28,7 +28,6 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
-import numpy.random  # noqa: F401  loaded at start-up, not inside the first Monte Carlo run
 
 from .errors import NumericalError, SingularSystemError
 from .fem import element_stiffness_batch, mean_compliance
@@ -276,7 +275,8 @@ def select_beta(cache: IhpaCache) -> float:
     terms = terms[terms > 0]
     if terms.size == 0:
         return _BETA_LO
-    return float(np.clip(_BETA_SCALE / np.median(terms), _BETA_LO, _BETA_HI))
+    middle = np.sort(terms)[(terms.size - 1) // 2:terms.size // 2 + 1]  # np.median without its numpy.ma NaN check
+    return float(np.clip(_BETA_SCALE / np.mean(middle), _BETA_LO, _BETA_HI))
 
 
 # ---------------------------------------------------------------------------
@@ -599,7 +599,7 @@ def mcs_evaluate(
         raise ValueError("n_interval and n_random must both be at least 2")
     if len(params) == 0:
         raise ValueError("mcs_evaluate needs at least one hybrid parameter")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)  # numpy.random loads on first use; ``io.verify`` loads it before this run
     names = params.names
     lows = [b for p in params for b in (p.mean.lo, p.std.lo)]
     highs = [b for p in params for b in (p.mean.hi, p.std.hi)]

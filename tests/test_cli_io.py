@@ -777,6 +777,34 @@ class TestCli:
         code = f"import sys, rcto.cli; print(sorted(m for m in sys.modules if m.startswith({module!r})))"
         assert self._python(code) == repr(expected)
 
+    def test_run_leaves_out_numpy_random_and_numpy_ma(self, tmp_path):
+        # only ``rcto verify`` draws random numbers, and numpy.random holds about 6 MB; plain np.unique and
+        # np.median import numpy.ma, which no run uses.  Older numpy imports both with numpy itself, so only
+        # what a run adds to a bare ``import numpy`` counts.
+        with open(os.path.join(CONFIGS, "cantilever_small.yaml"), encoding="utf-8") as fh:
+            doc = yaml.safe_load(fh)
+        doc["optimizer"]["max_iterations"] = 1
+        config = write_config(tmp_path, doc)
+        code = (
+            "import sys, numpy; bare = set(sys.modules); import rcto.cli; "
+            f"rcto.cli.build_problem(rcto.cli.parse_config({config!r})); "
+            f"code = rcto.cli.main(['run', '--config', {config!r}, '--out', {str(tmp_path / 'out')!r}]); "
+            "print(code, sorted(m for m in set(sys.modules) - bare if m.split('.')[:2] in "
+            "(['numpy', 'random'], ['numpy', 'ma'])))"
+        )
+        assert self._python(code).splitlines()[-1] == "0 []"
+
+    def test_verify_in_a_fresh_process_prints_the_same_table(self, tmp_path, capsys):
+        # numpy.random loads inside the verify command, not at import; the table at a fixed seed is the same
+        with open(os.path.join(CONFIGS, "cantilever_small.yaml"), encoding="utf-8") as fh:
+            doc = yaml.safe_load(fh)
+        doc["mcs"] = {"n_interval": 4, "n_random": 20}
+        argv = ["verify", "--config", write_config(tmp_path, doc), "--seed", "1"]
+        assert main(argv) == 0
+        table = capsys.readouterr().out
+        code = f"import sys, rcto.cli; sys.exit(rcto.cli.main({argv!r}))"
+        assert self._python(code) == table.strip()
+
     @pytest.mark.parametrize("first", ["rcto.fem", "scipy.linalg.lapack"])
     def test_band_routines_are_scipy_lapack_routines(self, first):
         # rcto loads scipy.linalg._flapack on its own; either import order must end with one module object

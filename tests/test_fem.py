@@ -30,6 +30,7 @@ from rcto.fem import (
     scatter,
     solve_system,
     strain_operators,
+    unique_ids,
 )
 from rcto.materials import elasticity_matrix
 
@@ -249,6 +250,18 @@ class TestSparsityPattern:
         ref = coo_reference(grid.elem_dofs, grid.n_dofs, elem_mats)[kept][:, kept]
         assert_same_band(scatter(pattern, np.eye(grid.n_elems), elem_mats), ref)
 
+    def test_a_local_dof_on_one_dof_in_two_elements_is_refused(self):
+        dofs = np.array([[0, 1], [2, 1], [-1, 3], [-1, 4]])  # local DOF 1 of elements 0 and 1 is DOF 1
+        with pytest.raises(ValueError, match="scatter adds one element per slot"):
+            SparsityPattern.from_dofs(dofs, 5)
+        assert SparsityPattern.from_dofs(dofs[1:], 5).slots.shape[1] == 3  # two constrained entries are no clash
+
+    @pytest.mark.parametrize("ids", [[], [3], [2, 2, 2], [5, -1, 3, 5, 0, -1, 7, 3], np.arange(12).reshape(3, 4) % 5])
+    def test_unique_ids_are_those_of_np_unique(self, ids):
+        ids = np.asarray(ids, dtype=np.intp)
+        got, ref = unique_ids(ids), np.unique(ids)
+        assert got.dtype == ref.dtype and np.array_equal(got, ref)
+
 
 # element corners in the standard counterclockwise ordering, bottom layer first in 3D
 CORNERS = {
@@ -356,6 +369,27 @@ class TestMacroSystem:
         (band,) = bands
         assert np.shares_memory(system._factor, band)
 
+    @pytest.mark.parametrize("error", [0.0, 1e-6])
+    def test_solves_are_checked_by_the_elements_not_the_band(self, monkeypatch, error):
+        # the loaded DOF's diagonal entry off by a relative 1e-6: Cholesky factors the wrong band, whose
+        # solve has |r|/|f| >= 1e-6 against the elements (x_c = f_c (K^-1)_cc >= f_c / K_cc for SPD K)
+        prob = cantilever(6, 3, omega=2 * np.pi * 500.0)
+        (column,) = np.flatnonzero(prob.force[prob.free])
+        scatter = rcto.fem.scatter
+
+        def perturbed(*args):
+            band = scatter(*args)
+            band[-1, column] *= 1.0 + error  # the last band row holds the diagonal
+            return band
+
+        monkeypatch.setattr(rcto.fem, "scatter", perturbed)
+        system = factorized_dynamic(prob, full_state(prob), elasticity_matrix(200e3, 0.3, 2), 7.9e-9)
+        if not error:
+            assert system.solve(prob.force).shape == prob.force.shape
+            return
+        with pytest.raises(SingularSystemError, match="residual contract"):
+            system.solve(prob.force)
+
     def test_working_set_of_a_3d_factorization_is_about_its_band(self):
         # the prism_3d seed design: an element stack, a second band or a kept unfactored band would pass 1.5x
         cfg = parse_config(str(CONFIGS / "prism_3d.yaml"))
@@ -376,9 +410,10 @@ class TestMacroSystem:
 
 def factorized(k, m, omega, free):
     """FactorizedSystem of the free block of K - omega^2 M, eliminated in the order of ``free``."""
-    kff = (k - omega**2 * m).toarray()[np.ix_(free, free)]
+    a = k - omega**2 * m
+    kff = a.toarray()[np.ix_(free, free)]
     rows, cols = np.nonzero(np.triu(kff))
-    return FactorizedSystem(upper_band(kff, int(np.max(cols - rows))), free, k.shape[0])
+    return FactorizedSystem(upper_band(kff, int(np.max(cols - rows))), free, k.shape[0], lambda u: (a @ u.T).T)
 
 
 def steel_cantilever_modes():
