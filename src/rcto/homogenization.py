@@ -17,19 +17,23 @@ P[i, k] = sum_q w_q g_iq^T A_k g_iq for the two constant material parts
 A0, A1.  Each phase elasticity is c[p, 0] A0 + c[p, 1] A1
 (``materials.phase_coefficients``), so D_h, its derivatives with respect to
 the material parameters and its derivative with respect to one voxel are all
-scalar combinations of P.  These derivatives hold the strain fields fixed,
-which is exact for a first derivative of D_h because the corrector is a
-stationary point of the energy form.  The robust micro sensitivity reads the
-voxel derivative of the parameter derivatives, a second derivative: on
-cantilever(4, 2) it is 0.26 % off at 30 kHz and 0.15 % off at 120 Hz, and
-the exact form needs an adjoint cell solve.
+scalar combinations of P.  A homogenization forms the phase moments M[p, k]
+once, and rho_h is the ``mixed_density`` of the phase-1 fraction f
+(``phase1_fraction``); ``EffectiveProperties.properties`` maps a material
+kernel (``TwoPhaseMaterial.kernel``) to (D, rho) through M and f for every
+parameter derivative and sensitivity form.  These derivatives hold the
+strain fields fixed, which is exact for a first derivative of D_h because
+the corrector is a stationary point of the energy form.  The robust micro
+sensitivity reads the voxel derivative of the parameter derivatives, a
+second derivative: on cantilever(4, 2) it is 0.26 % off at 30 kHz and 0.15 %
+off at 120 Hz, and the exact form needs an adjoint cell solve.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 import numpy.fft  # noqa: F401  loaded at start-up, not inside the first cell solve
@@ -333,9 +337,19 @@ def micro_elasticity(x: np.ndarray, material: TwoPhaseMaterial, penalty: float, 
     return eta[:, None, None] * d1 + (1.0 - eta)[:, None, None] * d2
 
 
+def phase1_fraction(grid: StructuredGrid, x_sum):
+    """f = (V_i / |Y|) x_sum, the phase-1 volume fraction of a cell whose voxel variables sum to x_sum; broadcasts.
+
+    rho_h = ``mixed_density(f)`` is the one effective density: ``homogenize``,
+    ``effective_density``, ``problem.design_weight`` and the Monte Carlo oracle
+    all read f here, so they agree bitwise.
+    """
+    return grid.elem_volume / grid.volume * x_sum
+
+
 def effective_density(x: np.ndarray, material: TwoPhaseMaterial, grid: StructuredGrid) -> float:
-    """rho_h: the volume average of the voxels' ``mixed_density``, each voxel variable its phase-1 fraction."""
-    return float(grid.elem_volume * np.sum(material.mixed_density(np.asarray(x, dtype=float))) / grid.volume)
+    """rho_h: the ``mixed_density`` of the cell's ``phase1_fraction``, each voxel variable its phase-1 fraction."""
+    return float(material.mixed_density(phase1_fraction(grid, np.sum(x))))
 
 
 def cell_energy_basis(grid: StructuredGrid, u: np.ndarray) -> np.ndarray:
@@ -358,33 +372,27 @@ def cell_energy_basis(grid: StructuredGrid, u: np.ndarray) -> np.ndarray:
     return basis
 
 
-def phase_moments(basis: np.ndarray, eta: np.ndarray, volume: float) -> np.ndarray:
-    """M[p, k] = sum_i weight_p(i) P[i, k] / |Y| with the phase weights eta and 1 - eta."""
-    m = np.stack([eta, 1.0 - eta]) @ basis.reshape(basis.shape[0], -1)
-    return m.reshape((2,) + basis.shape[1:]) / volume
-
-
-def _combine(coefficients: np.ndarray, moments: np.ndarray) -> np.ndarray:
-    """sum_pk c[p, k] M[p, k], made exactly symmetric."""
-    d = np.tensordot(coefficients, moments, axes=2)
-    return 0.5 * (d + d.T)
-
-
 def effective_elasticity(
     grid: StructuredGrid, u: np.ndarray, eta: np.ndarray, coefficients: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Effective elasticity from the cell correctors u, and the cell-energy basis it is read from.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """D_h from the cell correctors u, with the cell-energy basis and the phase moments it is read from.
 
-    D_h = sum_pk c[p, k] M[p, k] for the phase coefficients c of
-    ``materials.phase_coefficients``.
+    The phase moments M[p, k] = sum_i weight_p(i) P[i, k] / |Y|, with the
+    phase weights eta and 1 - eta, are formed here once per homogenization,
+    and D_h = sum_pk c[p, k] M[p, k] for the phase coefficients c of
+    ``materials.phase_coefficients``, as ``EffectiveProperties.properties``
+    reads every other kernel.
     """
     basis = cell_energy_basis(grid, u)
-    return _combine(coefficients, phase_moments(basis, eta, grid.volume)), basis
+    moments = np.stack([eta, 1.0 - eta]) @ basis.reshape(grid.n_elems, -1)
+    moments = moments.reshape((2,) + basis.shape[1:]) / grid.volume
+    d_h = np.tensordot(coefficients, moments, axes=2)
+    return 0.5 * (d_h + d_h.T), basis, moments
 
 
 @dataclass
 class EffectiveProperties:
-    """Homogenized unit cell state: effective properties plus the cell-energy basis for derivatives."""
+    """Homogenized unit cell state: the effective properties and what their derivatives are read from."""
 
     grid: StructuredGrid
     x: np.ndarray
@@ -393,25 +401,25 @@ class EffectiveProperties:
     d_h: np.ndarray
     rho_h: float
     basis: np.ndarray  # P[i, k], see cell_energy_basis
+    moments: np.ndarray  # M[p, k], see effective_elasticity
+    fraction: float  # f, see phase1_fraction
 
-    @cached_property
-    def moments(self) -> np.ndarray:
-        return phase_moments(self.basis, stiffness_weights(self.x, self.penalty), self.grid.volume)
+    def properties(self, kernel: np.ndarray) -> tuple[np.ndarray, float]:
+        """(D, rho) of the cell with the phase properties replaced by a (2, 3) ``TwoPhaseMaterial.kernel``.
 
-    def elasticity(self, coefficients: np.ndarray) -> np.ndarray:
-        """D_h with phase coefficients c[p, k] in place of the phases' own (linear in c)."""
-        return _combine(coefficients, self.moments)
-
-    def density(self, rho1: float, rho2: float) -> float:
-        """rho_h with phase densities rho1, rho2 in place of the phases' own (linear in them)."""
-        return effective_density(self.x, self.material.with_values(("rho1", "rho2"), (rho1, rho2)), self.grid)
+        D = sum_pk kernel[p, k] M[p, k], made exactly symmetric, and
+        rho = f kernel[0, 2] + (1 - f) kernel[1, 2]: linear in the kernel,
+        and (d_h, rho_h) bitwise for the material's own.
+        """
+        d = np.tensordot(kernel[:, :2], self.moments, axes=2)
+        return 0.5 * (d + d.T), self.fraction * kernel[0, 2] + (1.0 - self.fraction) * kernel[1, 2]
 
     def d_h_derivative(self, wrt: tuple[str, ...]) -> np.ndarray:
         """d^k D_h / d(theta...) holding the cell strain fields fixed."""
-        return self.elasticity(self.material.coefficients(self.grid.dim, wrt))
+        return self.properties(self.material.kernel(self.grid.dim, wrt))[0]
 
     def rho_h_derivative(self, wrt: tuple[str, ...]) -> float:
-        return self.density(self.material.rho_derivative(1, wrt), self.material.rho_derivative(2, wrt))
+        return self.properties(self.material.kernel(self.grid.dim, wrt))[1]
 
     def delta_rho_derivative(self, wrt: tuple[str, ...]) -> float:
         return self.material.rho_derivative(1, wrt) - self.material.rho_derivative(2, wrt)
@@ -429,9 +437,10 @@ def homogenize(
         raise ValueError(f"expected {grid.n_elems} micro design variables, got {x.shape}")
     d_voxels = micro_elasticity(x, material, penalty, grid.dim)
     u = solve_cell_problems(grid, d_voxels)
-    d_h, basis = effective_elasticity(grid, u, stiffness_weights(x, penalty), material.coefficients(grid.dim))
-    rho_h = effective_density(x, material, grid)
-    return EffectiveProperties(grid=grid, x=x.copy(), material=material, penalty=penalty, d_h=d_h, rho_h=rho_h, basis=basis)
+    d_h, basis, moments = effective_elasticity(grid, u, stiffness_weights(x, penalty), material.coefficients(grid.dim))
+    f = phase1_fraction(grid, np.sum(x))
+    rho_h = float(material.mixed_density(f))
+    return EffectiveProperties(grid, x.copy(), material, penalty, d_h, rho_h, basis, moments, f)
 
 
 def seed_cell(grid: StructuredGrid, fraction: float, x_min: float) -> np.ndarray:

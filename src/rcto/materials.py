@@ -7,7 +7,8 @@ engineering shear strains).  So D and each of its derivatives with respect
 to E and nu is a pair of scalar coefficients on A0 and A1.
 ``phase_coefficients`` returns them for both phases, on scalars or on arrays
 of samples; the cell-energy basis, the perturbation analysis and the Monte
-Carlo oracle all read them there.
+Carlo oracle all read them there.  ``TwoPhaseMaterial.kernel`` stacks them
+with the phase densities into the one material kernel of a derivative.
 
 ``PARAMETERS`` is the one table of the uncertain parameters: the phases each
 name acts on and the ``Phase`` field it sets, whose open physical range is
@@ -167,6 +168,11 @@ class TwoPhaseMaterial:
         """phase_coefficients of this material: d^|wrt| D_p = c[p-1, 0]*A0 + c[p-1, 1]*A1."""
         youngs = (self.phase1.youngs, self.phase2.youngs)
         return phase_coefficients(youngs, (self.phase1.poisson, self.phase2.poisson), dim, wrt)
+
+    def kernel(self, dim: int, wrt: tuple[str, ...] = ()) -> np.ndarray:
+        """(2, 3) kernel of d^|wrt| of the phase properties: row p-1 holds phase p's A0, A1 coefficients and density."""
+        rho = [self.rho_derivative(p, wrt) for p in (1, 2)]
+        return np.column_stack([self.coefficients(dim, wrt), rho])
 
     def d_derivative(self, phase_index: int, dim: int, wrt: tuple[str, ...]) -> np.ndarray:
         """Partial derivative of the phase elasticity matrix w.r.t. a multiset of parameter names."""

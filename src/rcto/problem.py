@@ -18,7 +18,7 @@ import numpy as np
 from . import fem
 from .errors import SingularSystemError
 from .fem import StructuredGrid
-from .homogenization import EffectiveProperties
+from .homogenization import EffectiveProperties, phase1_fraction
 from .materials import TwoPhaseMaterial
 
 X_MIN_DEFAULT = 1e-6
@@ -100,10 +100,9 @@ class MacroProblem:
 def design_weight(problem: MacroProblem, material: TwoPhaseMaterial, macro_sum, micro_sum):
     """W = V_a sum_a x_a rho_h of designs given by sum_a x_a and sum_i x_i; broadcasts over arrays of designs.
 
-    rho_h is the ``mixed_density`` of the cell's phase-1 fraction (V_i / |Y|) sum_i x_i.
+    rho_h is the ``mixed_density`` of the cell's ``homogenization.phase1_fraction``, as ``homogenize`` has it.
     """
-    voxel_share = problem.cell.elem_volume / problem.cell.volume
-    return problem.grid.elem_volume * macro_sum * material.mixed_density(voxel_share * micro_sum)
+    return problem.grid.elem_volume * macro_sum * material.mixed_density(phase1_fraction(problem.cell, micro_sum))
 
 
 def weight_gradient(problem: MacroProblem, state: DesignState, rho_h: float, delta_rho: float):

@@ -5,15 +5,16 @@ cached solution vectors, evaluated without forming any explicit inverse:
 differentiating K_d^-1 produces -K_d^-1 (dK_d/dx) K_d^-1 and the outer
 factors collapse onto already-solved vectors.  Each pair (u, v) of cached
 vectors yields one per-element strain moment int eps_u eps_v^T dA and one
-mass moment.  One form reads a pair on both scales for a material kernel:
-the phase coefficients on A0, A1 and the phase densities, or any of their
-parameter derivatives.  Macro design derivatives are local to one element
-and contract the moment with the kernel's D_h.  Micro (voxel) derivatives
-act through the homogenized properties: the stiffness-weighted sum of the
-moment over all macro elements meets the cell-energy basis once, giving two
-numbers per voxel that the kernel's phase difference weighs.  The form is
-linear in the pair and in the kernel, so a weighted sum of kernels on one
-pair costs one form.
+mass moment.  One form reads a pair on both scales for a material kernel
+(``TwoPhaseMaterial.kernel``): the phase coefficients on A0, A1 and the
+phase densities, or any of their parameter derivatives.  Macro design
+derivatives are local to one element and contract the moment with the
+kernel's (D, rho) from ``EffectiveProperties.properties``.  Micro (voxel)
+derivatives act through the homogenized properties: the stiffness-weighted
+sum of the moment over all macro elements meets the cell-energy basis once,
+giving two numbers per voxel that the kernel's phase difference weighs.  The
+form is linear in the pair and in the kernel, so a weighted sum of kernels
+on one pair costs one form.
 
 ``robust_sensitivity`` differentiates the worst-case objective with
 tanh-smoothed sign factors: the smoothed objective's weights on F.du_j and
@@ -89,19 +90,13 @@ class _FormContext:
         dofs = self.problem.grid.elem_dofs
         return np.sum((u[dofs] @ self.m_unit) * v[dofs], axis=1)
 
-    def kernel(self, wrt: tuple[str, ...]) -> np.ndarray:
-        """(2, 3) kernel of d^|wrt| of the phase properties: row p holds phase p's A0, A1 coefficients and density."""
-        material = self.props.material
-        rho = [material.rho_derivative(p, wrt) for p in (1, 2)]
-        return np.column_stack([material.coefficients(self.props.grid.dim, wrt), rho])
-
     def form(self, pair: _Pair, kernel: np.ndarray) -> SensitivityField:
         """v^T (dK_d/dx) u per macro element and per voxel, with the phase properties replaced by kernel."""
-        c, rho = kernel[:, :2], kernel[:, 2]
-        macro = self.sprime * (pair.strain @ self.props.elasticity(c).ravel())
-        macro = macro - self.omega2 * self.props.density(*rho) * pair.mass
-        micro = self.micro_stiff_scale * (pair.voxel @ (c[0] - c[1]))
-        micro = micro - self.omega2 * self.voxel_scale * (rho[0] - rho[1]) * pair.mass_x
+        d, rho = self.props.properties(kernel)
+        macro = self.sprime * (pair.strain @ d.ravel()) - self.omega2 * rho * pair.mass
+        delta = kernel[0] - kernel[1]
+        micro = self.micro_stiff_scale * (pair.voxel @ delta[:2])
+        micro = micro - self.omega2 * self.voxel_scale * delta[2] * pair.mass_x
         return SensitivityField(macro, micro)
 
 
@@ -118,7 +113,7 @@ def deterministic_sensitivity(
     """
     ctx = _FormContext(problem, state, props)
     eps = element_strains(problem.grid, u)
-    field = ctx.form(_Pair(ctx, u, eps, u, eps), ctx.kernel(()))
+    field = ctx.form(_Pair(ctx, u, eps, u, eps), props.material.kernel(problem.grid.dim))
     return SensitivityField(field.macro / problem.penalty, field.micro / problem.penalty)
 
 
@@ -130,19 +125,16 @@ def robust_sensitivity(cache: IhpaCache, kappa: float, beta: float | None = None
     du_random[j] and w_j = d2u_cross[j], it is (1/p) times
     form(u0, u0; k0 + sum_j a_j k_j + b_j k_jj) + form(2 sum_j (a_j v_j + b_j w_j), u0; k0)
     + sum_j b_j (2 form(v_j, v_j; k0) + 4 form(v_j, u0; k_j)): 2n + 2 pair moments, 1 for n = 0.
-    Raises if the cache lacks the solution vectors (they are produced by
-    ihpa_evaluate and must match the current design).
     """
-    if cache.u_nominal is None:
-        raise ValueError("missing hybrid perturbation cache")
     if beta is None:
         beta = select_beta(cache)
     problem, grid = cache.problem, cache.problem.grid
     ctx = _FormContext(problem, cache.state, cache.props)
     a, b = cache.smooth_weights(kappa, beta)
-    k0 = ctx.kernel(())
-    k1 = np.reshape([ctx.kernel((name,)) for name in cache.params.names], (-1,) + k0.shape)
-    k2 = np.reshape([ctx.kernel((name, name)) for name in cache.params.names], (-1,) + k0.shape)
+    material, names = cache.props.material, cache.params.names
+    k0 = material.kernel(grid.dim)
+    k1 = np.reshape([material.kernel(grid.dim, (name,)) for name in names], (-1,) + k0.shape)
+    k2 = np.reshape([material.kernel(grid.dim, (name, name)) for name in names], (-1,) + k0.shape)
 
     u0 = cache.u_nominal
     eps0 = element_strains(grid, u0)

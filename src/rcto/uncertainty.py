@@ -37,6 +37,7 @@ from .homogenization import (
     cell_operator,
     homogenize,
     micro_elasticity,
+    phase1_fraction,
     solve_cell_problems,
     stiffness_weights,
 )
@@ -283,9 +284,6 @@ def select_beta(cache: IhpaCache) -> float:
 # Nested Monte Carlo oracle
 # ---------------------------------------------------------------------------
 
-_CORNER_LIMIT = 4096
-
-
 @dataclass(frozen=True)
 class McsResult:
     """Worst-case sample statistics over the interval grid.
@@ -460,7 +458,7 @@ class BatchComplianceEvaluator:
         self.cell = _ReducedBasis("cell", operators, np.array(loads), np.array(floors))
         # phase volumes for the average-stiffness part of the energy identity
         self._phase_volumes = np.array([np.sum(eta), np.sum(1.0 - eta)]) * cell.elem_volume
-        self._phase1_volume_fraction = float(np.sum(state.x_micro) * cell.elem_volume / cell.volume)
+        self.fraction = phase1_fraction(cell, np.sum(state.x_micro))  # a sample's rho_h is its mixed_density
 
         # the derivative of K_d along each independent entry (c, d) of D_h, then along rho_h (-omega^2 x m)
         self._pairs = np.triu_indices(self.ncomp)
@@ -502,7 +500,7 @@ class BatchComplianceEvaluator:
         d_avg = (self._phase_volumes @ coefs.reshape(nb, 2, 2)) @ np.reshape(_PARTS[problem.grid.dim], (2, -1))
         d_h = (d_avg.reshape(uf.shape) - uf) / problem.cell.volume
         d_h = 0.5 * (d_h + np.swapaxes(d_h, 1, 2))
-        rho_h = np.broadcast_to(material.mixed_density(self._phase1_volume_fraction), nb)
+        rho_h = np.broadcast_to(material.mixed_density(self.fraction), nb)
 
         t = np.column_stack([d_h[:, self._pairs[0], self._pairs[1]], rho_h])
         fu = self.macro.products(t, np.ones((nb, 1)), lambda i: self._macro_solution(d_h[i], rho_h[i]))
@@ -531,17 +529,9 @@ class BatchComplianceEvaluator:
         return u[self.problem.free, None]
 
 
-def _interval_corners(params: UncertainSet) -> np.ndarray | None:
-    """Deduplicated corner grid of all (mean, std) intervals, or None above the limit."""
-    levels = []
-    count = 1
-    for p in params:
-        for iv in (p.mean, p.std):
-            vals = (iv.lo,) if iv.degenerate else (iv.lo, iv.hi)
-            levels.append(vals)
-            count *= len(vals)
-            if count > _CORNER_LIMIT:
-                return None
+def _interval_corners(params: UncertainSet) -> np.ndarray:
+    """Deduplicated corner grid of all (mean, std) intervals: a set holds at most six parameters, so 4,096 rows."""
+    levels = [(iv.lo,) if iv.degenerate else (iv.lo, iv.hi) for p in params for iv in (p.mean, p.std)]
     return np.array(list(itertools.product(*levels)))
 
 
@@ -584,11 +574,11 @@ def mcs_evaluate(
 ) -> McsResult:
     """Worst-case sample mean and std of compliance over the interval grid.
 
-    The outer loop visits every deduplicated (mu, sigma) box corner (when the
-    corner count is tractable) plus n_interval Latin hypercube points; the
-    inner loop draws n_random normal samples per point.  Non-physical draws
-    (outside the open ranges of ``materials.PARAMETERS``) are redrawn and
-    counted.  Deterministic for a fixed seed; reductions run in a fixed order.
+    The outer loop visits every deduplicated (mu, sigma) box corner plus
+    n_interval Latin hypercube points; the inner loop draws n_random normal
+    samples per point.  Non-physical draws (outside the open ranges of
+    ``materials.PARAMETERS``) are redrawn and counted.  Deterministic for a
+    fixed seed; reductions run in a fixed order.
 
     The draws come in point order and evaluation uses none, so the samples
     of whole points share each ``BatchComplianceEvaluator.compliance`` call:
@@ -604,9 +594,7 @@ def mcs_evaluate(
     lows = [b for p in params for b in (p.mean.lo, p.std.lo)]
     highs = [b for p in params for b in (p.mean.hi, p.std.hi)]
     outer = _latin_hypercube(rng, n_interval, lows, highs)
-    corners = _interval_corners(params)
-    if corners is not None:
-        outer = np.vstack([corners, outer])
+    outer = np.vstack([_interval_corners(params), outer])
 
     evaluator = BatchComplianceEvaluator(problem, state, base_material)
     best_mean = -np.inf

@@ -110,9 +110,7 @@ def reference_draws(params: UncertainSet, n_interval: int, n_random: int, seed: 
     lows = [b for p in params for b in (p.mean.lo, p.std.lo)]
     highs = [b for p in params for b in (p.mean.hi, p.std.hi)]
     outer = _latin_hypercube(rng, n_interval, lows, highs)
-    corners = _interval_corners(params)
-    if corners is not None:
-        outer = np.vstack([corners, outer])
+    outer = np.vstack([_interval_corners(params), outer])
     rows, resampled = [], 0
     for point in outer:
         mu, sigma = point[0::2], point[1::2]

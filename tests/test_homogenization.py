@@ -25,6 +25,7 @@ from rcto.homogenization import (
     stiffness_weights,
 )
 from rcto.materials import Phase, TwoPhaseMaterial, elasticity_matrix
+from rcto.problem import design_weight
 from rcto.uncertainty import BatchComplianceEvaluator
 
 from conftest import (
@@ -339,6 +340,20 @@ class TestEffectiveDensity:
         assert np.isclose(effective_density(x3, mat, grid) - base, 2 * (bump - base), rtol=1e-12)
 
 
+def test_one_effective_density_reads_the_same_in_the_weight_model_homogenization_and_oracle(rng):
+    # rho_h has one definition: the weight of one full macro element, V_a rho_h from homogenize and the
+    # oracle's rho_h agree bitwise on random two-valued cells of cantilever_2d's 50 x 50 grid
+    cfg = parse_config(CONFIGS / "cantilever_2d.yaml")
+    problem, material = build_problem(cfg), cfg.base_material
+    for _ in range(20):
+        x = np.where(rng.random(problem.cell.n_elems) < rng.random(), 1.0, cfg.x_min)
+        props = homogenize(problem.cell, x, material, problem.penalty)
+        weight = design_weight(problem, material, 1.0, np.sum(x))
+        assert weight == problem.grid.elem_volume * props.rho_h
+        oracle = BatchComplianceEvaluator(problem, full_state(problem, micro=x), material)
+        assert oracle.fraction == props.fraction and material.mixed_density(oracle.fraction) == props.rho_h
+
+
 class TestEffectiveElasticity:
     def test_full_phase1_reproduces_base(self):
         mat = steel_foam()
@@ -422,6 +437,11 @@ class TestEffectiveDerivatives:
             return homogenize(props.grid, props.x, m, 3.0).d_h
         fd = (d_h_at(0.3 + h) - d_h_at(0.3 - h)) / (2 * h)
         assert np.abs(dd - fd).max() <= 0.02 * np.abs(fd).max()
+
+    def test_own_kernel_maps_to_d_h_and_rho_h_bitwise(self, rng):
+        props = self._props(rng)
+        d, rho = props.properties(self.mat.kernel(props.grid.dim))
+        assert np.array_equal(d, props.d_h) and rho == props.rho_h
 
     def test_density_parameters_leave_elasticity_untouched(self, rng):
         props = self._props(rng)

@@ -27,6 +27,7 @@ from rcto.uncertainty import (
     HybridParameter,
     Interval,
     UncertainSet,
+    _interval_corners,
     ihpa_evaluate,
     mcs_evaluate,
     select_beta,
@@ -35,6 +36,7 @@ from rcto.uncertainty import (
 from conftest import (
     cantilever,
     degenerate_params,
+    fractional_interval,
     full_state,
     hybrid_params,
     reference_compliance,
@@ -336,6 +338,21 @@ class TestMcsEvaluate:
         assert res.resampled == 0
         assert np.isfinite(res.expectation) and res.std > 0.0
 
+    def test_largest_set_has_every_corner(self):
+        # the overlap check admits at most six parameters (nu excludes nu1 and nu2): 2^12 box corners
+        mat = self.mat
+        values = {"e1": mat.phase1.youngs, "e2": mat.phase2.youngs, "nu1": mat.phase1.poisson,
+                  "nu2": mat.phase2.poisson, "rho1": mat.phase1.density, "rho2": mat.phase2.density}
+        params = UncertainSet([
+            HybridParameter(name, fractional_interval(v, 0.05), fractional_interval(0.1 * v, 0.05))
+            for name, v in values.items()
+        ])
+        with pytest.raises(ValueError):
+            UncertainSet([*params, HybridParameter("nu", Interval.exact(0.3), Interval.exact(0.01))])
+        corners = _interval_corners(params)
+        assert corners.shape == (4096, 12)
+        assert len({tuple(row) for row in corners}) == 4096
+
     def test_sample_count_validation(self):
         prob = cantilever(2, 1, cell_n=2)
         state = full_state(prob)
@@ -533,7 +550,7 @@ class TestMcsEvaluate:
         k, m = reference_matrices(prob, state, props.d_h, 1.0)
         free = prob.free
         lam = scipy.linalg.eigh(k[free][:, free].toarray(), m[free][:, free].toarray(), eigvals_only=True)[0]
-        rho_h = props.density(1.1 * self.mat.phase1.density, self.mat.phase2.density)
+        rho_h = self.mat.with_values(("rho1",), (1.1 * self.mat.phase1.density,)).mixed_density(props.fraction)
         resonant = MacroProblem(prob.grid, prob.cell, prob.fixed_dofs, prob.force, omega=np.sqrt(lam / rho_h))
         return BatchComplianceEvaluator(resonant, state, self.mat)
 
