@@ -259,9 +259,10 @@ def _parse_document(doc: dict, text: str) -> RunConfig:
                     "cancel, or loads only on fixed nodes)")
 
     cell = v.section(doc, "cell", "", {"elements", "element_size", "seed_fraction"})
+    # with one voxel along an axis a voxel's opposite faces are one periodic face, so the corrector cannot vary along it
     cell_elements = v.take(
-        cell, "elements", "cell", [50, 50] if dim == 2 else [14, 14, 14], f"{dim} positive integers",
-        _list_of(_integer(1), dim),
+        cell, "elements", "cell", [50, 50] if dim == 2 else [14, 14, 14],
+        f"{dim} integers >= 2 (a periodic cell needs at least 2 voxels along every axis)", _list_of(_integer(2), dim),
     )
     cell_size = v.take(
         cell, "element_size", "cell", [1.0 / n for n in cell_elements], f"a positive length or {dim} of them",

@@ -7,10 +7,16 @@ Boundary conditions are enforced by row/column elimination.  All element
 matrices are exact for constant coefficients under the 2-point rule.  Node,
 element and DOF numbering all read one table, ``StructuredGrid.node_ids``.
 
-A ``SparsityPattern`` maps each element entry to its slot in LAPACK upper
-band storage, dropping those below the diagonal or on constrained DOFs, so
-one scatter of a few scaled reference element matrices gives the band of
-the free block of a system without an element stack.  Only the macro mesh
+A ``SparsityPattern`` is the ranked element DOFs, each constrained DOF
+ranked past the band, and the local entries (i, j) that reach the upper
+band.  ``scatter`` puts entry (i, j) of an element at the LAPACK upper band
+slot min(kd + r_i + kd r_j, (kd + 1) n) of its ranks, past the band (and so
+dropped) on a constrained DOF.  The slot is right because every kept entry
+lies on or above the diagonal in each element where both its DOFs are free,
+as in any structured-grid numbering; ``from_dofs`` refuses a rank map
+without that property.  So one scatter of a few scaled reference element
+matrices gives the band of the free block of a system with neither an
+element stack nor a table of slots.  Only the macro mesh
 is assembled: its dynamic stiffness is the one system factored in a run,
 its free DOFs in a band order (``band_order``; George and Liu, *Computer
 Solution of Large Sparse Positive Definite Systems*, 1981) that LAPACK's
@@ -308,41 +314,47 @@ def band_order(node_ids: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class SparsityPattern:
-    """Half-bandwidth kd of an assembled symmetric matrix and the band slots of the element entries.
+    """Half-bandwidth kd of an assembled symmetric matrix and the ranked element DOFs that place its entries.
 
-    The band is LAPACK upper band storage (Users' Guide, 3rd ed., 5.3.4): an F-ordered (kd + 1, n)
-    array with entry (r, c), r <= c, at [kd + r - c, c].  ``pairs[p]`` is a local entry (i, j) that
-    reaches the band in some element, and ``slots[p, e]`` the flat slot of entry (dofs[e, i], dofs[e, j]);
-    an entry below the diagonal (its mirror holds the same value) or on a negative DOF id (a constrained
-    DOF) goes one slot past the band, which ``scatter`` drops.  Local DOF i of distinct elements is
-    distinct DOFs, so the band slots within one row of ``slots`` are distinct.
+    The band is LAPACK upper band storage (Users' Guide, 3rd ed., 5.3.4): an F-ordered (kd + 1, n) array
+    with entry (r, c), r <= c, at [kd + r - c, c], the flat slot kd + r + kd c.  ``ranks[i, e]`` is the row
+    of local DOF i of element e, or (kd + 1) n, past the band, for a constrained DOF (a negative id).
+    ``pairs[p]`` is a local entry (i, j) that reaches the band in some element; ``scatter`` puts it at
+    min(kd + r_i + kd r_j, (kd + 1) n), so an entry on a constrained DOF goes past the band, where it is
+    dropped (for kd = 0 every kept entry is diagonal, the DOFs of one element being distinct).  The slot
+    is right only where the entry lies on or above the diagonal: every kept entry must do so, r_i <= r_j,
+    in each element where both its DOFs are free, and its mirror below the diagonal, which holds the same
+    value, is not kept.  Any structured-grid numbering has this property, natural or band order with the
+    constrained DOFs dropped, and ``from_dofs`` refuses a rank map without it.  Local DOF i of distinct
+    elements is distinct DOFs, so the band slots of one pair are distinct.
     """
 
     n: int
     kd: int
     pairs: np.ndarray
-    slots: np.ndarray
+    ranks: np.ndarray
 
     @classmethod
     def from_dofs(cls, dofs: np.ndarray, n: int) -> "SparsityPattern":
         dofs = np.asarray(dofs, dtype=np.intp)
-        for local in dofs.T:
-            kept = local[local >= 0]
-            if unique_ids(kept).size != kept.size:
-                raise ValueError("a local DOF maps two elements onto one DOF; scatter adds one element per slot")
         kd = int(np.max(dofs.max(axis=1) - np.where(dofs < 0, n, dofs).min(axis=1), initial=0))
-
-        def upper(i, j):  # both DOFs free, on or above the diagonal
-            return (dofs[:, i] >= 0) & (dofs[:, i] <= dofs[:, j])
-        entries = itertools.product(range(dofs.shape[1]), repeat=2)
-        pairs = np.array([p for p in entries if upper(*p).any()], dtype=np.intp).reshape(-1, 2)
-        slots = np.empty((len(pairs), len(dofs)), dtype=np.intp)  # filled in place: the table is never stacked
-        for (i, j), row in zip(pairs, slots):
-            rows, cols = dofs[:, i], dofs[:, j]
-            row[:] = np.where(upper(i, j), kd + rows - cols + (kd + 1) * cols, (kd + 1) * n)
-        for table in (pairs, slots):
+        past = (kd + 1) * n
+        ranks = np.where(dofs < 0, past, dofs).T.copy()
+        ordered = np.sort(ranks, axis=1)
+        if np.any((ordered[:, 1:] == ordered[:, :-1]) & (ordered[:, 1:] < past)):
+            raise ValueError("a local DOF maps two elements onto one DOF; scatter adds one element per slot")
+        free = ranks < past
+        kept = np.empty((len(ranks), len(ranks)), dtype=bool)
+        for i, rank in enumerate(ranks):  # entries (i, j) for every j at once
+            both = free & free[i]
+            kept[i] = (both & (rank <= ranks)).any(axis=1)
+            if np.any(kept[i] & (both & (rank > ranks)).any(axis=1)):
+                raise ValueError("a local entry lies above the diagonal in one element and below it in another; "
+                                 "scatter places each local entry on one side")
+        pairs = np.argwhere(kept)
+        for table in (pairs, ranks):
             table.setflags(write=False)  # shared by every band scattered with this pattern
-        return cls(n, kd, pairs, slots)
+        return cls(n, kd, pairs, ranks)
 
 
 def scatter(pattern: SparsityPattern, scales: np.ndarray, matrices: np.ndarray) -> np.ndarray:
@@ -350,13 +362,20 @@ def scatter(pattern: SparsityPattern, scales: np.ndarray, matrices: np.ndarray) 
 
     ``scales`` is (R, n_elems) and ``matrices`` (R, ndof_e, ndof_e): each element matrix is a combination
     of R shared ones, so the band is filled one local entry at a time and no element stack is formed.
+    The entry's band slots are formed from the pattern's ranks in one reused buffer.
     """
-    size = (pattern.kd + 1) * pattern.n
+    kd, ranks = pattern.kd, pattern.ranks
+    size = (kd + 1) * pattern.n
     flat = np.zeros(size + 1)
     weights = np.asarray(scales, dtype=float).T
-    for (i, j), slots in zip(pattern.pairs, pattern.slots):
+    slots = np.empty(ranks.shape[1], dtype=np.intp)
+    for i, j in pattern.pairs:
+        np.multiply(ranks[j], kd, out=slots)
+        slots += ranks[i]
+        slots += kd
+        np.minimum(slots, size, out=slots)
         flat[slots] += weights @ matrices[:, i, j]  # distinct band slots: no entry is added twice
-    return flat[:size].reshape((pattern.kd + 1, pattern.n), order="F")
+    return flat[:size].reshape((kd + 1, pattern.n), order="F")
 
 
 class FactorizedSystem:

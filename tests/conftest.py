@@ -8,8 +8,8 @@ import pytest
 import scipy.sparse
 
 from rcto.fem import StructuredGrid, assemble, band_order, mean_compliance, strain_operators
-from rcto.homogenization import corrected_strains, homogenize, solve_cell_problems
-from rcto.materials import PARAMETERS, Phase, TwoPhaseMaterial
+from rcto.homogenization import corner_tables, corrected_strains, homogenize, solve_cell_problems
+from rcto.materials import PARAMETERS, Phase, TwoPhaseMaterial, voigt_size
 from rcto.problem import DesignState, MacroProblem, factorized_dynamic, stiffness_scale
 from rcto.uncertainty import HybridParameter, Interval, UncertainSet, _interval_corners, _latin_hypercube
 
@@ -217,6 +217,22 @@ def capture_factors(monkeypatch):
 def cell_strains(grid, d_voxels):
     """Corrected strains g of the whole cell and the Gauss weights w, from one cell solve."""
     return corrected_strains(grid, solve_cell_problems(grid, d_voxels)), strain_operators(grid.spacing)[2]
+
+
+def stacked_cell_loads(grid, d_voxels):
+    """``cell_loads`` from whole (n_voxels, ndof_e, ncomp) element stacks, each master DOF summing its voxels'
+    corners in corner order: the loads and the rounding floors of their column norms."""
+    b, _, w = strain_operators(grid.spacing)
+    b_w = np.einsum("q,qce->ec", w, b)
+    slots = corner_tables(grid)[1]
+
+    def to_masters(elem):
+        rows = elem.reshape(slots.size, -1)
+        return sum(rows[corner] for corner in slots).reshape(-1, elem.shape[-1])
+
+    magnitude = to_masters(np.abs(b_w) @ np.abs(d_voxels))
+    floors = (2**grid.dim + voigt_size(grid.dim)) * np.finfo(float).eps * np.linalg.norm(magnitude, axis=0)
+    return to_masters(b_w @ d_voxels), floors
 
 
 def reference_d_h(g, w, d_voxels, volume):

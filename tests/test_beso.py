@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import rcto.beso
-from rcto.errors import InfeasibleTargetError
+from rcto.errors import InfeasibleTargetError, SingularSystemError
 from rcto.fem import StructuredGrid, mean_compliance
 from rcto.homogenization import effective_density, homogenize, seed_cell
 from rcto.materials import Phase, TwoPhaseMaterial
@@ -20,6 +20,7 @@ from rcto.beso import (
     mass_quantum,
     reference_mass,
     run,
+    solid_regions,
     total_mass,
     update_weight_target,
 )
@@ -271,6 +272,26 @@ class TestRun:
         res = run(cantilever(4, 2, cell_n=4), self.mat, UncertainSet(), sched, r_min_macro=1.5, r_min_micro=0.12)
         assert res.converged and len(calls) == len(res.history) - 1
 
+    def test_failed_solve_names_the_detached_solid_regions(self, monkeypatch):
+        # element (i, j) is i + 8 j: a void column at i = 5 cuts off the right end, a void pair at j = 2 splits it
+        prob = cantilever(8, 4, cell_n=4)
+        state = initial_state(prob)
+        grid = state.x_macro.reshape(4, 8)
+        grid[:, 5] = X_MIN
+        grid[2, 6:] = X_MIN
+        monkeypatch.setattr(rcto.beso, "initial_state", lambda *args, **kw: state)
+
+        def fail(*args, **kw):
+            raise SingularSystemError("linear solve failed the residual contract")
+
+        monkeypatch.setattr(rcto.beso, "ihpa_evaluate", fail)
+        with pytest.raises(SingularSystemError) as err:
+            run(prob, self.mat, UncertainSet(), Schedule(0.5), r_min_macro=1.5, r_min_micro=0.12)
+        assert str(err.value) == (
+            "iteration 0: linear solve failed the residual contract; detached solid macro regions "
+            "(not face-connected to the largest, of 20 elements): 2, of sizes 4, 2"
+        )
+
     def test_schedule_needs_one_iteration(self):
         # the result reports the last evaluated objective, so an empty loop is rejected up front
         with pytest.raises(ValueError, match="max_iterations"):
@@ -284,3 +305,21 @@ class TestRun:
             r_min_macro=1.5, r_min_micro=0.2, keep_snapshots=True,
         )
         assert len(res.field_snapshots) == len(res.history)
+
+
+class TestSolidRegions:
+    @pytest.mark.parametrize("shape", [(1, 1), (7, 5), (12, 4), (4, 3, 5), (6, 6, 2)])
+    def test_region_sizes_are_those_of_scipy_face_labelling(self, rng, shape):
+        from scipy import ndimage
+
+        grid = StructuredGrid(shape, (1.0,) * len(shape))
+        for fraction in (0.3, 0.5, 0.7, 1.0):
+            solid = rng.random(grid.n_elems) < fraction
+            labels, count = ndimage.label(solid.reshape(shape, order="F"))  # face neighbours by default
+            ref = np.sort(np.bincount(labels.ravel())[1:])[::-1]
+            assert solid_regions(grid, solid).tolist() == ref.tolist()
+
+    def test_regions_touching_at_a_corner_are_two(self):
+        grid = StructuredGrid((2, 2), (1.0, 1.0))
+        assert solid_regions(grid, np.array([True, False, False, True])).tolist() == [1, 1]
+        assert solid_regions(grid, np.zeros(4, dtype=bool)).tolist() == []

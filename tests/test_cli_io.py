@@ -196,6 +196,23 @@ class TestParseConfig:
         assert "error[config]" in err and "zero force vector on the free DOFs" in err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("mode, elements", [("dcto", [1, 1]), ("rcto", [1, 1]), ("dcto", [2, 1])])
+    def test_cell_with_one_voxel_along_an_axis_rejected(self, tmp_path, capsys, mode, elements):
+        # such cells used to finish "converged" far from the weight target (0.8958 or 0.9792 against 0.5)
+        with open(os.path.join(CONFIGS, "cantilever_small.yaml"), encoding="utf-8") as fh:
+            doc = yaml.safe_load(fh)
+        doc["cell"]["elements"] = elements
+        path = write_config(tmp_path, doc)
+        with pytest.raises(ConfigError) as err:
+            parse_config(path)
+        assert err.value.problems == [
+            f"cell.elements: expected 2 integers >= 2 (a periodic cell needs at least 2 voxels along every axis), "
+            f"got {elements!r}"
+        ]
+        assert main(["run", "--config", path, "--out", str(tmp_path / "o"), "--mode", mode]) == 2
+        assert "error[config]" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
 
 def set_key(doc, dotted, value):
     """doc with the key at a reported path such as ``loads[0].amplitude`` set to value."""

@@ -240,9 +240,9 @@ class TestSparsityPattern:
         assert_same_band(scatter(pattern, np.eye(grid.n_elems), elem_mats), ref)
 
     def test_negative_dofs_are_dropped_at_pattern_build(self, rng):
-        # keep a shuffled subset of the DOFs; the pattern's rows and columns follow the shuffle
+        # keep a random subset of the DOFs in their order; the pattern's rows and columns are the kept DOFs
         grid = StructuredGrid((5, 3), (1.0, 0.5))
-        kept = rng.permutation(grid.n_dofs)[: grid.n_dofs - 7]
+        kept = np.sort(rng.permutation(grid.n_dofs)[: grid.n_dofs - 7])
         rank = np.full(grid.n_dofs, -1)
         rank[kept] = np.arange(kept.size)
         pattern = SparsityPattern.from_dofs(rank[grid.elem_dofs], kept.size)
@@ -254,7 +254,16 @@ class TestSparsityPattern:
         dofs = np.array([[0, 1], [2, 1], [-1, 3], [-1, 4]])  # local DOF 1 of elements 0 and 1 is DOF 1
         with pytest.raises(ValueError, match="scatter adds one element per slot"):
             SparsityPattern.from_dofs(dofs, 5)
-        assert SparsityPattern.from_dofs(dofs[1:], 5).slots.shape[1] == 3  # two constrained entries are no clash
+        assert SparsityPattern.from_dofs(dofs[1:], 5).ranks.shape[1] == 3  # two constrained entries are no clash
+
+    def test_a_local_entry_on_both_sides_of_the_diagonal_is_refused(self, rng):
+        # entry (0, 1) is above the diagonal in element 0 and below it in element 1: scatter has one slot formula
+        with pytest.raises(ValueError, match="above the diagonal in one element and below it in another"):
+            SparsityPattern.from_dofs(np.array([[0, 1], [3, 2]]), 4)
+        assert SparsityPattern.from_dofs(np.array([[0, 1], [-1, 2], [3, -1]]), 4).pairs.tolist() == [[0, 0], [0, 1], [1, 1]]
+        grid = StructuredGrid((5, 3), (1.0, 0.5))
+        with pytest.raises(ValueError, match="above the diagonal"):
+            SparsityPattern.from_dofs(rng.permutation(grid.n_dofs)[grid.elem_dofs], grid.n_dofs)
 
     @pytest.mark.parametrize("ids", [[], [3], [2, 2, 2], [5, -1, 3, 5, 0, -1, 7, 3], np.arange(12).reshape(3, 4) % 5])
     def test_unique_ids_are_those_of_np_unique(self, ids):
@@ -306,6 +315,9 @@ class TestBandOrder:
         problem = build_problem(parse_config(str(CONFIGS / f"{config}.yaml")))
         assert problem.grid.shape == shape
         assert problem.pattern.kd == kd
+        # the pattern is the ranked element DOFs and its kept local entries, no (entries x elements) slot table
+        held = sum(a.size for a in vars(problem.pattern).values() if isinstance(a, np.ndarray))
+        assert held <= 2 * problem.grid.elem_dofs.size
 
     def test_free_dofs_and_pattern_built_once_per_problem(self):
         prob = cantilever(4, 2)

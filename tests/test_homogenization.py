@@ -35,6 +35,7 @@ from conftest import (
     reference_d_h,
     reference_d_h_derivative,
     refuse_sparse_matrices,
+    stacked_cell_loads,
     steel_foam,
     traced_peak,
 )
@@ -298,6 +299,17 @@ class TestCellSolver:
         for material in (cfg.base_material, cfg.params.mean_material(cfg.base_material)):
             solve_cell_problems(cell, micro_elasticity(x, material, cfg.penalty, cell.dim))
 
+    @pytest.mark.parametrize("name", sorted(p.name for p in CONFIGS.glob("*.yaml")))
+    def test_loads_one_test_strain_at_a_time_are_the_stacked_product_bitwise(self, rng, name):
+        cfg = parse_config(str(CONFIGS / name))
+        cell = cfg.cell_grid()
+        for _ in range(5):
+            x = np.where(rng.random(cell.n_elems) < rng.random(), 1.0, cfg.x_min)
+            d = micro_elasticity(x, cfg.base_material, cfg.penalty, cell.dim)
+            loads, floors = cell_loads(cell, d)
+            ref_loads, ref_floors = stacked_cell_loads(cell, d)
+            assert np.array_equal(loads, ref_loads) and np.array_equal(floors, ref_floors)
+
     def test_unreachable_tolerance_stops_at_the_bound_and_names_the_contrast(self, rng, monkeypatch):
         monkeypatch.setattr(homogenization, "CG_RTOL", 1e-30)
         grid, x = random_cell(rng)
@@ -523,6 +535,16 @@ class TestCellEnergyBasis:
         props, peak = traced_peak(lambda: homogenize(cell, x, cfg.base_material, cfg.penalty))
         assert props.basis.shape == (14**3, 2, 6, 6)
         assert peak < 11.5 * 2**20
+
+    def test_working_set_of_a_3d_cell_solve(self):
+        # the prism_3d seed cell: one (n_voxels, ndof_e, ncomp) element stack takes 3.0 MiB; the loads, their
+        # rounding floors and the CG's true-residual check form one test strain at a time and hold none
+        cfg = parse_config(str(CONFIGS / "prism_3d.yaml"))
+        cell = cfg.cell_grid()
+        d = micro_elasticity(seed_cell(cell, cfg.seed_fraction, cfg.x_min), cfg.base_material, cfg.penalty, cell.dim)
+        solve_cell_problems(cell, d)  # fills the grid's cached corner tables, which outlive the solve
+        _, peak = traced_peak(lambda: solve_cell_problems(cell, d))
+        assert peak < 7 * 2**20
 
 
 class TestSeedAndFormatting:
