@@ -280,7 +280,11 @@ def _parse_document(doc: dict, text: str) -> RunConfig:
     )
     wf = v.take(opt, "weight_fraction", "optimizer", _REQUIRED, "a fraction in (0, 1]", lambda x: _real(x) and 0 < x <= 1)
     er = v.take(opt, "evolution_ratio", "optimizer", 0.02, "a number > 0", _positive)
-    penalty = v.take(opt, "penalty", "optimizer", 3.0, "a number > 0", _positive)
+    penalty = v.take(
+        opt, "penalty", "optimizer", 3.0, "a number > 1 (at p <= 1 a void element's sensitivity factor "
+        "p x_min^(p-1) is at least a solid's, p, so voids rank like solids on both scales)",
+        lambda x: _real(x) and x > 1,
+    )
     kappa = v.take(opt, "kappa", "optimizer", 1.0, "a nonnegative number", lambda x: _real(x) and x >= 0)
     tol = v.take(opt, "convergence_tol", "optimizer", 1e-3, "a number > 0", _positive)
     x_min = v.take(opt, "x_min", "optimizer", X_MIN_DEFAULT, "a number in (0, 1)", lambda x: _real(x) and 0 < x < 1)

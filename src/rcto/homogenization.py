@@ -3,12 +3,13 @@
 Solves the cell problems for the unit test strains under periodic boundary
 conditions (master-slave coupling of opposite faces, zero-mean correctors)
 by conjugate gradients on a reference-medium split (Moulinec and Suquet,
-1998): K = K_ref + Delta K, with K_ref the stiffness of the elasticity that
-most voxels share and Delta K that of D_i - D_ref over the voxels that
-differ.  The FFT-diagonalized K_ref preconditions the CG (Zeman et al., J.
-Comput. Phys. 2010) and gives K_ref p by a recurrence, so an iteration
-applies Delta K alone, with neither a factorization nor an assembled
-matrix.  The solve returns only the zero-mean correctors u; readers take
+1998): voxel i has D_i = eta_i D1 + (1 - eta_i) D2, and K = K_ref + Delta K
+with K_ref the stiffness of D_ref = D(eta_ref) for the most common weight and
+Delta K that of (eta_i - eta_ref)(D1 - D2) over the voxels that differ.  The
+FFT-diagonalized K_ref preconditions the CG (Zeman et al., J. Comput. Phys.
+2010) and gives K_ref p by a recurrence, so an iteration applies Delta K
+alone, with neither a factorization nor an assembled matrix nor a per-voxel
+elasticity.  The solve returns only the zero-mean correctors u; readers take
 what they need from u through one gather and one full-cell operator.  With
 g_iq = I - B u_e the corrected strains (eps0 - eps) of the unit test strains
 at Gauss point q of voxel i, formed one block of voxels at a time, the
@@ -100,30 +101,32 @@ def cell_operator(grid: StructuredGrid, k_e: np.ndarray, weights: np.ndarray | N
     return apply
 
 
-def cell_loads(grid: StructuredGrid, d_voxels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Reduced load vectors (n_red, ncomp), the integral of B^T D eps0 per test strain, and the rounding floor
-    (ncomp,) of each column's 2-norm.
+def cell_loads(grid: StructuredGrid, weights: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Reduced load vectors (n_red, ncomp), the integral of B^T D_i eps0 per test strain, and the rounding floor
+    (ncomp,) of each column's 2-norm, for D_i = sum_t weights[t, i] d[t] (weights (T, n_voxels), d (T, ncomp, ncomp)).
 
     A computed load entry sums 2^dim element entries, each a dot product of
     length ncomp, so it lies within (2^dim + ncomp) eps of the exact load
     relative to the same sums in absolute values (Higham, Accuracy and
-    Stability of Numerical Algorithms, sec. 3.1).  A column below that floor
-    cannot be told from the exact zero load of a homogeneous cell: its
-    correctors are zero, and the D_h error is f^T K^-1 f, second order in it.
+    Stability of Numerical Algorithms, sec. 3.1), here over |weights| and |d|,
+    which bound |D_i|.  A column below that floor cannot be told from the
+    exact zero load of a homogeneous cell: its correctors are zero, and the
+    D_h error is f^T K^-1 f, second order in it.
 
     The loads and their absolute-value sums are formed one test strain at a
-    time, each element column one GEMM D_i[:, c] . b_w^T over the voxels, so
-    no (n_voxels, ndof_e, ncomp) stack is held; the sums live in their own
-    array, which the returned loads do not keep alive.
+    time, each element column one product (n_voxels, T) @ (T, ndof_e), so no
+    per-voxel D and no (n_voxels, ndof_e, ncomp) stack is held; the sums live
+    in their own array, which the returned loads do not keep alive.
     """
     b, _, w = strain_operators(grid.spacing)
     b_w = np.einsum("q,qce->ec", w, b)
+    weights, d = np.asarray(weights, dtype=float).T, np.asarray(d, dtype=float)
     loads = np.empty((grid.dim * grid.n_elems, b_w.shape[1]))
     magnitude = np.empty_like(loads)
     for c in range(b_w.shape[1]):
-        column = d_voxels[:, :, c]
-        loads[:, c] = _sum_to_masters(grid, (column @ b_w.T)[:, :, None])[:, 0]
-        magnitude[:, c] = _sum_to_masters(grid, (np.abs(column) @ np.abs(b_w).T)[:, :, None])[:, 0]
+        loads[:, c] = _sum_to_masters(grid, (weights @ (d[:, :, c] @ b_w.T))[:, :, None])[:, 0]
+        bound = np.abs(weights) @ (np.abs(d[:, :, c]) @ np.abs(b_w).T)
+        magnitude[:, c] = _sum_to_masters(grid, bound[:, :, None])[:, 0]
     floors = (2**grid.dim + voigt_size(grid.dim)) * np.finfo(float).eps * np.linalg.norm(magnitude, axis=0)
     return loads, floors
 
@@ -138,31 +141,18 @@ def corrected_strains(grid: StructuredGrid, u: np.ndarray, voxels=slice(None)) -
     return np.subtract(np.eye(ncomp), g, out=g)
 
 
-def reference_split(d_voxels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The elasticity D_ref that most voxels share, and the mask of the voxels whose D differs from it.
-
-    A 1-D key, the entries weighted by 1, 2, ..., finds the most common
-    matrix; membership is exact equality.  A key collision can only pick a
-    less common reference, never a wrong mask.
-    """
-    flat = d_voxels.reshape(len(d_voxels), -1)
-    _, first, counts = np.unique(flat @ np.arange(1.0, flat.shape[1] + 1), return_index=True, return_counts=True)
-    d_ref = d_voxels[first[np.argmax(counts)]]
-    return d_ref, np.any(flat != d_ref.ravel(), axis=1)
-
-
-def _difference_operator(grid: StructuredGrid, d_voxels: np.ndarray, d_ref: np.ndarray, differ: np.ndarray):
-    """u -> Delta K u on blocks (n_red, k): the cell stiffness of D_i - D_ref over the voxels in the mask differ.
+def _difference_operator(grid: StructuredGrid, k_diff: np.ndarray, weights: np.ndarray, differ: np.ndarray):
+    """u -> Delta K u on blocks (n_red, k): the cell stiffness of D_i - D_ref = weights_i (D1 - D2) over the voxels
+    in the mask differ, from the one element matrix k_diff of D1 - D2 and the weights (n_differ,) of those voxels.
 
     The element stiffness is linear in D, so K_ref + Delta K is exactly the
     cell stiffness of the per-voxel elasticities.
     """
     nodes = corner_tables(grid)[0][differ]
-    k_e = element_stiffness_batch(d_voxels[differ] - d_ref, grid.spacing)
 
     def apply(u: np.ndarray) -> np.ndarray:
         width = grid.dim * u.shape[1]  # a node's values; explicit, as an empty difference set has none
-        forces = (k_e @ _gather(grid, u, nodes)).reshape(nodes.shape + (width,))
+        forces = (k_diff @ _gather(grid, u, nodes) * weights[:, None, None]).reshape(nodes.shape + (width,))
         out = np.zeros((grid.n_elems, width))
         for a, corner in enumerate(nodes.T):  # corner a of distinct voxels is distinct nodes: no index repeats
             out[corner] += forces[:, a]
@@ -172,11 +162,12 @@ def _difference_operator(grid: StructuredGrid, d_voxels: np.ndarray, d_ref: np.n
 
 
 def _phase_contrast(d_voxels: np.ndarray, d_ref: np.ndarray) -> float:
-    """Ratio of the extreme generalized eigenvalues of (D_i, D_ref) over the voxels and D_ref itself.
+    """Ratio of the extreme generalized eigenvalues of (D_i, D_ref) over the voxel elasticities d_voxels.
 
     It bounds the spectrum of the reference-preconditioned cell operator:
     u^T K u / u^T K_ref u is a voxel-weighted average of eps^T D_i eps / eps^T D_ref eps.
-    Voxels equal to D_ref add only the eigenvalue 1, so the differing voxels suffice.
+    D(eta) is affine in eta, so the largest eigenvalue of (D(eta), D_ref) is
+    convex in eta and the smallest concave: the smallest and largest eta suffice.
     """
     try:
         inv_l = np.linalg.inv(np.linalg.cholesky(d_ref))
@@ -184,7 +175,6 @@ def _phase_contrast(d_voxels: np.ndarray, d_ref: np.ndarray) -> float:
         raise SingularSystemError(
             "unit cell system is singular: the reference voxel elasticity is not positive definite (void cell?)"
         ) from None
-    d_voxels = np.concatenate([d_ref[None], d_voxels])
     lam = np.linalg.eigvalsh(inv_l @ d_voxels @ inv_l.T)
     if lam.min() <= 0.0:
         raise SingularSystemError("unit cell system is singular: a voxel elasticity is not positive definite")
@@ -229,34 +219,40 @@ class _ReferencePreconditioner:
         return np.fft.irfftn(z_hat, s=self.shape, axes=axes).reshape(r.shape)
 
 
-def solve_cell_problems(grid: StructuredGrid, d_voxels: np.ndarray) -> np.ndarray:
+def solve_cell_problems(grid: StructuredGrid, eta: np.ndarray, d1: np.ndarray, d2: np.ndarray) -> np.ndarray:
     """Solve the periodic cell problems for all unit test strains.
 
-    d_voxels: (n_voxels, ncomp, ncomp) elasticity matrix per voxel.
+    Voxel i has D_i = eta_i d1 + (1 - eta_i) d2 for the (n_voxels,) weights
+    eta (``stiffness_weights``) and the two (ncomp, ncomp) phase elasticities.
     Returns the zero-mean reduced periodic correctors u (n_red_dofs, ncomp),
     one column per unit test strain (``corrected_strains`` reads g from them).
 
     One block conjugate-gradient run over the loaded columns on the cell
     stiffness K = K_ref + Delta K, preconditioned by the FFT inverse of K_ref.
-    D_ref is the majority voxel elasticity (``reference_split``), so Delta K
-    touches only the voxels that differ from it: on a two-valued design at
-    most half the cell.  A column whose load lies below its rounding floor
-    (``cell_loads``) is the zero load and gets zero correctors.  Each answer
-    must meet ``fem.RESIDUAL_TOL`` in its true residual on the zero-mean load.
+    D_ref is the elasticity of the most common weight eta_ref, so Delta K
+    applies (eta_i - eta_ref) (D1 - D2) on only the voxels whose weight
+    differs: on a two-valued design at most half the cell.  A column whose
+    load lies below its rounding floor (``cell_loads``) is the zero load and
+    gets zero correctors.  Each answer must meet ``fem.RESIDUAL_TOL`` in its
+    true residual on the zero-mean load.
     """
     ncomp = voigt_size(grid.dim)
-    d_voxels = np.asarray(d_voxels, dtype=float)
-    if d_voxels.shape != (grid.n_elems, ncomp, ncomp):
-        raise ValueError(f"expected per-voxel D of shape {(grid.n_elems, ncomp, ncomp)}")
-    d_ref, differ = reference_split(d_voxels)
-    kappa = _phase_contrast(d_voxels[differ], d_ref)
-    f, floors = cell_loads(grid, d_voxels)
+    eta, d1, d2 = (np.asarray(a, dtype=float) for a in (eta, d1, d2))
+    if eta.shape != (grid.n_elems,) or d1.shape != d2.shape or d1.shape != (ncomp, ncomp):
+        raise ValueError(f"expected {grid.n_elems} voxel weights and two phase elasticities of shape {(ncomp, ncomp)}")
+    levels, counts = np.unique(eta, return_counts=True)
+    eta_ref = levels[np.argmax(counts)]
+    d_ref = eta_ref * d1 + (1.0 - eta_ref) * d2
+    ends = levels[[0, -1], None, None]
+    kappa = _phase_contrast(ends * d1 + (1.0 - ends) * d2, d_ref)
+    f, floors = cell_loads(grid, np.stack([eta, 1.0 - eta]), np.stack([d1, d2]))
     f = _zero_mean(f, grid.dim)
     loaded = np.linalg.norm(f, axis=0) > floors
     u = np.zeros_like(f)
     if loaded.any():
-        k_ref = element_stiffness_batch(d_ref[None], grid.spacing)[0]
-        difference = _difference_operator(grid, d_voxels, d_ref, differ)
+        k_ref, k_diff = element_stiffness_batch(np.stack([d_ref, d1 - d2]), grid.spacing)
+        differ = eta != eta_ref
+        difference = _difference_operator(grid, k_diff, eta[differ] - eta_ref, differ)
         reference = _ReferencePreconditioner(grid, k_ref)
         u[:, loaded] = _block_cg(cell_operator(grid, k_ref), difference, f[:, loaded], reference, kappa)
     return u
@@ -340,14 +336,6 @@ def _block_cg(stiffness, difference, f: np.ndarray, reference: _ReferencePrecond
 def stiffness_weights(x: np.ndarray, penalty: float) -> np.ndarray:
     """Phase-1 stiffness fraction per voxel under the power-law interpolation."""
     return np.asarray(x, dtype=float) ** penalty
-
-
-def micro_elasticity(x: np.ndarray, material: TwoPhaseMaterial, penalty: float, dim: int) -> np.ndarray:
-    """Per-voxel elasticity x^p D1 + (1 - x^p) D2."""
-    eta = stiffness_weights(x, penalty)
-    d1 = material.phase1.elasticity(dim)
-    d2 = material.phase2.elasticity(dim)
-    return eta[:, None, None] * d1 + (1.0 - eta)[:, None, None] * d2
 
 
 def phase1_fraction(grid: StructuredGrid, x_sum):
@@ -448,9 +436,9 @@ def homogenize(
     x = np.asarray(x, dtype=float)
     if x.shape != (grid.n_elems,):
         raise ValueError(f"expected {grid.n_elems} micro design variables, got {x.shape}")
-    d_voxels = micro_elasticity(x, material, penalty, grid.dim)
-    u = solve_cell_problems(grid, d_voxels)
-    d_h, basis, moments = effective_elasticity(grid, u, stiffness_weights(x, penalty), material.coefficients(grid.dim))
+    eta = stiffness_weights(x, penalty)
+    u = solve_cell_problems(grid, eta, material.phase1.elasticity(grid.dim), material.phase2.elasticity(grid.dim))
+    d_h, basis, moments = effective_elasticity(grid, u, eta, material.coefficients(grid.dim))
     f = phase1_fraction(grid, np.sum(x))
     rho_h = float(material.mixed_density(f))
     return EffectiveProperties(grid, x.copy(), material, penalty, d_h, rho_h, basis, moments, f)

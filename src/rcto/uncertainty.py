@@ -36,7 +36,6 @@ from .homogenization import (
     cell_loads,
     cell_operator,
     homogenize,
-    micro_elasticity,
     phase1_fraction,
     solve_cell_problems,
     stiffness_weights,
@@ -447,13 +446,13 @@ class BatchComplianceEvaluator:
         self.state = state.copy()
         cell = problem.cell
         self.ncomp = voigt_size(problem.grid.dim)
-        eta = stiffness_weights(state.x_micro, problem.penalty)
+        self.eta = eta = stiffness_weights(state.x_micro, problem.penalty)
         # four stiffness/load terms {phase 1, phase 2} x {A0, A1}, in the order of the sample coefficients:
         # a per-voxel weight times one reference element matrix of a material part
         parts = _PARTS[cell.dim]
         k_parts = element_stiffness_batch(np.asarray(parts), cell.spacing)
         terms = [(wts, part, k) for wts in (eta, 1.0 - eta) for part, k in zip(parts, k_parts)]
-        loads, floors = zip(*(cell_loads(cell, wts[:, None, None] * part) for wts, part, _ in terms))
+        loads, floors = zip(*(cell_loads(cell, wts[None], part[None]) for wts, part, _ in terms))
         operators = [cell_operator(cell, k, wts) for wts, _, k in terms]
         self.cell = _ReducedBasis("cell", operators, np.array(loads), np.array(floors))
         # phase volumes for the average-stiffness part of the energy identity
@@ -514,8 +513,8 @@ class BatchComplianceEvaluator:
     def _cell_solution(self, names, row) -> np.ndarray:
         """Zero-mean periodic correctors (n_red, ncomp) of one sample by the full cell solver."""
         material = self.base.with_values(names, row)
-        d_voxels = micro_elasticity(self.state.x_micro, material, self.problem.penalty, self.problem.cell.dim)
-        return solve_cell_problems(self.problem.cell, d_voxels)
+        d1, d2 = (material.phase(p).elasticity(self.problem.cell.dim) for p in (1, 2))
+        return solve_cell_problems(self.problem.cell, self.eta, d1, d2)
 
     def _macro_operator(self, dd, drho, v: np.ndarray) -> np.ndarray:
         """Free-DOF block (n_free, k) of dK_d v for free-DOF columns v and one (dD_h, drho_h) direction."""

@@ -8,7 +8,7 @@ import pytest
 import scipy.sparse
 
 from rcto.fem import StructuredGrid, assemble, band_order, mean_compliance, strain_operators
-from rcto.homogenization import corner_tables, corrected_strains, homogenize, solve_cell_problems
+from rcto.homogenization import corner_tables, corrected_strains, homogenize, solve_cell_problems, stiffness_weights
 from rcto.materials import PARAMETERS, Phase, TwoPhaseMaterial, voigt_size
 from rcto.problem import DesignState, MacroProblem, factorized_dynamic, stiffness_scale
 from rcto.uncertainty import HybridParameter, Interval, UncertainSet, _interval_corners, _latin_hypercube
@@ -196,43 +196,56 @@ def assert_band_order(grid):
 
 
 def capture_factors(monkeypatch):
-    """Record every SuperLU factor object made through ``rcto.fem.splu``.
+    """Record every SuperLU factor object made through ``scipy.sparse.linalg.splu``.
 
     No path of the package calls SuperLU any more: the macro system is factored by banded Cholesky or
-    refused, so a test that captures factors expects none.
+    refused, so a test that captures factors expects none.  ``rcto.fem.splu`` resolves to the recording
+    function too, as the module ``__getattr__`` looks it up in ``scipy.sparse.linalg`` on each access.
     """
-    import rcto.fem
+    import scipy.sparse.linalg
 
     factors = []
-    splu = rcto.fem.splu
+    splu = scipy.sparse.linalg.splu
 
     def recording_splu(*args, **kwargs):
         factors.append(splu(*args, **kwargs))
         return factors[-1]
 
-    monkeypatch.setattr(rcto.fem, "splu", recording_splu)
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", recording_splu)
     return factors
 
 
-def cell_strains(grid, d_voxels):
+def cell_phases(x, material, penalty, dim):
+    """(eta, D1, D2) of a micro design: the voxel stiffness weights and the phase elasticities that
+    ``solve_cell_problems`` reads."""
+    return stiffness_weights(x, penalty), material.phase1.elasticity(dim), material.phase2.elasticity(dim)
+
+
+def voxel_elasticity(eta, d1, d2):
+    """The dense per-voxel elasticity stack eta_i D1 + (1 - eta_i) D2 (n_voxels, ncomp, ncomp), for references."""
+    return eta[:, None, None] * d1 + (1.0 - eta)[:, None, None] * d2
+
+
+def cell_strains(grid, eta, d1, d2):
     """Corrected strains g of the whole cell and the Gauss weights w, from one cell solve."""
-    return corrected_strains(grid, solve_cell_problems(grid, d_voxels)), strain_operators(grid.spacing)[2]
+    return corrected_strains(grid, solve_cell_problems(grid, eta, d1, d2)), strain_operators(grid.spacing)[2]
 
 
-def stacked_cell_loads(grid, d_voxels):
-    """``cell_loads`` from whole (n_voxels, ndof_e, ncomp) element stacks, each master DOF summing its voxels'
+def stacked_cell_loads(grid, weights, d):
+    """``cell_loads`` from whole (n_voxels, ndof_e * ncomp) element stacks, each master DOF summing its voxels'
     corners in corner order: the loads and the rounding floors of their column norms."""
     b, _, w = strain_operators(grid.spacing)
     b_w = np.einsum("q,qce->ec", w, b)
     slots = corner_tables(grid)[1]
 
-    def to_masters(elem):
+    def to_masters(weights, terms):
+        elem = (weights.T @ terms.reshape(len(terms), -1)).reshape((-1,) + terms.shape[1:])
         rows = elem.reshape(slots.size, -1)
         return sum(rows[corner] for corner in slots).reshape(-1, elem.shape[-1])
 
-    magnitude = to_masters(np.abs(b_w) @ np.abs(d_voxels))
+    magnitude = to_masters(np.abs(weights), np.abs(b_w) @ np.abs(d))
     floors = (2**grid.dim + voigt_size(grid.dim)) * np.finfo(float).eps * np.linalg.norm(magnitude, axis=0)
-    return to_masters(b_w @ d_voxels), floors
+    return to_masters(weights, b_w @ d), floors
 
 
 def reference_d_h(g, w, d_voxels, volume):

@@ -283,7 +283,7 @@ class TestConfigFields:
     @pytest.mark.parametrize(
         "key, value",
         [(key, bad) for key, out_of_range in NUMERIC_KEYS for bad in (True, math.nan, math.inf, out_of_range)]
-        + [("geometry.dim", 2.0)],
+        + [("geometry.dim", 2.0), ("optimizer.penalty", 1.0), ("optimizer.penalty", 0.5)],
     )
     def test_bad_number_rejected_by_name(self, tmp_path, key, value):
         doc = small_doc()

@@ -441,6 +441,17 @@ def steel_cantilever_modes():
 
 
 class TestSolve:
+    def test_factor_capture_records_every_superlu_call(self, monkeypatch):
+        # the "no SuperLU factor" checks read this capture: a direct call and one through ``rcto.fem.splu`` count
+        import scipy.sparse
+        import scipy.sparse.linalg
+
+        factors = capture_factors(monkeypatch)
+        a = scipy.sparse.csc_matrix(np.diag([2.0, 3.0]))
+        lu = scipy.sparse.linalg.splu(a)
+        assert factors == [lu]
+        assert rcto.fem.splu(a) is factors[1]
+
     def test_zero_load_gives_zero_displacement(self):
         prob = cantilever(3, 2)
         d = elasticity_matrix(200e3, 0.3, 2)

@@ -18,8 +18,6 @@ from rcto.homogenization import (
     effective_density,
     format_effective_matrix,
     homogenize,
-    micro_elasticity,
-    reference_split,
     seed_cell,
     solve_cell_problems,
     stiffness_weights,
@@ -29,6 +27,7 @@ from rcto.problem import design_weight
 from rcto.uncertainty import BatchComplianceEvaluator
 
 from conftest import (
+    cell_phases,
     cell_strains,
     coo_reference,
     full_state,
@@ -38,6 +37,7 @@ from conftest import (
     stacked_cell_loads,
     steel_foam,
     traced_peak,
+    voxel_elasticity,
 )
 
 X_MIN = 1e-6
@@ -62,8 +62,7 @@ class TestCellProblems:
     def test_homogeneous_cell_has_zero_induced_strain(self):
         mat = steel_foam()
         grid = StructuredGrid((5, 5), (0.2, 0.2))
-        d = np.broadcast_to(mat.phase1.elasticity(2), (grid.n_elems, 3, 3))
-        g, w = cell_strains(grid, d)
+        g, w = cell_strains(grid, *cell_phases(np.ones(grid.n_elems), mat, 3.0, 2))
         induced = np.eye(3)[None, None] - g
         assert np.abs(induced).max() < 1e-12
 
@@ -73,8 +72,7 @@ class TestCellProblems:
         e1, e2 = 10.0, 2.0
         mat = TwoPhaseMaterial(Phase(e1, 0.0, 2.0), Phase(e2, 0.0, 1.0))
         grid, x = laminate_cell(6, layers_axis=1)
-        d = micro_elasticity(x, mat, 3.0, 2)
-        g, w = cell_strains(grid, d)
+        g, w = cell_strains(grid, *cell_phases(x, mat, 3.0, 2))
         e2_eff = e2 + X_MIN**3 * (e1 - e2)
         sigma = 1.0 / (0.5 / e1 + 0.5 / e2_eff)
         total_yy = g[:, :, 1, 1]  # (eps0 - eps)_yy for the yy test strain
@@ -96,7 +94,7 @@ class TestCellProblems:
     def test_void_cell_raises(self):
         grid = StructuredGrid((3, 3), (1 / 3, 1 / 3))
         with pytest.raises(SingularSystemError, match="cell"):
-            solve_cell_problems(grid, np.zeros((grid.n_elems, 3, 3)))
+            solve_cell_problems(grid, np.zeros(grid.n_elems), np.zeros((3, 3)), np.zeros((3, 3)))
 
 
 def periodic_dofs(grid):
@@ -153,22 +151,27 @@ def spd_stack(rng, n, ncomp):
     return a @ np.swapaxes(a, 1, 2) + ncomp * np.eye(ncomp)
 
 
-class TestReferenceSplit:
-    def test_majority_matrix_is_the_reference(self):
-        d1, d2 = steel_foam().phase1.elasticity(2), steel_foam().phase2.elasticity(2)
-        d = np.stack([d1, d2, d2, d1, d2])
-        d_ref, differ = reference_split(d)
-        assert np.array_equal(d_ref, d2)
-        assert np.array_equal(differ, [True, False, False, True, False])
+def record_stiffness_batches(monkeypatch):
+    """The matrix stacks of every ``element_stiffness_batch`` call the cell solver makes."""
+    batches = []
 
-    def test_key_collision_still_splits_exactly(self):
-        # entries weighted 1, 2, ...: a 2 in the first entry and a 1 in the second give the same key
-        a, b = np.zeros((2, 2)), np.zeros((2, 2))
-        a[0, 0], b[0, 1] = 2.0, 1.0
-        d = np.stack([a, b, b, a, a])
-        d_ref, differ = reference_split(d)
-        assert np.array_equal(differ, np.any(d != d_ref, axis=(1, 2)))
-        assert any(np.array_equal(d_ref, m) for m in (a, b))
+    def recording(d_mats, spacing):
+        batches.append(np.array(d_mats))
+        return element_stiffness_batch(d_mats, spacing)
+
+    monkeypatch.setattr(homogenization, "element_stiffness_batch", recording)
+    return batches
+
+
+class TestReferenceSplit:
+    def test_majority_matrix_is_the_reference(self, rng, monkeypatch):
+        grid = StructuredGrid((5, 4), (0.2, 0.25))
+        eta, d1, d2 = cell_phases(np.where(rng.random(grid.n_elems) < 0.3, 1.0, X_MIN), steel_foam(), 3.0, 2)
+        assert np.sum(eta == eta.min()) > grid.n_elems / 2  # the phase-2 voxels are the majority
+        batches = record_stiffness_batches(monkeypatch)
+        solve_cell_problems(grid, eta, d1, d2)
+        d_ref = voxel_elasticity(eta, d1, d2)[np.argmin(eta)]
+        assert len(batches) == 1 and np.array_equal(batches[0], np.stack([d_ref, d1 - d2]))
 
     @pytest.mark.parametrize("case", ["two-phase", "every voxel differs", "homogeneous"])
     @pytest.mark.parametrize("shape", [(5, 4), (3, 4, 2)])
@@ -176,40 +179,46 @@ class TestReferenceSplit:
         grid = StructuredGrid(shape, tuple(1.0 / n for n in shape))
         ncomp = 3 if grid.dim == 2 else 6
         if case == "two-phase":
-            x = np.where(rng.random(grid.n_elems) < 0.7, 1.0, X_MIN)
-            d = micro_elasticity(x, steel_foam(), 3.0, grid.dim)
-            d_ref, differ = reference_split(d)
-            assert 0 < differ.sum() < grid.n_elems / 2
-        elif case == "every voxel differs":
-            d = spd_stack(rng, grid.n_elems, ncomp)
-            d_ref, differ = d.mean(axis=0), np.ones(grid.n_elems, dtype=bool)
+            eta, d1, d2 = cell_phases(np.where(rng.random(grid.n_elems) < 0.7, 1.0, X_MIN), steel_foam(), 3.0, grid.dim)
+            eta_ref = 1.0
+            assert 0 < np.sum(eta != eta_ref) < grid.n_elems / 2
+        elif case == "every voxel differs":  # continuous weights, none at the reference weight
+            (d1, d2), eta, eta_ref = spd_stack(rng, 2, ncomp), rng.random(grid.n_elems), 0.5
         else:
-            d = np.broadcast_to(spd_stack(rng, 1, ncomp), (grid.n_elems, ncomp, ncomp))
-            d_ref, differ = reference_split(d)
-            assert not differ.any()
-        reference = cell_operator(grid, element_stiffness_batch(d_ref[None], grid.spacing)[0])
-        difference = homogenization._difference_operator(grid, d, d_ref, differ)
+            (d1, d2), eta = spd_stack(rng, 2, ncomp), np.full(grid.n_elems, rng.random())
+            eta_ref = eta[0]
+        differ = eta != eta_ref
+        d_ref = voxel_elasticity(np.array([eta_ref]), d1, d2)[0]
+        k_ref, k_diff = element_stiffness_batch(np.stack([d_ref, d1 - d2]), grid.spacing)
+        difference = homogenization._difference_operator(grid, k_diff, eta[differ] - eta_ref, differ)
         p = rng.standard_normal((grid.dim * grid.n_elems, 4))
-        ref = cell_operator(grid, element_stiffness_batch(d, grid.spacing))(p)
-        assert np.abs(reference(p) + difference(p) - ref).max() <= 1e-14 * np.abs(ref).max()
+        ref = cell_operator(grid, element_stiffness_batch(voxel_elasticity(eta, d1, d2), grid.spacing))(p)
+        assert np.abs(cell_operator(grid, k_ref)(p) + difference(p) - ref).max() <= 1e-14 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_contrast_of_the_extreme_weights_is_that_of_every_voxel(self, rng, dim):
+        # D(eta) is affine in eta: the pencil's largest eigenvalue is convex in eta and its smallest concave
+        for _ in range(50):
+            e1, e2 = 10.0 ** rng.uniform(0.0, 3.0, 2)
+            mat = TwoPhaseMaterial(Phase(e1, rng.uniform(0.0, 0.45), 1.0), Phase(e2, rng.uniform(0.0, 0.45), 1.0))
+            eta, d1, d2 = cell_phases(rng.random(40), mat, 1.0, dim)
+            d_ref = voxel_elasticity(eta[rng.integers(40)][None], d1, d2)[0]
+            every = homogenization._phase_contrast(voxel_elasticity(eta, d1, d2), d_ref)
+            ends = homogenization._phase_contrast(voxel_elasticity(np.array([eta.min(), eta.max()]), d1, d2), d_ref)
+            assert ends == pytest.approx(every, rel=1e-14)
 
     @pytest.mark.parametrize("name", ["prism_3d.yaml", "cantilever_2d.yaml"])
-    def test_cell_solve_builds_stiffness_for_the_differing_voxels_only(self, name, monkeypatch):
+    def test_cell_solve_builds_one_stiffness_batch_of_two_matrices(self, name, monkeypatch):
+        # the reference element and the one difference direction D1 - D2, whatever the number of differing voxels
         cfg = parse_config(str(CONFIGS / name))
         cell = cfg.cell_grid()
         x = seed_cell(cell, cfg.seed_fraction, cfg.x_min)
-        d = micro_elasticity(x, cfg.base_material, cfg.penalty, cell.dim)
-        stacks = []
-
-        def recording(d_mats, spacing):
-            stacks.append(len(d_mats))
-            return element_stiffness_batch(d_mats, spacing)
-
-        monkeypatch.setattr(homogenization, "element_stiffness_batch", recording)
-        solve_cell_problems(cell, d)
+        eta, d1, d2 = cell_phases(x, cfg.base_material, cfg.penalty, cell.dim)
+        batches = record_stiffness_batches(monkeypatch)
+        solve_cell_problems(cell, eta, d1, d2)
         minority = int(np.sum(x == cfg.x_min))  # 136 of 2,744 on prism_3d, 124 of 2,500 on cantilever_2d
         assert 0 < minority < cell.n_elems / 2
-        assert sorted(stacks) == [1, minority]  # the reference element, then the differing voxels
+        assert len(batches) == 1 and np.array_equal(batches[0], np.stack([d1, d1 - d2]))
 
 
 class TestNoCellAssembly:
@@ -230,14 +239,15 @@ class TestNoCellAssembly:
 def random_cell_3d(rng, n):
     grid = StructuredGrid((n, n, n), (1.0 / n,) * 3)
     x = np.where(rng.random(grid.n_elems) < 0.6, 1.0, X_MIN)
-    return grid, micro_elasticity(x, steel_foam(), 3.0, 3)
+    return grid, cell_phases(x, steel_foam(), 3.0, 3)
 
 
-def dense_cell_solution(grid, d):
+def dense_cell_solution(grid, eta, d1, d2):
     """Pinned-corner dense solve of the cell problems moved to zero mean per direction, and its g."""
     dofs = periodic_dofs(grid)
-    k = coo_reference(dofs, grid.dim * grid.n_elems, element_stiffness_batch(d, grid.spacing)).toarray()
-    rhs = cell_loads(grid, d)[0]
+    k_e = element_stiffness_batch(voxel_elasticity(eta, d1, d2), grid.spacing)
+    k = coo_reference(dofs, grid.dim * grid.n_elems, k_e).toarray()
+    rhs = cell_loads(grid, np.stack([eta, 1.0 - eta]), np.stack([d1, d2]))[0]
     u = np.zeros_like(rhs)
     u[grid.dim:] = np.linalg.solve(k[grid.dim:, grid.dim:], rhs[grid.dim:])
     nodal = u.reshape(-1, grid.dim, rhs.shape[1])
@@ -248,10 +258,10 @@ def dense_cell_solution(grid, d):
 
 class TestCellSolver:
     def test_3d_cell_solution_matches_dense_solve(self, rng):
-        grid, d = random_cell_3d(rng, 4)
-        u = solve_cell_problems(grid, d)
+        grid, phases = random_cell_3d(rng, 4)
+        u = solve_cell_problems(grid, *phases)
         g = corrected_strains(grid, u)
-        u_ref, g_ref = dense_cell_solution(grid, d)
+        u_ref, g_ref = dense_cell_solution(grid, *phases)
         err = np.linalg.norm(u - u_ref, axis=0)
         assert np.all(err <= 1e-10 * np.linalg.norm(u_ref, axis=0))
         nodal_mean = u.reshape(-1, grid.dim, u.shape[1]).mean(axis=0)
@@ -262,10 +272,10 @@ class TestCellSolver:
     def test_phase2_majority_cell_matches_dense_solve(self, rng, shape):
         grid = StructuredGrid(shape, tuple(1.0 / n for n in shape))
         x = np.where(rng.random(grid.n_elems) < 0.3, 1.0, X_MIN)
-        d = micro_elasticity(x, steel_foam(), 3.0, grid.dim)
-        assert np.array_equal(reference_split(d)[0], d[np.argmin(x)])  # D_ref is the phase-2 voxel
-        g, w = cell_strains(grid, d)
-        _, g_ref = dense_cell_solution(grid, d)
+        phases = cell_phases(x, steel_foam(), 3.0, grid.dim)
+        d = voxel_elasticity(*phases)
+        g, w = cell_strains(grid, *phases)
+        _, g_ref = dense_cell_solution(grid, *phases)
         assert np.abs(g - g_ref).max() <= 1e-10 * np.abs(g_ref).max()
         d_h, d_h_dense = reference_d_h(g, w, d, grid.volume), reference_d_h(g_ref, w, d, grid.volume)
         assert np.abs(d_h - d_h_dense).max() <= 1e-10 * np.abs(d_h_dense).max()
@@ -274,9 +284,9 @@ class TestCellSolver:
     def test_rounding_level_loads_give_zero_correctors(self, shape):
         # a homogeneous cell's loads cancel to rounding: no solve, exactly zero correctors
         grid = StructuredGrid(shape, tuple(1.0 / n for n in shape))
-        d = micro_elasticity(np.ones(grid.n_elems), steel_foam(), 3.0, grid.dim)
-        assert np.any(cell_loads(grid, d)[0])
-        u = solve_cell_problems(grid, d)
+        eta, d1, d2 = cell_phases(np.ones(grid.n_elems), steel_foam(), 3.0, grid.dim)
+        assert np.any(cell_loads(grid, np.stack([eta, 1.0 - eta]), np.stack([d1, d2]))[0])
+        u = solve_cell_problems(grid, eta, d1, d2)
         assert not np.any(u)
 
     @pytest.mark.parametrize("shape", [(4, 4, 4), (8, 8)])
@@ -284,9 +294,10 @@ class TestCellSolver:
         # E1 / E2 = 1e3 puts the phase contrast, and the CG iteration bound, far above the shipped 1.33
         mat = TwoPhaseMaterial(Phase(1e3, 0.3, 1.0), Phase(1.0, 0.3, 1.0))
         grid = StructuredGrid(shape, tuple(1.0 / n for n in shape))
-        d = micro_elasticity(np.where(rng.random(grid.n_elems) < 0.5, 1.0, X_MIN), mat, 3.0, grid.dim)
-        g, w = cell_strains(grid, d)
-        _, g_ref = dense_cell_solution(grid, d)
+        phases = cell_phases(np.where(rng.random(grid.n_elems) < 0.5, 1.0, X_MIN), mat, 3.0, grid.dim)
+        d = voxel_elasticity(*phases)
+        g, w = cell_strains(grid, *phases)
+        _, g_ref = dense_cell_solution(grid, *phases)
         d_h, d_ref = reference_d_h(g, w, d, grid.volume), reference_d_h(g_ref, w, d, grid.volume)
         assert np.abs(d_h - d_ref).max() <= 1e-10 * np.abs(d_ref).max()
 
@@ -297,7 +308,7 @@ class TestCellSolver:
         cell = cfg.cell_grid()
         x = seed_cell(cell, cfg.seed_fraction, cfg.x_min)
         for material in (cfg.base_material, cfg.params.mean_material(cfg.base_material)):
-            solve_cell_problems(cell, micro_elasticity(x, material, cfg.penalty, cell.dim))
+            solve_cell_problems(cell, *cell_phases(x, material, cfg.penalty, cell.dim))
 
     @pytest.mark.parametrize("name", sorted(p.name for p in CONFIGS.glob("*.yaml")))
     def test_loads_one_test_strain_at_a_time_are_the_stacked_product_bitwise(self, rng, name):
@@ -305,16 +316,17 @@ class TestCellSolver:
         cell = cfg.cell_grid()
         for _ in range(5):
             x = np.where(rng.random(cell.n_elems) < rng.random(), 1.0, cfg.x_min)
-            d = micro_elasticity(x, cfg.base_material, cfg.penalty, cell.dim)
-            loads, floors = cell_loads(cell, d)
-            ref_loads, ref_floors = stacked_cell_loads(cell, d)
+            eta, d1, d2 = cell_phases(x, cfg.base_material, cfg.penalty, cell.dim)
+            weights, d = np.stack([eta, 1.0 - eta]), np.stack([d1, d2])
+            loads, floors = cell_loads(cell, weights, d)
+            ref_loads, ref_floors = stacked_cell_loads(cell, weights, d)
             assert np.array_equal(loads, ref_loads) and np.array_equal(floors, ref_floors)
 
     def test_unreachable_tolerance_stops_at_the_bound_and_names_the_contrast(self, rng, monkeypatch):
         monkeypatch.setattr(homogenization, "CG_RTOL", 1e-30)
         grid, x = random_cell(rng)
         with pytest.raises(NumericalError, match="kappa = 1.333"):
-            solve_cell_problems(grid, micro_elasticity(x, steel_foam(), 3.0, 2))
+            solve_cell_problems(grid, *cell_phases(x, steel_foam(), 3.0, 2))
 
 
 class TestEffectiveDensity:
@@ -497,9 +509,9 @@ class TestCellEnergyBasis:
     def test_effective_elasticity_matches_direct_contraction(self, rng, shape):
         grid, x = self._cell(rng, shape)
         props = homogenize(grid, x, self.mat, 3.0)
-        d_voxels = micro_elasticity(x, self.mat, 3.0, grid.dim)
-        g, w = cell_strains(grid, d_voxels)
-        ref = reference_d_h(g, w, d_voxels, grid.volume)
+        phases = cell_phases(x, self.mat, 3.0, grid.dim)
+        g, w = cell_strains(grid, *phases)
+        ref = reference_d_h(g, w, voxel_elasticity(*phases), grid.volume)
         assert np.abs(props.d_h - ref).max() <= 1e-13 * np.abs(ref).max()
         assert np.array_equal(props.d_h, props.d_h.T)
 
@@ -510,7 +522,7 @@ class TestCellEnergyBasis:
     def test_parameter_derivatives_match_direct_contraction(self, rng, shape, wrt):
         grid, x = self._cell(rng, shape)
         props = homogenize(grid, x, self.mat, 3.0)
-        g, w = cell_strains(grid, micro_elasticity(x, self.mat, 3.0, grid.dim))
+        g, w = cell_strains(grid, *cell_phases(x, self.mat, 3.0, grid.dim))
         d1 = self.mat.d_derivative(1, grid.dim, wrt)
         d2 = self.mat.d_derivative(2, grid.dim, wrt)
         ref = reference_d_h_derivative(g, w, stiffness_weights(x, 3.0), d1, d2, grid.volume)
@@ -521,7 +533,7 @@ class TestCellEnergyBasis:
 
     def test_chunks_leave_the_basis_bitwise_unchanged(self, rng, monkeypatch):
         grid, x = self._cell(rng, (4, 3, 5))
-        u = solve_cell_problems(grid, micro_elasticity(x, self.mat, 3.0, grid.dim))
+        u = solve_cell_problems(grid, *cell_phases(x, self.mat, 3.0, grid.dim))
         whole = cell_energy_basis(grid, u)
         monkeypatch.setattr(homogenization, "BASIS_CHUNK", 7)  # 60 voxels: eight chunks, the last of four
         assert np.array_equal(cell_energy_basis(grid, u), whole)
@@ -541,9 +553,9 @@ class TestCellEnergyBasis:
         # rounding floors and the CG's true-residual check form one test strain at a time and hold none
         cfg = parse_config(str(CONFIGS / "prism_3d.yaml"))
         cell = cfg.cell_grid()
-        d = micro_elasticity(seed_cell(cell, cfg.seed_fraction, cfg.x_min), cfg.base_material, cfg.penalty, cell.dim)
-        solve_cell_problems(cell, d)  # fills the grid's cached corner tables, which outlive the solve
-        _, peak = traced_peak(lambda: solve_cell_problems(cell, d))
+        phases = cell_phases(seed_cell(cell, cfg.seed_fraction, cfg.x_min), cfg.base_material, cfg.penalty, cell.dim)
+        solve_cell_problems(cell, *phases)  # fills the grid's cached corner tables, which outlive the solve
+        _, peak = traced_peak(lambda: solve_cell_problems(cell, *phases))
         assert peak < 7 * 2**20
 
 

@@ -6,7 +6,7 @@ import pytest
 import rcto.sensitivity
 from rcto.errors import NormalizationError
 from rcto.fem import StructuredGrid, mean_compliance, strain_operators
-from rcto.homogenization import homogenize, micro_elasticity
+from rcto.homogenization import homogenize
 from rcto.materials import Phase, TwoPhaseMaterial
 from rcto.problem import DesignState, MacroProblem, element_strains, factorized_dynamic
 from rcto.sensitivity import (
@@ -23,6 +23,7 @@ from rcto.uncertainty import HybridParameter, Interval, UncertainSet, ihpa_evalu
 
 from conftest import (
     cantilever,
+    cell_phases,
     cell_strains,
     degenerate_params,
     fractional_interval,
@@ -90,7 +91,7 @@ def test_pair_forms_match_direct_contraction(rng, macro_shape, cell_shape):
     state = relaxed_state(prob, rng)
     mat = TwoPhaseMaterial(Phase(200e3, 0.3, 7.9e-9), Phase(150e3, 0.25, 0.79e-9))
     props = homogenize(cell, state.x_micro, mat, prob.penalty)
-    g, w = cell_strains(cell, micro_elasticity(state.x_micro, mat, prob.penalty, dim))
+    g, w = cell_strains(cell, *cell_phases(state.x_micro, mat, prob.penalty, dim))
     ctx = _FormContext(prob, state, props)
     u, v = rng.standard_normal((2, grid.n_dofs))
     eps_u, eps_v = element_strains(grid, u), element_strains(grid, v)
