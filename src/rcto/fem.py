@@ -415,23 +415,27 @@ class FactorizedSystem:
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve K_d u = rhs for a full-length vector or an (n_dofs, k) block.
 
-        A block is one backsolve call and counts as k FEA calls.  Each column
-        must pass the residual contract relative to its own norm, its
-        residual formed by ``apply``.  A zero column needs no mask:
-        ``dpbtrs`` returns exact zeros for it, whose residual 0 meets the
-        contract.
+        A block is one backsolve call and counts as k FEA calls.  ``dpbtrs`` overwrites the gathered free
+        rows with the solution, scattered into the returned block; each column must pass the residual
+        contract relative to its own norm, its residual formed by ``apply`` one column at a time, so the
+        solve holds two blocks and one column's operator temporaries.  A zero column needs no mask:
+        ``dpbtrs`` returns exact zeros for it, whose residual 0 meets the contract.
         """
         rhs = np.asarray(rhs, dtype=float)
         block = rhs.reshape(self.n_dofs, -1)
-        f = np.empty((self.free.size, block.shape[1]), order="F")  # the layout dpbtrs reads without a copy
+        x = np.empty((self.free.size, block.shape[1]), order="F")  # the layout dpbtrs overwrites without a copy
         for j, column in enumerate(block.T):
-            f[:, j] = column[self.free]
-        self._calls += f.shape[1]
-        u = np.zeros((self.n_dofs, f.shape[1]))
-        u[self.free] = dpbtrs(self._factor, f)[0]
-        residual = self._apply(u.T)[:, self.free].T  # u is zero on the constrained DOFs
-        residual -= f
-        norm_f, norm_r = _column_norms(f), _column_norms(residual)
+            x[:, j] = column[self.free]
+        self._calls += x.shape[1]
+        norm_f = _column_norms(x)
+        u = np.zeros((self.n_dofs, x.shape[1]))
+        u[self.free] = dpbtrs(self._factor, x, overwrite_b=1)[0]
+        del x
+        norm_r = np.empty_like(norm_f)
+        for j in range(u.shape[1]):  # u is zero on the constrained DOFs
+            residual = self._apply(u[:, j])[self.free]
+            residual -= block[self.free, j]
+            norm_r[j] = np.sqrt(residual @ residual)
         failed = ~(norm_r <= RESIDUAL_TOL * norm_f)  # a NaN residual fails
         if failed.any():
             with np.errstate(divide="ignore", invalid="ignore"):

@@ -138,16 +138,21 @@ def robust_sensitivity(cache: IhpaCache, kappa: float, beta: float | None = None
 
     u0 = cache.u_nominal
     eps0 = element_strains(grid, u0)
-    fields = [ctx.form(_Pair(ctx, u0, eps0, u0, eps0), k0 + np.tensordot(a, k1, 1) + np.tensordot(b, k2, 1))]
+    total = ctx.form(_Pair(ctx, u0, eps0, u0, eps0), k0 + np.tensordot(a, k1, 1) + np.tensordot(b, k2, 1))
+
+    def add(field: SensitivityField):  # one running field, summed in the order the forms are listed here
+        total.macro += field.macro
+        total.micro += field.micro
+
     if len(cache.params):
         z = 2.0 * (a @ cache.du_random + b @ cache.d2u_cross)
-        fields.append(ctx.form(_Pair(ctx, z, element_strains(grid, z), u0, eps0), k0))
+        add(ctx.form(_Pair(ctx, z, element_strains(grid, z), u0, eps0), k0))
     for j, v in enumerate(cache.du_random):
         eps_v = element_strains(grid, v)
-        fields.append(ctx.form(_Pair(ctx, v, eps_v, v, eps_v), 2.0 * b[j] * k0))
-        fields.append(ctx.form(_Pair(ctx, v, eps_v, u0, eps0), 4.0 * b[j] * k1[j]))
+        add(ctx.form(_Pair(ctx, v, eps_v, v, eps_v), 2.0 * b[j] * k0))
+        add(ctx.form(_Pair(ctx, v, eps_v, u0, eps0), 4.0 * b[j] * k1[j]))
     p = problem.penalty
-    return SensitivityField(sum(f.macro for f in fields) / p, sum(f.micro for f in fields) / p)
+    return SensitivityField(total.macro / p, total.micro / p)
 
 
 def normalize(

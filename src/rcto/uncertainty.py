@@ -156,7 +156,8 @@ class IhpaCache:
 
     Each term is a product times its scale in ``scales``: mean F.du along the
     mean interval, std level and std width F.du_random, std shift sigma_mid
-    F.d2u_cross (the level term's derivative along the mean interval).
+    F.d2u_cross (the level term's derivative along the mean interval).  F.du
+    and F.du_random solve one right-hand side, so they agree bitwise.
     """
 
     problem: MacroProblem
@@ -164,7 +165,7 @@ class IhpaCache:
     props: EffectiveProperties
     params: UncertainSet
     u_nominal: np.ndarray
-    du_random: np.ndarray    # (n, ndof) displacement derivative against the random part
+    du_random: np.ndarray    # (n, ndof) displacement derivative against the random part, its own solve's block
     d2u_cross: np.ndarray    # (n, ndof) second-order interval/random coupling
     c_nominal: float
     terms: np.ndarray        # (4, n) rows: mean, std level, std shift, std width
@@ -215,8 +216,9 @@ def ihpa_evaluate(
     """Hybrid perturbation estimate of the worst-case mean-compliance statistics.
 
     Performs exactly 1 + 3n linear-system applications against one shared
-    factorization at the midpoint-mean material, in three block solves: u0,
-    the 2n first-order columns and the n cross terms, with the parameter
+    factorization at the midpoint-mean material, in four solve calls: u0,
+    the n first-order columns twice (the interval derivative, kept only as
+    F.du, then the random one) and the n cross terms, with the parameter
     operators applied matrix-free.  With n = 0, or every interval degenerate
     and every sigma zero, it gives the deterministic compliance (std 0).
     """
@@ -232,21 +234,19 @@ def ihpa_evaluate(
     f = problem.force
     u0 = system.solve(f)
     c0 = mean_compliance(f, u0)
-    # the interval derivative has the random one's right-hand side; the 1 + 3n count keeps both columns
-    rhs = np.empty((2, n, f.size))
-    rhs[0] = apply_parameter_operator(problem, state, dd, drho, u0)
-    np.negative(rhs[0], out=rhs[0])
-    rhs[1] = rhs[0]
-    du = system.solve(rhs.reshape(2 * n, f.size).T).T
+    # the interval derivative has the random one's right-hand side; the 1 + 3n count solves it for each
+    rhs = apply_parameter_operator(problem, state, dd, drho, u0)
+    np.negative(rhs, out=rhs)
+    f_du_mean = system.solve(rhs.T).T @ f
+    du_random = system.solve(rhs.T).T
     del rhs
-    du_random = du[n:]
     cross = 2.0 * apply_parameter_operator(problem, state, dd, drho, du_random)
     cross += apply_parameter_operator(problem, state, d2d, d2rho, u0)
     d2u_cross = system.solve(np.negative(cross, out=cross).T).T
 
     scales = params.scales()
     f_du_rand = du_random @ f
-    products = np.array([du[:n] @ f, f_du_rand, (d2u_cross @ f) * scales[1], f_du_rand])
+    products = np.array([f_du_mean, f_du_rand, (d2u_cross @ f) * scales[1], f_du_rand])
     cache = IhpaCache(
         problem=problem,
         state=state,

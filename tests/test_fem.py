@@ -578,6 +578,28 @@ class TestSolve:
         assert system.solve(block[:, 1:2]).shape == (prob.grid.n_dofs, 1)
         assert system.calls == 7
 
+    def test_a_block_solve_holds_two_blocks_and_one_columns_residual(self, rng):
+        """A k = 32 solve on cantilever(60, 20) allocates at most two (n_dofs, k) blocks and six (n_elems, ndof_e) arrays.
+
+        The two blocks are the returned solution and the gathered free rows, which ``dpbtrs`` overwrites in
+        place and which go before any residual is formed.  Each column's residual is then one operator
+        application: an element gather, its stiffness and mass products and a few n_dofs vectors, under six
+        element arrays, and freed before the next column.  At k = 32 a block (656 kB) outweighs those (461 kB
+        in all), so a solve that also keeps the load next to ``dpbtrs``' separate output, or forms the residual
+        of the whole block as a (k, n_dofs) operator output and its free-row copy, holds about four blocks (2.6 MB)
+        and fails the bound (1.8 MB).
+        """
+        prob = cantilever(60, 20, omega=2 * np.pi * 50.0)
+        state = full_state(prob)
+        props = homogenize(prob.cell, state.x_micro, steel_foam(), prob.penalty)
+        system = factorized_dynamic(prob, state, props.d_h, props.rho_h)
+        k = 32
+        rhs = np.zeros((prob.grid.n_dofs, k))
+        rhs[prob.free] = rng.standard_normal((prob.free.size, k))
+        u, peak = traced_peak(lambda: system.solve(rhs))
+        assert u.shape == rhs.shape and system.calls == k
+        assert peak <= 8 * (2 * prob.grid.n_dofs * k + 6 * prob.grid.n_elems * 2**prob.grid.dim * prob.grid.dim)
+
     def test_empty_block_returns_empty_and_counts_nothing(self):
         # a problem without uncertain parameters solves empty first- and second-order blocks
         prob, k, m, free, *_ = steel_cantilever_modes()
