@@ -388,7 +388,7 @@ class FactorizedSystem:
     when omega lies below the first natural frequency.  ``apply`` maps fields (..., n_dofs) to K - omega^2 M
     times them: the operator the band was built from, which checks every solve, so no copy of the band is
     kept and a band that disagrees with its operator fails the check.  One factorization serves every
-    right-hand side; ``calls`` counts FEA calls (linear-system applications), one per right-hand side column.
+    right-hand side; ``calls`` counts FEA calls (linear-system applications), one per ``solve``.
     """
 
     def __init__(self, band: np.ndarray, free: np.ndarray, n_dofs: int, apply):
@@ -406,51 +406,37 @@ class FactorizedSystem:
                 "the first natural frequency, where minimum dynamic compliance is not defined; "
                 "a rigid-body mode is a natural frequency of 0"
             )
-        self._calls = 0
-
-    @property
-    def calls(self) -> int:
-        return self._calls
+        self.calls = 0
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve K_d u = rhs for a full-length vector or an (n_dofs, k) block.
+        """Solve K_d u = rhs for one full-length right-hand side (n_dofs,): one FEA call.
 
-        A block is one backsolve call and counts as k FEA calls.  ``dpbtrs`` overwrites the gathered free
-        rows with the solution, scattered into the returned block; each column must pass the residual
-        contract relative to its own norm, its residual formed by ``apply`` one column at a time, so the
-        solve holds two blocks and one column's operator temporaries.  A zero column needs no mask:
-        ``dpbtrs`` returns exact zeros for it, whose residual 0 meets the contract.
+        ``dpbtrs`` overwrites the gathered free rows with the solution, scattered into the returned vector,
+        which must pass the residual contract relative to the load's norm, its residual formed by ``apply``.
+        So the solve holds the solution, the gathered rows and one operator application.  A zero load needs
+        no mask: ``dpbtrs`` returns exact zeros for it, whose residual 0 meets the contract.
         """
         rhs = np.asarray(rhs, dtype=float)
-        block = rhs.reshape(self.n_dofs, -1)
-        x = np.empty((self.free.size, block.shape[1]), order="F")  # the layout dpbtrs overwrites without a copy
-        for j, column in enumerate(block.T):
-            x[:, j] = column[self.free]
-        self._calls += x.shape[1]
-        norm_f = _column_norms(x)
-        u = np.zeros((self.n_dofs, x.shape[1]))
+        if rhs.shape != (self.n_dofs,):
+            raise ValueError(f"solve takes one right-hand side of shape ({self.n_dofs},), got {rhs.shape}")
+        self.calls += 1
+        x = rhs[self.free]
+        norm_f = np.sqrt(x @ x)
+        u = np.zeros(self.n_dofs)
         u[self.free] = dpbtrs(self._factor, x, overwrite_b=1)[0]
         del x
-        norm_r = np.empty_like(norm_f)
-        for j in range(u.shape[1]):  # u is zero on the constrained DOFs
-            residual = self._apply(u[:, j])[self.free]
-            residual -= block[self.free, j]
-            norm_r[j] = np.sqrt(residual @ residual)
-        failed = ~(norm_r <= RESIDUAL_TOL * norm_f)  # a NaN residual fails
-        if failed.any():
+        residual = self._apply(u)[self.free]  # u is zero on the constrained DOFs
+        residual -= rhs[self.free]
+        norm_r = np.sqrt(residual @ residual)
+        if not norm_r <= RESIDUAL_TOL * norm_f:  # a NaN residual fails
             with np.errstate(divide="ignore", invalid="ignore"):
-                ratio = np.max(norm_r[failed] / norm_f[failed])
+                ratio = norm_r / norm_f
             raise SingularSystemError(
                 "linear solve failed the residual contract "
                 f"(|r|/|f| = {ratio:.3e} > {RESIDUAL_TOL}); "
                 "the excitation frequency may sit at a resonance"
             )
-        return u.reshape(rhs.shape)
-
-
-def _column_norms(a: np.ndarray) -> np.ndarray:
-    """2-norm of each column of a block, without the block of squares that ``np.linalg.norm(a, axis=0)`` forms."""
-    return np.sqrt(np.einsum("ij,ij->j", a, a))
+        return u
 
 
 def solve_system(k, m, omega: float, f: np.ndarray, fixed: np.ndarray) -> np.ndarray:

@@ -144,36 +144,33 @@ def element_strains(grid: StructuredGrid, u: np.ndarray) -> np.ndarray:
 
 
 def apply_parameter_operator(
-    problem: MacroProblem, state: DesignState, dd: np.ndarray, drho, u: np.ndarray
+    problem: MacroProblem, state: DesignState, dd: np.ndarray, drho: float, u: np.ndarray
 ) -> np.ndarray:
-    """dK_d u for derivatives (dD_h, drho_h) of the effective cell properties, without forming dK_d.
+    """dK_d u for one direction (dD_h, drho_h) of the effective cell properties, without forming dK_d.
 
-    dd (..., ncomp, ncomp) symmetric, drho (...) and u (..., n_dofs)
-    broadcast against each other.  Element e adds s_e u_e k(dD) - omega^2
-    drho x_e u_e m to its DOFs, with k(dD) from the reference stiffness
-    basis and m the unit consistent mass.  The operators are applied one
-    at a time into the output, so no (..., n_elems, ndof_e) stack of the
-    whole broadcast is formed; each DOF sums its element forces in element
-    order, as one ``bincount`` over the stack would.
+    dd (ncomp, ncomp) symmetric, drho a scalar and u a field or a stack
+    of fields (..., n_dofs).  Element e adds s_e u_e k(dD) - omega^2 drho
+    x_e u_e m to its DOFs, with k(dD) from the reference stiffness basis
+    and m the unit consistent mass.  The fields are applied one at a time
+    into the output, so no element stack of all of them is formed; each
+    DOF sums its element forces in element order, as one ``bincount``
+    over such a stack would.
     """
     grid = problem.grid
-    dd, drho, u = np.asarray(dd), np.asarray(drho, dtype=float), np.asarray(u)
-    lead = np.broadcast_shapes(dd.shape[:-2], drho.shape, u.shape[:-1])
-    k = fem.element_stiffness_batch(dd.reshape((-1,) + dd.shape[-2:]), grid.spacing)
-    k = np.broadcast_to(k.reshape(dd.shape[:-2] + k.shape[-2:]), lead + k.shape[-2:])
-    mass_scale = np.broadcast_to(problem.omega**2 * drho, lead)
-    fields = np.broadcast_to(u, lead + u.shape[-1:])
+    u = np.asarray(u)
+    k = fem.element_stiffness_batch(np.asarray(dd)[None], grid.spacing)[0]
+    mass_scale = problem.omega**2 * drho
     s = stiffness_scale(state.x_macro, problem.penalty, state.x_min)[:, None]
     m = fem.element_mass(1.0, grid.spacing)
     dofs = grid.elem_dofs.ravel()
-    out = np.empty(lead + (grid.n_dofs,))
-    for i in np.ndindex(lead):
-        ue = fields[i][grid.elem_dofs]
-        forces = ue @ k[i]
+    out = np.empty(u.shape)
+    for i in np.ndindex(u.shape[:-1]):
+        ue = u[i][grid.elem_dofs]
+        forces = ue @ k
         forces *= s
         mass = ue @ m
         mass *= state.x_macro[:, None]
-        mass *= mass_scale[i]
+        mass *= mass_scale
         forces -= mass
         out[i] = np.bincount(dofs, weights=forces.ravel(), minlength=grid.n_dofs)
     return out

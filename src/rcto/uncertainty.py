@@ -157,7 +157,8 @@ class IhpaCache:
     Each term is a product times its scale in ``scales``: mean F.du along the
     mean interval, std level and std width F.du_random, std shift sigma_mid
     F.d2u_cross (the level term's derivative along the mean interval).  F.du
-    and F.du_random solve one right-hand side, so they agree bitwise.
+    and F.du_random solve one right-hand side, so they agree bitwise and the
+    mean row reads F.du_random.
     """
 
     problem: MacroProblem
@@ -165,8 +166,8 @@ class IhpaCache:
     props: EffectiveProperties
     params: UncertainSet
     u_nominal: np.ndarray
-    du_random: np.ndarray    # (n, ndof) displacement derivative against the random part, its own solve's block
-    d2u_cross: np.ndarray    # (n, ndof) second-order interval/random coupling
+    du_random: np.ndarray    # (n, ndof) displacement derivative against the random part, one solve per row
+    d2u_cross: np.ndarray    # (n, ndof) second-order interval/random coupling, one solve per row
     c_nominal: float
     terms: np.ndarray        # (4, n) rows: mean, std level, std shift, std width
     scales: np.ndarray       # (4, n) interval scales of the terms, see UncertainSet.scales
@@ -216,37 +217,35 @@ def ihpa_evaluate(
     """Hybrid perturbation estimate of the worst-case mean-compliance statistics.
 
     Performs exactly 1 + 3n linear-system applications against one shared
-    factorization at the midpoint-mean material, in four solve calls: u0,
-    the n first-order columns twice (the interval derivative, kept only as
-    F.du, then the random one) and the n cross terms, with the parameter
-    operators applied matrix-free.  With n = 0, or every interval degenerate
-    and every sigma zero, it gives the deterministic compliance (std 0).
+    factorization at the midpoint-mean material, one solve call each: u0,
+    then per parameter j the first-order right-hand side -K'_j u0 twice
+    (the interval derivative, then the random one) and the cross term, with
+    the parameter operators applied matrix-free.  With n = 0, or every
+    interval degenerate and every sigma zero, it gives the deterministic
+    compliance (std 0).
     """
-    n = len(params)
     props = homogenize(problem.cell, state.x_micro, params.mean_material(base_material), problem.penalty)
-    names = params.names
-    dd = np.reshape([props.d_h_derivative((name,)) for name in names], (n,) + props.d_h.shape)
-    d2d = np.reshape([props.d_h_derivative((name, name)) for name in names], (n,) + props.d_h.shape)
-    drho = np.array([props.rho_h_derivative((name,)) for name in names])
-    d2rho = np.array([props.rho_h_derivative((name, name)) for name in names])
-
     system = factorized_dynamic(problem, state, props.d_h, props.rho_h)
     f = problem.force
     u0 = system.solve(f)
     c0 = mean_compliance(f, u0)
-    # the interval derivative has the random one's right-hand side; the 1 + 3n count solves it for each
-    rhs = apply_parameter_operator(problem, state, dd, drho, u0)
-    np.negative(rhs, out=rhs)
-    f_du_mean = system.solve(rhs.T).T @ f
-    du_random = system.solve(rhs.T).T
-    del rhs
-    cross = 2.0 * apply_parameter_operator(problem, state, dd, drho, du_random)
-    cross += apply_parameter_operator(problem, state, d2d, d2rho, u0)
-    d2u_cross = system.solve(np.negative(cross, out=cross).T).T
+    du_random = np.empty((len(params), f.size))
+    d2u_cross = np.empty((len(params), f.size))
+    for j, name in enumerate(params.names):
+        dd, drho = props.d_h_derivative((name,)), props.rho_h_derivative((name,))
+        rhs = apply_parameter_operator(problem, state, dd, drho, u0)
+        np.negative(rhs, out=rhs)
+        system.solve(rhs)  # the interval derivative: bitwise the random one, so the mean row reads F.du_random
+        du_random[j] = system.solve(rhs)
+        cross = 2.0 * apply_parameter_operator(problem, state, dd, drho, du_random[j])
+        cross += apply_parameter_operator(
+            problem, state, props.d_h_derivative((name, name)), props.rho_h_derivative((name, name)), u0
+        )
+        d2u_cross[j] = system.solve(np.negative(cross, out=cross))
 
     scales = params.scales()
-    f_du_rand = du_random @ f
-    products = np.array([f_du_mean, f_du_rand, (d2u_cross @ f) * scales[1], f_du_rand])
+    f_du = du_random @ f
+    products = np.array([f_du, f_du, (d2u_cross @ f) * scales[1], f_du])
     cache = IhpaCache(
         problem=problem,
         state=state,

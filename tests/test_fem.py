@@ -7,6 +7,7 @@ Solve checks use dense numpy factorizations as the reference.
 
 import ast
 import itertools
+import re
 from pathlib import Path
 
 import numpy as np
@@ -561,60 +562,35 @@ class TestSolve:
             system.solve(prob.force)
         assert system.calls == 4
 
-    def test_block_solve_matches_column_solves(self, rng):
+    def test_solve_takes_exactly_one_full_length_right_hand_side(self):
+        # a block or a short vector is refused by name before any backsolve, and counts nothing
         prob, k, m, free, *_ = steel_cantilever_modes()
-        system = factorized(k, m, 2 * np.pi * 500.0, free)
-        block = np.zeros((prob.grid.n_dofs, 3))
-        block[free, 0] = rng.standard_normal(free.size)
-        block[:, 2] = prob.force
-        u = system.solve(block)
-        assert system.calls == 3
-        assert u.shape == block.shape
-        assert not np.any(u[:, 1])
-        for c in range(3):
-            u_c = system.solve(block[:, c])
-            assert np.linalg.norm(u[:, c] - u_c) <= 1e-14 * np.linalg.norm(u_c)
-        assert system.calls == 6
-        assert system.solve(block[:, 1:2]).shape == (prob.grid.n_dofs, 1)
-        assert system.calls == 7
+        system = factorized(k, m, 0.0, free)
+        n = prob.grid.n_dofs
+        for bad in (np.zeros((n, 2)), np.zeros((n, 1)), np.zeros((n, 0)), np.zeros((2, n)), np.zeros(n - 1)):
+            with pytest.raises(ValueError, match=re.escape(f"one right-hand side of shape ({n},), got {bad.shape}")):
+                system.solve(bad)
+        assert system.calls == 0
+        assert system.solve(list(prob.force)).shape == (n,)
+        assert system.calls == 1
 
-    def test_a_block_solve_holds_two_blocks_and_one_columns_residual(self, rng):
-        """A k = 32 solve on cantilever(60, 20) allocates at most two (n_dofs, k) blocks and six (n_elems, ndof_e) arrays.
+    def test_a_solve_holds_one_vector_and_one_operator_application(self, rng):
+        """A solve on cantilever(60, 20) allocates at most four n_dofs vectors and six (n_elems, ndof_e) arrays.
 
-        The two blocks are the returned solution and the gathered free rows, which ``dpbtrs`` overwrites in
-        place and which go before any residual is formed.  Each column's residual is then one operator
-        application: an element gather, its stiffness and mass products and a few n_dofs vectors, under six
-        element arrays, and freed before the next column.  At k = 32 a block (656 kB) outweighs those (461 kB
-        in all), so a solve that also keeps the load next to ``dpbtrs``' separate output, or forms the residual
-        of the whole block as a (k, n_dofs) operator output and its free-row copy, holds about four blocks (2.6 MB)
-        and fails the bound (1.8 MB).
+        The vectors are the returned solution, the gathered free rows, which ``dpbtrs`` overwrites in place,
+        and the operator's output with its free-row residual.  The operator application is an element
+        gather and its stiffness and mass products, under six element arrays.  The band (927 kB) outweighs
+        the whole bound (543 kB), so a solve that kept or rebuilt a copy of the band fails it.
         """
         prob = cantilever(60, 20, omega=2 * np.pi * 50.0)
         state = full_state(prob)
         props = homogenize(prob.cell, state.x_micro, steel_foam(), prob.penalty)
         system = factorized_dynamic(prob, state, props.d_h, props.rho_h)
-        k = 32
-        rhs = np.zeros((prob.grid.n_dofs, k))
-        rhs[prob.free] = rng.standard_normal((prob.free.size, k))
+        rhs = np.zeros(prob.grid.n_dofs)
+        rhs[prob.free] = rng.standard_normal(prob.free.size)
         u, peak = traced_peak(lambda: system.solve(rhs))
-        assert u.shape == rhs.shape and system.calls == k
-        assert peak <= 8 * (2 * prob.grid.n_dofs * k + 6 * prob.grid.n_elems * 2**prob.grid.dim * prob.grid.dim)
-
-    def test_empty_block_returns_empty_and_counts_nothing(self):
-        # a problem without uncertain parameters solves empty first- and second-order blocks
-        prob, k, m, free, *_ = steel_cantilever_modes()
-        system = factorized(k, m, 0.0, free)
-        system.solve(prob.force)
-        u = system.solve(np.zeros((prob.grid.n_dofs, 0)))
-        assert u.shape == (prob.grid.n_dofs, 0)
-        assert system.calls == 1
-
-    def test_block_residual_contract_enforced_at_resonance(self):
-        # 1e-8 below the first eigenvalue Cholesky factors the block, and the loaded column fails its residual
-        prob, k, m, free, _, _, evals = steel_cantilever_modes()
-        system = factorized(k, m, np.sqrt(evals[0] * (1.0 - 1e-8)), free)
-        with pytest.raises(SingularSystemError, match="may sit at a resonance"):
-            system.solve(np.column_stack([np.zeros(prob.grid.n_dofs), prob.force]))
+        assert u.shape == rhs.shape and system.calls == 1
+        assert peak <= 8 * (4 * prob.grid.n_dofs + 6 * prob.grid.n_elems * 2**prob.grid.dim * prob.grid.dim)
 
 
 class TestMeanCompliance:
