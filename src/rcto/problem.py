@@ -118,8 +118,9 @@ def factorized_dynamic(problem: MacroProblem, state: DesignState, d_h: np.ndarra
     Element e of the block is s_e k(D_h) - omega^2 rho_h x_e m, two scales times two shared reference
     matrices, so one scatter of those builds the block's band, its only stored form, which is factored in
     place.  Solves are checked by ``apply_parameter_operator`` at (D_h, rho_h), which is K - omega^2 M
-    itself, since K - omega^2 M is linear in (D_h, rho_h).  A drive at or above the design's first natural
-    frequency raises ``SingularSystemError`` naming the drive.
+    itself, since K - omega^2 M is linear in (D_h, rho_h); M is that operator at (0, rho_h) over -omega^2,
+    which only the resonance-margin guard reads.  A drive at or above the design's first natural frequency
+    raises ``SingularSystemError`` naming the drive.
     """
     grid = problem.grid
     scales = np.stack([stiffness_scale(state.x_macro, problem.penalty, state.x_min),
@@ -128,8 +129,13 @@ def factorized_dynamic(problem: MacroProblem, state: DesignState, d_h: np.ndarra
                          fem.element_mass(1.0, grid.spacing)])
     band = fem.scatter(problem.pattern, scales, matrices)
     apply = partial(apply_parameter_operator, problem, state, d_h, rho_h)
+    no_stiffness = np.zeros(np.shape(d_h))
+
+    def mass(u):  # read only under a drive, omega > 0
+        return apply_parameter_operator(problem, state, no_stiffness, rho_h, u) / -problem.omega**2
+
     try:
-        return fem.FactorizedSystem(band, problem.free, grid.n_dofs, apply)
+        return fem.FactorizedSystem(band, problem.free, grid.n_dofs, apply, mass, problem.omega)
     except SingularSystemError as exc:
         raise SingularSystemError(f"drive {problem.omega / (2.0 * np.pi):g} Hz: {exc}") from exc
 

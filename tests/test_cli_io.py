@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 import yaml
 
+import rcto.config
 from rcto.beso import Schedule, initial_state, run
 from rcto.cli import main
 from rcto.config import (
@@ -784,13 +785,15 @@ class TestCli:
 
     @pytest.mark.parametrize(
         "module, expected",
-        [("scipy.ndimage", []), ("scipy.sparse", []), ("scipy.linalg", ["scipy.linalg._flapack"])],
-        ids=["scipy.ndimage", "scipy.sparse", "scipy.linalg"],
+        [("scipy.ndimage", []), ("scipy.sparse", []), ("scipy.linalg", ["scipy.linalg._flapack"]),
+         ("scipy", ["scipy.linalg._flapack"])],
+        ids=["scipy.ndimage", "scipy.sparse", "scipy.linalg", "scipy"],
     )
     def test_import_leaves_out_unused_scipy_modules(self, module, expected):
         # the sensitivity filter once imported scipy.ndimage, about 0.1 s of every start-up, for one call;
         # scipy.sparse builds only the reference matrices of the tests, and held about 4 MB of every run;
-        # the scipy.linalg package cost about 0.25 s and 27 MB for the two LAPACK routines of its _flapack
+        # the scipy.linalg package cost about 0.25 s and 27 MB for the two LAPACK routines of its _flapack;
+        # the scipy root package cost 16-19 ms and 1.3 MB (its config, test utilities and subprocess)
         code = f"import sys, rcto.cli; print(sorted(m for m in sys.modules if m.startswith({module!r})))"
         assert self._python(code) == repr(expected)
 
@@ -821,6 +824,15 @@ class TestCli:
         table = capsys.readouterr().out
         code = f"import sys, rcto.cli; sys.exit(rcto.cli.main({argv!r}))"
         assert self._python(code) == table.strip()
+
+    @pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML built without libyaml")
+    @pytest.mark.parametrize("name", sorted(os.listdir(CONFIGS)))
+    def test_libyaml_reads_every_shipped_config_as_the_python_scanner_does(self, name):
+        # parse_config_text reads with yaml.CSafeLoader, about 8 times faster on prism_3d.yaml
+        assert rcto.config._YAML_LOADER is yaml.CSafeLoader
+        with open(os.path.join(CONFIGS, name), encoding="utf-8") as fh:
+            text = fh.read()
+        assert yaml.load(text, Loader=yaml.CSafeLoader) == yaml.load(text, Loader=yaml.SafeLoader)
 
     @pytest.mark.parametrize("first", ["rcto.fem", "scipy.linalg.lapack"])
     def test_band_routines_are_scipy_lapack_routines(self, first):
