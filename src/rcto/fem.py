@@ -385,20 +385,6 @@ def scatter(pattern: SparsityPattern, scales: np.ndarray, matrices: np.ndarray) 
     return flat[:size].reshape((kd + 1, pattern.n), order="F")
 
 
-def band_norm(band: np.ndarray) -> float:
-    """Infinity norm of the symmetric matrix in an upper band: its largest absolute row sum, band and mirror.
-
-    Summed one diagonal at a time, so no copy of the band is formed.
-    """
-    kd = band.shape[0] - 1
-    row_sums = np.abs(band[kd])
-    for d in range(1, kd + 1):  # entry (c - d, c) sits at [kd - d, c] and mirrors to (c, c - d)
-        diagonal = np.abs(band[kd - d, d:])
-        row_sums[d:] += diagonal
-        row_sums[:-d] += diagonal
-    return float(row_sums.max())
-
-
 class FactorizedSystem:
     """Factorization of the free block of a dynamic stiffness, counting backsolves.
 
@@ -409,9 +395,10 @@ class FactorizedSystem:
     when omega lies below the first natural frequency.  ``apply`` maps fields (..., n_dofs) to K - omega^2 M
     times them: the operator the band was built from, which checks every solve, so no copy of the band is
     kept and a band that disagrees with its operator fails the check.  ``mass`` maps a field to M times it;
-    only the resonance-margin guard of ``solve`` reads it.  ``norm`` is the band's ``band_norm``, taken
-    before the factorization overwrites it.  One factorization serves every right-hand side; ``calls``
-    counts FEA calls (linear-system applications), one per ``solve``.
+    only the resonance-margin guard of ``solve`` reads it.  ``d_max`` is the band's largest diagonal entry,
+    read from its last row before the factorization overwrites it: a lower bound on |K - omega^2 M|_inf
+    that costs one row, not a pass over the band.  One factorization serves every right-hand side;
+    ``calls`` counts FEA calls (linear-system applications), one per ``solve``.
     """
 
     def __init__(self, band: np.ndarray, free: np.ndarray, n_dofs: int, apply, mass, omega: float):
@@ -422,7 +409,7 @@ class FactorizedSystem:
         self._apply = apply
         self._mass = mass
         self.omega = float(omega)
-        self.norm = band_norm(band)
+        self.d_max = float(band[-1].max())
         self._factor, info = dpbtrf(band, overwrite_ab=1)
         if info < 0:
             raise ValueError(f"dpbtrf rejected its argument {-info}")
@@ -439,9 +426,10 @@ class FactorizedSystem:
 
         ``dpbtrs`` overwrites the gathered free rows with the solution, scattered into the returned vector,
         whose residual is formed by ``apply``, so the solve holds the solution, the gathered rows and one
-        operator application.  A solve with |r|_2 <= RESIDUAL_TOL |f|_2 is accepted.  So is one whose
-        normwise backward error |r|_inf / (|K|_inf |u|_inf + |f|_inf) is at most BACKWARD_TOL (Rigal and
-        Gaches; Higham, *Accuracy and Stability of Numerical Algorithms*, 2002, section 7.1): it solves a
+        operator application.  A solve with |r|_2 <= RESIDUAL_TOL |f|_2 is accepted.  So is one whose backward
+        error bound |r|_inf / (d_max |u|_inf + |f|_inf) is at most BACKWARD_TOL: as d_max <= |K|_inf, the bound
+        is at least the normwise backward error |r|_inf / (|K|_inf |u|_inf + |f|_inf) (Rigal and Gaches;
+        Higham, *Accuracy and Stability of Numerical Algorithms*, 2002, section 7.1), so the solve solves a
         system within rounding of the factored one exactly, however ill-conditioned that system is.  Under a
         drive (omega > 0) such a solve also needs its ``margin`` to exceed MARGIN_TOL omega^2.  A zero load
         needs no mask: ``dpbtrs`` returns exact zeros for it, whose residual 0 meets the contract.
@@ -462,18 +450,18 @@ class FactorizedSystem:
             return u
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             ratio = norm_r / norm_f
-            backward = np.abs(residual).max() / (self.norm * np.abs(u).max() + np.abs(rhs[self.free]).max())
+            backward = np.abs(residual).max() / (self.d_max * np.abs(u).max() + np.abs(rhs[self.free]).max())
         if not backward <= BACKWARD_TOL:  # a NaN residual fails
             raise SingularSystemError(
-                "linear solve failed the residual contract "
-                f"(|r|/|f| = {ratio:.3e} > {RESIDUAL_TOL} and backward error {backward:.3e} > {BACKWARD_TOL:.3e}); "
+                f"linear solve failed the residual contract (|r|/|f| = {ratio:.3e} > {RESIDUAL_TOL} "
+                f"and backward error bound {backward:.3e} > {BACKWARD_TOL:.3e}); "
                 "the factored band disagrees with the operator that checks it, or the factorization lost accuracy"
             )
         if self.omega > 0.0:
             margin = self.margin(u)
             if not margin > MARGIN_TOL * self.omega**2:
                 raise SingularSystemError(
-                    f"linear solve is accurate (backward error {backward:.3e}) but its resonance margin "
+                    f"linear solve is accurate (backward error bound {backward:.3e}) but its resonance margin "
                     f"lambda_1 - omega^2 = {margin:.3e} is at most {MARGIN_TOL:g} omega^2 "
                     f"(|r|/|f| = {ratio:.3e} > {RESIDUAL_TOL}); the excitation frequency may sit at a resonance"
                 )

@@ -396,9 +396,7 @@ class EffectiveProperties:
     """Homogenized unit cell state: the effective properties and what their derivatives are read from."""
 
     grid: StructuredGrid
-    x: np.ndarray
     material: TwoPhaseMaterial
-    penalty: float
     d_h: np.ndarray
     rho_h: float
     basis: np.ndarray  # P[i, k], see cell_energy_basis
@@ -441,7 +439,7 @@ def homogenize(
     d_h, basis, moments = effective_elasticity(grid, u, eta, material.coefficients(grid.dim))
     f = phase1_fraction(grid, np.sum(x))
     rho_h = float(material.mixed_density(f))
-    return EffectiveProperties(grid, x.copy(), material, penalty, d_h, rho_h, basis, moments, f)
+    return EffectiveProperties(grid, material, d_h, rho_h, basis, moments, f)
 
 
 def seed_cell(grid: StructuredGrid, fraction: float, x_min: float) -> np.ndarray:

@@ -174,10 +174,6 @@ class TwoPhaseMaterial:
         rho = [self.rho_derivative(p, wrt) for p in (1, 2)]
         return np.column_stack([self.coefficients(dim, wrt), rho])
 
-    def d_derivative(self, phase_index: int, dim: int, wrt: tuple[str, ...]) -> np.ndarray:
-        """Partial derivative of the phase elasticity matrix w.r.t. a multiset of parameter names."""
-        return np.tensordot(self.coefficients(dim, wrt)[phase_index - 1], _PARTS[dim], axes=1)
-
     def mixed_density(self, phase1_fraction):
         """Density of a mix holding phase 1 at the given volume fraction (linear; broadcasts over arrays)."""
         return phase1_fraction * self.phase1.density + (1.0 - phase1_fraction) * self.phase2.density

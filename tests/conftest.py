@@ -9,7 +9,7 @@ import scipy.sparse
 
 from rcto.fem import StructuredGrid, assemble, band_order, mean_compliance, strain_operators
 from rcto.homogenization import corner_tables, corrected_strains, homogenize, solve_cell_problems, stiffness_weights
-from rcto.materials import PARAMETERS, Phase, TwoPhaseMaterial, voigt_size
+from rcto.materials import _PARTS, PARAMETERS, Phase, TwoPhaseMaterial, voigt_size
 from rcto.problem import DesignState, MacroProblem, factorized_dynamic, stiffness_scale
 from rcto.uncertainty import HybridParameter, Interval, UncertainSet, _interval_corners, _latin_hypercube
 
@@ -137,6 +137,11 @@ def coo_reference(dofs, n, elem_mats):
     rows = np.repeat(dofs, ndof_e, axis=1).ravel()
     cols = np.tile(dofs, (1, ndof_e)).ravel()
     return scipy.sparse.coo_matrix((elem_mats.ravel(), (rows, cols)), shape=(n, n)).tocsc()
+
+
+def phase_derivatives(material: TwoPhaseMaterial, dim: int, wrt=()) -> np.ndarray:
+    """(2, ncomp, ncomp) stack of d^|wrt| D_p for the phases p = 1, 2, read from ``TwoPhaseMaterial.coefficients``."""
+    return np.tensordot(material.coefficients(dim, wrt), _PARTS[dim], axes=1)
 
 
 def upper_band(a, kd):

@@ -25,7 +25,6 @@ from rcto.fem import (
     SparsityPattern,
     StructuredGrid,
     assemble,
-    band_norm,
     band_order,
     element_mass,
     element_stiffness,
@@ -445,13 +444,27 @@ def steel_cantilever_modes():
     return prob, k, m, free, kf, mf, scipy.linalg.eigh(kf, mf, eigvals_only=True)
 
 
-def soft_clamped_cantilever():
-    """cantilever(40, 4), its clamped half at 1e-6 of the steel stiffness and density: problem, K, M, free, lambda_1."""
+def hex_cantilever(shape, omega=0.0):
+    """Hex cantilever of ``shape`` elements, clamped on its x = 0 face, with a tip load on node (nx, 0, 0)."""
+    grid = StructuredGrid(shape, (1.0,) * 3)
+    left = np.flatnonzero(np.arange(grid.n_nodes) % grid.nodes_shape[0] == 0)
+    force = np.zeros(grid.n_dofs)
+    force[3 * shape[0] + 1] = -1000.0
+    cell = StructuredGrid((2,) * 3, (0.5,) * 3)
+    return MacroProblem(grid, cell, (3 * left[:, None] + np.arange(3)).ravel(), force, omega=omega)
+
+
+def soft_clamped_cantilever(shape=(40, 4)):
+    """Cantilever of ``shape`` elements, its clamped half at 1e-6 of the steel stiffness and density.
+
+    Returns the problem, K, M, the free DOFs and lambda_1.
+    """
     import scipy.linalg
 
-    prob = cantilever(40, 4)
-    soft = np.where(np.arange(prob.grid.n_elems) % 40 < 20, 1e-6, 1.0)
-    k, m = assemble(prob.grid, soft[:, None, None] * elasticity_matrix(200e3, 0.3, 2), soft * 7.9e-9)
+    prob = cantilever(*shape) if len(shape) == 2 else hex_cantilever(shape)
+    dim, nx = len(shape), shape[0]
+    soft = np.where(np.arange(prob.grid.n_elems) % nx < nx // 2, 1e-6, 1.0)
+    k, m = assemble(prob.grid, soft[:, None, None] * elasticity_matrix(200e3, 0.3, dim), soft * 7.9e-9)
     free = np.sort(prob.free)
     kf, mf = k.toarray()[np.ix_(free, free)], m.toarray()[np.ix_(free, free)]
     return prob, k, m, free, scipy.linalg.eigh(kf, mf, eigvals_only=True, subset_by_index=[0, 0])[0]
@@ -462,11 +475,37 @@ def backward_error(a, u, f):
     return np.max(np.abs(a @ u - f)) / (np.max(abs(a).sum(axis=1)) * np.max(np.abs(u)) + np.max(np.abs(f)))
 
 
-@pytest.mark.parametrize("kd", [0, 1, 5])
-def test_band_norm_is_the_infinity_norm_of_the_mirrored_band(rng, kd):
-    a = np.triu(np.tril(rng.standard_normal((12, 12)), kd))
-    a = a + np.triu(a, 1).T
-    assert band_norm(upper_band(np.triu(a), kd)) == pytest.approx(np.abs(a).sum(axis=1).max(), rel=1e-14)
+@pytest.mark.parametrize("case", ["kd=0", "kd=1", "kd=5", "factorized_dynamic-3d"])
+def test_d_max_is_the_largest_unfactored_diagonal_entry_and_at_most_the_infinity_norm(monkeypatch, rng, case):
+    # d_max must be read before dpbtrf overwrites the band with its factor, and bound |a|_inf from below
+    if case.startswith("kd"):
+        kd = int(case[3:])
+        a = np.triu(np.tril(rng.standard_normal((12, 12)), kd))
+        a = a + np.triu(a, 1).T
+        a += np.diag(np.abs(a).sum(axis=1) + rng.random(12))  # strictly diagonally dominant: SPD
+        band = np.asfortranarray(upper_band(np.triu(a), kd))  # F-ordered, as scattered: dpbtrf factors in place
+        diagonal = band[-1].copy()
+        system = FactorizedSystem(band, np.arange(12), 13, None, None, 0.0)
+    else:
+        prob = hex_cantilever((4, 2, 3), omega=2 * np.pi * 500.0)
+        state = full_state(prob)
+        state.x_macro[rng.random(prob.grid.n_elems) < 0.3] = state.x_min
+        d_h, rho_h = elasticity_matrix(200e3, 0.3, 3), 7.9e-9
+        diagonals = []
+        init = FactorizedSystem.__init__
+
+        def recording_init(fs, b, *rest):
+            diagonals.append(b[-1].copy())
+            init(fs, b, *rest)
+
+        monkeypatch.setattr(FactorizedSystem, "__init__", recording_init)
+        system = factorized_dynamic(prob, state, d_h, rho_h)
+        (diagonal,) = diagonals
+        assert not np.array_equal(system._factor[-1], diagonal)  # the factor's diagonal is not the band's
+        k, m = reference_matrices(prob, state, d_h, rho_h)
+        a = (k - prob.omega**2 * m)[prob.free][:, prob.free].toarray()
+    assert system.d_max == diagonal.max() == pytest.approx(np.diag(a).max(), rel=1e-14)
+    assert system.d_max <= np.abs(a).sum(axis=1).max()
 
 
 class TestSolve:
@@ -563,14 +602,18 @@ class TestSolve:
         kf, uf, f = k[free][:, free], u[free], prob.force[free]
         assert backward_error(kf, uf, f) <= 64 * np.finfo(float).eps
 
-    def test_accurate_solve_of_an_ill_conditioned_harmonic_system_returns(self):
-        # the clamped half at 1e-6, driven at half its first eigenvalue: |r|/|f| reads 1.9e-5, so the 2-norm
-        # test fails, yet the backward error is 1.5e-16 and the resonance margin lambda_1 - omega^2 is omega^2
-        prob, k, m, free, lam1 = soft_clamped_cantilever()
+    @pytest.mark.parametrize("shape", [(40, 4), (12, 2, 2)], ids=["2d", "3d"])
+    def test_accurate_solve_of_an_ill_conditioned_harmonic_system_returns(self, shape):
+        # the clamped half at 1e-6, driven at half its first eigenvalue: |r|/|f| reads 1.7e-5 (2D) and 1.2e-6
+        # (3D), so the 2-norm test fails, yet the backward error bound with d_max is 4.6e-16 and 5.6e-16, and
+        # the resonance margin lambda_1 - omega^2 is omega^2; |a|_inf / d_max is 2.58 (2D) and 3.93 (3D)
+        prob, k, m, free, lam1 = soft_clamped_cantilever(shape)
         system = factorized(k, m, np.sqrt(lam1 / 2), prob.free)
         u = system.solve(prob.force)
         a, uf, f = (k - lam1 / 2 * m)[free][:, free], u[free], prob.force[free]
-        assert np.linalg.norm(a @ uf - f) > RESIDUAL_TOL * np.linalg.norm(f)
+        r = a @ uf - f
+        assert np.linalg.norm(r) > RESIDUAL_TOL * np.linalg.norm(f)
+        assert np.abs(r).max() <= BACKWARD_TOL * (system.d_max * np.abs(uf).max() + np.abs(f).max())
         assert backward_error(a, uf, f) <= BACKWARD_TOL
         assert system.margin(u) == pytest.approx(lam1 / 2, rel=1e-3)
 

@@ -31,6 +31,7 @@ from conftest import (
     cell_strains,
     coo_reference,
     full_state,
+    phase_derivatives,
     reference_d_h,
     reference_d_h_derivative,
     refuse_sparse_matrices,
@@ -431,64 +432,66 @@ class TestEffectiveElasticity:
 class TestEffectiveDerivatives:
     mat = steel_foam()
 
+    penalty = 3.0
+
     def _props(self, rng):
+        """A random cell design x and its homogenization at ``penalty``."""
         grid, x = random_cell(rng)
-        return homogenize(grid, x, self.mat, 3.0)
+        return x, homogenize(grid, x, self.mat, self.penalty)
 
     def test_density_derivative_is_weighted_volume_fraction(self, rng):
-        props = self._props(rng)
+        x, props = self._props(rng)
         drho = props.rho_h_derivative(("rho1",))
-        expect = np.sum(props.x) * props.grid.elem_volume / props.grid.volume
+        expect = np.sum(x) * props.grid.elem_volume / props.grid.volume
         assert np.isclose(drho, expect, rtol=1e-12)
 
     def test_elasticity_derivative_matches_finite_differences(self, rng):
-        props = self._props(rng)
+        x, props = self._props(rng)
         dd = props.d_h_derivative(("e1",))
         e0 = self.mat.phase1.youngs
         h = 1e-4 * e0
         def d_h_at(e1):
             m = TwoPhaseMaterial(Phase(e1, 0.3, 7.9e-9), self.mat.phase2)
-            return homogenize(props.grid, props.x, m, 3.0).d_h
+            return homogenize(props.grid, x, m, self.penalty).d_h
         fd = (d_h_at(e0 + h) - d_h_at(e0 - h)) / (2 * h)
         assert np.abs(dd - fd).max() <= 0.02 * np.abs(fd).max()
 
     def test_poisson_derivative_matches_finite_differences(self, rng):
-        props = self._props(rng)
+        x, props = self._props(rng)
         dd = props.d_h_derivative(("nu",))
         h = 1e-5
         def d_h_at(nu):
             m = TwoPhaseMaterial(Phase(200e3, nu, 7.9e-9), Phase(150e3, nu, 0.79e-9))
-            return homogenize(props.grid, props.x, m, 3.0).d_h
+            return homogenize(props.grid, x, m, self.penalty).d_h
         fd = (d_h_at(0.3 + h) - d_h_at(0.3 - h)) / (2 * h)
         assert np.abs(dd - fd).max() <= 0.02 * np.abs(fd).max()
 
     def test_own_kernel_maps_to_d_h_and_rho_h_bitwise(self, rng):
-        props = self._props(rng)
+        _, props = self._props(rng)
         d, rho = props.properties(self.mat.kernel(props.grid.dim))
         assert np.array_equal(d, props.d_h) and rho == props.rho_h
 
     def test_density_parameters_leave_elasticity_untouched(self, rng):
-        props = self._props(rng)
+        _, props = self._props(rng)
         assert not np.any(props.d_h_derivative(("rho1",)))
         assert not np.any(props.d_h_derivative(("rho2",)))
 
     def test_micro_design_derivative_matches_finite_differences(self, rng):
         # dD_h/dx_i = p x_i^(p-1) / |Y| * sum_k (c[0, k] - c[1, k]) P[i, k]
-        props = self._props(rng)
+        x, props = self._props(rng)
         c = self.mat.coefficients(props.grid.dim)
-        scale = props.penalty * stiffness_weights(props.x, props.penalty - 1.0) / props.grid.volume
+        scale = self.penalty * stiffness_weights(x, self.penalty - 1.0) / props.grid.volume
         dd_stack = scale[:, None, None] * np.tensordot(c[0] - c[1], props.basis, axes=([0], [1]))
-        x = props.x.copy()
         h = 1e-6
         for voxel in (0, 7, props.grid.n_elems - 1):
             xp = x.copy(); xp[voxel] += h
             xm = x.copy(); xm[voxel] -= h
-            fd = (homogenize(props.grid, xp, self.mat, 3.0).d_h
-                  - homogenize(props.grid, xm, self.mat, 3.0).d_h) / (2 * h)
+            fd = (homogenize(props.grid, xp, self.mat, self.penalty).d_h
+                  - homogenize(props.grid, xm, self.mat, self.penalty).d_h) / (2 * h)
             assert np.abs(dd_stack[voxel] - fd).max() <= 0.02 * max(np.abs(fd).max(), 1e-12)
 
     def test_unknown_parameter_tag_rejected(self, rng):
-        props = self._props(rng)
+        _, props = self._props(rng)
         with pytest.raises(ValueError, match="unknown"):
             props.d_h_derivative(("bogus",))
         with pytest.raises(ValueError, match="unknown"):
@@ -523,8 +526,7 @@ class TestCellEnergyBasis:
         grid, x = self._cell(rng, shape)
         props = homogenize(grid, x, self.mat, 3.0)
         g, w = cell_strains(grid, *cell_phases(x, self.mat, 3.0, grid.dim))
-        d1 = self.mat.d_derivative(1, grid.dim, wrt)
-        d2 = self.mat.d_derivative(2, grid.dim, wrt)
+        d1, d2 = phase_derivatives(self.mat, grid.dim, wrt)
         ref = reference_d_h_derivative(g, w, stiffness_weights(x, 3.0), d1, d2, grid.volume)
         got = props.d_h_derivative(wrt)
         assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()

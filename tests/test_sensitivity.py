@@ -28,6 +28,7 @@ from conftest import (
     degenerate_params,
     fractional_interval,
     hybrid_params,
+    phase_derivatives,
     reference_voxel_form,
     steel_foam,
 )
@@ -106,7 +107,8 @@ def test_pair_forms_match_direct_contraction(rng, macro_shape, cell_shape):
         dd, drho = props.d_h_derivative(wrt), props.rho_h_derivative(wrt)
         macro_ref = ctx.sprime * np.einsum("q,aqc,cd,aqd->a", w_macro, eps_u, dd, eps_v) - omega2 * drho * mass
         assert np.abs(got.macro - macro_ref).max() <= 1e-13 * np.abs(macro_ref).max()
-        cdelta = mat.d_derivative(1, dim, wrt) - mat.d_derivative(2, dim, wrt)
+        d1, d2 = phase_derivatives(mat, dim, wrt)
+        cdelta = d1 - d2
         rdelta = mat.rho_derivative(1, wrt) - mat.rho_derivative(2, wrt)
         ref = ctx.micro_stiff_scale * reference_voxel_form(g, w, moment, cdelta)
         ref = ref - omega2 * ctx.voxel_scale * rdelta * np.dot(state.x_macro, mass)
