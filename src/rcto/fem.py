@@ -153,9 +153,12 @@ class StructuredGrid:
 
     @cached_property
     def elem_dofs(self) -> np.ndarray:
-        nodes = self.elem_node_ids
-        dofs = self.dim * nodes[:, :, None] + np.arange(self.dim)[None, None, :]
-        return dofs.reshape(self.n_elems, -1)
+        """(n_elems, ndof_e) DOF ids, local DOF dim * corner + a, stored elements fastest: ``elem_dofs.T`` is
+        C-contiguous, so ``u[elem_dofs.T]`` gathers a field as one (ndof_e, n_elems) block with a contiguous
+        element axis."""
+        nodes = self.elem_node_ids.T
+        dofs = self.dim * nodes[:, None, :] + np.arange(self.dim)[None, :, None]
+        return dofs.reshape(-1, self.n_elems).T
 
     @cached_property
     def centroids(self) -> np.ndarray:
@@ -390,7 +393,8 @@ class FactorizedSystem:
 
     ``band`` is the block's upper band (``SparsityPattern``), rows and columns in the order of ``free``
     (``MacroProblem.free`` is in band order).  ``dpbtrf`` factors it in place, so the caller's band holds
-    the Cholesky factor afterwards; a band it refuses as not positive definite raises
+    the Cholesky factor afterwards; a band that is not F-contiguous, which ``dpbtrf`` would factor in a
+    silent copy, raises ``ValueError``, and a band it refuses as not positive definite raises
     ``SingularSystemError``: for symmetric positive definite K and M, K - omega^2 M is definite exactly
     when omega lies below the first natural frequency.  ``apply`` maps fields (..., n_dofs) to K - omega^2 M
     times them: the operator the band was built from, which checks every solve, so no copy of the band is
@@ -409,6 +413,8 @@ class FactorizedSystem:
         self._apply = apply
         self._mass = mass
         self.omega = float(omega)
+        if not band.flags.f_contiguous:
+            raise ValueError("the band must be F-contiguous (LAPACK band storage), so dpbtrf factors it in place")
         self.d_max = float(band[-1].max())
         self._factor, info = dpbtrf(band, overwrite_ab=1)
         if info < 0:

@@ -9,8 +9,12 @@ Delta K that of (eta_i - eta_ref)(D1 - D2) over the voxels that differ.  The
 FFT-diagonalized K_ref preconditions the CG (Zeman et al., J. Comput. Phys.
 2010) and gives K_ref p by a recurrence, so an iteration applies Delta K
 alone, with neither a factorization nor an assembled matrix nor a per-voxel
-elasticity.  The solve returns only the zero-mean correctors u; readers take
-what they need from u through one gather and one full-cell operator.  With
+elasticity.  The preconditioner is memoized per reference medium
+(``reference_preconditioner``): a run's mean material is fixed and its
+majority phase rarely changes, so its symbol and eigendecomposition are
+built about once per run, not once per homogenization.  The solve returns
+only the zero-mean correctors u; readers take what they need from u through
+one gather and one full-cell operator.  With
 g_iq = I - B u_e the corrected strains (eps0 - eps) of the unit test strains
 at Gauss point q of voxel i, formed one block of voxels at a time, the
 cell-energy basis that D_h and every derivative read is
@@ -191,7 +195,9 @@ class _ReferencePreconditioner:
     2010).  The zero frequency (rigid translation) is mapped to zero, so
     K_ref z = r - mean(r) per direction for z = K_ref^+ r.  ``condition`` is
     the ratio of the extreme eigenvalues of the other blocks, the condition
-    number of K_ref on zero-mean fields.
+    number of K_ref on zero-mean fields.  The inverse symbol is held once,
+    read-only, as (dim, dim, *frequencies), the layout its apply reads.
+    Built through ``reference_preconditioner``, once per reference medium.
     """
 
     def __init__(self, grid: StructuredGrid, k_ref: np.ndarray):
@@ -209,14 +215,32 @@ class _ReferencePreconditioner:
         lam[0] = np.inf  # the zero frequency: translations carry no load and get no displacement
         self.condition = float(lam[1:].max() / lam[1:].min()) if lam.shape[0] > 1 else 1.0
         inverse = (vec / lam[:, None, :]) @ np.swapaxes(vec.conj(), -1, -2)
-        self.inverse = inverse.reshape(xi[0].shape + (dim, dim))
+        self.inverse = np.ascontiguousarray(np.moveaxis(inverse, 0, -1)).reshape((dim, dim) + xi[0].shape)
+        self.inverse.setflags(write=False)
 
     def __call__(self, r: np.ndarray) -> np.ndarray:
-        """K_ref^+ r for a block r (n_red, k)."""
-        axes = tuple(range(len(self.shape)))
-        r_hat = np.fft.rfftn(r.reshape(self.shape + (-1, r.shape[1])), axes=axes)
-        z_hat = sum(self.inverse[..., j, None] * r_hat[..., None, j, :] for j in range(r_hat.shape[-2]))
-        return np.fft.irfftn(z_hat, s=self.shape, axes=axes).reshape(r.shape)
+        """K_ref^+ r for a block r (n_red, k).
+
+        The block is copied transposed to (k, dim, *grid), so ``rfftn`` runs
+        over contiguous trailing axes, and each direction i sums
+        inverse[i, j] r_hat[j] over j in order.
+        """
+        ndim, dim = len(self.shape), self.inverse.shape[0]
+        axes = tuple(range(-ndim, 0))
+        grid_first = r.reshape(self.shape + (dim, r.shape[1]))
+        r_hat = np.fft.rfftn(np.moveaxis(grid_first, (ndim, ndim + 1), (1, 0)).copy(), axes=axes)
+        z_hat = sum(self.inverse[:, j] * r_hat[:, None, j] for j in range(dim))
+        z = np.fft.irfftn(z_hat, s=self.shape, axes=axes)
+        return np.moveaxis(z, (0, 1), (ndim + 1, ndim)).reshape(r.shape)
+
+
+@lru_cache(maxsize=8)
+def reference_preconditioner(grid: StructuredGrid, k_ref: bytes) -> _ReferencePreconditioner:
+    """The ``_ReferencePreconditioner`` of the element matrix whose float64 bytes (C order) are k_ref, memoized
+    per (cell grid, reference element matrix) as ``corner_tables`` is per grid: its symbol, ``eigh`` and
+    condition number are built once per reference medium, not once per homogenization."""
+    ndof_e = grid.dim * 2**grid.dim
+    return _ReferencePreconditioner(grid, np.frombuffer(k_ref).reshape(ndof_e, ndof_e))
 
 
 def solve_cell_problems(grid: StructuredGrid, eta: np.ndarray, d1: np.ndarray, d2: np.ndarray) -> np.ndarray:
@@ -253,7 +277,7 @@ def solve_cell_problems(grid: StructuredGrid, eta: np.ndarray, d1: np.ndarray, d
         k_ref, k_diff = element_stiffness_batch(np.stack([d_ref, d1 - d2]), grid.spacing)
         differ = eta != eta_ref
         difference = _difference_operator(grid, k_diff, eta[differ] - eta_ref, differ)
-        reference = _ReferencePreconditioner(grid, k_ref)
+        reference = reference_preconditioner(grid, k_ref.tobytes())
         u[:, loaded] = _block_cg(cell_operator(grid, k_ref), difference, f[:, loaded], reference, kappa)
     return u
 

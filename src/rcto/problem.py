@@ -4,8 +4,10 @@ Holds the stiffness/mass interpolation of the discrete macro design
 variables (the ratio-preserving power law that keeps void elements from
 developing artificial local modes) and factors the dynamic stiffness.
 Its derivatives with respect to uncertain material parameters are applied
-element by element from the reference element matrices
-(``apply_parameter_operator``), not assembled.
+from the reference element matrices (``ParameterOperator``), not assembled.
+The element kernels (``ParameterOperator``, ``element_strains``) gather a
+field's element values as one (ndof_e, n_elems) block whose element axis is
+contiguous, so each is a few small-by-long GEMMs and passes along that axis.
 """
 
 from __future__ import annotations
@@ -117,22 +119,22 @@ def factorized_dynamic(problem: MacroProblem, state: DesignState, d_h: np.ndarra
 
     Element e of the block is s_e k(D_h) - omega^2 rho_h x_e m, two scales times two shared reference
     matrices, so one scatter of those builds the block's band, its only stored form, which is factored in
-    place.  Solves are checked by ``apply_parameter_operator`` at (D_h, rho_h), which is K - omega^2 M
-    itself, since K - omega^2 M is linear in (D_h, rho_h); M is that operator at (0, rho_h) over -omega^2,
-    which only the resonance-margin guard reads.  A drive at or above the design's first natural frequency
-    raises ``SingularSystemError`` naming the drive.
+    place.  Solves are checked by the design's ``ParameterOperator`` at (D_h, rho_h), which is
+    K - omega^2 M itself, since K - omega^2 M is linear in (D_h, rho_h); M is that operator at (0, rho_h)
+    over -omega^2, which only the resonance-margin guard reads.  A drive at or above the design's first
+    natural frequency raises ``SingularSystemError`` naming the drive.
     """
     grid = problem.grid
-    scales = np.stack([stiffness_scale(state.x_macro, problem.penalty, state.x_min),
-                       -problem.omega**2 * rho_h * state.x_macro])
+    operator = ParameterOperator(problem, state)
+    scales = np.stack([operator.stiffness, -problem.omega**2 * rho_h * state.x_macro])
     matrices = np.stack([fem.element_stiffness_batch(np.asarray(d_h)[None], grid.spacing)[0],
                          fem.element_mass(1.0, grid.spacing)])
     band = fem.scatter(problem.pattern, scales, matrices)
-    apply = partial(apply_parameter_operator, problem, state, d_h, rho_h)
+    apply = partial(operator, d_h, rho_h)
     no_stiffness = np.zeros(np.shape(d_h))
 
     def mass(u):  # read only under a drive, omega > 0
-        return apply_parameter_operator(problem, state, no_stiffness, rho_h, u) / -problem.omega**2
+        return operator(no_stiffness, rho_h, u) / -problem.omega**2
 
     try:
         return fem.FactorizedSystem(band, problem.free, grid.n_dofs, apply, mass, problem.omega)
@@ -141,45 +143,64 @@ def factorized_dynamic(problem: MacroProblem, state: DesignState, d_h: np.ndarra
 
 
 def element_strains(grid: StructuredGrid, u: np.ndarray) -> np.ndarray:
-    """Gauss-point strains per element of displacement fields u (..., n_dofs): (..., n_elems, nq, ncomp)."""
+    """Gauss-point strains of displacement fields u (..., n_dofs): (..., nq, ncomp, n_elems), elements fastest.
+
+    One GEMM (nq ncomp, ndof_e) @ (ndof_e, n_elems) on each field's element values, gathered as one block
+    whose element axis is contiguous.
+    """
     b = fem.strain_operators(grid.spacing)[0]
     nq, ncomp, ndof_e = b.shape
-    # one GEMM over all elements; a batched per-element matmul is several times slower
-    eps = u[..., grid.elem_dofs] @ b.reshape(nq * ncomp, ndof_e).T
-    return eps.reshape(eps.shape[:-1] + (nq, ncomp))
+    eps = b.reshape(nq * ncomp, ndof_e) @ np.take(u, grid.elem_dofs.T, axis=-1)  # u[..., idx] gathers 3x slower
+    return eps.reshape(eps.shape[:-2] + (nq, ncomp, grid.n_elems))
+
+
+class ParameterOperator:
+    """dK_d u on one design, for any direction (dD_h, drho_h) of the effective cell properties, without forming dK_d.
+
+    Element e adds s_e k(dD) u_e - omega^2 drho x_e m u_e to its DOFs, with
+    k(dD) from the reference stiffness basis and m the unit consistent mass.
+    The design's stiffness scales s (``stiffness``) are formed once here,
+    not per application.
+    """
+
+    def __init__(self, problem: MacroProblem, state: DesignState):
+        self.grid = problem.grid
+        self.stiffness = stiffness_scale(state.x_macro, problem.penalty, state.x_min)
+        self.x_macro = state.x_macro
+        self.omega2 = problem.omega**2
+        self.m = fem.element_mass(1.0, self.grid.spacing)
+
+    def __call__(self, dd: np.ndarray, drho: float, u: np.ndarray) -> np.ndarray:
+        """dK_d u for dd (ncomp, ncomp) symmetric, drho a scalar and u a field or a stack of fields (..., n_dofs).
+
+        Each field is gathered as one (ndof_e, n_elems) block, elements
+        fastest, so an application is k @ U and m @ U, two scalings along the
+        element axis and one ``bincount`` on the element-fastest DOF table.
+        The fields are applied one at a time into the output, so no element
+        stack of all of them is formed.
+        """
+        grid, u = self.grid, np.asarray(u)
+        dofs = grid.elem_dofs.T  # C-contiguous: each gather is a contiguous block and the flat table a view
+        k = fem.element_stiffness_batch(np.asarray(dd)[None], grid.spacing)[0]
+        mass_scale = self.x_macro * (self.omega2 * drho)
+        out = np.empty(u.shape)
+        for i in np.ndindex(u.shape[:-1]):
+            ue = u[i][dofs]
+            forces = k @ ue
+            forces *= self.stiffness
+            mass = self.m @ ue
+            mass *= mass_scale
+            forces -= mass
+            out[i] = np.bincount(dofs.ravel(), weights=forces.ravel(), minlength=grid.n_dofs)
+        return out
 
 
 def apply_parameter_operator(
     problem: MacroProblem, state: DesignState, dd: np.ndarray, drho: float, u: np.ndarray
 ) -> np.ndarray:
-    """dK_d u for one direction (dD_h, drho_h) of the effective cell properties, without forming dK_d.
-
-    dd (ncomp, ncomp) symmetric, drho a scalar and u a field or a stack
-    of fields (..., n_dofs).  Element e adds s_e u_e k(dD) - omega^2 drho
-    x_e u_e m to its DOFs, with k(dD) from the reference stiffness basis
-    and m the unit consistent mass.  The fields are applied one at a time
-    into the output, so no element stack of all of them is formed; each
-    DOF sums its element forces in element order, as one ``bincount``
-    over such a stack would.
-    """
-    grid = problem.grid
-    u = np.asarray(u)
-    k = fem.element_stiffness_batch(np.asarray(dd)[None], grid.spacing)[0]
-    mass_scale = problem.omega**2 * drho
-    s = stiffness_scale(state.x_macro, problem.penalty, state.x_min)[:, None]
-    m = fem.element_mass(1.0, grid.spacing)
-    dofs = grid.elem_dofs.ravel()
-    out = np.empty(u.shape)
-    for i in np.ndindex(u.shape[:-1]):
-        ue = u[i][grid.elem_dofs]
-        forces = ue @ k
-        forces *= s
-        mass = ue @ m
-        mass *= state.x_macro[:, None]
-        mass *= mass_scale
-        forces -= mass
-        out[i] = np.bincount(dofs, weights=forces.ravel(), minlength=grid.n_dofs)
-    return out
+    """dK_d u for one direction (dD_h, drho_h) of the effective cell properties, without forming dK_d: one
+    application of the design's ``ParameterOperator``, which a caller applying several builds once."""
+    return ParameterOperator(problem, state)(dd, drho, u)
 
 
 def parameter_to_matrices(

@@ -5,16 +5,20 @@ cached solution vectors, evaluated without forming any explicit inverse:
 differentiating K_d^-1 produces -K_d^-1 (dK_d/dx) K_d^-1 and the outer
 factors collapse onto already-solved vectors.  Each pair (u, v) of cached
 vectors yields one per-element strain moment int eps_u eps_v^T dA and one
-mass moment.  One form reads a pair on both scales for a material kernel
-(``TwoPhaseMaterial.kernel``): the phase coefficients on A0, A1 and the
-phase densities, or any of their parameter derivatives.  Macro design
-derivatives are local to one element and contract the moment with the
-kernel's (D, rho) from ``EffectiveProperties.properties``.  Micro (voxel)
-derivatives act through the homogenized properties: the stiffness-weighted
-sum of the moment over all macro elements meets the cell-energy basis once,
-giving two numbers per voxel that the kernel's phase difference weighs.  The
-form is linear in the pair and in the kernel, so a weighted sum of kernels
-on one pair costs one form.
+mass moment, both formed along the element axis: the strains are the
+(nq, ncomp, n_elems) blocks of ``element_strains`` and the moment is
+(ncomp^2, n_elems), so each per-element sum is a pass over contiguous
+element rows, not n_elems tiny matrix products.  One form reads a pair on
+both scales for a material kernel (``TwoPhaseMaterial.kernel``): the phase
+coefficients on A0, A1 and the phase densities, or any of their parameter
+derivatives.  Macro design derivatives are local to one element and
+contract the moment with the kernel's (D, rho) from
+``EffectiveProperties.properties``.  Micro (voxel) derivatives act through
+the homogenized properties: the stiffness-weighted sum of the moment over
+all macro elements meets the cell-energy basis once, giving two numbers per
+voxel that the kernel's phase difference weighs.  The form is linear in the
+pair and in the kernel, so a weighted sum of kernels on one pair costs one
+form.
 
 ``robust_sensitivity`` differentiates the worst-case objective with
 tanh-smoothed sign factors: the smoothed objective's weights on F.du_j and
@@ -56,15 +60,25 @@ class SensitivityField:
 
 
 class _Pair:
-    """Moments of one pair (u, v) of displacement fields, read by both the macro and the micro forms."""
+    """Moments of one pair (u, v) of displacement fields, read by both the macro and the micro forms.
+
+    eps_u and eps_v are the fields' ``element_strains`` (nq, ncomp, n_elems),
+    elements fastest.  The strain moment int eps_u eps_v^T dA of every macro
+    element is (ncomp^2, n_elems): row (c, d) sums w_q eps_u[q, c] eps_v[q, d]
+    over the Gauss points q along the element axis, one ``einsum`` per c.
+    """
 
     def __init__(self, ctx: "_FormContext", u, eps_u, v, eps_v):
-        # per macro element: int eps_u eps_v^T dA, flattened to (n_elems, ncomp^2)
-        self.strain = (np.swapaxes(eps_u * ctx.w_macro[:, None], 1, 2) @ eps_v).reshape(len(eps_u), -1)
+        ncomp = eps_u.shape[1]
+        eps_w = eps_u * ctx.w_macro[:, None, None]
+        strain = np.empty((ncomp, ncomp, eps_u.shape[-1]))
+        for c in range(ncomp):
+            np.einsum("qe,qde->de", eps_w[:, c], eps_v, out=strain[c])
+        self.strain = strain.reshape(ncomp * ncomp, -1)
         self.mass = ctx.mass_pair(u, v)
         self.mass_x = float(np.dot(ctx.state.x_macro, self.mass))
         # per voxel and material part: the stiffness-weighted macro moment against the cell-energy basis
-        self.voxel = (ctx.basis @ (ctx.s @ self.strain)).reshape(-1, 2)
+        self.voxel = (ctx.basis @ (self.strain @ ctx.s)).reshape(-1, 2)
 
 
 class _FormContext:
@@ -87,13 +101,14 @@ class _FormContext:
         )
 
     def mass_pair(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        dofs = self.problem.grid.elem_dofs
-        return np.sum((u[dofs] @ self.m_unit) * v[dofs], axis=1)
+        """int u^T m v per macro element: (m @ U) * V summed over the element DOFs, elements fastest."""
+        dofs = self.problem.grid.elem_dofs.T
+        return np.sum((self.m_unit @ u[dofs]) * v[dofs], axis=0)
 
     def form(self, pair: _Pair, kernel: np.ndarray) -> SensitivityField:
         """v^T (dK_d/dx) u per macro element and per voxel, with the phase properties replaced by kernel."""
         d, rho = self.props.properties(kernel)
-        macro = self.sprime * (pair.strain @ d.ravel()) - self.omega2 * rho * pair.mass
+        macro = self.sprime * (d.ravel() @ pair.strain) - self.omega2 * rho * pair.mass
         delta = kernel[0] - kernel[1]
         micro = self.micro_stiff_scale * (pair.voxel @ delta[:2])
         micro = micro - self.omega2 * self.voxel_scale * delta[2] * pair.mass_x

@@ -41,7 +41,7 @@ from .homogenization import (
     stiffness_weights,
 )
 from .materials import _PARTS, PARAMETER_NAMES, PARAMETERS, TwoPhaseMaterial, voigt_size
-from .problem import DesignState, MacroProblem, apply_parameter_operator, factorized_dynamic
+from .problem import DesignState, MacroProblem, ParameterOperator, factorized_dynamic
 
 logger = logging.getLogger(__name__)
 
@@ -226,6 +226,7 @@ def ihpa_evaluate(
     """
     props = homogenize(problem.cell, state.x_micro, params.mean_material(base_material), problem.penalty)
     system = factorized_dynamic(problem, state, props.d_h, props.rho_h)
+    operator = ParameterOperator(problem, state)
     f = problem.force
     u0 = system.solve(f)
     c0 = mean_compliance(f, u0)
@@ -233,14 +234,12 @@ def ihpa_evaluate(
     d2u_cross = np.empty((len(params), f.size))
     for j, name in enumerate(params.names):
         dd, drho = props.d_h_derivative((name,)), props.rho_h_derivative((name,))
-        rhs = apply_parameter_operator(problem, state, dd, drho, u0)
+        rhs = operator(dd, drho, u0)
         np.negative(rhs, out=rhs)
         system.solve(rhs)  # the interval derivative: bitwise the random one, so the mean row reads F.du_random
         du_random[j] = system.solve(rhs)
-        cross = 2.0 * apply_parameter_operator(problem, state, dd, drho, du_random[j])
-        cross += apply_parameter_operator(
-            problem, state, props.d_h_derivative((name, name)), props.rho_h_derivative((name, name)), u0
-        )
+        cross = 2.0 * operator(dd, drho, du_random[j])
+        cross += operator(props.d_h_derivative((name, name)), props.rho_h_derivative((name, name)), u0)
         d2u_cross[j] = system.solve(np.negative(cross, out=cross))
 
     scales = params.scales()
@@ -431,7 +430,7 @@ class BatchComplianceEvaluator:
     Both scales are affine in a few scalars of a sample.  The periodic cell
     stiffness and loads are sums over the four phase coefficients c[p, k] of
     ``materials.phase_coefficients``; the macro dynamic stiffness is a sum over
-    the entries of D_h and rho_h of ``apply_parameter_operator``.  Each scale is
+    the entries of D_h and rho_h of the design's ``ParameterOperator``.  Each scale is
     solved by Galerkin projection on a reduced basis of full solutions
     (``_ReducedBasis``), grown greedily over the calls: the cell basis from
     ``solve_cell_problems``, the macro basis from ``factorized_dynamic``.
@@ -443,6 +442,7 @@ class BatchComplianceEvaluator:
         self.problem = problem
         self.base = base_material
         self.state = state.copy()
+        self._operator = ParameterOperator(problem, self.state)
         cell = problem.cell
         self.ncomp = voigt_size(problem.grid.dim)
         self.eta = eta = stiffness_weights(state.x_micro, problem.penalty)
@@ -519,7 +519,7 @@ class BatchComplianceEvaluator:
         """Free-DOF block (n_free, k) of dK_d v for free-DOF columns v and one (dD_h, drho_h) direction."""
         u = np.zeros((v.shape[1], self.problem.grid.n_dofs))
         u[:, self.problem.free] = v.T
-        return apply_parameter_operator(self.problem, self.state, dd, drho, u)[:, self.problem.free].T
+        return self._operator(dd, drho, u)[:, self.problem.free].T
 
     def _macro_solution(self, d_h, rho_h) -> np.ndarray:
         """Free-DOF displacement (n_free, 1) of one sample by the banded Cholesky of its dynamic stiffness."""

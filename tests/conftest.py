@@ -145,10 +145,12 @@ def phase_derivatives(material: TwoPhaseMaterial, dim: int, wrt=()) -> np.ndarra
 
 
 def upper_band(a, kd):
-    """LAPACK upper band storage (kd + 1, n) of a square matrix, read diagonal by diagonal; nothing lies above it."""
+    """LAPACK upper band storage (kd + 1, n) of a square matrix, read diagonal by diagonal; nothing lies above it.
+
+    F-ordered, as ``fem.scatter`` returns it, so ``dpbtrf`` factors it in place."""
     a = a.toarray() if scipy.sparse.issparse(a) else np.asarray(a)
     assert not np.any(np.triu(a, kd + 1))
-    band = np.zeros((kd + 1, a.shape[0]))
+    band = np.zeros((kd + 1, a.shape[0]), order="F")
     for d in range(kd + 1):
         band[kd - d, d:] = np.diagonal(a, d)
     return band

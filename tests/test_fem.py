@@ -483,7 +483,7 @@ def test_d_max_is_the_largest_unfactored_diagonal_entry_and_at_most_the_infinity
         a = np.triu(np.tril(rng.standard_normal((12, 12)), kd))
         a = a + np.triu(a, 1).T
         a += np.diag(np.abs(a).sum(axis=1) + rng.random(12))  # strictly diagonally dominant: SPD
-        band = np.asfortranarray(upper_band(np.triu(a), kd))  # F-ordered, as scattered: dpbtrf factors in place
+        band = upper_band(np.triu(a), kd)  # F-ordered, as scattered: dpbtrf factors in place
         diagonal = band[-1].copy()
         system = FactorizedSystem(band, np.arange(12), 13, None, None, 0.0)
     else:
@@ -519,6 +519,13 @@ class TestSolve:
         lu = scipy.sparse.linalg.splu(a)
         assert factors == [lu]
         assert rcto.fem.splu(a) is factors[1]
+
+    def test_band_that_is_not_f_ordered_is_refused(self):
+        # dpbtrf would factor a C-ordered band in a silent copy and leave the caller's band as it was
+        a = np.diag([2.0, 3.0, 4.0]) + np.diag([1.0, 1.0], 1)
+        band = np.ascontiguousarray(upper_band(a, 1))
+        with pytest.raises(ValueError, match="F-contiguous"):
+            FactorizedSystem(band, np.arange(3), 4, None, None, 0.0)
 
     def test_zero_load_gives_zero_displacement(self):
         prob = cantilever(3, 2)

@@ -222,6 +222,55 @@ class TestReferenceSplit:
         assert len(batches) == 1 and np.array_equal(batches[0], np.stack([d1, d1 - d2]))
 
 
+def per_component_sum(reference, r):
+    """K_ref^+ r applied in the grid-first layout: ``rfftn`` over the leading axes of r reshaped to
+    (*grid, dim, k) and one product of the inverse symbol per component j, summed in order."""
+    inverse = np.moveaxis(reference.inverse, (0, 1), (-2, -1))  # (*frequencies, dim, dim)
+    axes = tuple(range(len(reference.shape)))
+    r_hat = np.fft.rfftn(r.reshape(reference.shape + (-1, r.shape[1])), axes=axes)
+    z_hat = sum(inverse[..., j, None] * r_hat[..., None, j, :] for j in range(r_hat.shape[-2]))
+    return np.fft.irfftn(z_hat, s=reference.shape, axes=axes).reshape(r.shape)
+
+
+class TestReferencePreconditioner:
+    @pytest.mark.parametrize("shape", [(7, 5), (4, 3, 5)])  # cells no other test builds
+    def test_memo_hit_is_the_same_object_and_applies_bitwise_as_a_fresh_build(self, rng, shape):
+        grid = StructuredGrid(shape, tuple(1.0 / n for n in shape))
+        k = element_stiffness_batch(steel_foam().phase1.elasticity(grid.dim)[None], grid.spacing)[0]
+        memo = homogenization.reference_preconditioner(grid, k.tobytes())
+        again = homogenization.reference_preconditioner(StructuredGrid(shape, grid.spacing), k.copy().tobytes())
+        assert again is memo
+        assert not memo.inverse.flags.writeable
+        fresh = homogenization._ReferencePreconditioner(grid, k)
+        r = homogenization._zero_mean(rng.standard_normal((grid.dim * grid.n_elems, 4)), grid.dim)
+        ref = per_component_sum(fresh, r)
+        assert np.array_equal(memo(r), ref)
+        assert np.array_equal(fresh(r), ref)
+
+    def test_each_reference_medium_gets_its_own_entry(self, rng, monkeypatch):
+        built = []
+
+        class Counted(homogenization._ReferencePreconditioner):
+            def __init__(self, grid, k_ref):
+                built.append(grid)
+                super().__init__(grid, k_ref)
+
+        monkeypatch.setattr(homogenization, "_ReferencePreconditioner", Counted)
+        grid = StructuredGrid((5, 7), (0.2, 1.0 / 7))  # a cell no other test builds
+        x = np.where(rng.random(grid.n_elems) < 0.8, 1.0, X_MIN)  # phase 1 is the majority
+        flipped = np.where(x == 1.0, X_MIN, 1.0)  # phase 2 is the majority
+        other = TwoPhaseMaterial(Phase(100e3, 0.2, 1.0), Phase(50e3, 0.3, 1.0))
+        for material, design, entries in [
+            (steel_foam(), x, 1),
+            (steel_foam(), x[::-1].copy(), 1),  # another design with the same majority phase: a memo hit
+            (steel_foam(), flipped, 2),
+            (other, x, 3),
+            (steel_foam(), flipped, 3),
+        ]:
+            solve_cell_problems(grid, *cell_phases(design, material, 3.0, grid.dim))
+            assert len(built) == entries
+
+
 class TestNoCellAssembly:
     def test_cell_paths_never_build_a_sparsity_pattern(self, monkeypatch):
         problem = build_problem(parse_config(str(CONFIGS / "cantilever_small.yaml")))

@@ -100,12 +100,12 @@ def test_pair_forms_match_direct_contraction(rng, macro_shape, cell_shape):
     _, nmat, w_macro = strain_operators(grid.spacing)
     dofs = grid.elem_dofs
     mass = np.einsum("q,qde,ae,qdf,af->a", w_macro, nmat, u[dofs], nmat, v[dofs])
-    moment = np.einsum("a,q,aqc,aqd->cd", ctx.s, w_macro, eps_u, eps_v)
+    moment = np.einsum("a,q,qca,qda->cd", ctx.s, w_macro, eps_u, eps_v)
     omega2 = prob.omega**2
     for wrt in [(), ("e1",), ("e2",), ("nu",), ("nu", "nu"), ("e1", "nu"), ("rho1",), ("rho2",)]:
         got = ctx.form(pair, mat.kernel(dim, wrt))
         dd, drho = props.d_h_derivative(wrt), props.rho_h_derivative(wrt)
-        macro_ref = ctx.sprime * np.einsum("q,aqc,cd,aqd->a", w_macro, eps_u, dd, eps_v) - omega2 * drho * mass
+        macro_ref = ctx.sprime * np.einsum("q,qca,cd,qda->a", w_macro, eps_u, dd, eps_v) - omega2 * drho * mass
         assert np.abs(got.macro - macro_ref).max() <= 1e-13 * np.abs(macro_ref).max()
         d1, d2 = phase_derivatives(mat, dim, wrt)
         cdelta = d1 - d2

@@ -296,11 +296,11 @@ def test_matrix_free_operator_matches_sparse_matrices(rng, macro_shape, cell_sha
             assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
     # applied one field at a time, the stack equals one bincount over all its element forces bit for bit
     k = rcto.fem.element_stiffness_batch(dd[None], grid.spacing)[0]
-    ue = u[:, grid.elem_dofs]
-    m_u = state.x_macro[:, None] * (ue @ rcto.fem.element_mass(1.0, grid.spacing))
-    forces = stiffness_scale(state.x_macro, prob.penalty, state.x_min)[:, None] * (ue @ k)
-    forces = forces - prob.omega**2 * drho * m_u
-    index = (grid.n_dofs * np.arange(len(u))[:, None] + grid.elem_dofs.ravel()).ravel()
+    ue = u[:, grid.elem_dofs.T]  # (fields, ndof_e, n_elems), elements fastest
+    m_u = (state.x_macro * (prob.omega**2 * drho)) * (rcto.fem.element_mass(1.0, grid.spacing) @ ue)
+    forces = stiffness_scale(state.x_macro, prob.penalty, state.x_min) * (k @ ue)
+    forces = forces - m_u
+    index = (grid.n_dofs * np.arange(len(u))[:, None] + grid.elem_dofs.T.ravel()).ravel()
     whole = np.bincount(index, weights=forces.ravel(), minlength=u.size)
     assert np.array_equal(got, whole.reshape(u.shape))
 
