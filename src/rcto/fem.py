@@ -24,7 +24,11 @@ blocked banded Cholesky ``dpbtrf`` factors in place.  A drive at or above
 the first natural frequency makes K - omega^2 M indefinite, where minimum
 dynamic compliance is not defined; Cholesky refuses it and the
 factorization raises ``SingularSystemError``.  Every solve is checked by
-the element operator that built the band, not by a copy of the band.  The
+the element operator that built the band, not by a copy of the band:
+``element_apply``, which applies the (scales, matrices) form that
+``scatter`` bands, matrix-free, on an element-fastest DOF table.  It is the
+one matrix-free element kernel of both scales, the macro mesh's
+``elem_dofs.T`` and the periodic cell's ``homogenization.cell_dofs``; the
 periodic cell is never assembled.
 
 No run path builds a sparse matrix: ``scipy.sparse`` is imported only inside
@@ -386,6 +390,29 @@ def scatter(pattern: SparsityPattern, scales: np.ndarray, matrices: np.ndarray) 
         np.minimum(slots, size, out=slots)
         flat[slots] += weights @ matrices[:, i, j]  # distinct band slots: no entry is added twice
     return flat[:size].reshape((kd + 1, pattern.n), order="F")
+
+
+def element_apply(dofs: np.ndarray, n: int, scales, matrices, u: np.ndarray) -> np.ndarray:
+    """sum_e sum_r scales[r][e] matrices[r] u_e for fields u (..., n), matrix-free: the operator ``scatter`` bands.
+
+    ``dofs`` is an element-fastest (ndof_e, n_elems) C-contiguous DOF table, so each field is gathered as one
+    block whose element axis is contiguous: one GEMM per term, one scaling along the element axis and one
+    ``bincount`` that sums each DOF's element entries in local-DOF (corner) order.  A scale is an (n_elems,)
+    array or a scalar.  The fields are applied one at a time, so no element stack of all of them is formed;
+    the output has the layout of u.
+    """
+    flat = dofs.ravel()
+    out = np.empty_like(u, dtype=float)
+    for i in np.ndindex(u.shape[:-1]):
+        ue = u[i][dofs]
+        forces = matrices[0] @ ue
+        forces *= scales[0]
+        for scale, matrix in zip(scales[1:], matrices[1:]):
+            term = matrix @ ue
+            term *= scale
+            forces += term
+        out[i] = np.bincount(flat, weights=forces.ravel(), minlength=n)
+    return out
 
 
 class FactorizedSystem:

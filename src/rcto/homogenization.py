@@ -13,8 +13,10 @@ elasticity.  The preconditioner is memoized per reference medium
 (``reference_preconditioner``): a run's mean material is fixed and its
 majority phase rarely changes, so its symbol and eigendecomposition are
 built about once per run, not once per homogenization.  The solve returns
-only the zero-mean correctors u; readers take what they need from u through
-one gather and one full-cell operator.  With
+only the zero-mean correctors u.  The cell has one element DOF table,
+``cell_dofs`` (periodic master DOFs, elements fastest): K_ref, Delta K and
+the oracle's weighted terms are each one ``fem.element_apply`` on it
+(``cell_operator``), the loads sum on it and readers gather u from it.  With
 g_iq = I - B u_e the corrected strains (eps0 - eps) of the unit test strains
 at Gauss point q of voxel i, formed one block of voxels at a time, the
 cell-energy basis that D_h and every derivative read is
@@ -48,6 +50,7 @@ from .fem import (
     RESIDUAL_TOL,
     StructuredGrid,
     _corner_offsets,
+    element_apply,
     element_stiffness_batch,
     strain_operators,
 )
@@ -60,49 +63,24 @@ BASIS_CHUNK = 256  # voxels per block of ``cell_energy_basis``
 
 
 @lru_cache(maxsize=8)
-def corner_tables(grid: StructuredGrid) -> tuple[np.ndarray, np.ndarray]:
-    """The master node at corner a of each voxel (n_voxels, 2^dim), and for each corner a the slot 2^dim * voxel + a
-    of the voxel whose corner a is each master node (2^dim, n_voxels).  Master ids are the voxel ids (x fastest)."""
+def cell_dofs(grid: StructuredGrid) -> np.ndarray:
+    """Read-only (ndof_e, n_voxels) periodic master DOFs of each voxel's local DOFs, elements fastest: the cell's
+    ``StructuredGrid.elem_dofs.T``, with every node wrapped into the cell.  Master node ids are the voxel ids
+    (x fastest), master node v holding DOFs dim * v + a.  Memoized per grid."""
     ids, axes = np.arange(grid.n_elems).reshape(grid.shape, order="F"), tuple(range(grid.dim))
-    offsets = _corner_offsets(grid.dim)
-    nodes = np.stack([np.roll(ids, -o, axes).ravel(order="F") for o in offsets], axis=1)
-    slots = np.stack([len(offsets) * np.roll(ids, o, axes).ravel(order="F") + a for a, o in enumerate(offsets)])
-    for table in (nodes, slots):
-        table.setflags(write=False)
-    return nodes, slots
+    nodes = np.stack([np.roll(ids, -o, axes).ravel(order="F") for o in _corner_offsets(grid.dim)])
+    dofs = (grid.dim * nodes[:, None] + np.arange(grid.dim)[:, None]).reshape(-1, grid.n_elems)
+    dofs.setflags(write=False)
+    return dofs
 
 
-def _gather(grid: StructuredGrid, u: np.ndarray, nodes: np.ndarray | None = None) -> np.ndarray:
-    """Element DOF values (n, ndof_e, k) of a block (n_red, k) of master-DOF vectors at the rows ``nodes``
-    (n, 2^dim) of the corner node table, by default all of it."""
-    if nodes is None:
-        nodes = corner_tables(grid)[0]
-    u_nodes = u.reshape(grid.n_elems, -1)  # master node v holds DOFs dim * v + a
-    return np.take(u_nodes, nodes, axis=0).reshape(len(nodes), nodes.shape[1] * grid.dim, u.shape[-1])
-
-
-def _sum_to_masters(grid: StructuredGrid, elem: np.ndarray) -> np.ndarray:
-    """Sum element columns (n_voxels, ndof_e, k) into master-DOF columns (n_red, k), 2^dim slots each."""
-    slots = corner_tables(grid)[1]
-    rows = elem.reshape(slots.size, -1)  # one row per element slot: a voxel's corner
-    out = np.take(rows, slots[0], axis=0)  # np.take gathers narrow rows several times faster than indexing
-    for corner in slots[1:]:  # one corner at a time: no (2^dim, n_red, k) stack
-        out += np.take(rows, corner, axis=0)
-    return out.reshape(-1, elem.shape[-1])
-
-
-def cell_operator(grid: StructuredGrid, k_e: np.ndarray, weights: np.ndarray | None = None):
-    """u -> K u on blocks (n_red, k) for the periodic cell stiffness K of the element matrices k_e: one
-    (ndof_e, ndof_e) matrix for every voxel, or one per voxel (n_voxels, ndof_e, ndof_e).  With
-    ``weights`` (n_voxels,), voxel i's matrix is weights[i] k_e, and the scaled stack is never formed."""
-
-    def apply(u):
-        elem = k_e @ _gather(grid, u)
-        if weights is not None:
-            elem *= weights[:, None, None]
-        return _sum_to_masters(grid, elem)
-
-    return apply
+def cell_operator(grid: StructuredGrid, k_e: np.ndarray, weights=None, voxels=None):
+    """u -> K u on blocks (n_red, k) for the periodic cell stiffness K that sums weights[i] k_e over the voxels i:
+    all of them, or those in the mask ``voxels``, weights (n_selected,) of those voxels, by default 1.  Each column
+    is one ``fem.element_apply`` on the ``cell_dofs`` of the selected voxels; the block keeps the layout of u."""
+    dofs = cell_dofs(grid) if voxels is None else cell_dofs(grid)[:, voxels]
+    scales, n = (1.0 if weights is None else weights,), grid.dim * grid.n_elems
+    return lambda u: element_apply(dofs, n, scales, (k_e,), u.T).T
 
 
 def cell_loads(grid: StructuredGrid, weights: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -118,19 +96,23 @@ def cell_loads(grid: StructuredGrid, weights: np.ndarray, d: np.ndarray) -> tupl
     D_h error is f^T K^-1 f, second order in it.
 
     The loads and their absolute-value sums are formed one test strain at a
-    time, each element column one product (n_voxels, T) @ (T, ndof_e), so no
-    per-voxel D and no (n_voxels, ndof_e, ncomp) stack is held; the sums live
-    in their own array, which the returned loads do not keep alive.
+    time, each element column one product (ndof_e, T) @ (T, n_voxels) summed
+    on ``cell_dofs`` by one ``bincount`` in corner order, so no per-voxel D and
+    no (n_voxels, ndof_e, ncomp) stack is held; the sums live in their own
+    array, which the returned loads do not keep alive.
     """
     b, _, w = strain_operators(grid.spacing)
     b_w = np.einsum("q,qce->ec", w, b)
-    weights, d = np.asarray(weights, dtype=float).T, np.asarray(d, dtype=float)
-    loads = np.empty((grid.dim * grid.n_elems, b_w.shape[1]))
+    weights, d = np.asarray(weights, dtype=float), np.asarray(d, dtype=float)
+    dofs, n = cell_dofs(grid), grid.dim * grid.n_elems
+    loads = np.empty((n, b_w.shape[1]))
     magnitude = np.empty_like(loads)
+    elem = np.empty(dofs.shape)  # one buffer: a fresh product per column page-faults again (5x the faults on 14^3)
     for c in range(b_w.shape[1]):
-        loads[:, c] = _sum_to_masters(grid, (weights @ (d[:, :, c] @ b_w.T))[:, :, None])[:, 0]
-        bound = np.abs(weights) @ (np.abs(d[:, :, c]) @ np.abs(b_w).T)
-        magnitude[:, c] = _sum_to_masters(grid, bound[:, :, None])[:, 0]
+        np.matmul((d[:, :, c] @ b_w.T).T, weights, out=elem)
+        loads[:, c] = np.bincount(dofs.ravel(), elem.ravel(), n)
+        np.matmul((np.abs(d[:, :, c]) @ np.abs(b_w).T).T, np.abs(weights), out=elem)
+        magnitude[:, c] = np.bincount(dofs.ravel(), elem.ravel(), n)
     floors = (2**grid.dim + voigt_size(grid.dim)) * np.finfo(float).eps * np.linalg.norm(magnitude, axis=0)
     return loads, floors
 
@@ -140,29 +122,9 @@ def corrected_strains(grid: StructuredGrid, u: np.ndarray, voxels=slice(None)) -
     of the selected voxels, for the correctors u (n_red, ncomp) of ``solve_cell_problems``."""
     b = strain_operators(grid.spacing)[0]
     nq, ncomp, ndof_e = b.shape
-    u_e = _gather(grid, u, corner_tables(grid)[0][voxels])
+    u_e = np.take(u, cell_dofs(grid).T[voxels], axis=0)
     g = (b.reshape(nq * ncomp, ndof_e) @ u_e).reshape(len(u_e), nq, ncomp, ncomp)
     return np.subtract(np.eye(ncomp), g, out=g)
-
-
-def _difference_operator(grid: StructuredGrid, k_diff: np.ndarray, weights: np.ndarray, differ: np.ndarray):
-    """u -> Delta K u on blocks (n_red, k): the cell stiffness of D_i - D_ref = weights_i (D1 - D2) over the voxels
-    in the mask differ, from the one element matrix k_diff of D1 - D2 and the weights (n_differ,) of those voxels.
-
-    The element stiffness is linear in D, so K_ref + Delta K is exactly the
-    cell stiffness of the per-voxel elasticities.
-    """
-    nodes = corner_tables(grid)[0][differ]
-
-    def apply(u: np.ndarray) -> np.ndarray:
-        width = grid.dim * u.shape[1]  # a node's values; explicit, as an empty difference set has none
-        forces = (k_diff @ _gather(grid, u, nodes) * weights[:, None, None]).reshape(nodes.shape + (width,))
-        out = np.zeros((grid.n_elems, width))
-        for a, corner in enumerate(nodes.T):  # corner a of distinct voxels is distinct nodes: no index repeats
-            out[corner] += forces[:, a]
-        return out.reshape(u.shape)
-
-    return apply
 
 
 def _phase_contrast(d_voxels: np.ndarray, d_ref: np.ndarray) -> float:
@@ -237,7 +199,7 @@ class _ReferencePreconditioner:
 @lru_cache(maxsize=8)
 def reference_preconditioner(grid: StructuredGrid, k_ref: bytes) -> _ReferencePreconditioner:
     """The ``_ReferencePreconditioner`` of the element matrix whose float64 bytes (C order) are k_ref, memoized
-    per (cell grid, reference element matrix) as ``corner_tables`` is per grid: its symbol, ``eigh`` and
+    per (cell grid, reference element matrix) as ``cell_dofs`` is per grid: its symbol, ``eigh`` and
     condition number are built once per reference medium, not once per homogenization."""
     ndof_e = grid.dim * 2**grid.dim
     return _ReferencePreconditioner(grid, np.frombuffer(k_ref).reshape(ndof_e, ndof_e))
@@ -276,7 +238,7 @@ def solve_cell_problems(grid: StructuredGrid, eta: np.ndarray, d1: np.ndarray, d
     if loaded.any():
         k_ref, k_diff = element_stiffness_batch(np.stack([d_ref, d1 - d2]), grid.spacing)
         differ = eta != eta_ref
-        difference = _difference_operator(grid, k_diff, eta[differ] - eta_ref, differ)
+        difference = cell_operator(grid, k_diff, eta[differ] - eta_ref, differ)
         reference = reference_preconditioner(grid, k_ref.tobytes())
         u[:, loaded] = _block_cg(cell_operator(grid, k_ref), difference, f[:, loaded], reference, kappa)
     return u

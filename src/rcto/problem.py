@@ -4,10 +4,11 @@ Holds the stiffness/mass interpolation of the discrete macro design
 variables (the ratio-preserving power law that keeps void elements from
 developing artificial local modes) and factors the dynamic stiffness.
 Its derivatives with respect to uncertain material parameters are applied
-from the reference element matrices (``ParameterOperator``), not assembled.
-The element kernels (``ParameterOperator``, ``element_strains``) gather a
-field's element values as one (ndof_e, n_elems) block whose element axis is
-contiguous, so each is a few small-by-long GEMMs and passes along that axis.
+from the reference element matrices (``ParameterOperator``, one
+``fem.element_apply``), not assembled.  The element kernels
+(``fem.element_apply``, ``element_strains``) gather a field's element values
+as one (ndof_e, n_elems) block whose element axis is contiguous, so each is
+a few small-by-long GEMMs and passes along that axis.
 """
 
 from __future__ import annotations
@@ -158,7 +159,8 @@ class ParameterOperator:
     """dK_d u on one design, for any direction (dD_h, drho_h) of the effective cell properties, without forming dK_d.
 
     Element e adds s_e k(dD) u_e - omega^2 drho x_e m u_e to its DOFs, with
-    k(dD) from the reference stiffness basis and m the unit consistent mass.
+    k(dD) from the reference stiffness basis and m the unit consistent mass:
+    the terms that ``factorized_dynamic`` scatters into the band.
     The design's stiffness scales s (``stiffness``) are formed once here,
     not per application.
     """
@@ -171,36 +173,13 @@ class ParameterOperator:
         self.m = fem.element_mass(1.0, self.grid.spacing)
 
     def __call__(self, dd: np.ndarray, drho: float, u: np.ndarray) -> np.ndarray:
-        """dK_d u for dd (ncomp, ncomp) symmetric, drho a scalar and u a field or a stack of fields (..., n_dofs).
-
-        Each field is gathered as one (ndof_e, n_elems) block, elements
-        fastest, so an application is k @ U and m @ U, two scalings along the
-        element axis and one ``bincount`` on the element-fastest DOF table.
-        The fields are applied one at a time into the output, so no element
-        stack of all of them is formed.
-        """
-        grid, u = self.grid, np.asarray(u)
-        dofs = grid.elem_dofs.T  # C-contiguous: each gather is a contiguous block and the flat table a view
+        """dK_d u for dd (ncomp, ncomp) symmetric, drho a scalar and u a field or a stack of fields (..., n_dofs):
+        one ``fem.element_apply`` of the terms (s, -omega^2 drho x) x (k(dD), m), as ``factorized_dynamic``
+        scatters them."""
+        grid = self.grid
         k = fem.element_stiffness_batch(np.asarray(dd)[None], grid.spacing)[0]
-        mass_scale = self.x_macro * (self.omega2 * drho)
-        out = np.empty(u.shape)
-        for i in np.ndindex(u.shape[:-1]):
-            ue = u[i][dofs]
-            forces = k @ ue
-            forces *= self.stiffness
-            mass = self.m @ ue
-            mass *= mass_scale
-            forces -= mass
-            out[i] = np.bincount(dofs.ravel(), weights=forces.ravel(), minlength=grid.n_dofs)
-        return out
-
-
-def apply_parameter_operator(
-    problem: MacroProblem, state: DesignState, dd: np.ndarray, drho: float, u: np.ndarray
-) -> np.ndarray:
-    """dK_d u for one direction (dD_h, drho_h) of the effective cell properties, without forming dK_d: one
-    application of the design's ``ParameterOperator``, which a caller applying several builds once."""
-    return ParameterOperator(problem, state)(dd, drho, u)
+        scales = (self.stiffness, self.x_macro * (-self.omega2 * drho))
+        return fem.element_apply(grid.elem_dofs.T, grid.n_dofs, scales, (k, self.m), np.asarray(u))
 
 
 def parameter_to_matrices(
@@ -214,7 +193,7 @@ def parameter_to_matrices(
 
     Chain rule through the effective properties holding the cell strain
     fields fixed; density contributions are linear so all their second
-    derivatives vanish.  The reference for ``apply_parameter_operator``.
+    derivatives vanish.  The reference for ``ParameterOperator``.
     """
     wrt = (theta,) if theta2 is None else (theta, theta2)
     dd, drho = props.d_h_derivative(wrt), props.rho_h_derivative(wrt)

@@ -239,7 +239,9 @@ def ihpa_evaluate(
         system.solve(rhs)  # the interval derivative: bitwise the random one, so the mean row reads F.du_random
         du_random[j] = system.solve(rhs)
         cross = 2.0 * operator(dd, drho, du_random[j])
-        cross += operator(props.d_h_derivative((name, name)), props.rho_h_derivative((name, name)), u0)
+        dd2, drho2 = props.d_h_derivative((name, name)), props.rho_h_derivative((name, name))
+        if drho2 or dd2.any():  # K''_jj is zero for a parameter both D_h and rho_h are linear in: E and rho
+            cross += operator(dd2, drho2, u0)
         d2u_cross[j] = system.solve(np.negative(cross, out=cross))
 
     scales = params.scales()

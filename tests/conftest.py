@@ -8,7 +8,7 @@ import pytest
 import scipy.sparse
 
 from rcto.fem import StructuredGrid, assemble, band_order, mean_compliance, strain_operators
-from rcto.homogenization import corner_tables, corrected_strains, homogenize, solve_cell_problems, stiffness_weights
+from rcto.homogenization import corrected_strains, homogenize, solve_cell_problems, stiffness_weights
 from rcto.materials import _PARTS, PARAMETERS, Phase, TwoPhaseMaterial, voigt_size
 from rcto.problem import DesignState, MacroProblem, factorized_dynamic, stiffness_scale
 from rcto.uncertainty import HybridParameter, Interval, UncertainSet, _interval_corners, _latin_hypercube
@@ -238,17 +238,26 @@ def cell_strains(grid, eta, d1, d2):
     return corrected_strains(grid, solve_cell_problems(grid, eta, d1, d2)), strain_operators(grid.spacing)[2]
 
 
+def periodic_dofs(grid):
+    """(n_voxels, ndof_e) master DOFs of each voxel: every node index wrapped into the cell, x fastest."""
+    nodes = np.stack(np.unravel_index(grid.elem_node_ids, grid.nodes_shape, order="F"), axis=-1)
+    master = np.ravel_multi_index(np.moveaxis(nodes % grid.shape, -1, 0), grid.shape, order="F")
+    return (grid.dim * master[:, :, None] + np.arange(grid.dim)).reshape(grid.n_elems, -1)
+
+
 def stacked_cell_loads(grid, weights, d):
-    """``cell_loads`` from whole (n_voxels, ndof_e * ncomp) element stacks, each master DOF summing its voxels'
-    corners in corner order: the loads and the rounding floors of their column norms."""
+    """``cell_loads`` from whole (n_voxels, ndof_e, ncomp) element stacks, each master DOF summing its voxels'
+    entries one local DOF, so one corner, at a time: the loads and the rounding floors of their column norms."""
     b, _, w = strain_operators(grid.spacing)
     b_w = np.einsum("q,qce->ec", w, b)
-    slots = corner_tables(grid)[1]
+    dofs = periodic_dofs(grid)
 
     def to_masters(weights, terms):
         elem = (weights.T @ terms.reshape(len(terms), -1)).reshape((-1,) + terms.shape[1:])
-        rows = elem.reshape(slots.size, -1)
-        return sum(rows[corner] for corner in slots).reshape(-1, elem.shape[-1])
+        out = np.zeros((grid.dim * grid.n_elems, elem.shape[-1]))
+        for i in range(dofs.shape[1]):  # distinct voxels put local DOF i on distinct master DOFs
+            out[dofs[:, i]] += elem[:, i]
+        return out
 
     magnitude = to_masters(np.abs(weights), np.abs(b_w) @ np.abs(d))
     floors = (2**grid.dim + voigt_size(grid.dim)) * np.finfo(float).eps * np.linalg.norm(magnitude, axis=0)

@@ -26,6 +26,7 @@ from rcto.fem import (
     StructuredGrid,
     assemble,
     band_order,
+    element_apply,
     element_mass,
     element_stiffness,
     element_stiffness_batch,
@@ -45,13 +46,14 @@ from conftest import (
     capture_factors,
     coo_reference,
     full_state,
+    periodic_dofs,
     reference_matrices,
     steel_foam,
     traced_peak,
     upper_band,
 )
-from rcto.homogenization import homogenize
-from rcto.problem import MacroProblem, factorized_dynamic
+from rcto.homogenization import cell_dofs, homogenize, seed_cell
+from rcto.problem import DesignState, MacroProblem, factorized_dynamic, parameter_to_matrices, stiffness_scale
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -273,6 +275,40 @@ class TestSparsityPattern:
         ids = np.asarray(ids, dtype=np.intp)
         got, ref = unique_ids(ids), np.unique(ids)
         assert got.dtype == ref.dtype and np.array_equal(got, ref)
+
+
+class TestElementApply:
+    @pytest.mark.parametrize("macro_shape, cell_shape", [((5, 3), (4, 4)), ((3, 2, 2), (3, 3, 2))])
+    def test_macro_terms_are_the_parameter_matrices(self, rng, macro_shape, cell_shape):
+        # s k(dD_h / dE1) and the negative -omega^2 (drho_h / drho1) x m: dK_d / dE1 + dK_d / drho1
+        dim = len(macro_shape)
+        grid = StructuredGrid(macro_shape, (1.0,) * dim)
+        cell = StructuredGrid(cell_shape, tuple(1.0 / n for n in cell_shape))
+        prob = MacroProblem(grid, cell, np.arange(dim), np.zeros(grid.n_dofs), omega=2 * np.pi * 150.0)
+        x_macro = np.where(rng.random(grid.n_elems) < 0.7, 1.0, 1e-6)
+        state = DesignState(x_macro=x_macro, x_micro=seed_cell(cell, 0.2, 1e-6))
+        props = homogenize(cell, state.x_micro, steel_foam(), prob.penalty)
+        k = element_stiffness_batch(props.d_h_derivative(("e1",))[None], grid.spacing)[0]
+        mass_scale = -prob.omega**2 * props.rho_h_derivative(("rho1",)) * x_macro
+        assert np.all(mass_scale < 0.0)
+        scales = (stiffness_scale(x_macro, prob.penalty, state.x_min), mass_scale)
+        u = rng.standard_normal((2, grid.n_dofs))
+        got = element_apply(grid.elem_dofs.T, grid.n_dofs, scales, (k, element_mass(1.0, grid.spacing)), u)
+        matrix = parameter_to_matrices(prob, state, props, "e1") + parameter_to_matrices(prob, state, props, "rho1")
+        ref = (matrix @ u.T).T
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("shape", [(5, 4), (3, 4, 2)])
+    def test_cell_voxel_subset_is_the_masked_stack(self, rng, shape):
+        grid = StructuredGrid(shape, tuple(1.0 / n for n in shape))
+        n, ncomp = grid.dim * grid.n_elems, 3 if grid.dim == 2 else 6
+        mask = rng.random(grid.n_elems) < 0.3
+        weights = rng.standard_normal(mask.sum())
+        k = element_stiffness_batch(random_symmetric_stack(rng, 1, ncomp), grid.spacing)[0]
+        u = rng.standard_normal((3, n))
+        got = element_apply(cell_dofs(grid)[:, mask], n, (weights,), (k,), u)
+        ref = (coo_reference(periodic_dofs(grid)[mask], n, weights[:, None, None] * k) @ u.T).T
+        assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
 
 
 # element corners in the standard counterclockwise ordering, bottom layer first in 3D

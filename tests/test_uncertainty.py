@@ -17,7 +17,7 @@ from rcto.materials import PARAMETER_NAMES, Phase, TwoPhaseMaterial
 from rcto.problem import (
     DesignState,
     MacroProblem,
-    apply_parameter_operator,
+    ParameterOperator,
     factorized_dynamic,
     parameter_to_matrices,
     stiffness_scale,
@@ -129,6 +129,26 @@ class TestIhpaEvaluate:
         assert np.array_equal(cache.terms[1], f_du * cache.scales[1])
         assert cache.du_random.base is None or cache.du_random.base.size == cache.du_random.size
 
+    @pytest.mark.parametrize("freq", [0.0, 300.0])
+    def test_skipping_the_zero_second_derivative_operators_leaves_the_cross_term_bitwise(self, freq):
+        # D_h is linear in E and rho_h in rho: K''_jj is zero for e1, e2, rho1 and rho2, and only nu's is applied
+        prob = self._problem(omega=2 * np.pi * freq)
+        state = full_state(prob, micro=seed_cell(prob.cell, 0.2, 1e-6))
+        params = hybrid_params(self.mat)
+        _, cache = ihpa_evaluate(prob, state, self.mat, params, kappa=1.0)
+        props, u0 = cache.props, cache.u_nominal
+        system = factorized_dynamic(prob, state, props.d_h, props.rho_h)
+        operator = ParameterOperator(prob, state)
+        zero = []
+        for j, name in enumerate(params.names):
+            dd, drho = props.d_h_derivative((name,)), props.rho_h_derivative((name,))
+            dd2, drho2 = props.d_h_derivative((name, name)), props.rho_h_derivative((name, name))
+            if not (drho2 or dd2.any()):
+                zero.append(name)
+            cross = 2.0 * operator(dd, drho, cache.du_random[j]) + operator(dd2, drho2, u0)
+            assert np.array_equal(system.solve(-cross), cache.d2u_cross[j])
+        assert zero == ["e1", "e2", "rho1", "rho2"]
+
     def test_working_set_is_about_the_band(self):
         # the cantilever_2d seed design (n = 5): past the band, the two returned n-row blocks and one
         # parameter operator's vectors (1.41x); a cross term formed as two n-row blocks read 1.46x, a
@@ -168,7 +188,7 @@ class TestIhpaEvaluate:
         u0, props = cache.u_nominal, cache.props
 
         def operator(wrt, v):
-            return apply_parameter_operator(prob, state, props.d_h_derivative(wrt), props.rho_h_derivative(wrt), v)
+            return ParameterOperator(prob, state)(props.d_h_derivative(wrt), props.rho_h_derivative(wrt), v)
 
         first = [-u0 @ operator((name,), u0) for name in params.names]
         second = [-u0 @ (2.0 * operator((name,), du) + operator((name, name), u0))
@@ -287,22 +307,27 @@ def test_matrix_free_operator_matches_sparse_matrices(rng, macro_shape, cell_sha
     mat = TwoPhaseMaterial(Phase(200e3, 0.3, 7.9e-9), Phase(150e3, 0.25, 0.79e-9))
     props = homogenize(cell, state.x_micro, mat, prob.penalty)
     u = rng.standard_normal((2, grid.n_dofs))
+    operator = ParameterOperator(prob, state)
     for name in PARAMETER_NAMES:
         for wrt in ((name,), (name, name)):
             ref = (parameter_to_matrices(prob, state, props, *wrt) @ u.T).T
-            dd, drho = props.d_h_derivative(wrt), props.rho_h_derivative(wrt)
-            got = apply_parameter_operator(prob, state, dd, drho, u)
+            got = operator(props.d_h_derivative(wrt), props.rho_h_derivative(wrt), u)
             assert got.shape == u.shape
             assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
-    # applied one field at a time, the stack equals one bincount over all its element forces bit for bit
-    k = rcto.fem.element_stiffness_batch(dd[None], grid.spacing)[0]
-    ue = u[:, grid.elem_dofs.T]  # (fields, ndof_e, n_elems), elements fastest
-    m_u = (state.x_macro * (prob.omega**2 * drho)) * (rcto.fem.element_mass(1.0, grid.spacing) @ ue)
-    forces = stiffness_scale(state.x_macro, prob.penalty, state.x_min) * (k @ ue)
-    forces = forces - m_u
-    index = (grid.n_dofs * np.arange(len(u))[:, None] + grid.elem_dofs.T.ravel()).ravel()
-    whole = np.bincount(index, weights=forces.ravel(), minlength=u.size)
-    assert np.array_equal(got, whole.reshape(u.shape))
+    # applied one field at a time, the stack equals one bincount over all its element forces bit for bit: each
+    # DOF sums its elements in local-DOF (corner) order; the nominal direction () has a mass part under a drive
+    for wrt in (("e1",), ("nu", "nu"), ()):
+        dd, drho = props.d_h_derivative(wrt), props.rho_h_derivative(wrt)
+        got = operator(dd, drho, u)
+        k = rcto.fem.element_stiffness_batch(dd[None], grid.spacing)[0]
+        ue = u[:, grid.elem_dofs.T]  # (fields, ndof_e, n_elems), elements fastest
+        m_u = (state.x_macro * (-prob.omega**2 * drho)) * (rcto.fem.element_mass(1.0, grid.spacing) @ ue)
+        forces = stiffness_scale(state.x_macro, prob.penalty, state.x_min) * (k @ ue)
+        forces = forces + m_u
+        assert np.any(forces)
+        index = (grid.n_dofs * np.arange(len(u))[:, None] + grid.elem_dofs.T.ravel()).ravel()
+        whole = np.bincount(index, weights=forces.ravel(), minlength=u.size)
+        assert np.array_equal(got, whole.reshape(u.shape))
 
 
 class TestMcsEvaluate:
