@@ -89,7 +89,7 @@ dpbtrs = _flapack().dpbtrs
 
 
 def __getattr__(name: str):
-    # ``rcto.fem.splu`` is unused here and kept only because perfbench's tracer wraps it; ROADMAP item 4 drops both
+    # ``rcto.fem.splu`` is unused here, kept only for perfbench's tracer; ROADMAP's run-trace item drops both
     if name == "splu":
         from scipy.sparse.linalg import splu
 
@@ -374,14 +374,15 @@ class SparsityPattern:
 def scatter(pattern: SparsityPattern, scales: np.ndarray, matrices: np.ndarray) -> np.ndarray:
     """Sum sum_r scales[r, e] matrices[r] over the elements e into the (kd + 1, n) upper band of a pattern.
 
-    ``scales`` is (R, n_elems) and ``matrices`` (R, ndof_e, ndof_e): each element matrix is a combination
-    of R shared ones, so the band is filled one local entry at a time and no element stack is formed.
-    The entry's band slots are formed from the pattern's ranks in one reused buffer.
+    ``scales`` is R (n_elems,) rows and ``matrices`` R (ndof_e, ndof_e) ones, the form ``element_apply`` applies:
+    each element matrix is a combination of R shared ones, so the band is filled one local entry at a time and
+    no element stack is formed.  The entry's band slots are formed from the pattern's ranks in one reused buffer.
     """
     kd, ranks = pattern.kd, pattern.ranks
     size = (kd + 1) * pattern.n
     flat = np.zeros(size + 1)
     weights = np.asarray(scales, dtype=float).T
+    matrices = np.asarray(matrices)
     slots = np.empty(ranks.shape[1], dtype=np.intp)
     for i, j in pattern.pairs:
         np.multiply(ranks[j], kd, out=slots)

@@ -406,9 +406,6 @@ class EffectiveProperties:
     def rho_h_derivative(self, wrt: tuple[str, ...]) -> float:
         return self.properties(self.material.kernel(self.grid.dim, wrt))[1]
 
-    def delta_rho_derivative(self, wrt: tuple[str, ...]) -> float:
-        return self.material.rho_derivative(1, wrt) - self.material.rho_derivative(2, wrt)
-
 
 def homogenize(
     grid: StructuredGrid,

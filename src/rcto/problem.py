@@ -5,10 +5,8 @@ variables (the ratio-preserving power law that keeps void elements from
 developing artificial local modes) and factors the dynamic stiffness.
 Its derivatives with respect to uncertain material parameters are applied
 from the reference element matrices (``ParameterOperator``, one
-``fem.element_apply``), not assembled.  The element kernels
-(``fem.element_apply``, ``element_strains``) gather a field's element values
-as one (ndof_e, n_elems) block whose element axis is contiguous, so each is
-a few small-by-long GEMMs and passes along that axis.
+``fem.element_apply`` of its ``terms``), not assembled; the factored
+system's band is one ``fem.scatter`` of the same terms.
 """
 
 from __future__ import annotations
@@ -118,41 +116,21 @@ def weight_gradient(problem: MacroProblem, state: DesignState, rho_h: float, del
 def factorized_dynamic(problem: MacroProblem, state: DesignState, d_h: np.ndarray, rho_h: float):
     """Banded Cholesky of the free block of K - omega^2 M.
 
-    Element e of the block is s_e k(D_h) - omega^2 rho_h x_e m, two scales times two shared reference
-    matrices, so one scatter of those builds the block's band, its only stored form, which is factored in
-    place.  Solves are checked by the design's ``ParameterOperator`` at (D_h, rho_h), which is
-    K - omega^2 M itself, since K - omega^2 M is linear in (D_h, rho_h); M is that operator at (0, rho_h)
-    over -omega^2, which only the resonance-margin guard reads.  A drive at or above the design's first
-    natural frequency raises ``SingularSystemError`` naming the drive.
+    K - omega^2 M is the design's ``ParameterOperator`` at (D_h, rho_h), since it is linear in (D_h, rho_h):
+    one scatter of that operator's ``terms`` builds the block's band, its only stored form, which is factored
+    in place, and the operator itself checks every solve.  M applies the single term (rho_h x, m); only the
+    resonance-margin guard reads it.  A drive at or above the design's first natural frequency raises
+    ``SingularSystemError`` naming the drive.
     """
     grid = problem.grid
     operator = ParameterOperator(problem, state)
-    scales = np.stack([operator.stiffness, -problem.omega**2 * rho_h * state.x_macro])
-    matrices = np.stack([fem.element_stiffness_batch(np.asarray(d_h)[None], grid.spacing)[0],
-                         fem.element_mass(1.0, grid.spacing)])
-    band = fem.scatter(problem.pattern, scales, matrices)
+    band = fem.scatter(problem.pattern, *operator.terms(d_h, rho_h))
     apply = partial(operator, d_h, rho_h)
-    no_stiffness = np.zeros(np.shape(d_h))
-
-    def mass(u):  # read only under a drive, omega > 0
-        return operator(no_stiffness, rho_h, u) / -problem.omega**2
-
+    mass = partial(fem.element_apply, grid.elem_dofs.T, grid.n_dofs, (rho_h * state.x_macro,), (operator.m,))
     try:
         return fem.FactorizedSystem(band, problem.free, grid.n_dofs, apply, mass, problem.omega)
     except SingularSystemError as exc:
         raise SingularSystemError(f"drive {problem.omega / (2.0 * np.pi):g} Hz: {exc}") from exc
-
-
-def element_strains(grid: StructuredGrid, u: np.ndarray) -> np.ndarray:
-    """Gauss-point strains of displacement fields u (..., n_dofs): (..., nq, ncomp, n_elems), elements fastest.
-
-    One GEMM (nq ncomp, ndof_e) @ (ndof_e, n_elems) on each field's element values, gathered as one block
-    whose element axis is contiguous.
-    """
-    b = fem.strain_operators(grid.spacing)[0]
-    nq, ncomp, ndof_e = b.shape
-    eps = b.reshape(nq * ncomp, ndof_e) @ np.take(u, grid.elem_dofs.T, axis=-1)  # u[..., idx] gathers 3x slower
-    return eps.reshape(eps.shape[:-2] + (nq, ncomp, grid.n_elems))
 
 
 class ParameterOperator:
@@ -160,9 +138,9 @@ class ParameterOperator:
 
     Element e adds s_e k(dD) u_e - omega^2 drho x_e m u_e to its DOFs, with
     k(dD) from the reference stiffness basis and m the unit consistent mass:
-    the terms that ``factorized_dynamic`` scatters into the band.
-    The design's stiffness scales s (``stiffness``) are formed once here,
-    not per application.
+    the (scales, matrices) form of ``terms``, which ``factorized_dynamic``
+    scatters into the band.  The design's stiffness scales s (``stiffness``)
+    are formed once here, not per application.
     """
 
     def __init__(self, problem: MacroProblem, state: DesignState):
@@ -172,14 +150,15 @@ class ParameterOperator:
         self.omega2 = problem.omega**2
         self.m = fem.element_mass(1.0, self.grid.spacing)
 
+    def terms(self, dd: np.ndarray, drho: float):
+        """(scales, matrices) of dK_d along (dd, drho), dd symmetric: (s, -omega^2 drho x) x (k(dD), m)."""
+        k = fem.element_stiffness_batch(np.asarray(dd)[None], self.grid.spacing)[0]
+        return (self.stiffness, self.x_macro * (-self.omega2 * drho)), (k, self.m)
+
     def __call__(self, dd: np.ndarray, drho: float, u: np.ndarray) -> np.ndarray:
-        """dK_d u for dd (ncomp, ncomp) symmetric, drho a scalar and u a field or a stack of fields (..., n_dofs):
-        one ``fem.element_apply`` of the terms (s, -omega^2 drho x) x (k(dD), m), as ``factorized_dynamic``
-        scatters them."""
+        """dK_d u for u a field or a stack of fields (..., n_dofs): one ``fem.element_apply`` of ``terms``."""
         grid = self.grid
-        k = fem.element_stiffness_batch(np.asarray(dd)[None], grid.spacing)[0]
-        scales = (self.stiffness, self.x_macro * (-self.omega2 * drho))
-        return fem.element_apply(grid.elem_dofs.T, grid.n_dofs, scales, (k, self.m), np.asarray(u))
+        return fem.element_apply(grid.elem_dofs.T, grid.n_dofs, *self.terms(dd, drho), np.asarray(u))
 
 
 def parameter_to_matrices(

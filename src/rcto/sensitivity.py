@@ -3,12 +3,13 @@
 Every term reduces to per-element bilinear forms v^T (dK_d/dx) w between
 cached solution vectors, evaluated without forming any explicit inverse:
 differentiating K_d^-1 produces -K_d^-1 (dK_d/dx) K_d^-1 and the outer
-factors collapse onto already-solved vectors.  Each pair (u, v) of cached
-vectors yields one per-element strain moment int eps_u eps_v^T dA and one
-mass moment, both formed along the element axis: the strains are the
-(nq, ncomp, n_elems) blocks of ``element_strains`` and the moment is
-(ncomp^2, n_elems), so each per-element sum is a pass over contiguous
-element rows, not n_elems tiny matrix products.  One form reads a pair on
+factors collapse onto already-solved vectors.  Each cached vector is
+gathered once (``_Field``): its element values, Gauss-point strains and
+element mass products, each a block whose element axis is contiguous.  Each
+pair (u, v) of gathered fields yields one per-element strain moment
+int eps_u eps_v^T dA and one mass moment, both formed along that axis: the
+moment is (ncomp^2, n_elems), so each per-element sum is a pass over
+contiguous element rows, not n_elems tiny matrix products.  One form reads a pair on
 both scales for a material kernel (``TwoPhaseMaterial.kernel``): the phase
 coefficients on A0, A1 and the phase densities, or any of their parameter
 derivatives.  Macro design derivatives are local to one element and
@@ -40,14 +41,7 @@ import numpy as np
 from .errors import NormalizationError
 from .fem import StructuredGrid, element_mass, strain_operators
 from .homogenization import EffectiveProperties, stiffness_weights
-from .problem import (
-    DesignState,
-    MacroProblem,
-    element_strains,
-    stiffness_scale,
-    stiffness_scale_derivative,
-    weight_gradient,
-)
+from .problem import DesignState, MacroProblem, stiffness_scale, stiffness_scale_derivative, weight_gradient
 from .uncertainty import IhpaCache, select_beta
 
 
@@ -59,23 +53,40 @@ class SensitivityField:
     micro: np.ndarray
 
 
-class _Pair:
-    """Moments of one pair (u, v) of displacement fields, read by both the macro and the micro forms.
+class _Field:
+    """One displacement field u (n_dofs,) as the element forms read it, gathered once, elements fastest.
 
-    eps_u and eps_v are the fields' ``element_strains`` (nq, ncomp, n_elems),
-    elements fastest.  The strain moment int eps_u eps_v^T dA of every macro
-    element is (ncomp^2, n_elems): row (c, d) sums w_q eps_u[q, c] eps_v[q, d]
-    over the Gauss points q along the element axis, one ``einsum`` per c.
+    ``values`` is u on the element DOF table ``elem_dofs.T`` (ndof_e, n_elems),
+    ``strains`` its Gauss-point strains (nq, ncomp, n_elems), one GEMM
+    (nq ncomp, ndof_e) @ values, and ``mass`` the element products m u_e
+    (ndof_e, n_elems) with the unit consistent mass m.
     """
 
-    def __init__(self, ctx: "_FormContext", u, eps_u, v, eps_v):
+    def __init__(self, ctx: "_FormContext", u: np.ndarray):
+        self.values = np.take(u, ctx.dofs)
+        nq, ncomp, ndof_e = ctx.b.shape
+        self.strains = (ctx.b.reshape(nq * ncomp, ndof_e) @ self.values).reshape(nq, ncomp, -1)
+        self.mass = ctx.m_unit @ self.values
+
+
+class _Pair:
+    """Moments of one pair (u, v) of ``_Field``s, read by both the macro and the micro forms.
+
+    The strain moment int eps_u eps_v^T dA of every macro element is
+    (ncomp^2, n_elems): row (c, d) sums w_q eps_u[q, c] eps_v[q, d] over the
+    Gauss points q along the element axis, one ``einsum`` per c.  The mass
+    moment int u^T m v is (m u_e) . v_e per element.
+    """
+
+    def __init__(self, ctx: "_FormContext", u: _Field, v: _Field):
+        eps_u, eps_v = u.strains, v.strains
         ncomp = eps_u.shape[1]
         eps_w = eps_u * ctx.w_macro[:, None, None]
         strain = np.empty((ncomp, ncomp, eps_u.shape[-1]))
         for c in range(ncomp):
             np.einsum("qe,qde->de", eps_w[:, c], eps_v, out=strain[c])
         self.strain = strain.reshape(ncomp * ncomp, -1)
-        self.mass = ctx.mass_pair(u, v)
+        self.mass = np.sum(u.mass * v.values, axis=0)
         self.mass_x = float(np.dot(ctx.state.x_macro, self.mass))
         # per voxel and material part: the stiffness-weighted macro moment against the cell-energy basis
         self.voxel = (ctx.basis @ (self.strain @ ctx.s)).reshape(-1, 2)
@@ -85,11 +96,11 @@ class _FormContext:
     """Shared per-evaluation machinery for the element bilinear forms."""
 
     def __init__(self, problem: MacroProblem, state: DesignState, props: EffectiveProperties):
-        self.problem = problem
         self.state = state
         self.props = props
         grid = problem.grid
-        self.w_macro = strain_operators(grid.spacing)[2]
+        self.dofs = grid.elem_dofs.T
+        self.b, _, self.w_macro = strain_operators(grid.spacing)
         self.m_unit = element_mass(1.0, grid.spacing)
         self.s = stiffness_scale(state.x_macro, problem.penalty, state.x_min)
         self.sprime = stiffness_scale_derivative(state.x_macro, problem.penalty, state.x_min)
@@ -99,11 +110,6 @@ class _FormContext:
         self.micro_stiff_scale = (
             problem.penalty * stiffness_weights(state.x_micro, problem.penalty - 1.0) / props.grid.volume
         )
-
-    def mass_pair(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """int u^T m v per macro element: (m @ U) * V summed over the element DOFs, elements fastest."""
-        dofs = self.problem.grid.elem_dofs.T
-        return np.sum((self.m_unit @ u[dofs]) * v[dofs], axis=0)
 
     def form(self, pair: _Pair, kernel: np.ndarray) -> SensitivityField:
         """v^T (dK_d/dx) u per macro element and per voxel, with the phase properties replaced by kernel."""
@@ -127,8 +133,8 @@ def deterministic_sensitivity(
     phases coincide has a vanishing micro stiffness term.
     """
     ctx = _FormContext(problem, state, props)
-    eps = element_strains(problem.grid, u)
-    field = ctx.form(_Pair(ctx, u, eps, u, eps), props.material.kernel(problem.grid.dim))
+    gathered = _Field(ctx, u)
+    field = ctx.form(_Pair(ctx, gathered, gathered), props.material.kernel(problem.grid.dim))
     return SensitivityField(field.macro / problem.penalty, field.micro / problem.penalty)
 
 
@@ -136,24 +142,22 @@ def robust_sensitivity(cache: IhpaCache, kappa: float, beta: float | None = None
     """Sensitivity of the smoothed worst-case objective, from the cached perturbation vectors.
 
     With the weights (a, b) of ``IhpaCache.smooth_weights``, the kernels k0
-    of D_h, k_j of dD_h/dtheta_j and k_jj of d2D_h/dtheta_j2, v_j =
-    du_random[j] and w_j = d2u_cross[j], it is (1/p) times
+    of D_h, k_j of dD_h/dtheta_j and k_jj of d2D_h/dtheta_j2 (``IhpaCache.kernels``),
+    v_j = du_random[j] and w_j = d2u_cross[j], it is (1/p) times
     form(u0, u0; k0 + sum_j a_j k_j + b_j k_jj) + form(2 sum_j (a_j v_j + b_j w_j), u0; k0)
-    + sum_j b_j (2 form(v_j, v_j; k0) + 4 form(v_j, u0; k_j)): 2n + 2 pair moments, 1 for n = 0.
+    + sum_j b_j (2 form(v_j, v_j; k0) + 4 form(v_j, u0; k_j)): 2n + 2 pair moments of n + 2 gathered
+    fields, 1 of 1 for n = 0.
     """
     if beta is None:
         beta = select_beta(cache)
-    problem, grid = cache.problem, cache.problem.grid
+    problem = cache.problem
     ctx = _FormContext(problem, cache.state, cache.props)
     a, b = cache.smooth_weights(kappa, beta)
-    material, names = cache.props.material, cache.params.names
-    k0 = material.kernel(grid.dim)
-    k1 = np.reshape([material.kernel(grid.dim, (name,)) for name in names], (-1,) + k0.shape)
-    k2 = np.reshape([material.kernel(grid.dim, (name, name)) for name in names], (-1,) + k0.shape)
+    k0 = cache.props.material.kernel(problem.grid.dim)
+    k1, k2 = cache.kernels[:, 0], cache.kernels[:, 1]
 
-    u0 = cache.u_nominal
-    eps0 = element_strains(grid, u0)
-    total = ctx.form(_Pair(ctx, u0, eps0, u0, eps0), k0 + np.tensordot(a, k1, 1) + np.tensordot(b, k2, 1))
+    u0 = _Field(ctx, cache.u_nominal)
+    total = ctx.form(_Pair(ctx, u0, u0), k0 + np.tensordot(a, k1, 1) + np.tensordot(b, k2, 1))
 
     def add(field: SensitivityField):  # one running field, summed in the order the forms are listed here
         total.macro += field.macro
@@ -161,11 +165,11 @@ def robust_sensitivity(cache: IhpaCache, kappa: float, beta: float | None = None
 
     if len(cache.params):
         z = 2.0 * (a @ cache.du_random + b @ cache.d2u_cross)
-        add(ctx.form(_Pair(ctx, z, element_strains(grid, z), u0, eps0), k0))
-    for j, v in enumerate(cache.du_random):
-        eps_v = element_strains(grid, v)
-        add(ctx.form(_Pair(ctx, v, eps_v, v, eps_v), 2.0 * b[j] * k0))
-        add(ctx.form(_Pair(ctx, v, eps_v, u0, eps0), 4.0 * b[j] * k1[j]))
+        add(ctx.form(_Pair(ctx, _Field(ctx, z), u0), k0))
+    for j, du in enumerate(cache.du_random):
+        v = _Field(ctx, du)
+        add(ctx.form(_Pair(ctx, v, v), 2.0 * b[j] * k0))
+        add(ctx.form(_Pair(ctx, v, u0), 4.0 * b[j] * k1[j]))
     p = problem.penalty
     return SensitivityField(total.macro / p, total.micro / p)
 
@@ -182,7 +186,7 @@ def normalize(
     ``problem.weight_gradient`` at props.rho_h.  Vanishing derivatives mean
     the scales cannot be ranked together and are rejected.
     """
-    delta_rho = props.delta_rho_derivative(())
+    delta_rho = props.material.phase1.density - props.material.phase2.density
     dm_macro, dm_micro = weight_gradient(problem, state, props.rho_h, delta_rho)
     scale = abs(props.rho_h) + abs(delta_rho)
     if abs(dm_macro) <= 1e-300 or abs(dm_micro) <= 1e-12 * scale * problem.grid.elem_volume:

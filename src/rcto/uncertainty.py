@@ -158,13 +158,15 @@ class IhpaCache:
     mean interval, std level and std width F.du_random, std shift sigma_mid
     F.d2u_cross (the level term's derivative along the mean interval).  F.du
     and F.du_random solve one right-hand side, so they agree bitwise and the
-    mean row reads F.du_random.
+    mean row reads F.du_random.  The parameter operators and the sensitivity
+    forms read one table of derivative kernels, ``kernels``.
     """
 
     problem: MacroProblem
     state: DesignState
     props: EffectiveProperties
     params: UncertainSet
+    kernels: np.ndarray      # (n, 2, 2, 3) TwoPhaseMaterial.kernel of d/dtheta_j and of d2/dtheta_j2 per row
     u_nominal: np.ndarray
     du_random: np.ndarray    # (n, ndof) displacement derivative against the random part, one solve per row
     d2u_cross: np.ndarray    # (n, ndof) second-order interval/random coupling, one solve per row
@@ -222,26 +224,28 @@ def ihpa_evaluate(
     (the interval derivative, then the random one) and the cross term, with
     the parameter operators applied matrix-free.  With n = 0, or every
     interval degenerate and every sigma zero, it gives the deterministic
-    compliance (std 0).
+    compliance (std 0).  The derivative kernels are formed once, into ``IhpaCache.kernels``.
     """
     props = homogenize(problem.cell, state.x_micro, params.mean_material(base_material), problem.penalty)
     system = factorized_dynamic(problem, state, props.d_h, props.rho_h)
     operator = ParameterOperator(problem, state)
+    dim = problem.grid.dim
+    kernels = np.reshape([[props.material.kernel(dim, wrt) for wrt in ((name,), (name, name))]
+                          for name in params.names], (-1, 2, 2, 3))
     f = problem.force
     u0 = system.solve(f)
     c0 = mean_compliance(f, u0)
     du_random = np.empty((len(params), f.size))
     d2u_cross = np.empty((len(params), f.size))
-    for j, name in enumerate(params.names):
-        dd, drho = props.d_h_derivative((name,)), props.rho_h_derivative((name,))
+    for j, (k1, k2) in enumerate(kernels):
+        dd, drho = props.properties(k1)
         rhs = operator(dd, drho, u0)
         np.negative(rhs, out=rhs)
         system.solve(rhs)  # the interval derivative: bitwise the random one, so the mean row reads F.du_random
         du_random[j] = system.solve(rhs)
         cross = 2.0 * operator(dd, drho, du_random[j])
-        dd2, drho2 = props.d_h_derivative((name, name)), props.rho_h_derivative((name, name))
-        if drho2 or dd2.any():  # K''_jj is zero for a parameter both D_h and rho_h are linear in: E and rho
-            cross += operator(dd2, drho2, u0)
+        if k2.any():  # K''_jj is zero for a parameter both D_h and rho_h are linear in: E and rho
+            cross += operator(*props.properties(k2), u0)
         d2u_cross[j] = system.solve(np.negative(cross, out=cross))
 
     scales = params.scales()
@@ -252,6 +256,7 @@ def ihpa_evaluate(
         state=state,
         props=props,
         params=params,
+        kernels=kernels,
         u_nominal=u0,
         du_random=du_random,
         d2u_cross=d2u_cross,

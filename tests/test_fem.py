@@ -411,6 +411,26 @@ class TestMacroSystem:
         assert got.shape == (prob.pattern.kd + 1, prob.free.size)
         assert_same_band(got, ref)
 
+    def test_the_margin_guard_reads_the_designs_mass(self, rng):
+        # the production mass operator is rho_h x_e m per element, and the margin it reads is the smallest
+        # eigenvalue of the pencil (K - omega^2 M, M), here with the drive at half the first natural frequency
+        import scipy.linalg
+
+        static = cantilever(6, 3)
+        state = full_state(static)
+        state.x_macro[rng.random(static.grid.n_elems) < 0.3] = state.x_min
+        d_h, rho_h = elasticity_matrix(200e3, 0.3, 2), 7.9e-9
+        k, m = reference_matrices(static, state, d_h, rho_h)
+        free = np.sort(static.free)
+        kf, mf = k.toarray()[np.ix_(free, free)], m.toarray()[np.ix_(free, free)]
+        lam1 = scipy.linalg.eigh(kf, mf, eigvals_only=True, subset_by_index=[0, 0])[0]
+        prob = cantilever(6, 3, omega=0.5 * np.sqrt(lam1))
+        system = factorized_dynamic(prob, state, d_h, rho_h)
+        u = rng.standard_normal((prob.grid.n_dofs,))
+        assert np.abs(system._mass(u) - m @ u).max() <= 1e-13 * np.abs(m @ u).max()
+        mu1 = scipy.linalg.eigh(kf - prob.omega**2 * mf, mf, eigvals_only=True, subset_by_index=[0, 0])[0]
+        assert system.margin(system.solve(prob.force)) == pytest.approx(mu1, rel=1e-3)
+
     def test_the_factor_overwrites_the_scattered_band(self, monkeypatch):
         prob = cantilever(6, 3, omega=2 * np.pi * 500.0)
         bands = []

@@ -8,10 +8,11 @@ from rcto.errors import NormalizationError
 from rcto.fem import StructuredGrid, mean_compliance, strain_operators
 from rcto.homogenization import homogenize
 from rcto.materials import Phase, TwoPhaseMaterial
-from rcto.problem import DesignState, MacroProblem, element_strains, factorized_dynamic
+from rcto.problem import DesignState, MacroProblem, factorized_dynamic
 from rcto.sensitivity import (
     SensitivityField,
     SensitivityFilter,
+    _Field,
     _FormContext,
     _Pair,
     deterministic_sensitivity,
@@ -95,10 +96,10 @@ def test_pair_forms_match_direct_contraction(rng, macro_shape, cell_shape):
     g, w = cell_strains(cell, *cell_phases(state.x_micro, mat, prob.penalty, dim))
     ctx = _FormContext(prob, state, props)
     u, v = rng.standard_normal((2, grid.n_dofs))
-    eps_u, eps_v = element_strains(grid, u), element_strains(grid, v)
-    pair = _Pair(ctx, u, eps_u, v, eps_v)
-    _, nmat, w_macro = strain_operators(grid.spacing)
+    pair = _Pair(ctx, _Field(ctx, u), _Field(ctx, v))
+    bmat, nmat, w_macro = strain_operators(grid.spacing)
     dofs = grid.elem_dofs
+    eps_u, eps_v = (np.einsum("qck,ak->qca", bmat, field[dofs]) for field in (u, v))
     mass = np.einsum("q,qde,ae,qdf,af->a", w_macro, nmat, u[dofs], nmat, v[dofs])
     moment = np.einsum("a,q,qca,qda->cd", ctx.s, w_macro, eps_u, eps_v)
     omega2 = prob.omega**2
@@ -231,19 +232,31 @@ class TestRobustSensitivity:
 
     @pytest.mark.parametrize("n", [0, 1, 5])
     def test_one_evaluation_forms_2n_plus_2_pair_moments(self, rng, monkeypatch, n):
-        formed = []
+        # each operand is formed once: n + 2 gathered fields (u0, the weighted sum z and each v_j) and
+        # 2n + 1 material kernels (k0, and k_j and k_jj of each parameter), 1 and 1 for n = 0
+        formed, gathered, kernels = [], [], []
 
         class CountedPair(_Pair):
             def __init__(self, *args):
                 formed.append(args)
                 super().__init__(*args)
 
+        class CountedField(_Field):
+            def __init__(self, *args):
+                gathered.append(args)
+                super().__init__(*args)
+
+        kernel = TwoPhaseMaterial.kernel
         monkeypatch.setattr(rcto.sensitivity, "_Pair", CountedPair)
+        monkeypatch.setattr(rcto.sensitivity, "_Field", CountedField)
+        monkeypatch.setattr(TwoPhaseMaterial, "kernel", lambda *args: kernels.append(args) or kernel(*args))
         prob = cantilever(4, 2, cell_n=4, omega=2 * np.pi * 80.0)
         params = UncertainSet(hybrid_params(self.mat).parameters[:n])
         _, cache = ihpa_evaluate(prob, relaxed_state(prob, rng), self.mat, params, kappa=1.0)
         robust_sensitivity(cache, kappa=1.0)
         assert len(formed) == (2 * n + 2 if n else 1)
+        assert len(gathered) == (n + 2 if n else 1)
+        assert len(kernels) == 2 * n + 1
 
     def test_kappa_zero_keeps_only_expectation_path(self, rng):
         prob = cantilever(4, 2, cell_n=4)
