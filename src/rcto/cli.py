@@ -68,7 +68,7 @@ def _cmd_run(args) -> int:
         x_min=cfg.x_min,
         keep_snapshots=args.dump_iterations,
     )
-    io.write_bundle(args.out, cfg, problem, result, dump_iterations=args.dump_iterations)
+    io.write_bundle(args.out, cfg, problem, result)
     final = result.history[-1]
     print(
         f"{cfg.mode} finished: {result.iterations} iterations, "

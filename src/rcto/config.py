@@ -68,7 +68,6 @@ class RunConfig:
 
     mode: str
     seed: int
-    dim: int
     macro_elements: tuple[int, ...]
     macro_spacing: tuple[float, ...]
     fixed_anchors: tuple[str, ...]
@@ -327,7 +326,6 @@ def _parse_document(doc: dict, text: str) -> RunConfig:
     return RunConfig(
         mode=mode,
         seed=seed,
-        dim=dim,
         macro_elements=tuple(macro_elements),
         macro_spacing=macro_spacing,
         fixed_anchors=tuple(fixed_anchors),

@@ -14,9 +14,9 @@ elasticity.  The preconditioner is memoized per reference medium
 majority phase rarely changes, so its symbol and eigendecomposition are
 built about once per run, not once per homogenization.  The solve returns
 only the zero-mean correctors u.  The cell has one element DOF table,
-``cell_dofs`` (periodic master DOFs, elements fastest): K_ref, Delta K and
-the oracle's weighted terms are each one ``fem.element_apply`` on it
-(``cell_operator``), the loads sum on it and readers gather u from it.  With
+``cell_dofs`` (periodic master DOFs, elements fastest): Delta K, the solve
+check's two phase terms and the oracle's weighted terms are each one
+``fem.element_apply`` on it, the loads sum on it and readers gather u from it.  With
 g_iq = I - B u_e the corrected strains (eps0 - eps) of the unit test strains
 at Gauss point q of voxel i, formed one block of voxels at a time, the
 cell-energy basis that D_h and every derivative read is
@@ -220,7 +220,9 @@ def solve_cell_problems(grid: StructuredGrid, eta: np.ndarray, d1: np.ndarray, d
     differs: on a two-valued design at most half the cell.  A column whose
     load lies below its rounding floor (``cell_loads``) is the zero load and
     gets zero correctors.  Each answer must meet ``fem.RESIDUAL_TOL`` in its
-    true residual on the zero-mean load.
+    true residual on the zero-mean load, formed with the cell's own phase
+    terms eta_i k(D1) + (1 - eta_i) k(D2), the operator ``cell_loads`` sums,
+    not with the split the CG ran on: a wrong Delta K fails the check.
     """
     ncomp = voigt_size(grid.dim)
     eta, d1, d2 = (np.asarray(a, dtype=float) for a in (eta, d1, d2))
@@ -236,11 +238,18 @@ def solve_cell_problems(grid: StructuredGrid, eta: np.ndarray, d1: np.ndarray, d
     loaded = np.linalg.norm(f, axis=0) > floors
     u = np.zeros_like(f)
     if loaded.any():
-        k_ref, k_diff = element_stiffness_batch(np.stack([d_ref, d1 - d2]), grid.spacing)
+        k_ref, k_diff, k1, k2 = element_stiffness_batch(np.stack([d_ref, d1 - d2, d1, d2]), grid.spacing)
         differ = eta != eta_ref
         difference = cell_operator(grid, k_diff, eta[differ] - eta_ref, differ)
-        reference = reference_preconditioner(grid, k_ref.tobytes())
-        u[:, loaded] = _block_cg(cell_operator(grid, k_ref), difference, f[:, loaded], reference, kappa)
+        f = f[:, loaded]
+        x = _block_cg(difference, f, reference_preconditioner(grid, k_ref.tobytes()), kappa)
+        k_x = element_apply(cell_dofs(grid), len(f), (eta, 1.0 - eta), (k1, k2), x.T).T
+        ratio = np.linalg.norm(f - k_x, axis=0) / np.linalg.norm(f, axis=0)
+        if not np.all(ratio <= RESIDUAL_TOL):
+            raise NumericalError(
+                f"cell solve failed the residual contract (|r|/|f| = {np.max(ratio):.3e} > {RESIDUAL_TOL})"
+            )
+        u[:, loaded] = x
     return u
 
 
@@ -250,11 +259,10 @@ def _zero_mean(v: np.ndarray, dim: int) -> np.ndarray:
     return (nodal - nodal.mean(axis=0)).reshape(v.shape)
 
 
-def _block_cg(stiffness, difference, f: np.ndarray, reference: _ReferencePreconditioner, kappa: float) -> np.ndarray:
-    """Preconditioned CG for K = K_ref + Delta K on every column of the zero-mean block f, checked by its true residual.
+def _block_cg(difference, f: np.ndarray, reference: _ReferencePreconditioner, kappa: float) -> np.ndarray:
+    """Preconditioned CG for K = K_ref + Delta K on every column of the zero-mean block f; zero-mean answers.
 
-    ``stiffness`` applies K_ref, for the final check only; ``difference``
-    applies Delta K and ``reference`` K_ref^+.  The loop never forms K_ref p:
+    ``difference`` applies Delta K and ``reference`` K_ref^+.  The loop never forms K_ref p:
     for z = K_ref^+ r, K_ref z is r less its mean per direction, so p <- z + beta p carries
     s = K_ref p by s <- (r - mean r) + beta s, and the product is
     q = s + Delta K p.  The projection leaves the rounding mean of the load
@@ -307,16 +315,7 @@ def _block_cg(stiffness, difference, f: np.ndarray, reference: _ReferencePrecond
         s = _zero_mean(r, dim) + beta * s
         rz = rz_new
     logger.debug("cell CG: %d iterations (bound %d, phase contrast %.4g)", iterations, cap, kappa)
-    x = _zero_mean(x, dim)
-    residual = np.empty(f.shape[1])
-    for c in range(f.shape[1]):  # one column at a time: no (n_voxels, ndof_e, k) element stack of the block
-        column = x[:, c : c + 1]
-        residual[c] = np.linalg.norm(f[:, c] - stiffness(column)[:, 0] - difference(column)[:, 0])
-    if not np.all(residual <= RESIDUAL_TOL * norm_f):
-        raise NumericalError(
-            f"cell solve failed the residual contract (|r|/|f| = {np.max(residual / norm_f):.3e} > {RESIDUAL_TOL})"
-        )
-    return x
+    return _zero_mean(x, dim)
 
 
 def stiffness_weights(x: np.ndarray, penalty: float) -> np.ndarray:

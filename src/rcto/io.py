@@ -194,7 +194,6 @@ def write_bundle(
     cfg: RunConfig,
     problem: MacroProblem,
     result: OptimizationResult,
-    dump_iterations: bool = False,
 ) -> None:
     make_output_dir(outdir)
     write_text(os.path.join(outdir, "config.yaml"), cfg.raw_text)
@@ -220,7 +219,7 @@ def write_bundle(
         "defaults_applied": list(cfg.defaults_applied),
     }
     write_text(os.path.join(outdir, "summary.json"), json.dumps(summary, indent=2, sort_keys=True) + "\n")
-    if dump_iterations and result.field_snapshots:
+    if result.field_snapshots:  # non-empty only for run(keep_snapshots=True)
         folder = os.path.join(outdir, "iterations")
         make_output_dir(folder)
         for iteration, x_macro, x_micro in result.field_snapshots:

@@ -69,29 +69,6 @@ class _Field:
         self.mass = ctx.m_unit @ self.values
 
 
-class _Pair:
-    """Moments of one pair (u, v) of ``_Field``s, read by both the macro and the micro forms.
-
-    The strain moment int eps_u eps_v^T dA of every macro element is
-    (ncomp^2, n_elems): row (c, d) sums w_q eps_u[q, c] eps_v[q, d] over the
-    Gauss points q along the element axis, one ``einsum`` per c.  The mass
-    moment int u^T m v is (m u_e) . v_e per element.
-    """
-
-    def __init__(self, ctx: "_FormContext", u: _Field, v: _Field):
-        eps_u, eps_v = u.strains, v.strains
-        ncomp = eps_u.shape[1]
-        eps_w = eps_u * ctx.w_macro[:, None, None]
-        strain = np.empty((ncomp, ncomp, eps_u.shape[-1]))
-        for c in range(ncomp):
-            np.einsum("qe,qde->de", eps_w[:, c], eps_v, out=strain[c])
-        self.strain = strain.reshape(ncomp * ncomp, -1)
-        self.mass = np.sum(u.mass * v.values, axis=0)
-        self.mass_x = float(np.dot(ctx.state.x_macro, self.mass))
-        # per voxel and material part: the stiffness-weighted macro moment against the cell-energy basis
-        self.voxel = (ctx.basis @ (self.strain @ ctx.s)).reshape(-1, 2)
-
-
 class _FormContext:
     """Shared per-evaluation machinery for the element bilinear forms."""
 
@@ -111,13 +88,27 @@ class _FormContext:
             problem.penalty * stiffness_weights(state.x_micro, problem.penalty - 1.0) / props.grid.volume
         )
 
-    def form(self, pair: _Pair, kernel: np.ndarray) -> SensitivityField:
-        """v^T (dK_d/dx) u per macro element and per voxel, with the phase properties replaced by kernel."""
+    def form(self, u: _Field, v: _Field, kernel: np.ndarray) -> SensitivityField:
+        """v^T (dK_d/dx) u per macro element and per voxel, with the phase properties replaced by kernel.
+
+        Both scales read the pair's moments.  The strain moment int eps_u eps_v^T dA of every macro element
+        is (ncomp^2, n_elems): row (c, d) sums w_q eps_u[q, c] eps_v[q, d] over the Gauss points q along the
+        element axis, one ``einsum`` per c.  The mass moment int u^T m v is (m u_e) . v_e per element.
+        """
+        ncomp = u.strains.shape[1]
+        eps_w = u.strains * self.w_macro[:, None, None]
+        strain = np.empty((ncomp, ncomp, eps_w.shape[-1]))
+        for c in range(ncomp):
+            np.einsum("qe,qde->de", eps_w[:, c], v.strains, out=strain[c])
+        strain = strain.reshape(ncomp * ncomp, -1)
+        mass = np.sum(u.mass * v.values, axis=0)
+        # per voxel and material part: the stiffness-weighted macro moment against the cell-energy basis
+        voxel = (self.basis @ (strain @ self.s)).reshape(-1, 2)
         d, rho = self.props.properties(kernel)
-        macro = self.sprime * (d.ravel() @ pair.strain) - self.omega2 * rho * pair.mass
+        macro = self.sprime * (d.ravel() @ strain) - self.omega2 * rho * mass
         delta = kernel[0] - kernel[1]
-        micro = self.micro_stiff_scale * (pair.voxel @ delta[:2])
-        micro = micro - self.omega2 * self.voxel_scale * delta[2] * pair.mass_x
+        micro = self.micro_stiff_scale * (voxel @ delta[:2])
+        micro = micro - self.omega2 * self.voxel_scale * delta[2] * float(np.dot(self.state.x_macro, mass))
         return SensitivityField(macro, micro)
 
 
@@ -134,7 +125,7 @@ def deterministic_sensitivity(
     """
     ctx = _FormContext(problem, state, props)
     gathered = _Field(ctx, u)
-    field = ctx.form(_Pair(ctx, gathered, gathered), props.material.kernel(problem.grid.dim))
+    field = ctx.form(gathered, gathered, props.material.kernel(problem.grid.dim))
     return SensitivityField(field.macro / problem.penalty, field.micro / problem.penalty)
 
 
@@ -157,7 +148,7 @@ def robust_sensitivity(cache: IhpaCache, kappa: float, beta: float | None = None
     k1, k2 = cache.kernels[:, 0], cache.kernels[:, 1]
 
     u0 = _Field(ctx, cache.u_nominal)
-    total = ctx.form(_Pair(ctx, u0, u0), k0 + np.tensordot(a, k1, 1) + np.tensordot(b, k2, 1))
+    total = ctx.form(u0, u0, k0 + np.tensordot(a, k1, 1) + np.tensordot(b, k2, 1))
 
     def add(field: SensitivityField):  # one running field, summed in the order the forms are listed here
         total.macro += field.macro
@@ -165,11 +156,11 @@ def robust_sensitivity(cache: IhpaCache, kappa: float, beta: float | None = None
 
     if len(cache.params):
         z = 2.0 * (a @ cache.du_random + b @ cache.d2u_cross)
-        add(ctx.form(_Pair(ctx, _Field(ctx, z), u0), k0))
+        add(ctx.form(_Field(ctx, z), u0, k0))
     for j, du in enumerate(cache.du_random):
         v = _Field(ctx, du)
-        add(ctx.form(_Pair(ctx, v, v), 2.0 * b[j] * k0))
-        add(ctx.form(_Pair(ctx, v, u0), 4.0 * b[j] * k1[j]))
+        add(ctx.form(v, v, 2.0 * b[j] * k0))
+        add(ctx.form(v, u0, 4.0 * b[j] * k1[j]))
     p = problem.penalty
     return SensitivityField(total.macro / p, total.micro / p)
 

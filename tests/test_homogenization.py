@@ -164,7 +164,7 @@ class TestReferenceSplit:
         batches = record_stiffness_batches(monkeypatch)
         solve_cell_problems(grid, eta, d1, d2)
         d_ref = voxel_elasticity(eta, d1, d2)[np.argmin(eta)]
-        assert len(batches) == 1 and np.array_equal(batches[0], np.stack([d_ref, d1 - d2]))
+        assert len(batches) == 1 and np.array_equal(batches[0], np.stack([d_ref, d1 - d2, d1, d2]))
 
     @pytest.mark.parametrize("case", ["two-phase", "every voxel differs", "homogeneous"])
     @pytest.mark.parametrize("shape", [(5, 4), (3, 4, 2)])
@@ -202,8 +202,9 @@ class TestReferenceSplit:
             assert ends == pytest.approx(every, rel=1e-14)
 
     @pytest.mark.parametrize("name", ["prism_3d.yaml", "cantilever_2d.yaml"])
-    def test_cell_solve_builds_one_stiffness_batch_of_two_matrices(self, name, monkeypatch):
-        # the reference element and the one difference direction D1 - D2, whatever the number of differing voxels
+    def test_cell_solve_builds_one_stiffness_batch_of_the_split_and_the_phases(self, name, monkeypatch):
+        # the reference element and the one difference direction D1 - D2 that the CG runs on, whatever the number
+        # of differing voxels, and the two phase elements that its residual check applies
         cfg = parse_config(str(CONFIGS / name))
         cell = cfg.cell_grid()
         x = seed_cell(cell, cfg.seed_fraction, cfg.x_min)
@@ -212,7 +213,23 @@ class TestReferenceSplit:
         solve_cell_problems(cell, eta, d1, d2)
         minority = int(np.sum(x == cfg.x_min))  # 136 of 2,744 on prism_3d, 124 of 2,500 on cantilever_2d
         assert 0 < minority < cell.n_elems / 2
-        assert len(batches) == 1 and np.array_equal(batches[0], np.stack([d1, d1 - d2]))
+        assert len(batches) == 1 and np.array_equal(batches[0], np.stack([d1, d1 - d2, d1, d2]))
+
+    def test_residual_check_reads_the_phases_not_the_split(self, rng, monkeypatch):
+        # a Delta K that applies half its weights still converges (K_ref + Delta K / 2 is definite), so only a
+        # check on the cell's own phase operator tells its correctors from the cell's
+        grid = StructuredGrid((8, 8), (0.125, 0.125))
+        x = np.ones(grid.n_elems)
+        x[rng.choice(grid.n_elems, 20, replace=False)] = X_MIN  # phase 2 is the minority: eta_ref = 1
+        eta, d1, d2 = cell_phases(x, steel_foam(), 3.0, 2)
+        split = homogenization.cell_operator
+
+        def halved(grid, k_e, weights=None, voxels=None):
+            return split(grid, k_e, weights if voxels is None else 0.5 * weights, voxels)
+
+        monkeypatch.setattr(homogenization, "cell_operator", halved)
+        with pytest.raises(NumericalError, match="residual contract"):
+            solve_cell_problems(grid, eta, d1, d2)
 
 
 def per_component_sum(reference, r):
