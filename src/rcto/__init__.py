@@ -15,7 +15,7 @@ from .errors import (
     SingularSystemError,
 )
 from .materials import Phase, TwoPhaseMaterial, elasticity_matrix
-from .fem import StructuredGrid, assemble, element_mass, element_stiffness, mean_compliance, solve_system
+from .fem import StructuredGrid, element_mass, mean_compliance
 from .homogenization import (
     EffectiveProperties,
     effective_density,
@@ -55,12 +55,10 @@ __all__ = [
     "StructuredGrid",
     "TwoPhaseMaterial",
     "UncertainSet",
-    "assemble",
     "effective_density",
     "effective_elasticity",
     "elasticity_matrix",
     "element_mass",
-    "element_stiffness",
     "homogenize",
     "ihpa_evaluate",
     "mcs_evaluate",
@@ -68,5 +66,4 @@ __all__ = [
     "run",
     "seed_cell",
     "solve_cell_problems",
-    "solve_system",
 ]

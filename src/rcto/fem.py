@@ -32,8 +32,9 @@ one matrix-free element kernel of both scales, the macro mesh's
 periodic cell is never assembled.
 
 No run path builds a sparse matrix: ``scipy.sparse`` is imported only inside
-the reference assemblers the tests compare against (``assemble``,
-``sum_to_csc``, ``solve_system``), so ``import rcto`` does not load it.
+``sum_to_csc``, read only by ``problem.parameter_to_matrices``, the reference
+the tests compare ``ParameterOperator`` against, so ``import rcto`` does not
+load it.
 ``rcto.fem.splu`` resolves lazily through the module ``__getattr__``.  Nor
 does ``import rcto`` run any scipy package code, not even
 ``scipy/__init__.py``: ``dpbtrf`` and ``dpbtrs`` come from scipy's compiled
@@ -254,17 +255,6 @@ def element_stiffness_batch(d_mats: np.ndarray, spacing) -> np.ndarray:
     return (np.reshape(d_mats, (n, basis.shape[0])) @ basis).reshape(n, ndof, ndof)
 
 
-def element_stiffness(d: np.ndarray, spacing: tuple[float, ...]) -> np.ndarray:
-    """Elasticity-weighted stiffness integral of B^T D B over one element."""
-    d = np.asarray(d, dtype=float)
-    ncomp = 3 if len(spacing) == 2 else 6
-    if d.shape != (ncomp, ncomp):
-        raise ValueError(f"elasticity matrix shape {d.shape} does not match {len(spacing)}D element")
-    if not np.allclose(d, d.T, rtol=1e-12, atol=1e-12 * max(1.0, float(np.abs(d).max()))):
-        raise ValueError("elasticity matrix must be symmetric")
-    return element_stiffness_batch(d[None], spacing)[0]
-
-
 def element_mass(rho: float, spacing: tuple[float, ...]) -> np.ndarray:
     """Consistent mass integral of rho N^T N over one element."""
     if rho < 0:
@@ -278,25 +268,6 @@ def element_matrices_batch(d_mats: np.ndarray, rhos: np.ndarray, spacing) -> tup
     """Per-element (k_e, m_e) stacks for per-element elasticity matrices and densities."""
     m = rhos[:, None, None] * element_mass(1.0, spacing)
     return element_stiffness_batch(d_mats, spacing), m
-
-
-def assemble(grid: StructuredGrid, d_mats, rhos):
-    """Assemble global CSC (K, M) from one elasticity matrix and density per element.
-
-    d_mats may be a single (ncomp, ncomp) matrix or a (n_elems, ncomp, ncomp)
-    stack; rhos a scalar or (n_elems,) vector.
-    """
-    ncomp = 3 if grid.dim == 2 else 6
-    d_mats = np.asarray(d_mats, dtype=float)
-    if d_mats.ndim == 2:
-        d_mats = np.broadcast_to(d_mats, (grid.n_elems, ncomp, ncomp))
-    if d_mats.shape != (grid.n_elems, ncomp, ncomp):
-        raise ValueError(f"expected per-element D of shape {(grid.n_elems, ncomp, ncomp)}, got {d_mats.shape}")
-    rhos = np.broadcast_to(np.asarray(rhos, dtype=float), (grid.n_elems,))
-    if np.any(rhos < 0):
-        raise ValueError("densities must be nonnegative")
-    k_all, m_all = element_matrices_batch(d_mats, rhos, grid.spacing)
-    return sum_to_csc(grid.elem_dofs, grid.n_dofs, k_all), sum_to_csc(grid.elem_dofs, grid.n_dofs, m_all)
 
 
 def sum_to_csc(dofs: np.ndarray, n: int, elem_mats: np.ndarray):
@@ -522,22 +493,6 @@ class FactorizedSystem:
                 break
             mx = my / np.sqrt(y_my)
         return float(margin)
-
-
-def solve_system(k, m, omega: float, f: np.ndarray, fixed: np.ndarray) -> np.ndarray:
-    """One-shot constrained solve of (K - omega^2 M) u = f in index order, at a cost set by that order's bandwidth.
-
-    Raises ``SingularSystemError`` when omega is at or above the first natural frequency (``FactorizedSystem``).
-    """
-    import scipy.sparse as sp
-
-    free = np.setdiff1d(np.arange(k.shape[0]), fixed)
-    a = (k - omega**2 * m).tocsc()
-    upper = sp.triu(a[free][:, free], format="coo")  # a CSC block holds no duplicates
-    kd = int(np.max(upper.col - upper.row, initial=0))
-    band = np.zeros((kd + 1, free.size), order="F")
-    band[kd + upper.row - upper.col, upper.col] = upper.data
-    return FactorizedSystem(band, free, k.shape[0], lambda u: (a @ u.T).T, lambda u: m @ u, omega).solve(f)
 
 
 def mean_compliance(f: np.ndarray, u: np.ndarray) -> float:

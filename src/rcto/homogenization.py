@@ -399,11 +399,9 @@ class EffectiveProperties:
         return 0.5 * (d + d.T), self.fraction * kernel[0, 2] + (1.0 - self.fraction) * kernel[1, 2]
 
     def d_h_derivative(self, wrt: tuple[str, ...]) -> np.ndarray:
-        """d^k D_h / d(theta...) holding the cell strain fields fixed."""
+        """d^k D_h / d(theta...) holding the cell strain fields fixed; no run path reads it, the benchmark's
+        span tracer wraps it by name."""
         return self.properties(self.material.kernel(self.grid.dim, wrt))[0]
-
-    def rho_h_derivative(self, wrt: tuple[str, ...]) -> float:
-        return self.properties(self.material.kernel(self.grid.dim, wrt))[1]
 
 
 def homogenize(

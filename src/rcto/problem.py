@@ -175,7 +175,7 @@ def parameter_to_matrices(
     derivatives vanish.  The reference for ``ParameterOperator``.
     """
     wrt = (theta,) if theta2 is None else (theta, theta2)
-    dd, drho = props.d_h_derivative(wrt), props.rho_h_derivative(wrt)
+    dd, drho = props.properties(props.material.kernel(props.grid.dim, wrt))
     s = stiffness_scale(state.x_macro, problem.penalty, state.x_min)
     # derivative "densities" may have any sign, so bypass the physical validation
     k_elems, m_elems = fem.element_matrices_batch(

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import scipy.sparse
 
-from rcto.fem import StructuredGrid, assemble, band_order, mean_compliance, strain_operators
+from rcto.fem import StructuredGrid, band_order, element_matrices_batch, mean_compliance, strain_operators, sum_to_csc
 from rcto.homogenization import corrected_strains, homogenize, solve_cell_problems, stiffness_weights
 from rcto.materials import _PARTS, PARAMETERS, Phase, TwoPhaseMaterial, voigt_size
 from rcto.problem import DesignState, MacroProblem, factorized_dynamic, stiffness_scale
@@ -125,8 +125,27 @@ def reference_draws(params: UncertainSet, n_interval: int, n_random: int, seed: 
     return np.concatenate(rows), resampled
 
 
+def assemble(grid: StructuredGrid, d_mats, rhos):
+    """Assemble global CSC (K, M) from one elasticity matrix and density per element.
+
+    d_mats may be a single (ncomp, ncomp) matrix or a (n_elems, ncomp, ncomp)
+    stack; rhos a scalar or (n_elems,) vector.
+    """
+    ncomp = 3 if grid.dim == 2 else 6
+    d_mats = np.asarray(d_mats, dtype=float)
+    if d_mats.ndim == 2:
+        d_mats = np.broadcast_to(d_mats, (grid.n_elems, ncomp, ncomp))
+    if d_mats.shape != (grid.n_elems, ncomp, ncomp):
+        raise ValueError(f"expected per-element D of shape {(grid.n_elems, ncomp, ncomp)}, got {d_mats.shape}")
+    rhos = np.broadcast_to(np.asarray(rhos, dtype=float), (grid.n_elems,))
+    if np.any(rhos < 0):
+        raise ValueError("densities must be nonnegative")
+    k_all, m_all = element_matrices_batch(d_mats, rhos, grid.spacing)
+    return sum_to_csc(grid.elem_dofs, grid.n_dofs, k_all), sum_to_csc(grid.elem_dofs, grid.n_dofs, m_all)
+
+
 def reference_matrices(problem: MacroProblem, state: DesignState, d_h, rho_h):
-    """Full (K, M) of a two-scale design by the reference assembler ``fem.assemble``, no DOF dropped."""
+    """Full (K, M) of a two-scale design by the reference assembler ``assemble``, no DOF dropped."""
     s = stiffness_scale(state.x_macro, problem.penalty, state.x_min)
     return assemble(problem.grid, s[:, None, None] * d_h, state.x_macro * rho_h)
 

@@ -24,21 +24,19 @@ from rcto.fem import (
     FactorizedSystem,
     SparsityPattern,
     StructuredGrid,
-    assemble,
     band_order,
     element_apply,
     element_mass,
-    element_stiffness,
     element_stiffness_batch,
     mean_compliance,
     scatter,
-    solve_system,
     strain_operators,
     unique_ids,
 )
 from rcto.materials import elasticity_matrix
 
 from conftest import (
+    assemble,
     assert_band_order,
     assert_same_band,
     box_indices,
@@ -106,36 +104,38 @@ def gauss_mass_oracle(rho, spacing, order=5):
 
 class TestElementStiffness:
     def test_zero_material_gives_zero_matrix(self):
-        assert not np.any(element_stiffness(np.zeros((3, 3)), (1.0, 1.0)))
+        assert not np.any(element_stiffness_batch(np.zeros((1, 3, 3)), (1.0, 1.0)))
 
     @pytest.mark.slow
     def test_matches_symbolic_oracle_unit_square(self):
         d = elasticity_matrix(1.0, 0.0, 2)
-        k = element_stiffness(d, (1.0, 1.0))
+        k = element_stiffness_batch(d[None], (1.0, 1.0))[0]
         k_ref = symbolic_q4_stiffness(d, 1.0, 1.0)
         assert np.allclose(k, k_ref, atol=1e-13)
 
     @pytest.mark.slow
     def test_matches_symbolic_oracle_rectangle_with_poisson(self):
         d = elasticity_matrix(70e3, 0.33, 2)
-        k = element_stiffness(d, (2.0, 0.5))
+        k = element_stiffness_batch(d[None], (2.0, 0.5))[0]
         k_ref = symbolic_q4_stiffness(d, 2.0, 0.5)
         assert np.allclose(k, k_ref, rtol=1e-12)
 
     def test_scaling_material_scales_stiffness(self):
         d = elasticity_matrix(1.0, 0.25, 2)
-        assert np.allclose(element_stiffness(7.5 * d, (1.0, 2.0)), 7.5 * element_stiffness(d, (1.0, 2.0)))
+        k = element_stiffness_batch(np.stack([7.5 * d, d]), (1.0, 2.0))
+        assert np.allclose(k[0], 7.5 * k[1])
 
-    def test_nonsymmetric_material_rejected(self):
+    def test_nonsymmetric_material_acts_through_its_symmetric_part(self):
         d = elasticity_matrix(1.0, 0.3, 2)
         d[0, 1] *= 1.5
-        with pytest.raises(ValueError, match="symmetric"):
-            element_stiffness(d, (1.0, 1.0))
+        k = element_stiffness_batch(np.stack([d, 0.5 * (d + d.T)]), (1.0, 2.0))
+        assert np.array_equal(k[0], k[0].T)
+        assert np.allclose(k[0], k[1], rtol=0.0, atol=1e-15 * np.abs(k[1]).max())
 
     @pytest.mark.parametrize("spacing", [(1.0, 1.0), (2.0, 0.5), (1.0, 1.0, 1.0), (0.5, 1.0, 2.0)])
     def test_positive_semidefinite_with_rigid_modes(self, spacing):
         dim = len(spacing)
-        k = element_stiffness(elasticity_matrix(1.0, 0.3, dim), spacing)
+        k = element_stiffness_batch(elasticity_matrix(1.0, 0.3, dim)[None], spacing)[0]
         evals = np.linalg.eigvalsh(k)
         n_rigid = 3 if dim == 2 else 6
         assert np.sum(np.abs(evals) < 1e-10 * evals.max()) == n_rigid
@@ -178,7 +178,7 @@ class TestAssembly:
         k, m = assemble(grid, d, 1.0)
         dofs = grid.elem_dofs[0]
         ref_k = np.zeros((8, 8))
-        ref_k[np.ix_(dofs, dofs)] = element_stiffness(d, (1.0, 1.0))
+        ref_k[np.ix_(dofs, dofs)] = element_stiffness_batch(d[None], (1.0, 1.0))[0]
         ref_m = np.zeros((8, 8))
         ref_m[np.ix_(dofs, dofs)] = element_mass(1.0, (1.0, 1.0))
         assert np.allclose(k.toarray(), ref_k)
@@ -189,7 +189,7 @@ class TestAssembly:
         grid = StructuredGrid((2, 1), (1.0, 1.0))
         d = elasticity_matrix(1.0, 0.25, 2)
         k, _ = assemble(grid, d, 1.0)
-        ke = element_stiffness(d, (1.0, 1.0))
+        ke = element_stiffness_batch(d[None], (1.0, 1.0))[0]
         ref = np.zeros((grid.n_dofs, grid.n_dofs))
         for nodes in ([0, 1, 4, 3], [1, 2, 5, 4]):
             dofs = np.array([[2 * n, 2 * n + 1] for n in nodes]).ravel()
@@ -289,7 +289,7 @@ class TestElementApply:
         state = DesignState(x_macro=x_macro, x_micro=seed_cell(cell, 0.2, 1e-6))
         props = homogenize(cell, state.x_micro, steel_foam(), prob.penalty)
         k = element_stiffness_batch(props.d_h_derivative(("e1",))[None], grid.spacing)[0]
-        mass_scale = -prob.omega**2 * props.rho_h_derivative(("rho1",)) * x_macro
+        mass_scale = -prob.omega**2 * props.properties(props.material.kernel(dim, ("rho1",)))[1] * x_macro
         assert np.all(mass_scale < 0.0)
         scales = (stiffness_scale(x_macro, prob.penalty, state.x_min), mass_scale)
         u = rng.standard_normal((2, grid.n_dofs))
@@ -587,15 +587,15 @@ class TestSolve:
         prob = cantilever(3, 2)
         d = elasticity_matrix(200e3, 0.3, 2)
         k, m = assemble(prob.grid, d, 7.9e-9)
-        u = solve_system(k, m, 0.0, np.zeros(prob.grid.n_dofs), prob.fixed_dofs)
+        u = factorized(k, m, 0.0, np.sort(prob.free)).solve(np.zeros(prob.grid.n_dofs))
         assert not np.any(u)
 
     def test_static_tip_load_matches_dense_oracle(self):
         prob = cantilever(1, 1)
         d = elasticity_matrix(1000.0, 0.3, 2)
         k, m = assemble(prob.grid, d, 1.0)
-        u = solve_system(k, m, 0.0, prob.force, prob.fixed_dofs)
         free = np.sort(prob.free)
+        u = factorized(k, m, 0.0, free).solve(prob.force)
         kd = k.toarray()[np.ix_(free, free)]
         u_ref = np.linalg.solve(kd, prob.force[free])
         assert np.linalg.norm(u[free] - u_ref) <= 1e-9 * np.linalg.norm(u_ref)
@@ -605,25 +605,16 @@ class TestSolve:
         d = elasticity_matrix(200e3, 0.3, 2)
         k, m = assemble(prob.grid, d, 7.9e-9)
         free = np.sort(prob.free)
+        system = factorized(k, m, 0.0, free)
         for _ in range(5):
             f = np.zeros(prob.grid.n_dofs)
             f[free] = rng.standard_normal(free.size)
-            u = solve_system(k, m, 0.0, f, prob.fixed_dofs)
-            assert mean_compliance(f, u) > 0
+            assert mean_compliance(f, system.solve(f)) > 0
 
     def test_residual_contract_enforced_at_resonance(self):
-        import scipy.linalg
-
-        prob = cantilever(4, 2)
-        d = elasticity_matrix(200e3, 0.3, 2)
-        k, m = assemble(prob.grid, d, 7.9e-9)
-        free = np.sort(prob.free)
-        kf = k.toarray()[np.ix_(free, free)]
-        mf = m.toarray()[np.ix_(free, free)]
-        evals = scipy.linalg.eigh(kf, mf, eigvals_only=True)
-        omega_res = np.sqrt(evals[2])
+        prob, k, m, free, _, _, evals = steel_cantilever_modes()
         with pytest.raises(SingularSystemError):
-            solve_system(k, m, omega_res, prob.force, prob.fixed_dofs)
+            factorized(k, m, np.sqrt(evals[2]), free).solve(prob.force)
 
     def test_failure_below_the_first_resonance_says_the_drive_may_sit_at_a_resonance(self, monkeypatch):
         # 1e-8 below the first eigenvalue K - omega^2 M is still positive definite, so Cholesky factors it
@@ -646,10 +637,7 @@ class TestSolve:
         omega = np.sqrt(np.sqrt(evals[0] * evals[1]) if mode == "between-1-and-2" else evals[2])
         factors = capture_factors(monkeypatch)
         with pytest.raises(SingularSystemError, match="Cholesky refused .* not positive definite") as err:
-            if order == "band":
-                factorized(k, m, omega, prob.free)
-            else:
-                solve_system(k, m, omega, prob.force, prob.fixed_dofs)
+            factorized(k, m, omega, prob.free if order == "band" else free)
         assert "at or above the first natural frequency" in str(err.value)
         assert "may sit at a resonance" not in str(err.value)
         assert factors == []
@@ -660,8 +648,8 @@ class TestSolve:
         prob = cantilever(40, 4)
         soft = np.where(np.arange(prob.grid.n_elems) % 40 >= 20, 1e-12, 1.0)
         k, m = assemble(prob.grid, soft[:, None, None] * elasticity_matrix(200e3, 0.3, 2), soft * 7.9e-9)
-        u = solve_system(k, m, 0.0, prob.force, prob.fixed_dofs)
         free = np.sort(prob.free)
+        u = factorized(k, m, 0.0, free).solve(prob.force)
         kf, uf, f = k[free][:, free], u[free], prob.force[free]
         assert backward_error(kf, uf, f) <= 64 * np.finfo(float).eps
 
@@ -704,15 +692,16 @@ class TestSolve:
         prob = cantilever(2, 2)
         d = elasticity_matrix(1.0, 0.3, 2)
         k, m = assemble(prob.grid, d, 1.0)
-        with pytest.raises(ValueError):
-            solve_system(k, m, 0.0, prob.force, np.array([], dtype=int))
+        with pytest.raises(ValueError, match="at least one constrained DOF"):
+            factorized(k, m, 0.0, np.arange(prob.grid.n_dofs))
 
     def test_harmonic_low_frequency_limit_matches_static(self):
         prob = cantilever(6, 2)
         d = elasticity_matrix(200e3, 0.3, 2)
         k, m = assemble(prob.grid, d, 7.9e-9)
-        u_static = solve_system(k, m, 0.0, prob.force, prob.fixed_dofs)
-        u_dyn = solve_system(k, m, 1e-12, prob.force, prob.fixed_dofs)
+        free = np.sort(prob.free)
+        u_static = factorized(k, m, 0.0, free).solve(prob.force)
+        u_dyn = factorized(k, m, 1e-12, free).solve(prob.force)
         assert np.linalg.norm(u_dyn - u_static) <= 1e-6 * np.linalg.norm(u_static)
 
     def test_call_counter_counts_backsolves(self):
@@ -763,15 +752,16 @@ class TestMeanCompliance:
         prob = cantilever(5, 2)
         d = elasticity_matrix(200e3, 0.3, 2)
         k, m = assemble(prob.grid, d, 7.9e-9)
-        u = solve_system(k, m, 0.0, prob.force, prob.fixed_dofs)
+        u = factorized(k, m, 0.0, np.sort(prob.free)).solve(prob.force)
         assert np.isclose(mean_compliance(prob.force, u), u @ (k @ u), rtol=1e-9)
 
     def test_doubling_load_quadruples_compliance(self):
         prob = cantilever(5, 2)
         d = elasticity_matrix(200e3, 0.3, 2)
         k, m = assemble(prob.grid, d, 7.9e-9)
-        u1 = solve_system(k, m, 0.0, prob.force, prob.fixed_dofs)
-        u2 = solve_system(k, m, 0.0, 2 * prob.force, prob.fixed_dofs)
+        system = factorized(k, m, 0.0, np.sort(prob.free))
+        u1 = system.solve(prob.force)
+        u2 = system.solve(2 * prob.force)
         c1 = mean_compliance(prob.force, u1)
         c2 = mean_compliance(2 * prob.force, u2)
         assert np.isclose(c2, 4 * c1, rtol=1e-12)
@@ -781,7 +771,7 @@ class TestSystemProperties:
     def test_compliance_monotone_in_element_stiffness(self, rng):
         # scaling any element's D up cannot increase static compliance
         grid = StructuredGrid((3, 2), (1.0, 1.0))
-        fixed = np.array([0, 1, 8, 9, 16, 17])
+        free = np.setdiff1d(np.arange(grid.n_dofs), [0, 1, 8, 9, 16, 17])
         f = np.zeros(grid.n_dofs)
         f[2 * 3 + 1] = -1.0
         d = elasticity_matrix(100.0, 0.3, 2)
@@ -789,12 +779,12 @@ class TestSystemProperties:
             scales = 0.5 + rng.random(grid.n_elems)
             d_mats = scales[:, None, None] * d
             k, m = assemble(grid, d_mats, 1.0)
-            c0 = mean_compliance(f, solve_system(k, m, 0.0, f, fixed))
+            c0 = mean_compliance(f, factorized(k, m, 0.0, free).solve(f))
             bump = rng.integers(0, grid.n_elems)
             d2 = d_mats.copy()
             d2[bump] *= 1.5
             k2, _ = assemble(grid, d2, 1.0)
-            c1 = mean_compliance(f, solve_system(k2, m, 0.0, f, fixed))
+            c1 = mean_compliance(f, factorized(k2, m, 0.0, free).solve(f))
             assert c1 <= c0 * (1 + 1e-12)
 
     def test_node_permutation_leaves_compliance_invariant(self, rng):
@@ -803,20 +793,21 @@ class TestSystemProperties:
         state = full_state(prob)
         props = homogenize(prob.cell, state.x_micro, mat, prob.penalty)
         k, m = reference_matrices(prob, state, props.d_h, props.rho_h)
-        c0 = mean_compliance(prob.force, solve_system(k, m, 0.0, prob.force, prob.fixed_dofs))
+        c0 = mean_compliance(prob.force, factorized(k, m, 0.0, np.sort(prob.free)).solve(prob.force))
         perm = rng.permutation(prob.grid.n_dofs)
         pmat = np.eye(prob.grid.n_dofs)[perm]
         kp = pmat @ k.toarray() @ pmat.T
         fp = pmat @ prob.force
-        fixed_p = np.flatnonzero(np.isin(perm, prob.fixed_dofs))
+        free_p = np.flatnonzero(~np.isin(perm, prob.fixed_dofs))
         import scipy.sparse as sps
 
-        up = solve_system(sps.csc_matrix(kp), sps.csc_matrix(kp * 0), 0.0, fp, fixed_p)
+        up = factorized(sps.csc_matrix(kp), sps.csc_matrix(kp * 0), 0.0, free_p).solve(fp)
         assert np.isclose(mean_compliance(fp, up), c0, rtol=1e-9)
 
 
 def test_only_fem_imports_scipy_sparse():
-    # the sparse format lives in one module; the others read the band pattern or apply operators matrix-free
+    # the one sparse user left is fem.sum_to_csc, read only by the reference problem.parameter_to_matrices;
+    # every other module reads the band pattern or applies operators matrix-free
     importers = set()
     for path in sorted(Path(rcto.__file__).parent.rglob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):

@@ -500,7 +500,7 @@ class TestEffectiveDerivatives:
 
     def test_density_derivative_is_weighted_volume_fraction(self, rng):
         x, props = self._props(rng)
-        drho = props.rho_h_derivative(("rho1",))
+        drho = props.properties(props.material.kernel(props.grid.dim, ("rho1",)))[1]
         expect = np.sum(x) * props.grid.elem_volume / props.grid.volume
         assert np.isclose(drho, expect, rtol=1e-12)
 
@@ -553,8 +553,6 @@ class TestEffectiveDerivatives:
         _, props = self._props(rng)
         with pytest.raises(ValueError, match="unknown"):
             props.d_h_derivative(("bogus",))
-        with pytest.raises(ValueError, match="unknown"):
-            props.rho_h_derivative(("bogus",))
 
 
 class TestCellEnergyBasis:

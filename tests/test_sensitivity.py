@@ -104,7 +104,7 @@ def test_pair_forms_match_direct_contraction(rng, macro_shape, cell_shape):
     omega2 = prob.omega**2
     for wrt in [(), ("e1",), ("e2",), ("nu",), ("nu", "nu"), ("e1", "nu"), ("rho1",), ("rho2",)]:
         got = ctx.form(fu, fv, mat.kernel(dim, wrt))
-        dd, drho = props.d_h_derivative(wrt), props.rho_h_derivative(wrt)
+        dd, drho = props.properties(props.material.kernel(dim, wrt))
         macro_ref = ctx.sprime * np.einsum("q,qca,cd,qda->a", w_macro, eps_u, dd, eps_v) - omega2 * drho * mass
         assert np.abs(got.macro - macro_ref).max() <= 1e-13 * np.abs(macro_ref).max()
         d1, d2 = phase_derivatives(mat, dim, wrt)

@@ -141,8 +141,8 @@ class TestIhpaEvaluate:
         operator = ParameterOperator(prob, state)
         zero = []
         for j, name in enumerate(params.names):
-            dd, drho = props.d_h_derivative((name,)), props.rho_h_derivative((name,))
-            dd2, drho2 = props.d_h_derivative((name, name)), props.rho_h_derivative((name, name))
+            dd, drho = props.properties(props.material.kernel(props.grid.dim, (name,)))
+            dd2, drho2 = props.properties(props.material.kernel(props.grid.dim, (name, name)))
             if not (drho2 or dd2.any()):
                 zero.append(name)
             cross = 2.0 * operator(dd, drho, cache.du_random[j]) + operator(dd2, drho2, u0)
@@ -188,7 +188,7 @@ class TestIhpaEvaluate:
         u0, props = cache.u_nominal, cache.props
 
         def operator(wrt, v):
-            return ParameterOperator(prob, state)(props.d_h_derivative(wrt), props.rho_h_derivative(wrt), v)
+            return ParameterOperator(prob, state)(*props.properties(props.material.kernel(props.grid.dim, wrt)), v)
 
         first = [-u0 @ operator((name,), u0) for name in params.names]
         second = [-u0 @ (2.0 * operator((name,), du) + operator((name, name), u0))
@@ -311,13 +311,13 @@ def test_matrix_free_operator_matches_sparse_matrices(rng, macro_shape, cell_sha
     for name in PARAMETER_NAMES:
         for wrt in ((name,), (name, name)):
             ref = (parameter_to_matrices(prob, state, props, *wrt) @ u.T).T
-            got = operator(props.d_h_derivative(wrt), props.rho_h_derivative(wrt), u)
+            got = operator(*props.properties(props.material.kernel(dim, wrt)), u)
             assert got.shape == u.shape
             assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
     # applied one field at a time, the stack equals one bincount over all its element forces bit for bit: each
     # DOF sums its elements in local-DOF (corner) order; the nominal direction () has a mass part under a drive
     for wrt in (("e1",), ("nu", "nu"), ()):
-        dd, drho = props.d_h_derivative(wrt), props.rho_h_derivative(wrt)
+        dd, drho = props.properties(props.material.kernel(dim, wrt))
         got = operator(dd, drho, u)
         k = rcto.fem.element_stiffness_batch(dd[None], grid.spacing)[0]
         ue = u[:, grid.elem_dofs.T]  # (fields, ndof_e, n_elems), elements fastest
@@ -516,12 +516,11 @@ class TestMcsEvaluate:
         assert peak < 4 * 2**20
 
     def test_oracle_and_macro_factorization_skip_the_full_matrices(self, monkeypatch):
-        # the macro system is scattered straight into its free block; the full K, M pair is never built
+        # the macro system is scattered straight into its free block; no sparse K, M or K - omega^2 M is built
         def forbidden(*args, **kwargs):
-            raise AssertionError("full-matrix assembly on the run path")
+            raise AssertionError("sparse matrix built on the run path")
 
-        monkeypatch.setattr(rcto.fem, "assemble", forbidden)
-        monkeypatch.setattr(rcto.fem, "solve_system", forbidden)  # the one place K - omega^2 M is formed
+        refuse_sparse_matrices(monkeypatch, forbidden)
         prob = cantilever(4, 2, cell_n=4, omega=2 * np.pi * 300.0)
         state = full_state(prob, micro=seed_cell(prob.cell, 0.25, 1e-6))
         props = homogenize(prob.cell, state.x_micro, self.mat, prob.penalty)
